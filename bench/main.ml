@@ -35,6 +35,10 @@ let getenv_int name default =
   | Some v -> (try int_of_string v with _ -> default)
   | None -> default
 
+(* Interval timings read the monotonic clock: [t0 = Obs.Clock.now_ns ()],
+   then [secs_since t0]. *)
+let secs_since t0 = float_of_int (Obs.Clock.now_ns () - t0) /. 1e9
+
 let getenv_float name default =
   match Sys.getenv_opt name with
   | Some v -> (try float_of_string v with _ -> default)
@@ -101,10 +105,10 @@ let campaign () =
   match !campaign_cache with
   | Some o -> o
   | None ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.now_ns () in
       let outcomes = Verify.campaign ~config:campaign_config Registry.paper_five in
       Printf.printf "(campaign: %d pairs in %.1fs)\n\n" (List.length outcomes)
-        (Unix.gettimeofday () -. t0);
+        (secs_since t0);
       campaign_cache := Some outcomes;
       outcomes
 
@@ -114,10 +118,10 @@ let pb_results () =
   match !pb_cache with
   | Some r -> r
   | None ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.now_ns () in
       let results = Pbcheck.check_all ~n:80 ~n_alpha:12 Registry.paper_five in
       Printf.printf "(PB baseline: %d pairs in %.1fs)\n\n" (List.length results)
-        (Unix.gettimeofday () -. t0);
+        (secs_since t0);
       pb_cache := Some results;
       results
 
@@ -275,7 +279,7 @@ let ablation () =
   List.iter
     (fun fuel ->
       let cfg = { Icp.default_config with fuel; delta = 1e-3 } in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.now_ns () in
       let verdict, stats =
         Icp.solve cfg problem.Encoder.domain problem.Encoder.negated
       in
@@ -283,7 +287,7 @@ let ablation () =
         "fuel %6d: %a  (%d expansions, %d prunes, depth %d, %.2fs)@." fuel
         Icp.pp_verdict verdict stats.Icp.expansions stats.Icp.prunes
         stats.Icp.max_depth
-        (Unix.gettimeofday () -. t0))
+        (secs_since t0))
     [ 10; 100; 1000; 10000 ];
   print_newline ();
 
@@ -468,9 +472,9 @@ let scheduler () =
   let pbe = Registry.find "pbe" in
   let time_campaign workers =
     let config = { campaign_config with workers } in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now_ns () in
     let outcomes = Verify.campaign ~config [ pbe ] in
-    (outcomes, Unix.gettimeofday () -. t0)
+    (outcomes, secs_since t0)
   in
   let seq, t_seq = time_campaign 1 in
   let workers = Pool.default_workers () in
@@ -594,12 +598,12 @@ let micro () =
         (Dft_vars.s_name, Mesh.linspace 0.0 5.0 n);
       ]
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   let acc = ref 0.0 in
   for i = 0 to Mesh.size mesh - 1 do
     acc := !acc +. Compile.run tape (Mesh.values mesh i)
   done;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = secs_since t0 in
   Printf.printf
     "PB grid throughput (pointwise): %d PBE F_c evaluations in %.3fs \
      (%.2f Mevals/s; checksum %.6f)\n"
@@ -615,9 +619,9 @@ let micro () =
     cols.(1).(i) <- v.(1)
   done;
   let out = Array.make total 0.0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   Compile.run_batch tape cols out;
-  let dt_b = Unix.gettimeofday () -. t0 in
+  let dt_b = secs_since t0 in
   let acc_b = Array.fold_left ( +. ) 0.0 out in
   Printf.printf
     "PB grid throughput (batch):     %d PBE F_c evaluations in %.3fs \
@@ -812,12 +816,12 @@ let hc4_bench () =
          let pair = dfa_name ^ "_" ^ Conditions.name cond in
          let box = fst (Box.split (fst (Box.split domain))) in
          Printf.printf "--- %s / %s ---\n" dfa_name (Conditions.name cond);
-         let t0 = Unix.gettimeofday () in
+         let t0 = Obs.Clock.now_ns () in
          match Jit.plan ~cache_dir:cache ~mvf:true ~rounds:4 compiled with
          | Error e ->
              Printf.printf "jit plan failed (%s) -- interpreted fallback\n\n" e
          | Ok plan ->
-             let compile_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+             let compile_ms = secs_since t0 *. 1000.0 in
              Printf.printf "%-40s %12.1f ms\n%!" "compile + dlopen" compile_ms;
              record_metric (pair ^ "_jit_compile_ms") compile_ms;
              (* the interpreted side of the comparison is the full per-call
@@ -944,9 +948,9 @@ let hc4_bench () =
                   split_heuristic = split;
                 }
               in
-              let t0 = Unix.gettimeofday () in
+              let t0 = Obs.Clock.now_ns () in
               let verdict, stats = Icp.solve ~contractors cfg box formula in
-              let dt = Unix.gettimeofday () -. t0 in
+              let dt = secs_since t0 in
               results := ((mode_label, split_label), stats.Icp.expansions)
                          :: !results;
               tot_exp := !tot_exp + stats.Icp.expansions;
@@ -998,9 +1002,20 @@ let hc4_bench () =
 (* The verification service, measured at the engine layer (no socket, so
    numbers isolate admission + cache + solve): a fixed query mix submitted
    three times over — the second and third waves should be pure cache
-   hits. Reports throughput, per-query latency percentiles and the cache
-   hit rate read back from the service counters. *)
+   hits. Reports throughput, the mean per-query latency (percentiles only
+   where the sample supports them) and the cache hit rate read back from
+   the service counters. *)
 let bench_service_fuel = getenv_int "XCV_BENCH_SERVICE_FUEL" 60
+
+(* Nearest-rank percentile [p] of an ascending array, reported only when
+   at least [min_beyond] samples rank above it: a tail read off one or two
+   samples is noise, not a percentile. *)
+let min_beyond = 10
+
+let percentile sorted p =
+  let n = Array.length sorted in
+  let k = max 1 (min n (int_of_float (Float.ceil (p *. float_of_int n)))) in
+  if n - k < min_beyond then None else Some sorted.(k - 1)
 
 let service_bench () =
   section "verification service: engine throughput and verdict cache";
@@ -1036,13 +1051,13 @@ let service_bench () =
   in
   let latencies = ref [] in
   let failures = ref 0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   let id = ref 0 in
   for _wave = 1 to 3 do
     List.iter
       (fun (dfa, condition) ->
         incr id;
-        let q0 = Unix.gettimeofday () in
+        let q0 = Obs.Clock.now_ns () in
         (match
            Engine.submit t client
              (Protocol.Verify
@@ -1056,13 +1071,12 @@ let service_bench () =
                 | _ -> ());
             if not !ok then incr failures
         | Some _ -> incr failures);
-        latencies := (Unix.gettimeofday () -. q0) :: !latencies)
+        latencies := secs_since q0 :: !latencies)
       mix
   done;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = secs_since t0 in
   let sorted = List.sort compare !latencies |> Array.of_list in
   let n = Array.length sorted in
-  let pct p = sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1)))) in
   let hits = Obs.Metrics.read (Obs.Metrics.counter "service.cache.hits") in
   let misses = Obs.Metrics.read (Obs.Metrics.counter "service.cache.misses") in
   let hit_rate =
@@ -1072,15 +1086,25 @@ let service_bench () =
   Printf.printf "queries %d  failures %d  wall %.2fs  (%.1f q/s)\n" n !failures
     wall
     (float_of_int n /. wall);
-  Printf.printf "latency p50 %.1f ms  p99 %.1f ms\n" (1000. *. pct 0.5)
-    (1000. *. pct 0.99);
+  let mean = Array.fold_left ( +. ) 0.0 sorted /. float_of_int n in
+  Printf.printf "latency mean %.1f ms (n=%d)\n" (1000. *. mean) n;
+  record_metric "latency_mean_ms" (1000. *. mean);
+  List.iter
+    (fun (label, p) ->
+      match percentile sorted p with
+      | Some v ->
+          Printf.printf "latency %s %.1f ms (n=%d)\n" label (1000. *. v) n;
+          record_metric ("latency_" ^ label ^ "_ms") (1000. *. v)
+      | None ->
+          Printf.printf
+            "latency %s not reported (n=%d: fewer than %d samples beyond)\n"
+            label n min_beyond)
+    [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ];
   Printf.printf "cache: %d hits / %d misses (hit rate %.2f)\n%!" hits misses
     hit_rate;
   record_metric "queries" (float_of_int n);
   record_metric "failures" (float_of_int !failures);
   record_metric "throughput_qps" (float_of_int n /. wall);
-  record_metric "latency_p50_ms" (1000. *. pct 0.5);
-  record_metric "latency_p99_ms" (1000. *. pct 0.99);
   record_metric "cache_hit_rate" hit_rate;
   rm_rf dir
 
@@ -1088,22 +1112,13 @@ let service_bench () =
 (* Certified transcendental kernels                                    *)
 (* ------------------------------------------------------------------ *)
 
-let transcend_fuel = getenv_int "XCV_BENCH_TRANSCEND_FUEL" 400
-
-(* Enclosure-width and expansions-per-solve deltas between the legacy
-   transcendental escapes (2^20 trig collapse, Lambert-W +inf
-   certification escape, blanket 2-ulp outward rounding) and the
-   certified dd kernels that replaced them. Part one measures raw
-   enclosure widths at the escape points; part two replays identical
-   ICP solves under [`Legacy] and [`Certified] dispatch and compares
-   the fuel spent. *)
+(* Enclosure widths of the libm-only enclosures ([Transcend.Legacy]:
+   2^20 trig collapse, Lambert-W +inf certification escape, blanket 2-ulp
+   outward rounding) against the exported enclosures that meet them with
+   the certified dd kernels, measured at the escape points; then the fuel
+   ICP spends on pointwise-trivial conditions at those points. *)
 let transcend_bench () =
   section "Certified transcendental kernels: enclosure widths";
-  let with_mode mode f =
-    let prev = Transcend.current_mode () in
-    Transcend.set_mode mode;
-    Fun.protect ~finally:(fun () -> Transcend.set_mode prev) f
-  in
   let ulps_of i x = Interval.width i /. (Float.succ x -. x) in
   let width_row label legacy certified =
     Printf.printf "%-26s legacy %-14g certified %-14g ratio %g\n" label
@@ -1144,48 +1159,27 @@ let transcend_bench () =
   width_row "width.log_point_ulps"
     (ulps_of (Transcend.Legacy.log (Interval.point 2.0)) l2)
     (ulps_of (Transcend.log (Interval.point 2.0)) l2);
-  (* Legacy pow rounds the exponent to a float and is 1 ulp narrower
-     here, but it encloses x^fl(2/3), not x^(2/3); the certified row is
-     the sound one and stays ulp-scale. *)
+  (* The float-exponent pow is 1 ulp narrower here, but it encloses
+     x^fl(2/3), not x^(2/3); the certified row is the sound one and stays
+     ulp-scale. *)
   let cbrt4 = Float.cbrt 4.0 in
   width_row "width.pow_2_3_point_ulps"
     (ulps_of
-       (Transcend.Legacy.pow_rat (Interval.point 2.0) (Rat.make 2 3))
+       (Interval.pow (Interval.point 2.0) (Rat.to_float (Rat.make 2 3)))
        cbrt4)
     (ulps_of (Transcend.pow_rat (Interval.point 2.0) (Rat.make 2 3)) cbrt4);
   print_newline ();
 
-  section "Expansions per solve: legacy escapes vs certified kernels";
-  let cfg = { Icp.default_config with fuel = transcend_fuel; delta = 1e-9 } in
+  section "Expansions per solve at the escape points";
+  let cfg = { Icp.default_config with fuel = 400; delta = 1e-9 } in
   let solve_row ?(cfg = cfg) label domain formula =
-    let run mode = with_mode mode (fun () -> Icp.solve cfg domain formula) in
-    let v_l, s_l = run `Legacy in
-    let v_c, s_c = run `Certified in
-    Format.printf
-      "%-20s legacy %a (%d expansions)  certified %a (%d expansions)@." label
-      Icp.pp_verdict v_l s_l.Icp.expansions Icp.pp_verdict v_c
-      s_c.Icp.expansions;
-    record_metric
-      (label ^ "_expansions_legacy")
-      (float_of_int s_l.Icp.expansions);
-    record_metric
-      (label ^ "_expansions_certified")
-      (float_of_int s_c.Icp.expansions)
+    let v, stats = Icp.solve cfg domain formula in
+    Format.printf "%-20s %a (%d expansions)@." label Icp.pp_verdict v
+      stats.Icp.expansions;
+    record_metric (label ^ "_expansions") (float_of_int stats.Icp.expansions)
   in
-  (* Paper Table I rows: identical encodings, mode flipped around the
-     solve. exp/log kernels only engage on narrow boxes, so these rows
-     mostly certify no regression. *)
-  List.iter
-    (fun (dfa, cond, label) ->
-      let problem = Option.get (Encoder.encode (Registry.find dfa) cond) in
-      solve_row label problem.Encoder.domain problem.Encoder.negated)
-    [
-      ("pbe", Conditions.Ec1, "pbe_ec1");
-      ("lyp", Conditions.Ec1, "lyp_ec1");
-      ("scan", Conditions.Ec1, "scan_ec1");
-    ];
-  (* Escape rows: pointwise-trivial conditions the legacy escapes can
-     never refute, so the legacy solver burns fuel splitting an
+  (* Escape rows: pointwise-trivial conditions the libm-only enclosures
+     can never refute, so a solver on them would burn fuel splitting an
      enclosure that no split can narrow. *)
   let x = Expr.var "x" in
   let refute atom = [ Form.negate_atom atom ] in
@@ -1197,7 +1191,7 @@ let transcend_bench () =
     (refute (Form.le (Expr.sub (Expr.cos x) (Expr.const 0.9))));
   (* No-regression row: the W box hugs the branch point (delta finer
      than the box so the solver would be forced to split if the
-     enclosure escaped); certified must not spend more fuel. *)
+     enclosure escaped). *)
   solve_row ~cfg:{ cfg with delta = 1e-13 } "w_branch"
     (Box.make [ ("x", w_arg) ])
     (refute (Form.le (Expr.lambert_w x)))
@@ -1217,29 +1211,32 @@ let () =
   let names = List.filter (fun a -> not (String.equal a "--json")) args in
   (* Each target runs against a fresh metrics instance so its BENCH json
      carries only its own counters; the snapshot is folded flat under an
-     "obs." prefix (timers in seconds, histograms as observation counts). *)
+     "obs." prefix (timers in seconds, histograms as observation counts).
+     Keys that never moved during the target (value 0) are left out. *)
   let run_target (name, f) =
     json_metrics := [];
     let prev = Obs.Metrics.install (Obs.Metrics.fresh ()) in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now_ns () in
     f ();
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = secs_since t0 in
     if !json_enabled then begin
       let s = Obs.Metrics.snapshot () in
+      let record_obs key v =
+        if v <> 0.0 then record_metric ("obs." ^ key) v
+      in
       List.iter
-        (fun (k, v) -> record_metric ("obs." ^ k) (float_of_int v))
+        (fun (k, v) -> record_obs k (float_of_int v))
         (s.Obs.Metrics.counters @ s.Obs.Metrics.wall_counters);
       List.iter
         (fun (k, buckets) ->
           let count = List.fold_left (fun a (_, c) -> a + c) 0 buckets in
-          record_metric ("obs." ^ k ^ ".count") (float_of_int count))
+          record_obs (k ^ ".count") (float_of_int count))
         s.Obs.Metrics.histograms;
       List.iter
-        (fun (k, v) -> record_metric ("obs." ^ k ^ ".max") (float_of_int v))
+        (fun (k, v) -> record_obs (k ^ ".max") (float_of_int v))
         s.Obs.Metrics.gauges;
       List.iter
-        (fun (k, ns) ->
-          record_metric ("obs." ^ k ^ ".s") (float_of_int ns /. 1e9))
+        (fun (k, ns) -> record_obs (k ^ ".s") (float_of_int ns /. 1e9))
         s.Obs.Metrics.timers;
       write_json name wall
     end;

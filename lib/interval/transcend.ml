@@ -6,20 +6,6 @@ let mono_inc f i =
   if Interval.is_empty i then Interval.empty
   else Interval.of_bounds (down2 (f (Interval.inf i))) (up2 (f (Interval.sup i)))
 
-(* ------------------------------------------------------------------ *)
-(* Dispatch mode                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* `Certified (the default) routes through the dd kernels of {!Certified}
-   where they help and keeps the libm path elsewhere; `Legacy restores the
-   pre-kernel behavior byte-for-byte (including the 2^20 trig cutoff and
-   the NaN -> +inf Lambert escape). The Legacy submodule below is the
-   differential-oracle and bench reference either way. *)
-let mode : [ `Certified | `Legacy ] ref = ref `Certified
-
-let set_mode m = mode := m
-let current_mode () = !mode
-
 (* Certified point kernels engage on narrow intervals only — midpoint
    (mean-value form) and endpoint evaluations are where sub-libm-width
    enclosures change contraction; on wide intervals the enclosure width is
@@ -35,7 +21,7 @@ let narrow i =
      || Interval.width i <= 32.0 *. ulp_of (Interval.mag i))
 
 (* ------------------------------------------------------------------ *)
-(* Legacy reference implementations                                    *)
+(* libm enclosures                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let half_pi_hi = up2 (2.0 *. Stdlib.atan 1.0)
@@ -49,13 +35,24 @@ let pi_lo = down2 (4.0 *. Stdlib.atan 1.0)
 let two_pi = 8.0 *. Stdlib.atan 1.0
 let branch_point = -.Stdlib.exp (-1.0)
 
+(* The NaN-robust bound policy for a failed certification, exposed for
+   tests: the sound fallback differs per side — -1.0 (the infimum of W0's
+   range) for the lower bound, +inf for the upper — because falling back
+   to -1.0 on the upper side as well would invert the bounds and turn a
+   nonempty image into the empty interval. In {!lambert_w} below the dd
+   kernel repairs the escape before this policy applies, so there it only
+   fires if the kernel itself gives up. *)
+let certified_w_bounds ~lo ~hi =
+  let lo = if Float.is_nan lo then -1.0 else lo in
+  let hi = if Float.is_nan hi then Float.infinity else hi in
+  Interval.of_bounds lo hi
+
 module Legacy = struct
-  (* The pre-certified-kernel enclosures, kept verbatim as the "old"
-     side of the differential oracle (test_transcend) and the bench
-     baseline. Everything here is sound but deliberately lossy: trig
-     collapses to [-1, 1] past 2^20, Lambert upper bounds escape to +inf
-     when the float kernel NaNs, and atanh / w_inverse under-account
-     their libm roundings with a blanket two-ulp widening. *)
+  (* The libm endpoint enclosures. Every exported exp/log/sin/cos/W result
+     is the meet of one of these with a certified kernel, and the
+     differential oracle (test_transcend) compares against them. They are
+     sound but lossy on their own: trig collapses to [-1, 1] past 2^20 and
+     Lambert upper bounds escape to +inf when the float kernel NaNs. *)
 
   let exp i =
     if Interval.is_empty i then Interval.empty
@@ -152,11 +149,6 @@ module Legacy = struct
       end
     end
 
-  let certified_w_bounds ~lo ~hi =
-    let lo = if Float.is_nan lo then -1.0 else lo in
-    let hi = if Float.is_nan hi then Float.infinity else hi in
-    Interval.of_bounds lo hi
-
   let lambert_w i =
     let dom = Interval.make branch_point Float.infinity in
     let i = Interval.meet i dom in
@@ -165,29 +157,6 @@ module Legacy = struct
       certified_w_bounds
         ~lo:(certify_lo (Interval.inf i))
         ~hi:(certify_hi (Interval.sup i))
-
-  let atanh i =
-    let dom = Interval.make (-1.0) 1.0 in
-    let i = Interval.meet i dom in
-    if Interval.is_empty i then Interval.empty
-    else begin
-      let f x =
-        if x <= -1.0 then Float.neg_infinity
-        else if x >= 1.0 then Float.infinity
-        else 0.5 *. Stdlib.log ((1.0 +. x) /. (1.0 -. x))
-      in
-      Interval.of_bounds (down2 (f (Interval.inf i))) (up2 (f (Interval.sup i)))
-    end
-
-  let w_inverse i =
-    let i = Interval.meet i (Interval.make (-1.0) Float.infinity) in
-    if Interval.is_empty i then Interval.empty
-    else mono_inc (fun w -> w *. Stdlib.exp w) i
-
-  let pow_rat i r =
-    match Rat.to_int r with
-    | Some n -> Interval.pow_int i n
-    | None -> Interval.pow i (Rat.to_float r)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -195,31 +164,25 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* The meet of two sound enclosures is sound and (by construction) never
-   wider than the legacy one — the containment oracle relies on this. *)
+   wider than the libm one — the containment oracle relies on this. *)
 
 let exp i =
   let base = Legacy.exp i in
-  match !mode with
-  | `Legacy -> base
-  | `Certified ->
-      if Interval.is_empty base then base
-      else if narrow i then Interval.meet base (Certified.exp i)
-      else begin
-        Certified.count_exp_fallback ();
-        base
-      end
+  if Interval.is_empty base then base
+  else if narrow i then Interval.meet base (Certified.exp i)
+  else begin
+    Certified.count_exp_fallback ();
+    base
+  end
 
 let log i =
   let base = Legacy.log i in
-  match !mode with
-  | `Legacy -> base
-  | `Certified ->
-      if Interval.is_empty base then base
-      else if narrow i then Interval.meet base (Certified.log i)
-      else begin
-        Certified.count_log_fallback ();
-        base
-      end
+  if Interval.is_empty base then base
+  else if narrow i then Interval.meet base (Certified.log i)
+  else begin
+    Certified.count_log_fallback ();
+    base
+  end
 
 let tanh i =
   if Interval.is_empty i then Interval.empty
@@ -245,25 +208,18 @@ let atan i =
    two-term 2*pi (Certified.reduce_two_pi machinery), so quadrant
    analysis works for any |x| up to 2^52 — the old 2^20 collapse to
    [-1, 1] is gone. On the small-argument path (k = 0) the reduction is
-   exact and the result coincides with the legacy analysis except for the
-   critical-point slack, which is now a few ulps of the reduced argument
-   (2e-14) instead of the old absolute 1e-9, so extrema slightly outside
-   the interval no longer get hulled in. *)
+   exact and the result coincides with the libm analysis of {!Legacy}
+   except for the critical-point slack, which is a few ulps of the reduced
+   argument (2e-14) instead of an absolute 1e-9, so extrema slightly
+   outside the interval no longer get hulled in. *)
 
-(* Meeting with the legacy analysis keeps the small-argument enclosure at
-   least as tight as before (the certified endpoint widening can exceed
-   legacy's two value-ulps once a reduction actually happened) while the
-   certified side supplies the nontrivial enclosure beyond the old
-   cutoff, where legacy is [-1, 1]. *)
-let sin i =
-  match !mode with
-  | `Legacy -> Legacy.sin i
-  | `Certified -> Interval.meet (Legacy.sin i) (Certified.sin i)
-
-let cos i =
-  match !mode with
-  | `Legacy -> Legacy.cos i
-  | `Certified -> Interval.meet (Legacy.cos i) (Certified.cos i)
+(* Meeting with the libm analysis keeps the small-argument enclosure at
+   least as tight as it (the certified endpoint widening can exceed its
+   two value-ulps once a reduction actually happened) while the certified
+   side supplies the nontrivial enclosure beyond the 2^20 cutoff, where
+   the libm analysis is [-1, 1]. *)
+let sin i = Interval.meet (Legacy.sin i) (Certified.sin i)
+let cos i = Interval.meet (Legacy.cos i) (Certified.cos i)
 
 (* ------------------------------------------------------------------ *)
 (* Lambert W                                                           *)
@@ -314,39 +270,24 @@ let certify_hi x =
     end
   end
 
-(* The NaN-robust bound policy for a failed certification, exposed for
-   tests: the sound fallback differs per side — -1.0 (the infimum of W0's
-   range) for the lower bound, +inf for the upper — because falling back
-   to -1.0 on the upper side as well would invert the bounds and turn a
-   nonempty image into the empty interval. In `Certified mode the dd
-   kernel repairs the escape *before* this policy applies, so it only
-   fires in `Legacy mode or if the kernel itself gives up. *)
-let certified_w_bounds ~lo ~hi =
-  let lo = if Float.is_nan lo then -1.0 else lo in
-  let hi = if Float.is_nan hi then Float.infinity else hi in
-  Interval.of_bounds lo hi
-
 let lambert_w i =
-  match !mode with
-  | `Legacy -> Legacy.lambert_w i
-  | `Certified ->
-      let dom = Interval.make branch_point Float.infinity in
-      let i = Interval.meet i dom in
-      if Interval.is_empty i then Interval.empty
-      else begin
-        let lo_f = certify_lo (Interval.inf i) in
-        let lo =
-          if Float.is_nan lo_f then Certified.w_lo (Interval.inf i) else lo_f
-        in
-        let hi_f = certify_hi (Interval.sup i) in
-        let hi =
-          if Float.is_nan hi_f then Certified.w_hi (Interval.sup i) else hi_f
-        in
-        (* Both sides are sound; the meet guarantees the result is never
-           wider than the legacy enclosure (whose stubborn-certification
-           escapes the new stride sequence does not replicate exactly). *)
-        Interval.meet (Legacy.lambert_w i) (certified_w_bounds ~lo ~hi)
-      end
+  let dom = Interval.make branch_point Float.infinity in
+  let i = Interval.meet i dom in
+  if Interval.is_empty i then Interval.empty
+  else begin
+    let lo_f = certify_lo (Interval.inf i) in
+    let lo =
+      if Float.is_nan lo_f then Certified.w_lo (Interval.inf i) else lo_f
+    in
+    let hi_f = certify_hi (Interval.sup i) in
+    let hi =
+      if Float.is_nan hi_f then Certified.w_hi (Interval.sup i) else hi_f
+    in
+    (* Both sides are sound; the meet guarantees the result is never
+       wider than the libm enclosure (whose stubborn-certification
+       escapes the new stride sequence does not replicate exactly). *)
+    Interval.meet (Legacy.lambert_w i) (certified_w_bounds ~lo ~hi)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* pow with rational exponents                                         *)
@@ -377,14 +318,10 @@ let widen_exponent_rounding i base p =
 let pow_rat i r =
   match Rat.to_int r with
   | Some n -> Interval.pow_int i n
-  | None -> (
-      match !mode with
-      | `Legacy -> Legacy.pow_rat i r
-      | `Certified ->
-          let p = Rat.to_float r in
-          let base = widen_exponent_rounding i (Interval.pow i p) p in
-          if narrow i then Interval.meet base (Certified.pow_rat i r)
-          else base)
+  | None ->
+      let p = Rat.to_float r in
+      let base = widen_exponent_rounding i (Interval.pow i p) p in
+      if narrow i then Interval.meet base (Certified.pow_rat i r) else base
 
 (* Tight enclosure of an exact rational value: both components are < 2^53
    so float_of_int is exact and the one division is the only rounding.
@@ -409,24 +346,21 @@ let atanh i =
   let i = Interval.meet i dom in
   if Interval.is_empty i then Interval.empty
   else begin
-    match !mode with
-    | `Legacy -> Legacy.atanh i
-    | `Certified ->
-        let at x =
-          if x <= -1.0 then Interval.point Float.neg_infinity
-          else if x >= 1.0 then Interval.point Float.infinity
-          else begin
-            let px = Interval.point x in
-            let q =
-              Interval.div (Interval.add Interval.one px)
-                (Interval.sub Interval.one px)
-            in
-            Interval.mul (Interval.point 0.5) (log q)
-          end
+    let at x =
+      if x <= -1.0 then Interval.point Float.neg_infinity
+      else if x >= 1.0 then Interval.point Float.infinity
+      else begin
+        let px = Interval.point x in
+        let q =
+          Interval.div (Interval.add Interval.one px)
+            (Interval.sub Interval.one px)
         in
-        Interval.of_bounds
-          (Interval.inf (at (Interval.inf i)))
-          (Interval.sup (at (Interval.sup i)))
+        Interval.mul (Interval.point 0.5) (log q)
+      end
+    in
+    Interval.of_bounds
+      (Interval.inf (at (Interval.inf i)))
+      (Interval.sup (at (Interval.sup i)))
   end
 
 let tan_on_principal i =
@@ -453,16 +387,13 @@ let w_inverse i =
   let i = Interval.meet i (Interval.make (-1.0) Float.infinity) in
   if Interval.is_empty i then Interval.empty
   else begin
-    match !mode with
-    | `Legacy -> Legacy.w_inverse i
-    | `Certified ->
-        let at w =
-          if w = Float.infinity then Interval.point Float.infinity
-          else Interval.mul (Interval.point w) (exp (Interval.point w))
-        in
-        Interval.of_bounds
-          (Interval.inf (at (Interval.inf i)))
-          (Interval.sup (at (Interval.sup i)))
+    let at w =
+      if w = Float.infinity then Interval.point Float.infinity
+      else Interval.mul (Interval.point w) (exp (Interval.point w))
+    in
+    Interval.of_bounds
+      (Interval.inf (at (Interval.inf i)))
+      (Interval.sup (at (Interval.sup i)))
   end
 
 let asin_hull i =

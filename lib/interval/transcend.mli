@@ -2,29 +2,24 @@
     functional approximations (exp, log in SCAN and PBE; atan in VWN;
     Lambert W in AM05), plus sin/cos/tanh for engine completeness.
 
-    Monotone functions are enclosed by evaluating libm at the endpoints and
-    widening by two ulps (libm is faithfully rounded to within 1 ulp on every
-    platform we target; the second ulp is margin); on narrow inputs the
-    result is met with the dd kernel of {!Certified}, which carries a
-    derived error bound instead of the blanket margin. sin/cos use quadrant
-    analysis on a certified-reduced argument, valid up to 2^52 — the old
-    2^20 collapse to [[-1, 1]] is gone. Every function follows the
-    natural-domain semantics of {!Interval}: inputs outside the real domain
-    contribute no values. *)
+    There is one enclosure path per function. exp, log, sin, cos and
+    Lambert W evaluate libm at the endpoints, widen by two ulps (libm is
+    faithfully rounded to within 1 ulp on every platform we target; the
+    second ulp is margin) and meet the result with a kernel of
+    {!Certified}, which carries a derived error bound instead of the
+    blanket margin. The monotone kernels (exp, log, rational pow) engage
+    on narrow inputs only; on wide inputs the libm enclosure alone is the
+    designed path, counted by the [transcend.*.fallback] meters. sin/cos
+    use quadrant analysis on a certified-reduced argument, valid up to
+    2^52. Every function follows the natural-domain semantics of
+    {!Interval}: inputs outside the real domain contribute no values. *)
 
-(** {1 Dispatch mode} *)
-
-(** [`Certified] (the default) uses the dd kernels where they help;
-    [`Legacy] restores the pre-kernel behavior byte-for-byte. The bench
-    harness flips this to measure enclosure-width and expansion deltas. *)
-val set_mode : [ `Certified | `Legacy ] -> unit
-
-val current_mode : unit -> [ `Certified | `Legacy ]
-
-(** The pre-certified-kernel implementations, kept verbatim as the "old"
-    side of the differential oracle and the bench baseline (lossy escapes
-    included: the 2^20 trig cutoff lives on here as
-    [Legacy.trig_arg_cutoff]). *)
+(** The libm endpoint enclosures: the libm half of every exported
+    exp/log/sin/cos/Lambert W enclosure, each of which is this result met
+    with a certified kernel. Sound but lossy on their own (sin/cos
+    collapse to [[-1, 1]] past [trig_arg_cutoff] = 2^20; a NaN from the
+    float W kernel escapes to [+inf]), and the reference side of the
+    never-wider differential oracle. *)
 module Legacy : sig
   val exp : Interval.t -> Interval.t
   val log : Interval.t -> Interval.t
@@ -32,9 +27,6 @@ module Legacy : sig
   val cos : Interval.t -> Interval.t
   val trig_arg_cutoff : float
   val lambert_w : Interval.t -> Interval.t
-  val atanh : Interval.t -> Interval.t
-  val w_inverse : Interval.t -> Interval.t
-  val pow_rat : Interval.t -> Rat.t -> Interval.t
 end
 
 (** {1 Enclosures} *)
@@ -85,8 +77,8 @@ val enclose_rat : Rat.t -> Interval.t
 
 (** [atanh i]: inverse of {!tanh}, domain [(-1, 1)]. Evaluated as an
     interval composition (per-operation outward rounding), so the
-    enclosure covers the composite's true rounding budget — it may be
-    slightly {e wider} than the old under-covering two-ulp widening. *)
+    enclosure covers the composite's true rounding budget, which a
+    two-ulp widening of the float formula under-covers. *)
 val atanh : Interval.t -> Interval.t
 
 (** [tan_on_principal i]: inverse of {!atan}; [i] is clipped to

@@ -218,9 +218,6 @@ let render_source ~mvf ~rounds compiled =
   let incidence = Hc4.incidence compiled in
   let dim = Array.length incidence in
   let nprogs = Array.length progs in
-  let certified =
-    match Transcend.current_mode () with `Certified -> 1 | `Legacy -> 0
-  in
   let maxregs = ref 1 and maxarity = ref 1 and maxvars = ref 1 in
   Array.iter
     (fun p ->
@@ -235,7 +232,6 @@ let render_source ~mvf ~rounds compiled =
     progs;
   let b = Buffer.create (1 lsl 16) in
   bpf b "/* xcverifier JIT kernel — generated; do not edit. */\n";
-  bpf b "#define XCV_MODE_CERTIFIED %d\n" certified;
   bpf b "#define XCV_DIM %d\n" (max 1 dim);
   bpf b "#define XCV_NPROGS %d\n" (max 1 nprogs);
   bpf b "#define XCV_ROUNDS %d\n" (max 1 rounds);

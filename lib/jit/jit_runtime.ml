@@ -11,7 +11,7 @@
    [Float.max]), and the same libm entry points the OCaml runtime calls.
 
    The emitter ({!Jit}) prefixes this text with the per-formula [#define]s
-   (XCV_DIM, XCV_NPROGS, XCV_ROUNDS, XCV_DO_MVF, XCV_MODE_CERTIFIED,
+   (XCV_DIM, XCV_NPROGS, XCV_ROUNDS, XCV_DO_MVF,
    XCV_MAXREGS, XCV_MAXARITY, XCV_MAXVARS), follows it with the static
    instruction tables, and closes with {!entry} which wires the exported
    [xcvjit_*] symbols to those tables. Compile with
@@ -623,45 +623,27 @@ static itv cert_trig(double (*f)(double), double phase_of_max, itv i)
 static itv cert_sin(itv i) { return cert_trig(sin, TWO_PI_HI / 4.0, i); }
 static itv cert_cos(itv i) { return cert_trig(cos, 0.0, i); }
 
-/* dispatched entry points (mode baked at emission) */
+/* entry points: the libm enclosure met with the certified kernel */
 
 static itv t_exp(itv i)
 {
   itv base = legacy_exp(i);
-#if XCV_MODE_CERTIFIED
   if (i_is_empty(base)) return base;
   if (rt_narrow(i)) return i_meet(base, cert_exp(i));
-#endif
   return base;
 }
 
 static itv t_log(itv i)
 {
   itv base = legacy_log(i);
-#if XCV_MODE_CERTIFIED
   if (i_is_empty(base)) return base;
   if (rt_narrow(i)) return i_meet(base, cert_log(i));
-#endif
   return base;
 }
 
-static itv t_sin(itv i)
-{
-#if XCV_MODE_CERTIFIED
-  return i_meet(legacy_sin(i), cert_sin(i));
-#else
-  return legacy_sin(i);
-#endif
-}
+static itv t_sin(itv i) { return i_meet(legacy_sin(i), cert_sin(i)); }
 
-static itv t_cos(itv i)
-{
-#if XCV_MODE_CERTIFIED
-  return i_meet(legacy_cos(i), cert_cos(i));
-#else
-  return legacy_cos(i);
-#endif
-}
+static itv t_cos(itv i) { return i_meet(legacy_cos(i), cert_cos(i)); }
 
 static itv t_tanh(itv i)
 {
@@ -776,8 +758,6 @@ static itv legacy_lambert_w(itv i)
   return certified_w_bounds(legacy_certify_lo(i.lo), legacy_certify_hi(i.hi));
 }
 
-#if XCV_MODE_CERTIFIED
-
 static int cert_residual_le(double w, double x)
 {
   itv g = i_mul(i_point(w), cert_exp_point(w));
@@ -888,11 +868,8 @@ static double t_certify_hi(double x)
   return cur;
 }
 
-#endif /* XCV_MODE_CERTIFIED */
-
 static itv t_lambert_w(itv i)
 {
-#if XCV_MODE_CERTIFIED
   double lo, hi;
   i = i_meet(i, mk_itv(rt_branch_point, INFINITY));
   if (i_is_empty(i)) return I_EMPTY;
@@ -901,22 +878,8 @@ static itv t_lambert_w(itv i)
   hi = t_certify_hi(i.hi);
   if (isnan(hi)) hi = cert_w_hi(i.hi);
   return i_meet(legacy_lambert_w(i), certified_w_bounds(lo, hi));
-#else
-  return legacy_lambert_w(i);
-#endif
 }
 
-static itv legacy_atanh(itv i)
-{
-  double lo, hi;
-  i = i_meet(i, mk_itv(-1.0, 1.0));
-  if (i_is_empty(i)) return I_EMPTY;
-  lo = (i.lo <= -1.0) ? -INFINITY : 0.5 * log((1.0 + i.lo) / (1.0 - i.lo));
-  hi = (i.hi >= 1.0) ? INFINITY : 0.5 * log((1.0 + i.hi) / (1.0 - i.hi));
-  return i_of_bounds(down2(lo), up2(hi));
-}
-
-#if XCV_MODE_CERTIFIED
 static itv t_atanh_at(double x)
 {
   itv q;
@@ -925,37 +888,25 @@ static itv t_atanh_at(double x)
   q = i_div(i_add(I_ONE, i_point(x)), i_sub(I_ONE, i_point(x)));
   return i_mul(i_point(0.5), t_log(q));
 }
-#endif
 
 static itv t_atanh(itv i)
 {
-#if XCV_MODE_CERTIFIED
   i = i_meet(i, mk_itv(-1.0, 1.0));
   if (i_is_empty(i)) return I_EMPTY;
   return i_of_bounds(t_atanh_at(i.lo).lo, t_atanh_at(i.hi).hi);
-#else
-  return legacy_atanh(i);
-#endif
 }
 
-#if XCV_MODE_CERTIFIED
 static itv t_w_inverse_at(double w)
 {
   if (w == INFINITY) return i_point(INFINITY);
   return i_mul(i_point(w), t_exp(i_point(w)));
 }
-#endif
 
 static itv t_w_inverse(itv i)
 {
   i = i_meet(i, mk_itv(-1.0, INFINITY));
-#if XCV_MODE_CERTIFIED
   if (i_is_empty(i)) return I_EMPTY;
   return i_of_bounds(t_w_inverse_at(i.lo).lo, t_w_inverse_at(i.hi).hi);
-#else
-  if (i_is_empty(i)) return I_EMPTY;
-  return i_of_bounds(down2(i.lo * exp(i.lo)), up2(i.hi * exp(i.hi)));
-#endif
 }
 
 static itv t_tan_on_principal(itv i)
@@ -982,7 +933,6 @@ static itv t_acos_hull(itv i)
   return i_of_bounds(down2(acos(i.hi)), up2(acos(i.lo)));
 }
 
-#if XCV_MODE_CERTIFIED
 static itv cert_pow_rat(itv i, const crat *cr)
 {
   int pos;
@@ -1018,21 +968,16 @@ static itv widen_exponent_rounding(itv i, itv base, double p)
   if (hi != INFINITY) hi = hi_up(hi + (hi * dp));
   return i_of_bounds(lo, hi);
 }
-#endif
 
 static itv t_pow_rat(itv i, const crat *cr)
 {
   if (cr->isint) return i_pow_int(i, cr->i);
-#if XCV_MODE_CERTIFIED
   {
     double p = cr->f;
     itv base = widen_exponent_rounding(i, i_pow(i, p), p);
     if (rt_narrow(i)) return i_meet(base, cert_pow_rat(i, cr));
     return base;
   }
-#else
-  return i_pow(i, cr->f);
-#endif
 }
 
 static itv apply_unop(int code, itv v)

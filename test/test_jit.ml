@@ -197,12 +197,10 @@ let prop_jit_identity =
             batched;
           true)
 
-(* The certified/legacy switch is baked into the emitted source; both
-   modes must keep identity (their kernels differ a lot). *)
-let test_identity_legacy_mode () =
+(* A fixed case crossing the certified exp, rational-pow and Lambert W
+   kernels in one plan, on a box that straddles W's zero. *)
+let test_identity_fixed_case () =
   if Jit.available () then begin
-    Transcend.set_mode `Legacy;
-    Fun.protect ~finally:(fun () -> Transcend.set_mode `Certified) @@ fun () ->
     let formula =
       [
         Form.atom
@@ -224,7 +222,7 @@ let test_identity_legacy_mode () =
             [ ("x", Interval.make (-0.25) 2.0); ("y", Interval.make 0.0 1.5) ]
         in
         ignore
-          (check_outcome "legacy mode"
+          (check_outcome "fixed case"
              (Jit.contract_batch plan [| box |]).(0)
              (interpreted ~mvf:true ~rounds:3 compiled box))
   end
@@ -387,7 +385,7 @@ let test_paint_log_identity () =
 let suite =
   [
     prop_jit_identity;
-    case "legacy-mode identity" test_identity_legacy_mode;
+    case "identity on a fixed exp/pow/W case" test_identity_fixed_case;
     case "degrades to Error on a broken compiler" test_degrades_on_broken_cc;
     case "degrades to Error on a missing compiler" test_degrades_on_missing_cc;
     case "compile cache serves the second plan" test_cache_hit;

@@ -5,16 +5,17 @@
    - containment: independently computed reference values (libm point
      evaluations, correctly rounded sqrt/cbrt compositions, more-accurate
      alternative formulas) lie inside the new enclosures;
-   - never wider: for exp / log / sin / cos / lambert_w the certified-mode
-     result is a subset of the Legacy result (guaranteed by construction —
-     the dispatch meets both — but pinned here against regressions);
+   - never wider: for exp / log / sin / cos / lambert_w the exported
+     result is a subset of the libm-only [Transcend.Legacy] result
+     (guaranteed by construction — each export meets both — but pinned
+     here against regressions);
    - boundary tables at domain edges, the Lambert branch point, the old
      2^20 trig cutoff, and +-pi/2.
 
    atanh, w_inverse and (non-integer) pow_rat are deliberately *excluded*
-   from the subset property: the old enclosures under-covered their
+   from the subset property: their float formulas under-cover the
    rounding budget (blanket two-ulp widening over 3+ roundings; silently
-   dropped exponent rounding), so the repaired versions may be slightly
+   dropped exponent rounding), so the sound enclosures may be slightly
    wider. They get reference-containment plus bounded-width checks
    instead, with the failing-before cases near the domain edges. *)
 
@@ -478,19 +479,54 @@ let test_counters_fire () =
       check_true "w kernel counted" (get "transcend.w.kernel" >= 0);
       check_true "pow_rat kernel counted" (get "transcend.pow_rat.kernel" >= 1))
 
-let test_legacy_mode_switch () =
-  Transcend.set_mode `Legacy;
-  Fun.protect
-    ~finally:(fun () -> Transcend.set_mode `Certified)
-    (fun () ->
-      check_true "legacy mode restores trivial trig"
-        (Interval.equal
-           (Transcend.sin (point (2.0 *. Transcend.Legacy.trig_arg_cutoff)))
-           (iv (-1.0) 1.0));
-      check_true "legacy mode exp matches Legacy.exp"
-        (Interval.equal
-           (Transcend.exp (point 1.0))
-           (Transcend.Legacy.exp (point 1.0))))
+(* There is one enclosure path and no process-global switch: at fixed
+   points, including those beyond the old trig cutoff, every export is
+   a subset of its libm enclosure, and a second domain computes the
+   same enclosures as the main one. *)
+let test_single_path_fixed_table () =
+  let c = Transcend.Legacy.trig_arg_cutoff in
+  let exports =
+    [
+      ("exp", Transcend.exp, Transcend.Legacy.exp);
+      ("log", Transcend.log, Transcend.Legacy.log);
+      ("sin", Transcend.sin, Transcend.Legacy.sin);
+      ("cos", Transcend.cos, Transcend.Legacy.cos);
+      ("lambert_w", Transcend.lambert_w, Transcend.Legacy.lambert_w);
+    ]
+  in
+  let inputs =
+    [
+      point 1.0;
+      point 0.5;
+      iv 0.0 100.0;
+      iv (-0.25) 2.0;
+      iv 1e-300 1e-3;
+      point (2.0 *. c);
+      iv (c +. 1.0) (c +. 1.01);
+    ]
+  in
+  let table () =
+    List.concat_map
+      (fun (_, f, _) -> List.map (fun i -> f i) inputs)
+      exports
+  in
+  List.iter
+    (fun (name, f, legacy_f) ->
+      List.iter
+        (fun i ->
+          check_true
+            (Printf.sprintf "%s [%g, %g] subset of libm enclosure" name
+               (Interval.inf i) (Interval.sup i))
+            (Interval.subset (f i) (legacy_f i)))
+        inputs)
+    exports;
+  check_true "sin nontrivial beyond old cutoff"
+    (Interval.width (Transcend.sin (point (2.0 *. c))) < 2.0);
+  let here = table () in
+  let there = Domain.join (Domain.spawn table) in
+  List.iter2
+    (fun a b -> check_true "same enclosure in another domain" (Interval.equal a b))
+    here there
 
 let suite =
   [
@@ -511,7 +547,7 @@ let suite =
     case "pow_rat references" test_pow_rat_references;
     case "pow_rat edges" test_pow_rat_edges;
     case "dispatch counters" test_counters_fire;
-    case "legacy mode switch" test_legacy_mode_switch;
+    case "single path on a fixed table" test_single_path_fixed_table;
     subset_of_legacy "exp subset of legacy" Transcend.exp Transcend.Legacy.exp
       small_gen;
     subset_of_legacy "log subset of legacy" Transcend.log Transcend.Legacy.log
@@ -522,6 +558,8 @@ let suite =
       Transcend.Legacy.cos small_gen;
     subset_of_legacy "sin subset of legacy (large)" Transcend.sin
       Transcend.Legacy.sin large_gen;
+    subset_of_legacy "cos subset of legacy (large)" Transcend.cos
+      Transcend.Legacy.cos large_gen;
     containment "exp containment" Transcend.exp Stdlib.exp small_gen;
     containment "log containment" Transcend.log Stdlib.log small_gen;
     containment "sin containment (small)" Transcend.sin Stdlib.sin small_gen;
