@@ -106,7 +106,10 @@ let campaign () =
   | Some o -> o
   | None ->
       let t0 = Obs.Clock.now_ns () in
-      let outcomes = Verify.campaign ~config:campaign_config Registry.paper_five in
+      let outcomes =
+        List.map fst
+          (fst (Verify.campaign ~config:campaign_config Registry.paper_five))
+      in
       Printf.printf "(campaign: %d pairs in %.1fs)\n\n" (List.length outcomes)
         (secs_since t0);
       campaign_cache := Some outcomes;
@@ -473,7 +476,7 @@ let scheduler () =
   let time_campaign workers =
     let config = { campaign_config with workers } in
     let t0 = Obs.Clock.now_ns () in
-    let outcomes = Verify.campaign ~config [ pbe ] in
+    let outcomes = List.map fst (fst (Verify.campaign ~config [ pbe ])) in
     (outcomes, secs_since t0)
   in
   let seq, t_seq = time_campaign 1 in

@@ -465,8 +465,9 @@ let campaign_cmd =
   in
   let checkpoint_arg =
     let doc =
-      "Append each completed outcome to $(docv) as the campaign proceeds; a \
-       killed run loses at most the pair in flight."
+      "Record each completed pair (outcome, region paths, metrics) in \
+       $(docv) as the campaign proceeds; a killed run loses at most the pair \
+       in flight. A run without --resume truncates $(docv) first."
     in
     Arg.(
       value
@@ -482,8 +483,9 @@ let campaign_cmd =
   in
   let resume_arg =
     let doc =
-      "Reuse outcomes from a previous checkpoint $(docv); already-completed \
-       (DFA, condition) pairs are not re-run."
+      "Reuse outcomes and metrics from a previous checkpoint $(docv), which \
+       must have been written with the same flags; already-completed (DFA, \
+       condition) pairs are not re-run."
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~doc ~docv:"FILE")
   in
@@ -551,27 +553,34 @@ let campaign_cmd =
       (write_metrics_json (Obs.Metrics.to_json m.Shard_merge.metrics))
       metrics
   in
-  let total_pairs =
-    List.length Registry.paper_five * List.length Conditions.all
-  in
+  let total_pairs = Conditions.count_pairs Registry.paper_five in
   let run quick fuel threshold delta deadline split workers save checkpoint
       resume metrics progress retries fuel_growth fault_rate fault_seed shard
       shards merge jit jit_cache =
     let config =
-      if quick then begin
-        warn_if_jit_unavailable jit;
-        {
-          Verify.quick_config with
-          split_heuristic = split;
-          workers =
-            (if workers <= 0 then Pool.default_workers () else workers);
-          jit;
-          jit_cache;
-        }
-      end
-      else
+      let q = Verify.quick_config in
+      let fuel, threshold, delta, deadline =
+        if quick then
+          ( q.Verify.solver.Icp.fuel,
+            q.Verify.threshold,
+            q.Verify.solver.Icp.delta,
+            q.Verify.deadline_seconds )
+        else (fuel, threshold, delta, deadline)
+      in
+      let c =
         config_of ~split ~workers ~retries ~fuel_growth ?fault_rate
           ~fault_seed ~jit ?jit_cache fuel threshold delta deadline
+      in
+      if quick then
+        {
+          c with
+          Verify.solver =
+            {
+              c.Verify.solver with
+              Icp.contractor_rounds = q.Verify.solver.Icp.contractor_rounds;
+            };
+        }
+      else c
     in
     (match
        List.filter
@@ -594,62 +603,6 @@ let campaign_cmd =
               Printf.eprintf "--merge: %s\n" msg;
               exit 2
           | Ok m -> print_merged save metrics m)
-      | Some (i, n), _, _ ->
-          (* One shard of a distributed campaign. *)
-          let base =
-            match checkpoint with
-            | Some p -> p
-            | None ->
-                prerr_endline "--shard requires --checkpoint";
-                exit 2
-          in
-          if Option.is_some save then
-            prerr_endline
-              "warning: --save is ignored in shard mode (it applies to the \
-               merged run)";
-          let spec = { Verify.shard_index = i; shard_count = n } in
-          let ckpt = Shard_merge.shard_path base i in
-          let resume = Option.map (fun r -> Shard_merge.shard_path r i) resume in
-          if progress then
-            Obs.Progress.enable
-              ~label:(Printf.sprintf "shard %d/%d" i n)
-              ~total_pairs ();
-          (* Crash injection for the @shard test gate (same ambient-hook
-             idiom as XCV_FAULT_RATE): on a fresh — not resumed — shard
-             run, die by SIGKILL right after the Nth pair's checkpoint
-             entry is flushed, leaving a torn tail exactly as a kill
-             mid-append would. The supervisor must then restart the shard
-             from that checkpoint without changing the merged bytes. *)
-          let kill_after =
-            match Sys.getenv_opt "XCV_SHARD_KILL_AFTER" with
-            | Some s when resume = None -> int_of_string_opt s
-            | _ -> None
-          in
-          let pairs_done = ref 0 in
-          let on_pair _ =
-            incr pairs_done;
-            match kill_after with
-            | Some k when !pairs_done = k ->
-                let oc =
-                  open_out_gen [ Open_append; Open_binary ] 0o644 ckpt
-                in
-                output_string oc "(entry (outcome 3 (dfa to";
-                close_out oc;
-                Unix.kill (Unix.getpid ()) Sys.sigkill
-            | _ -> ()
-          in
-          let pairs, snap =
-            Verify.shard_campaign ~config ~shard:spec ~checkpoint:ckpt ?resume
-              ~on_pair Registry.paper_five
-          in
-          Obs.Progress.disable ();
-          Printf.printf "shard %d/%d: %d pairs checkpointed to %s\n" i n
-            (List.length pairs) ckpt;
-          Option.iter
-            (fun m ->
-              let path = if m = "-" then m else Shard_merge.shard_path m i in
-              write_metrics_json (Obs.Metrics.to_json snap) path)
-            metrics
       | _, Some n, _ -> (
           (* Supervisor: fork/exec the shards, restart the dead, merge. *)
           let base =
@@ -726,13 +679,85 @@ let campaign_cmd =
                   Printf.eprintf "--shards: merge failed: %s\n" msg;
                   exit 2
               | Ok m -> print_merged save metrics m))
-      | None, None, None ->
-          if progress then Obs.Progress.enable ~total_pairs ();
-          let outcomes = Xcverifier.verify_all ~config ?checkpoint ?resume () in
+      | shard, None, None -> (
+          (* One campaign process: the whole campaign, or one shard of a
+             distributed one. *)
+          let spec =
+            Option.map
+              (fun (i, n) -> { Verify.shard_index = i; shard_count = n })
+              shard
+          in
+          let suffix path =
+            match shard with
+            | Some (i, _) -> Shard_merge.shard_path path i
+            | None -> path
+          in
+          if Option.is_some shard then begin
+            if Option.is_none checkpoint then begin
+              prerr_endline "--shard requires --checkpoint";
+              exit 2
+            end;
+            if Option.is_some save then
+              prerr_endline
+                "warning: --save is ignored in shard mode (it applies to \
+                 the merged run)"
+          end;
+          let checkpoint = Option.map suffix checkpoint in
+          let resume = Option.map suffix resume in
+          if progress then
+            Obs.Progress.enable
+              ?label:
+                (Option.map (fun (i, n) -> Printf.sprintf "shard %d/%d" i n)
+                   shard)
+              ~total_pairs ();
+          (* Crash injection for the @shard test gate (same ambient-hook
+             idiom as XCV_FAULT_RATE): on a fresh — not resumed — shard
+             run, die by SIGKILL right after the Nth pair's checkpoint
+             entry is written, leaving a torn tail exactly as a kill
+             mid-append would. The supervisor must then restart the shard
+             from that checkpoint without changing the merged bytes. *)
+          let kill_after =
+            match (Sys.getenv_opt "XCV_SHARD_KILL_AFTER", shard) with
+            | Some s, Some _ when resume = None -> int_of_string_opt s
+            | _ -> None
+          in
+          let pairs_done = ref 0 in
+          let on_pair _ =
+            incr pairs_done;
+            match (kill_after, checkpoint) with
+            | Some k, Some ckpt when !pairs_done = k ->
+                let oc =
+                  open_out_gen [ Open_append; Open_binary ] 0o644 ckpt
+                in
+                output_string oc "(entry (outcome 3 (dfa to";
+                close_out oc;
+                Unix.kill (Unix.getpid ()) Sys.sigkill
+            | _ -> ()
+          in
+          let pairs, snap =
+            Verify.campaign ~config ?shard:spec ?checkpoint ?resume ~on_pair
+              Registry.paper_five
+          in
           Obs.Progress.disable ();
-          print_outcomes outcomes;
-          save_outcomes save outcomes;
-          Option.iter write_metrics metrics
+          (* the pairs' folded metrics plus this process's own accounting
+             (encode phase, checkpoint writes) *)
+          let json =
+            Obs.Metrics.to_json
+              (Obs.Metrics.merge snap (Obs.Metrics.snapshot ()))
+          in
+          match (shard, checkpoint) with
+          | Some (i, n), Some ckpt ->
+              Printf.printf "shard %d/%d: %d pairs checkpointed to %s\n" i n
+                (List.length pairs) ckpt;
+              Option.iter
+                (fun m ->
+                  write_metrics_json json (if m = "-" then m else suffix m))
+                metrics
+          | _ ->
+              let outcomes = List.map fst pairs in
+              print_outcomes outcomes;
+              save_outcomes save outcomes;
+              Option.iter (write_metrics_json json) metrics)
     with Failure msg ->
       prerr_endline msg;
       exit 2

@@ -208,20 +208,6 @@ let save path outcomes =
           output_char oc '\n')
         outcomes)
 
-let append path outcomes =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun o ->
-          output_string oc (to_string o);
-          output_char oc '\n';
-          (* flush per outcome: a killed campaign leaves only whole lines
-             plus possibly one torn tail, which [load_checkpoint] skips *)
-          flush oc)
-        outcomes)
-
 (* ------------------------------------------------------------------ *)
 (* Crash-safe byte primitives — the substrate the verdict cache and the
    service journal are built on. Both honour an optional I/O fault plan
@@ -455,18 +441,6 @@ let entry_to_string e =
 
 let entry_of_string s = entry_of_sexp (S.parse s)
 
-let append_entries path entries =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun e ->
-          output_string oc (entry_to_string e);
-          output_char oc '\n';
-          flush oc)
-        entries)
-
 type line = Header of header | Entry of entry
 
 let line_of_string s =
@@ -540,15 +514,6 @@ let write_header path header =
       output_string oc (header_to_string header);
       output_char oc '\n')
 
-let ensure_header path header =
-  let ck = read_checkpoint path in
-  match ck.cp_header with
-  | Some h -> check_header ~path ~expect:header h
-  | None ->
-      (* legacy headerless checkpoints with content are left as-is; empty
-         or absent files get the header *)
-      if ck.entries = [] && ck.valid_bytes = 0 then write_header path header
-
 (* Strict archive loading: malformed lines raise; header lines (written by
    checkpointing campaigns) are skipped and entry wrappers unwrapped, so a
    finished checkpoint doubles as an archive for [replay]. *)
@@ -571,13 +536,6 @@ let load path =
         | exception End_of_file -> List.rev acc
       in
       go [])
-
-let load_checkpoint ?expect path =
-  let ck = read_checkpoint path in
-  (match (expect, ck.cp_header) with
-  | Some e, Some h -> check_header ~path ~expect:e h
-  | _ -> ());
-  List.map (fun e -> e.outcome) ck.entries
 
 (* ------------------------------------------------------------------ *)
 (* Paint log — the region lines alone, one s-expression per line: the

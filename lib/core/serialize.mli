@@ -24,20 +24,10 @@ val save : string -> Outcome.t list -> unit
 
 val load : string -> Outcome.t list
 
-(** {1 Checkpoints}
-
-    A campaign checkpoint is the same one-s-expression-per-line format as
-    {!save}, but written incrementally: {!append} adds outcomes to the end
-    of the file (creating it if absent) and flushes after every line, so a
-    killed process leaves a loadable prefix plus at most one torn tail. *)
-
-(** [append path outcomes] appends, flushing per outcome. *)
-val append : string -> Outcome.t list -> unit
-
 (** {1 Crash-safe byte primitives}
 
-    The verdict cache and the service journal are built on two durable
-    write shapes: whole-line appends (one [write(2)] on an [O_APPEND]
+    The verdict cache, the service journal and campaign checkpoints are
+    built on two durable write shapes: whole-line appends (one [write(2)] on an [O_APPEND]
     descriptor, so concurrent writers interleave lines, never bytes) and
     whole-file replacement (tmp file + [rename], so a reader never sees a
     half-written file). Both consult an optional {!Fault.io_plan} before
@@ -97,21 +87,20 @@ val header_of_string : string -> header
 val check_header : path:string -> expect:header -> header -> unit
 
 (** [write_header path header] creates (or truncates) [path] with the
-    single header line. [ensure_header] is the idempotent variant: an
-    existing header must match ([Failure] otherwise), legacy headerless
-    files with content are left untouched, empty or absent files get the
-    header. *)
+    single header line — the start of a fresh checkpoint. *)
 val write_header : string -> header -> unit
-
-val ensure_header : string -> header -> unit
 
 (** {1 Checkpoint entries}
 
-    Sharded checkpoints extend the outcome line with the region paths of
-    the paint log (needed to interleave shard logs back into pre-order at
-    merge time) and the pair's metrics snapshot JSON (so merged metrics
-    reproduce the unsharded run even after a shard was killed and resumed).
-    Plain outcome lines read back as entries with both fields [None]. *)
+    A campaign checkpoint is a {!header} line followed by one entry line
+    per completed pair, each appended with {!append_line} (one write), so a
+    killed process leaves a loadable prefix plus at most one torn tail.
+    An entry extends the outcome line with the region paths of the paint
+    log (needed to interleave shard logs back into pre-order at merge
+    time) and the pair's metrics snapshot JSON (so a resumed run, and a
+    shard merge, reproduce the uninterrupted run's metrics). Plain outcome
+    lines — archives, and older unsharded checkpoints — read back as
+    entries with both fields [None]. *)
 
 type entry = {
   outcome : Outcome.t;
@@ -126,14 +115,12 @@ val entry_to_string : entry -> string
 (** @raise Parser.Parse_error on malformed input. *)
 val entry_of_string : string -> entry
 
-(** [append_entries path entries] appends, flushing per entry (same torn-
-    tail discipline as {!append}). *)
-val append_entries : string -> entry list -> unit
-
 (** The structured view of a checkpoint file: optional leading header, the
     valid entry prefix, whether a torn/malformed tail was skipped, and the
     byte offset where the valid prefix ends (the truncation point for
-    {!repair_checkpoint}). A missing file reads as the empty checkpoint. *)
+    {!repair_checkpoint}). A missing file reads as the empty checkpoint;
+    reading stops silently at the first malformed line (a torn write from
+    a killed campaign) — unlike {!load}, which raises. *)
 type checkpoint = {
   cp_header : header option;
   entries : entry list;
@@ -148,14 +135,6 @@ val read_checkpoint : string -> checkpoint
     before appending to a checkpoint that survived a kill, because loaders
     stop at the torn line and would never see entries appended after it. *)
 val repair_checkpoint : string -> checkpoint
-
-(** [load_checkpoint path] loads the valid prefix of a checkpoint: [[]] if
-    the file does not exist, and parsing stops silently at the first
-    malformed line (a torn write from a killed campaign) — unlike {!load},
-    which raises. [expect], when given, is checked against the file's
-    header with {!check_header} ([Failure] on mismatch); headerless legacy
-    checkpoints are accepted as before. *)
-val load_checkpoint : ?expect:header -> string -> Outcome.t list
 
 (** [paint_to_string o] — the paint log alone, one region s-expression per
     line. Stats (which carry wall-clock elapsed) are excluded: this is the

@@ -1,6 +1,6 @@
 (** Merging per-shard campaign checkpoints back into one run.
 
-    A sharded campaign ({!Verify.shard_campaign}) leaves one checkpoint per
+    A sharded campaign ({!Verify.campaign} with [shard]) leaves one checkpoint per
     shard ([base.shard0] .. [base.shardN-1]). This module joins them into a
     single run whose paint log, Table I render and deterministic metrics
     section are byte-identical to the unsharded campaign — the certified

@@ -607,6 +607,18 @@ let problem_fingerprint (p : Encoder.problem) =
 let formula_hash problems =
   Serialize.digest (String.concat "\n" (List.map problem_fingerprint problems))
 
+(* ------------------------------------------------------------------ *)
+(* The campaign driver. One process runs every applicable pair — or, with
+   [shard], its slice [i/N] of every pair's box tree — sequentially per
+   pair, and appends each completed pair to the checkpoint as one entry
+   line carrying the outcome, its paint paths and the pair's metrics
+   snapshot. Each pair runs under a fresh metrics instance so its snapshot
+   is self-contained: the campaign's metrics are the fold of its per-pair
+   snapshots, which makes metrics resumable — a killed and restarted run
+   recovers the metrics of its completed pairs from the checkpoint, and
+   its deterministic section equals the uninterrupted run's byte for
+   byte (merged across shards, the unsharded run's). *)
+
 (* A pair whose run failed outright (exception outside the box-level
    isolation, retries exhausted): the whole domain is painted as a single
    error region so the campaign table still has a cell for it. *)
@@ -619,19 +631,10 @@ let error_outcome ~dfa ~condition ~domain ~retries msg =
     stats = { Outcome.zero_stats with Outcome.retries };
   }
 
-let find_resumed resumed ~dfa_label ~condition_name =
-  List.find_opt
-    (fun (o : Outcome.t) ->
-      String.equal o.Outcome.dfa dfa_label
-      && String.equal o.Outcome.condition condition_name)
-    resumed
-
 (* Pair-level supervision: retry a pair whose run raised with escalated
    fuel, then give up with an [error_outcome]. Box-level isolation inside
-   [run] already absorbs solver failures, so this is the outer belt. *)
-let run_pair_supervised ~config (p : Encoder.problem) =
-  let dfa = p.Encoder.dfa.Registry.label
-  and condition = Conditions.name p.Encoder.condition in
+   the run already absorbs solver failures, so this is the outer belt. *)
+let supervise_pair ~config ?shard (p : Encoder.problem) =
   let rec go k =
     let cfg =
       {
@@ -644,181 +647,10 @@ let run_pair_supervised ~config (p : Encoder.problem) =
           };
       }
     in
-    match run ~config:cfg p with
-    | o when k = 0 -> o
-    | o ->
-        (* surface the pair-level attempts alongside the box-level ones *)
-        {
-          o with
-          Outcome.stats =
-            {
-              o.Outcome.stats with
-              Outcome.retries = o.Outcome.stats.Outcome.retries + k;
-            };
-        }
-    | exception e ->
-        if k < config.retry.max_retries then go (k + 1)
-        else
-          error_outcome ~dfa ~condition ~domain:p.Encoder.domain ~retries:k
-            (Printexc.to_string e)
-  in
-  go 0
-
-let campaign ?(config = default_config) ?checkpoint ?resume dfas =
-  let problems =
-    Obs.Metrics.time_phase Obs.Metrics.Encode (fun () ->
-        Encoder.encode_all dfas)
-  in
-  let header =
-    {
-      Serialize.config_hash = config_hash config;
-      formula_hash = formula_hash problems;
-      shard = None;
-    }
-  in
-  let resumed =
-    match resume with
-    | None -> []
-    | Some path -> Serialize.load_checkpoint ~expect:header path
-  in
-  Option.iter
-    (fun path ->
-      (* a checkpoint that survived a kill may end in a torn line; truncate
-         it before appending — unconditionally, not only when resuming from
-         the same path, or appends after the torn tail would be invisible
-         to every loader (they stop at the first malformed line) *)
-      ignore (Serialize.repair_checkpoint path);
-      Serialize.ensure_header path header)
-    checkpoint;
-  List.map
-    (fun (p : Encoder.problem) ->
-      match
-        find_resumed resumed ~dfa_label:p.Encoder.dfa.Registry.label
-          ~condition_name:(Conditions.name p.Encoder.condition)
-      with
-      | Some o -> o
-      | None ->
-          let o = run_pair_supervised ~config p in
-          Obs.Metrics.incr m_pairs 1;
-          (* one flushed line per completed pair: a SIGKILL loses at
-             most the pair in flight, and resume replays the rest *)
-          Option.iter
-            (fun path ->
-              Serialize.append path [ o ];
-              Obs.Metrics.incr m_ckpt 1)
-            checkpoint;
-          o)
-    problems
-
-let campaign_parallel ?(config = default_config) ?checkpoint ?resume ~workers
-    dfas =
-  (* Expressions must be hash-consed on the main domain (the cons table is
-     unsynchronized); encode everything first, then fan the construction-free
-     solver runs out over the pool. *)
-  let problems =
-    Obs.Metrics.time_phase Obs.Metrics.Encode (fun () ->
-        Encoder.encode_all dfas)
-  in
-  let header =
-    {
-      Serialize.config_hash = config_hash config;
-      formula_hash = formula_hash problems;
-      shard = None;
-    }
-  in
-  let resumed =
-    match resume with
-    | None -> []
-    | Some path -> Serialize.load_checkpoint ~expect:header path
-  in
-  Option.iter
-    (fun path ->
-      (* same torn-tail discipline as [campaign]: repair before appending *)
-      ignore (Serialize.repair_checkpoint path);
-      Serialize.ensure_header path header)
-    checkpoint;
-  let fresh, reused =
-    List.partition
-      (fun (p : Encoder.problem) ->
-        Option.is_none
-          (find_resumed resumed ~dfa_label:p.Encoder.dfa.Registry.label
-             ~condition_name:(Conditions.name p.Encoder.condition)))
-      problems
-  in
-  ignore reused;
-  let outcomes =
-    List.map2
-      (fun (p : Encoder.problem) result ->
-        match result with
-        | Ok o -> o
-        | Error e ->
-            error_outcome ~dfa:p.Encoder.dfa.Registry.label
-              ~condition:(Conditions.name p.Encoder.condition)
-              ~domain:p.Encoder.domain ~retries:config.retry.max_retries
-              (Printexc.to_string e))
-      fresh
-      (Pool.map_result ~workers (run_pair_supervised ~config) fresh)
-  in
-  Obs.Metrics.incr m_pairs (List.length outcomes);
-  Option.iter
-    (fun path ->
-      Serialize.append path outcomes;
-      Obs.Metrics.incr m_ckpt 1)
-    checkpoint;
-  (* splice resumed outcomes back in canonical pair order *)
-  List.filter_map
-    (fun (p : Encoder.problem) ->
-      match
-        find_resumed resumed ~dfa_label:p.Encoder.dfa.Registry.label
-          ~condition_name:(Conditions.name p.Encoder.condition)
-      with
-      | Some o -> Some o
-      | None ->
-          List.find_opt
-            (fun (o : Outcome.t) ->
-              String.equal o.Outcome.dfa p.Encoder.dfa.Registry.label
-              && String.equal o.Outcome.condition
-                   (Conditions.name p.Encoder.condition))
-            outcomes)
-    problems
-
-(* ------------------------------------------------------------------ *)
-(* Sharded campaigns: one process runs [shard i/N] of every pair's box
-   tree and appends to its own checkpoint, whose entries carry the paint
-   paths and the pair's metrics snapshot. Each pair runs under a fresh
-   metrics instance so its snapshot is self-contained: the shard's final
-   metrics are the fold of its per-pair snapshots, which makes metrics
-   resumable — a killed and restarted shard recovers the metrics of its
-   completed pairs from the checkpoint, and the merged deterministic
-   section still equals the unsharded run byte for byte. *)
-
-let shard_header ~config ~problems (shard : shard_spec) =
-  {
-    Serialize.config_hash = config_hash config;
-    formula_hash = formula_hash problems;
-    shard = Some (shard.shard_index, shard.shard_count);
-  }
-
-(* Pair-level supervision for a sharded run, mirroring
-   [run_pair_supervised]. *)
-let run_sharded_supervised ~config ~shard (p : Encoder.problem) =
-  let dfa = p.Encoder.dfa.Registry.label
-  and condition = Conditions.name p.Encoder.condition in
-  let rec go k =
-    let cfg =
-      {
-        config with
-        solver =
-          {
-            config.solver with
-            Icp.fuel =
-              escalated_fuel config.solver.Icp.fuel config.retry.fuel_growth k;
-          };
-      }
-    in
-    match run_sharded ~config:cfg ~shard p with
+    match run_sharded ~config:cfg ?shard p with
     | o, paths when k = 0 -> (o, paths)
     | o, paths ->
+        (* surface the pair-level attempts alongside the box-level ones *)
         ( {
             o with
             Outcome.stats =
@@ -831,62 +663,79 @@ let run_sharded_supervised ~config ~shard (p : Encoder.problem) =
     | exception e ->
         if k < config.retry.max_retries then go (k + 1)
         else
-          ( error_outcome ~dfa ~condition ~domain:p.Encoder.domain ~retries:k
-              (Printexc.to_string e),
+          ( error_outcome ~dfa:p.Encoder.dfa.Registry.label
+              ~condition:(Conditions.name p.Encoder.condition)
+              ~domain:p.Encoder.domain ~retries:k (Printexc.to_string e),
             [ [] ] )
   in
   go 0
 
-let shard_campaign ?(config = default_config) ~shard ~checkpoint ?resume
+let append_entry path e =
+  Serialize.append_line path (Serialize.entry_to_string e)
+
+(* The resume source must carry this run's header: same configuration,
+   same formula set, same shard coordinates. A headerless file is refused
+   rather than trusted. *)
+let load_resume ~expect path =
+  let ck = Serialize.read_checkpoint path in
+  (match ck.Serialize.cp_header with
+  | None ->
+      failwith (Printf.sprintf "%s: checkpoint has no campaign header" path)
+  | Some h ->
+      Serialize.check_header ~path ~expect h;
+      if h.Serialize.shard <> expect.Serialize.shard then
+        failwith
+          (Printf.sprintf
+             "%s: checkpoint belongs to a different shard (expected %s)" path
+             (match expect.Serialize.shard with
+             | Some (i, n) -> Printf.sprintf "shard %d/%d" i n
+             | None -> "an unsharded run")));
+  ck
+
+let campaign ?(config = default_config) ?shard ?checkpoint ?resume
     ?(on_pair = fun (_ : Outcome.t) -> ()) dfas =
-  if
-    shard.shard_count < 1
-    || shard.shard_index < 0
-    || shard.shard_index >= shard.shard_count
-  then
-    invalid_arg
-      (Printf.sprintf "Verify.shard_campaign: bad shard %d/%d"
-         shard.shard_index shard.shard_count);
+  Option.iter
+    (fun s ->
+      if
+        s.shard_count < 1 || s.shard_index < 0
+        || s.shard_index >= s.shard_count
+      then
+        invalid_arg
+          (Printf.sprintf "Verify.campaign: bad shard %d/%d" s.shard_index
+             s.shard_count))
+    shard;
   let problems =
     Obs.Metrics.time_phase Obs.Metrics.Encode (fun () ->
         Encoder.encode_all dfas)
   in
-  let header = shard_header ~config ~problems shard in
+  let header =
+    {
+      Serialize.config_hash = config_hash config;
+      formula_hash = formula_hash problems;
+      shard = Option.map (fun s -> (s.shard_index, s.shard_count)) shard;
+    }
+  in
   let resumed =
     match resume with
-    | Some path when Sys.file_exists path ->
-        let ck = Serialize.read_checkpoint path in
-        (match ck.Serialize.cp_header with
-        | None ->
-            failwith
-              (Printf.sprintf "%s: shard checkpoint has no campaign header"
-                 path)
-        | Some h ->
-            Serialize.check_header ~path ~expect:header h;
-            (match h.Serialize.shard with
-            | Some (i, n)
-              when i = shard.shard_index && n = shard.shard_count ->
-                ()
-            | _ ->
-                failwith
-                  (Printf.sprintf
-                     "%s: checkpoint belongs to a different shard (expected \
-                      %d/%d)"
-                     path shard.shard_index shard.shard_count)));
-        if path = checkpoint then
-          (* truncate any torn tail before appending new entries *)
-          (Serialize.repair_checkpoint checkpoint).Serialize.entries
-        else begin
-          (* resuming into a different file: rewrite header + entries so
-             the new checkpoint is self-contained for the merge *)
-          Serialize.write_header checkpoint header;
-          Serialize.append_entries checkpoint ck.Serialize.entries;
-          ck.Serialize.entries
-        end
+    (* an empty file is what a kill before the header write leaves *)
+    | Some path when Sys.file_exists path && (Unix.stat path).Unix.st_size > 0
+      ->
+        let ck = load_resume ~expect:header path in
+        (match checkpoint with
+        | Some c when c = path ->
+            (* a torn tail from the kill must go before new entries are
+               appended, or every reader would stop short of them *)
+            ignore (Serialize.repair_checkpoint c)
+        | Some c ->
+            (* resuming into a different file: make it self-contained *)
+            Serialize.write_header c header;
+            List.iter (append_entry c) ck.Serialize.entries
+        | None -> ());
+        ck.Serialize.entries
     | _ ->
-        (* fresh shard run: a stale checkpoint from an earlier attempt must
-           not survive underneath the new one *)
-        Serialize.write_header checkpoint header;
+        (* a fresh run: a stale checkpoint from an earlier attempt must not
+           survive underneath the new one *)
+        Option.iter (fun c -> Serialize.write_header c header) checkpoint;
         []
   in
   let find_entry (p : Encoder.problem) =
@@ -898,11 +747,17 @@ let shard_campaign ?(config = default_config) ~shard ~checkpoint ?resume
              (Conditions.name p.Encoder.condition))
       resumed
   in
+  (* the trunk owner also owns campaign-level accounting: merged pair
+     counts must equal the unsharded run's *)
+  let owns_trunk =
+    match shard with None -> true | Some s -> s.shard_index = 0
+  in
   let pairs =
     List.map
       (fun (p : Encoder.problem) ->
         match find_entry p with
         | Some e ->
+            Obs.Progress.pair_done ~boxes:0;
             let paths = Option.value e.Serialize.paths ~default:[] in
             let snap =
               match e.Serialize.metrics_json with
@@ -916,21 +771,24 @@ let shard_campaign ?(config = default_config) ~shard ~checkpoint ?resume
               Fun.protect
                 ~finally:(fun () -> ignore (Obs.Metrics.install prev))
                 (fun () ->
-                  let o, paths = run_sharded_supervised ~config ~shard p in
-                  (* the trunk owner also owns campaign-level accounting:
-                     merged pair counts must equal the unsharded run *)
-                  if shard.shard_index = 0 then Obs.Metrics.incr m_pairs 1;
+                  let o, paths = supervise_pair ~config ?shard p in
+                  if owns_trunk then Obs.Metrics.incr m_pairs 1;
                   (o, paths, Obs.Metrics.snapshot ()))
             in
-            Serialize.append_entries checkpoint
-              [
-                {
-                  Serialize.outcome = o;
-                  paths = Some paths;
-                  metrics_json = Some (Obs.Metrics.to_json snap);
-                };
-              ];
-            Obs.Metrics.incr m_ckpt 1;
+            Option.iter
+              (fun c ->
+                append_entry c
+                  {
+                    Serialize.outcome = o;
+                    paths = Some paths;
+                    metrics_json = Some (Obs.Metrics.to_json snap);
+                  };
+                Obs.Metrics.incr m_ckpt 1)
+              checkpoint;
+            Obs.Progress.pair_done
+              ~boxes:
+                (Option.value ~default:0
+                   (List.assoc_opt "verify.boxes" snap.Obs.Metrics.counters));
             on_pair o;
             ((o, paths), snap))
       problems

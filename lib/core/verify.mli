@@ -173,64 +173,47 @@ val config_hash : config -> string
 val formula_hash : Encoder.problem list -> string
 
 (** [campaign ~config dfas] runs every applicable pair (Table I's rows x
-    columns), sequentially per pair (each pair still uses
-    [config.workers] domains internally).
+    columns) in canonical pair order, sequentially per pair (each pair
+    still uses [config.workers] domains internally). With [shard] it runs
+    only slice [shard.shard_index] of [shard.shard_count] of every pair's
+    box tree; [None] (the default) is the whole campaign.
 
     Supervision: a pair whose run raises (outside the box-level isolation)
     is retried per [config.retry] with escalated fuel and finally recorded
     as a single whole-domain {!Outcome.Error} region — the campaign never
     aborts on one pair.
 
-    [checkpoint], when given, appends each completed outcome to the file
-    (one s-expression line, flushed) as the campaign proceeds; a killed
-    campaign loses at most the pair in flight. [resume], when given, loads
-    outcomes from a previous checkpoint and reuses them for already-completed
-    (dfa, condition) pairs instead of re-running; the returned list is in the
-    same canonical pair order either way. Typically the same path is passed
-    as both. *)
-val campaign :
-  ?config:config -> ?checkpoint:string -> ?resume:string ->
-  Registry.t list -> Outcome.t list
+    Metrics: every freshly run pair runs under a private metrics instance.
+    The returned snapshot is the fold of the per-pair snapshots, resumed
+    pairs included, so a killed-and-resumed campaign reports the same
+    deterministic metrics as an uninterrupted one. Each pair, once done or
+    reused, is folded into the progress line with {!Obs.Progress.pair_done}
+    (a reused pair with zero boxes).
 
-(** [campaign_parallel ~config ~workers dfas] — as {!campaign}, but fanned
-    out over a {!Pool} of domains at pair granularity. All formulas are
-    encoded on the calling domain first (expression hash-consing is not
-    thread-safe); the solver itself never builds expressions, so the
-    parallel runs are safe. Prefer per-pair workers ([config.workers]) for
-    few long pairs, this for many short ones.
+    [checkpoint], when given, starts with a {!Serialize.header} (config
+    hash, formula hash, shard coordinates), followed by one
+    {!Serialize.entry} line per completed pair — outcome, region paths and
+    the pair's metrics snapshot JSON — appended with a single write as the
+    pair completes, so a kill loses at most the pair in flight. Without
+    [resume] (or when the [resume] file is absent or empty) the run is
+    fresh and [checkpoint] is truncated to its header.
 
-    Supervision, [checkpoint] and [resume] as in {!campaign}, except the
-    checkpoint is written once, after the pool drains (resume granularity
-    is the whole batch of fresh pairs). *)
-val campaign_parallel :
-  ?config:config -> ?checkpoint:string -> ?resume:string -> workers:int ->
-  Registry.t list -> Outcome.t list
-
-(** [shard_campaign ~shard ~checkpoint dfas] runs shard
-    [shard.shard_index] of [shard.shard_count] of the campaign,
-    sequentially per pair. Each pair runs under a private fresh metrics
-    instance; the completed pair is appended to [checkpoint] as one
-    flushed {!Serialize.entry} line carrying the outcome, its region
-    paths, and the pair's metrics snapshot JSON. The checkpoint starts
-    with a shard-coordinated {!Serialize.header}; a fresh run truncates
-    whatever was at [checkpoint] before.
-
-    [resume], when given, must be a shard checkpoint with a matching
-    header ([Failure] otherwise — config hash, formula hash and shard
-    coordinates are all checked); its completed pairs are reused, {e
-    including their metrics snapshots}, which is what keeps the merged
-    deterministic metrics byte-identical to the unsharded run even after
-    a shard was SIGKILLed and restarted. When [resume] is the checkpoint
-    path itself, a torn tail from the kill is truncated
-    ({!Serialize.repair_checkpoint}) before new entries are appended.
+    [resume], when given and present, must carry a matching header
+    ([Failure] naming the path otherwise, headerless files included); its
+    completed pairs are reused, including their metrics snapshots. Entries
+    written as plain outcome lines (older unsharded checkpoints) resume
+    with no paths and no metrics. When [resume] is [checkpoint] itself, a
+    torn tail from the kill is truncated before new entries are appended;
+    when it is another file, its header and entries are copied into
+    [checkpoint] first.
 
     [on_pair] fires after each fresh (non-resumed) pair is checkpointed —
     the supervisor tests use it to kill a shard at a deterministic point.
 
     Returns the per-pair [(outcome, paths)] list in canonical pair order
-    and the shard's folded metrics snapshot (the fold of its per-pair
-    snapshots — what a per-shard [--metrics] file should contain). *)
-val shard_campaign :
-  ?config:config -> shard:shard_spec -> checkpoint:string ->
+    and the folded metrics snapshot; callers that want only the outcomes
+    project with [List.map fst]. *)
+val campaign :
+  ?config:config -> ?shard:shard_spec -> ?checkpoint:string ->
   ?resume:string -> ?on_pair:(Outcome.t -> unit) -> Registry.t list ->
   (Outcome.t * int list list) list * Obs.Metrics.snapshot

@@ -4,7 +4,8 @@ let verify ?config ~dfa ~condition () =
   Verify.run_pair ?config f c
 
 let verify_all ?config ?checkpoint ?resume () =
-  Verify.campaign ?config ?checkpoint ?resume Registry.paper_five
+  List.map fst
+    (fst (Verify.campaign ?config ?checkpoint ?resume Registry.paper_five))
 
 let baseline ?n ~dfa ~condition () =
   let f = Registry.find dfa in

@@ -17,8 +17,8 @@ val verify :
   Outcome.t option
 
 (** [verify_all ()] runs the paper's full campaign: every applicable
-    condition for the five DFAs of Table I. [checkpoint]/[resume] as in
-    {!Verify.campaign}. *)
+    condition for the five DFAs of Table I, returning the outcomes of
+    {!Verify.campaign} ([checkpoint]/[resume] as there). *)
 val verify_all :
   ?config:Verify.config -> ?checkpoint:string -> ?resume:string -> unit ->
   Outcome.t list

@@ -12,8 +12,8 @@
     Everything here degrades gracefully: no C compiler, a failing compile,
     or a bad [dlopen] yield [Error _] (counted in [jit.fallbacks]) and the
     caller continues on the interpreted tape. Compilation is
-    content-addressed — the cache key digests the generated source, the
-    kernel ABI version and the transcendental mode — so a second campaign
+    content-addressed — the cache key digests the generated source and the
+    kernel ABI version — so a second campaign
     over the same formula and config reuses the [.so] without invoking the
     compiler ([jit.cache_hits] vs [jit.compiles]). *)
 
@@ -24,9 +24,8 @@ type t
 val available : unit -> bool
 
 (** The C source [plan] would compile — the embedded runtime specialised
-    with the formula's instruction tables, rounds, mean-value switch and
-    the {e current} {!Transcend} mode. Exposed for tests and for
-    content-addressing. *)
+    with the formula's instruction tables, rounds and mean-value switch.
+    Exposed for tests and for content-addressing. *)
 val render_source : mvf:bool -> rounds:int -> Hc4.compiled -> string
 
 (** Content-address of a rendered source: hex digest of source + kernel ABI

@@ -480,11 +480,13 @@ module Metrics = struct
 end
 
 module Progress = struct
-  (* Throttled one-line campaign status on stderr. Reads well-known metric
-     names; registration is idempotent, so these handles alias the ones the
-     instrumented modules use. *)
+  (* Throttled one-line campaign status on stderr. Pair and box totals are
+     cumulative across the per-pair metrics instances a campaign installs:
+     completed pairs are folded in by [pair_done], and the pair in flight
+     contributes the live box count of the current instance. Registration
+     is idempotent, so these handles alias the ones the instrumented
+     modules use. *)
   let c_boxes = Metrics.counter "verify.boxes"
-  let c_pairs = Metrics.counter "campaign.pairs"
   let g_frontier = Metrics.gauge "worklist.depth"
 
   type cfg = {
@@ -497,9 +499,17 @@ module Progress = struct
 
   let state : cfg option Atomic.t = Atomic.make None
   let last_emit = Atomic.make 0
+  let done_pairs = Atomic.make 0
+  let done_boxes = Atomic.make 0
+
+  (* serializes read-and-print, so lines from racing domains come out in
+     the order their totals were read *)
+  let emit_lock = Mutex.create ()
 
   let enable ?(interval_ns = 1_000_000_000) ?(out = stderr) ?(label = "")
       ~total_pairs () =
+    Atomic.set done_pairs 0;
+    Atomic.set done_boxes 0;
     Atomic.set last_emit (Clock.now_ns ());
     Atomic.set state
       (Some { interval_ns; out; total_pairs; start_ns = Clock.now_ns (); label })
@@ -516,9 +526,14 @@ module Progress = struct
     | None -> ()
     | Some cfg -> Atomic.set state (Some { cfg with label })
 
+  let pair_done ~boxes =
+    ignore (Atomic.fetch_and_add done_boxes boxes);
+    Atomic.incr done_pairs
+
   let emit cfg now =
-    let boxes = Metrics.read c_boxes in
-    let pairs = Metrics.read c_pairs in
+    Mutex.protect emit_lock @@ fun () ->
+    let boxes = Atomic.get done_boxes + Metrics.read c_boxes in
+    let pairs = Atomic.get done_pairs in
     let frontier = Metrics.gauge_get g_frontier in
     let elapsed = float_of_int (now - cfg.start_ns) /. 1e9 in
     let rate = if elapsed > 0.0 then float_of_int boxes /. elapsed else 0.0 in

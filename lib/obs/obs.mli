@@ -141,10 +141,10 @@ module Metrics : sig
 end
 
 module Progress : sig
-  (** Throttled campaign status line (boxes/s, frontier size, ETA lower
-      bound), emitted to [out] at most once per [interval_ns]. [tick] is
-      called by the worklist once per task and is a single atomic load when
-      disabled (the default). *)
+  (** Throttled campaign status line (completed pairs, boxes/s, frontier
+      size, ETA lower bound), emitted to [out] at most once per
+      [interval_ns]. [tick] is called by the worklist once per task and is
+      a single atomic load when disabled (the default). *)
 
   (** [label], when given, tags the line (e.g. ["shard 1/4"] renders as
       ["[campaign shard 1/4] ..."]) so interleaved stderr from concurrent
@@ -160,6 +160,13 @@ module Progress : sig
       id it is currently solving ("query 17"), so a multiplexed stderr
       stream stays attributable per client query. No-op when disabled. *)
   val relabel : string -> unit
+
+  (** [pair_done ~boxes] folds a completed campaign pair into the line's
+      cumulative totals: one more pair, and [boxes] more boxes (the pair's
+      final [verify.boxes]). The campaign runs each pair under its own
+      metrics instance, so the line adds these totals to the live box count
+      of the current instance. [enable] resets them. *)
+  val pair_done : boxes:int -> unit
 
   val tick : unit -> unit
 end

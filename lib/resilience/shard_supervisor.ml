@@ -8,7 +8,7 @@
 
    Restart policy: a shard that dies (non-zero exit or a signal) is
    relaunched with [resume:true], pointing it back at its own checkpoint —
-   the torn-tail repair plus per-pair resume in Verify.shard_campaign make
+   the torn-tail repair plus per-pair resume in Verify.campaign make
    the restart pick up exactly where the dead process left off. Each shard
    has its own restart budget; exhausting it aborts the whole campaign
    (remaining shards are SIGTERMed and reaped) because a merge would fail

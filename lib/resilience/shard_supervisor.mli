@@ -1,6 +1,6 @@
 (** Cross-process restart policy for sharded campaigns.
 
-    {!Verify.shard_campaign} makes a shard resumable from its own
+    {!Verify.campaign} makes a shard resumable from its own
     checkpoint after being killed at any point (flushed entry lines, torn
     tails repaired on resume); this module supplies the missing half —
     noticing that a shard process died and relaunching it with resume

@@ -281,6 +281,7 @@ let campaign_config =
   }
 
 let lyp = [ Registry.find "lyp" ]
+let outcomes_of (pairs, _) = List.map fst pairs
 
 let outcome_fingerprint (o : Outcome.t) =
   Printf.sprintf "%s/%s:%s" o.Outcome.dfa o.Outcome.condition
@@ -299,8 +300,8 @@ let test_faulted_campaign_completes () =
         };
     }
   in
-  let clean = Verify.campaign ~config:campaign_config lyp in
-  let outcomes = Verify.campaign ~config:faulted lyp in
+  let clean = outcomes_of (Verify.campaign ~config:campaign_config lyp) in
+  let outcomes = outcomes_of (Verify.campaign ~config:faulted lyp) in
   Alcotest.(check int) "every pair has an outcome" (List.length clean)
     (List.length outcomes);
   check_true "fault injection at 20% leaves visible error paints"
@@ -312,7 +313,10 @@ let test_checkpoint_resume_reproduces () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Sys.remove path;
-      let full = Verify.campaign ~config:campaign_config ~checkpoint:path lyp in
+      let full =
+        outcomes_of
+          (Verify.campaign ~config:campaign_config ~checkpoint:path lyp)
+      in
       check_true "campaign produced outcomes" (List.length full >= 2);
       (* simulate a SIGKILL after the first pair: keep the campaign header
          and one checkpoint line plus a torn tail *)
@@ -325,31 +329,13 @@ let test_checkpoint_resume_reproduces () =
           Out_channel.output_string oc (List.nth lines 1);
           Out_channel.output_string oc "\n(outcome 3 (dfa to");
       let resumed =
-        Verify.campaign ~config:campaign_config ~resume:path lyp
+        outcomes_of (Verify.campaign ~config:campaign_config ~resume:path lyp)
       in
       Alcotest.(check (list string)) "resumed campaign repaints identically"
         (List.map outcome_fingerprint full)
         (List.map outcome_fingerprint resumed);
       Alcotest.(check string) "Table I identical after resume"
         (Report.table1 full) (Report.table1 resumed))
-
-let test_parallel_campaign_supervised () =
-  (* campaign_parallel with pair-level faults: completes all pairs too *)
-  let faulted =
-    {
-      campaign_config with
-      Verify.solver =
-        {
-          campaign_config.Verify.solver with
-          Icp.faults = Some (Fault.make ~seed:11 ~rate:0.2 ());
-        };
-    }
-  in
-  let seq = Verify.campaign ~config:faulted lyp in
-  let par = Verify.campaign_parallel ~config:faulted ~workers:test_workers lyp in
-  Alcotest.(check (list string)) "parallel campaign paints identically"
-    (List.map outcome_fingerprint seq)
-    (List.map outcome_fingerprint par)
 
 let suite =
   [
@@ -365,5 +351,4 @@ let suite =
     case "retry events in trace" test_escalated_fuel_in_trace;
     slow_case "faulted campaign completes" test_faulted_campaign_completes;
     slow_case "checkpoint resume reproduces" test_checkpoint_resume_reproduces;
-    slow_case "parallel campaign supervised" test_parallel_campaign_supervised;
   ]

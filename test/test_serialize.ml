@@ -166,39 +166,57 @@ let test_retry_event_roundtrip () =
       Alcotest.(check int) "retry fuel counted" 42 (Trace.total_fuel [ ev' ])
   | evs -> Alcotest.failf "expected one event, got %d" (List.length evs)
 
+(* Checkpoint entries as the campaign writes them: one line per pair,
+   appended with a single write. *)
+let append_entry path (o : Outcome.t) =
+  Serialize.append_line path
+    (Serialize.entry_to_string
+       {
+         Serialize.outcome = o;
+         paths = Some (List.mapi (fun i _ -> [ i ]) o.Outcome.regions);
+         metrics_json = Some "{\"version\":1}";
+       })
+
 let test_checkpoint_roundtrip () =
   let path = Filename.temp_file "xcv" ".checkpoint" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Sys.remove path;
-      Alcotest.(check int) "missing file loads empty" 0
-        (List.length (Serialize.load_checkpoint path));
+      Alcotest.(check int) "missing file reads empty" 0
+        (List.length (Serialize.read_checkpoint path).Serialize.entries);
       let a = outcome "lyp" "ec1" and b = error_out "boom" in
-      Serialize.append path [ a ];
-      Serialize.append path [ b ];
-      let loaded = Serialize.load_checkpoint path in
+      append_entry path a;
+      append_entry path b;
+      let ck = Serialize.read_checkpoint path in
+      check_false "clean file has no torn tail" ck.Serialize.truncated;
       Alcotest.(check int) "incremental appends accumulate" 2
-        (List.length loaded);
+        (List.length ck.Serialize.entries);
+      let second = List.nth ck.Serialize.entries 1 in
       Alcotest.(check string) "order preserved" "synthetic"
-        (List.nth loaded 1).Outcome.dfa)
+        second.Serialize.outcome.Outcome.dfa;
+      check_true "paths survive"
+        (second.Serialize.paths = Some [ [ 0 ]; [ 1 ] ]);
+      check_true "metrics survive"
+        (second.Serialize.metrics_json = Some "{\"version\":1}"))
 
 let test_checkpoint_torn_tail () =
   (* a SIGKILL mid-write leaves a torn last line: the valid prefix must
-     load, [load] proper must still raise *)
+     read back, [load] proper must still raise *)
   let path = Filename.temp_file "xcv" ".checkpoint" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Serialize.append path [ error_out "first" ];
+      append_entry path (error_out "first");
       let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "(outcome 3 (dfa trunc";
+      output_string oc "(entry (outcome 3 (dfa trunc";
       close_out oc;
-      let loaded = Serialize.load_checkpoint path in
+      let ck = Serialize.read_checkpoint path in
+      check_true "torn tail detected" ck.Serialize.truncated;
       Alcotest.(check int) "valid prefix survives the torn tail" 1
-        (List.length loaded);
+        (List.length ck.Serialize.entries);
       check_true "prefix content intact"
-        (Outcome.has_error (List.hd loaded));
+        (Outcome.has_error (List.hd ck.Serialize.entries).Serialize.outcome);
       match Serialize.load path with
       | exception _ -> ()
       | _ -> Alcotest.fail "strict load should reject the torn tail")

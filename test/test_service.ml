@@ -860,7 +860,9 @@ let test_campaign_repairs_before_append () =
   let cfg = quick_verify () in
   let lyp = [ Registry.find "lyp" ] in
   let p = Filename.concat (temp_dir ()) "camp.ckpt" in
-  let first = Verify.campaign ~config:cfg ~checkpoint:p lyp in
+  let first =
+    List.map fst (fst (Verify.campaign ~config:cfg ~checkpoint:p lyp))
+  in
   let n = List.length first in
   check_true "campaign has pairs" (n >= 1);
   let clean = read_file p in
@@ -870,7 +872,9 @@ let test_campaign_repairs_before_append () =
   output_string oc (String.sub clean 0 torn_at);
   close_out oc;
   check_true "tail is torn" (Serialize.read_checkpoint p).Serialize.truncated;
-  let second = Verify.campaign ~config:cfg ~checkpoint:p ~resume:p lyp in
+  let second =
+    List.map fst (fst (Verify.campaign ~config:cfg ~checkpoint:p ~resume:p lyp))
+  in
   Alcotest.(check int) "same pair count" n (List.length second);
   let ck = Serialize.read_checkpoint p in
   check_false "repaired before appending" ck.Serialize.truncated;

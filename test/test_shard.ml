@@ -229,7 +229,7 @@ let shard_files =
     (let base = Filename.concat (temp_dir ()) "camp" in
      for i = 0 to 1 do
        ignore
-         (Verify.shard_campaign ~config:campaign_cfg
+         (Verify.campaign ~config:campaign_cfg
             ~shard:{ Verify.shard_index = i; shard_count = 2 }
             ~checkpoint:(Shard_merge.shard_path base i)
             lyp)
@@ -238,9 +238,8 @@ let shard_files =
 
 let unsharded_campaign =
   lazy
-    (with_fresh_instance @@ fun () ->
-     let outcomes = Verify.campaign ~config:campaign_cfg lyp in
-     (outcomes, Obs.Metrics.snapshot ()))
+    (let pairs, snap = Verify.campaign ~config:campaign_cfg lyp in
+     (List.map fst pairs, snap))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -367,9 +366,8 @@ let test_config_hash_scope () =
     (Verify.config_hash cfg
     = Verify.config_hash { cfg with Verify.deadline_seconds = Some 1.0 })
 
-(* Serialize.load_checkpoint used to accept a checkpoint whose fuel config
-   differed from the resuming run; the header guard must reject it before
-   any solving happens. *)
+(* A resume under a different fuel config must be rejected by the header
+   guard before any solving happens. *)
 let test_resume_rejects_config_change () =
   let cfg' =
     {
@@ -402,7 +400,7 @@ let test_shard_resume_rejects_wrong_coords () =
   let ckpt = Shard_merge.shard_path dest 0 in
   try
     ignore
-      (Verify.shard_campaign ~config:campaign_cfg
+      (Verify.campaign ~config:campaign_cfg
          ~shard:{ Verify.shard_index = 0; shard_count = 2 }
          ~checkpoint:ckpt
          ~resume:(Shard_merge.shard_path base 1)
@@ -498,7 +496,7 @@ let test_torn_resume_merges_identically () =
   let ckpt0 = Shard_merge.shard_path dest 0 in
   (try
      ignore
-       (Verify.shard_campaign ~config:campaign_cfg
+       (Verify.campaign ~config:campaign_cfg
           ~shard:{ Verify.shard_index = 0; shard_count = 2 }
           ~checkpoint:ckpt0
           ~on_pair:(fun _ ->
@@ -510,7 +508,7 @@ let test_torn_resume_merges_identically () =
      Alcotest.fail "the first attempt should have died after one pair"
    with Killed -> ());
   ignore
-    (Verify.shard_campaign ~config:campaign_cfg
+    (Verify.campaign ~config:campaign_cfg
        ~shard:{ Verify.shard_index = 0; shard_count = 2 }
        ~checkpoint:ckpt0 ~resume:ckpt0 lyp);
   write_file
@@ -531,7 +529,156 @@ let test_torn_resume_merges_identically () =
         (Obs.Metrics.deterministic_json clean_snap)
         (Obs.Metrics.deterministic_json m.Shard_merge.metrics)
 
+(* ---- one driver, one checkpoint format (unsharded) -------------------- *)
+
+(* A killed-and-resumed unsharded campaign reports what an uninterrupted
+   one does: the completed pair's metrics come back from its checkpoint
+   entry, the rest are re-solved. *)
+let test_unsharded_resume_keeps_metrics () =
+  let ckpt = Filename.concat (temp_dir ()) "camp.ckpt" in
+  (try
+     ignore
+       (Verify.campaign ~config:campaign_cfg ~checkpoint:ckpt
+          ~on_pair:(fun _ ->
+            let oc = open_out_gen [ Open_append; Open_binary ] 0o644 ckpt in
+            output_string oc "(entry (outcome 3 (dfa to";
+            close_out oc;
+            raise Killed)
+          lyp);
+     Alcotest.fail "the first attempt should have died after one pair"
+   with Killed -> ());
+  let pairs, snap =
+    Verify.campaign ~config:campaign_cfg ~checkpoint:ckpt ~resume:ckpt lyp
+  in
+  let clean, clean_snap = Lazy.force unsharded_campaign in
+  List.iter2
+    (fun a (b, _) -> Alcotest.(check string) "paint bytes" (paint a) (paint b))
+    clean pairs;
+  Alcotest.(check string) "deterministic metrics byte-identical after resume"
+    (Obs.Metrics.deterministic_json clean_snap)
+    (Obs.Metrics.deterministic_json snap);
+  Alcotest.(check int) "every pair on disk" (List.length clean)
+    (List.length (Serialize.read_checkpoint ckpt).Serialize.entries)
+
+(* The previous unsharded format — a header plus plain outcome lines —
+   still resumes: those pairs come back verbatim (no paths, no metrics),
+   new pairs are appended as entries, and the repaint is identical. *)
+let test_plain_outcome_checkpoint_resumes () =
+  let clean, _ = Lazy.force unsharded_campaign in
+  let header =
+    {
+      Serialize.config_hash = Verify.config_hash campaign_cfg;
+      formula_hash = Verify.formula_hash (Encoder.encode_all lyp);
+      shard = None;
+    }
+  in
+  let ckpt = Filename.concat (temp_dir ()) "camp.ckpt" in
+  write_file ckpt
+    (Serialize.header_to_string header
+    ^ "\n"
+    ^ Serialize.to_string (List.hd clean)
+    ^ "\n");
+  let pairs, _ =
+    Verify.campaign ~config:campaign_cfg ~checkpoint:ckpt ~resume:ckpt lyp
+  in
+  let resumed = List.map fst pairs in
+  List.iter2
+    (fun a b -> Alcotest.(check string) "paint bytes" (paint a) (paint b))
+    clean resumed;
+  Alcotest.(check string) "Table I identical" (Report.table1 clean)
+    (Report.table1 resumed);
+  check_true "the plain line resumes without paths"
+    (snd (List.hd pairs) = []);
+  match (Serialize.read_checkpoint ckpt).Serialize.entries with
+  | first :: rest ->
+      check_true "plain line kept as is" (first.Serialize.metrics_json = None);
+      Alcotest.(check int) "fresh pairs appended" (List.length clean - 1)
+        (List.length rest);
+      check_true "fresh pairs carry metrics"
+        (List.for_all (fun e -> e.Serialize.metrics_json <> None) rest)
+  | [] -> Alcotest.fail "checkpoint lost its entries"
+
+let test_headerless_checkpoint_refused () =
+  let clean, _ = Lazy.force unsharded_campaign in
+  let ckpt = Filename.concat (temp_dir ()) "camp.ckpt" in
+  let content = Serialize.to_string (List.hd clean) ^ "\n" in
+  write_file ckpt content;
+  (try
+     ignore
+       (Verify.campaign ~config:campaign_cfg ~checkpoint:ckpt ~resume:ckpt
+          lyp);
+     Alcotest.fail "a headerless checkpoint must be refused"
+   with Failure msg ->
+     check_true "error names the path" (contains_sub msg ckpt);
+     check_true "error says header" (contains_sub msg "header"));
+  Alcotest.(check string) "refused file left untouched" content
+    (read_file ckpt)
+
+(* The progress line keeps its own cumulative totals: the per-pair metrics
+   instances must not reset it. Each shard runs under its own line, as a
+   shard process would. *)
+let test_progress_totals_per_shard () =
+  for index = 0 to 1 do
+    let log = Filename.temp_file "xcvprogress" ".log" in
+    let oc = open_out log in
+    Obs.Progress.enable ~interval_ns:1 ~out:oc
+      ~total_pairs:(Conditions.count_pairs lyp) ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Progress.disable ();
+        close_out oc)
+      (fun () ->
+        ignore
+          (Verify.campaign ~config:campaign_cfg
+             ~shard:{ Verify.shard_index = index; shard_count = 2 }
+             lyp));
+    let lines =
+      List.filter
+        (fun l -> l <> "")
+        (String.split_on_char '\n' (read_file log))
+    in
+    Sys.remove log;
+    let fields =
+      List.map
+        (fun l ->
+          Scanf.sscanf l "[campaign] pairs %d/%d boxes %d" (fun p _ b ->
+              (p, b)))
+        lines
+    in
+    let tag what = Printf.sprintf "shard %d/2: %s" index what in
+    check_true (tag "progress lines emitted") (List.length fields >= 2);
+    check_true (tag "pairs becomes nonzero")
+      (List.exists (fun (p, _) -> p > 0) fields);
+    ignore
+      (List.fold_left
+         (fun prev (_, b) ->
+           if b < prev then
+             Alcotest.failf "%s"
+               (tag (Printf.sprintf "boxes fell from %d to %d" prev b));
+           b)
+         0 fields)
+  done
+
 (* ---- SIGKILL under the real supervisor (CLI end to end) --------------- *)
+
+(* Run the CLI to completion, appending its output to [log]; a non-zero
+   exit fails the test. *)
+let run_cli ~cli ~log ?(env = [||]) args =
+  let out =
+    Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
+  in
+  let pid =
+    Unix.create_process_env cli
+      (Array.of_list (cli :: args))
+      (Array.append (Unix.environment ()) env)
+      Unix.stdin out out
+  in
+  Unix.close out;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, st ->
+      Alcotest.failf "CLI %s: %s" (String.concat " " args)
+        (Shard_supervisor.status_to_string st)
 
 (* The process-level half, driving the installed binary: every shard of a
    `campaign --shards 2` run SIGKILLs itself after its first checkpointed
@@ -556,25 +703,7 @@ let test_sigkill_under_supervisor () =
           "1e-3"; "-j"; "2";
         ]
       in
-      let run_cli ?(env = [||]) args =
-        let out =
-          Unix.openfile (path "cli.log")
-            [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-            0o644
-        in
-        let pid =
-          Unix.create_process_env cli
-            (Array.of_list (cli :: args))
-            (Array.append (Unix.environment ()) env)
-            Unix.stdin out out
-        in
-        Unix.close out;
-        match Unix.waitpid [] pid with
-        | _, Unix.WEXITED 0 -> ()
-        | _, st ->
-            Alcotest.failf "CLI %s: %s" (String.concat " " args)
-              (Shard_supervisor.status_to_string st)
-      in
+      let run_cli = run_cli ~cli ~log:(path "cli.log") in
       run_cli
         (flags
         @ [ "--checkpoint"; path "un.ckpt"; "--save"; path "un.save";
@@ -607,6 +736,30 @@ let test_sigkill_under_supervisor () =
         (det (path "un.json"))
         (det (path "m.json"))
 
+(* `campaign --quick` builds its config from the preset's budgets plus the
+   fault and retry flags, so an injected fault rate paints error regions
+   (the supervisor forwards these flags to quick shards as well). The full
+   29-pair quick campaign runs once, in the workers=2 pass only; a 100%
+   fault rate keeps it short, since faulted boxes are never solved. *)
+let test_quick_honours_fault_flags () =
+  match Sys.getenv_opt "XCV_CLI" with
+  | None -> ()
+  | Some _ when test_workers <> 2 -> ()
+  | Some cli ->
+      let dir = temp_dir () in
+      let save = Filename.concat dir "quick.save" in
+      run_cli ~cli ~log:(Filename.concat dir "cli.log")
+        [
+          "campaign"; "--quick"; "--fault-rate"; "1"; "-j"; "2"; "--save";
+          save;
+        ];
+      let outcomes = Serialize.load save in
+      Alcotest.(check int) "every pair has an outcome"
+        (Conditions.count_pairs Registry.paper_five)
+        (List.length outcomes);
+      check_true "--fault-rate paints error regions under --quick"
+        (List.for_all Outcome.has_error outcomes)
+
 let suite =
   [
     case "partition independence (pair level)" test_partition_independent;
@@ -623,6 +776,15 @@ let suite =
     case "shard merge golden file" test_shard_merge_golden;
     slow_case "torn-tail resume merges identically"
       test_torn_resume_merges_identically;
+    slow_case "unsharded resume keeps metrics"
+      test_unsharded_resume_keeps_metrics;
+    slow_case "plain-outcome checkpoint resumes"
+      test_plain_outcome_checkpoint_resumes;
+    slow_case "headerless checkpoint refused"
+      test_headerless_checkpoint_refused;
+    slow_case "progress totals per shard" test_progress_totals_per_shard;
     slow_case "SIGKILLed shards restart and merge identically (CLI)"
       test_sigkill_under_supervisor;
+    slow_case "--quick honours the fault flags (CLI)"
+      test_quick_honours_fault_flags;
   ]
