@@ -12,8 +12,9 @@
      dune exec bench/main.exe ablation      -- Sec. VI-A + design ablations
      dune exec bench/main.exe scheduler     -- worklist scaling + trace check
      dune exec bench/main.exe micro         -- Bechamel micro-benchmarks
-     dune exec bench/main.exe hc4           -- tree HC4 vs compiled interval tape
-                                              vs the batched native JIT kernel
+     dune exec bench/main.exe hc4           -- compiled interval tape (HC4,
+                                              mean-value, ICP) vs the batched
+                                              native JIT kernel
                                               (jit.* metrics: speedup, compile
                                               latency, batch-size sweep)
 
@@ -539,9 +540,17 @@ let micro () =
         (Dft_vars.s_name, Interval.make 2.0 2.2);
       ]
   in
-  let atom = Form.ge f_c in
+  let prog = Itape.compile ~vars:(Box.vars box) (Form.ge f_c) in
   let ec1 = Option.get (Encoder.encode pbe Conditions.Ec1) in
-  let small_solver = { Icp.default_config with fuel = 50 } in
+  let small_solver =
+    {
+      Icp.default_config with
+      fuel = 50;
+      tape =
+        Some
+          (Hc4.compile ~vars:(Box.vars ec1.Encoder.domain) ec1.Encoder.negated);
+    }
+  in
   let tests =
     [
       Test.make ~name:"eval: PBE F_c (tree walk)"
@@ -553,7 +562,7 @@ let micro () =
       Test.make ~name:"interval: PBE F_c over box"
         (Staged.stage (fun () -> Ieval.eval ienv f_c));
       Test.make ~name:"hc4: revise PBE EC1 atom"
-        (Staged.stage (fun () -> Hc4.revise box atom));
+        (Staged.stage (fun () -> Itape.revise prog box));
       Test.make ~name:"icp: 50-expansion budget on EC1"
         (Staged.stage (fun () ->
              Icp.solve small_solver ec1.Encoder.domain ec1.Encoder.negated));
@@ -634,11 +643,11 @@ let micro () =
     acc_b (dt /. dt_b)
 
 (* ------------------------------------------------------------------ *)
-(* HC4 contraction: tree walker vs compiled interval tape              *)
+(* HC4 contraction on the compiled interval tape, and the JIT kernel   *)
 (* ------------------------------------------------------------------ *)
 
 let hc4_bench () =
-  section "HC4: tree-walking revise vs compiled interval tape";
+  section "HC4: compiled interval tape";
   let open Bechamel in
   let open Toolkit in
   let cfg =
@@ -663,11 +672,15 @@ let hc4_bench () =
       (Test.elements test)
     |> List.hd
   in
-  let speedup ?pair label tree tape =
-    Printf.printf "%-40s %12.2fx\n\n%!" (label ^ " speedup") (tree /. tape);
-    match pair with
-    | Some p -> record_metric (Printf.sprintf "%s_%s_speedup" p label) (tree /. tape)
-    | None -> ()
+  let speedup ~pair label base fast =
+    Printf.printf "%-40s %12.2fx\n\n%!" (label ^ " speedup") (base /. fast);
+    record_metric (Printf.sprintf "%s_%s_speedup" pair label) (base /. fast)
+  in
+  (* a measured row whose ns/run also goes into the JSON as [pair_key_ns] *)
+  let row ~pair key name f =
+    record_metric
+      (Printf.sprintf "%s_%s_ns" pair key)
+      (measure (Test.make ~name (Staged.stage f)))
   in
   List.iter
     (fun (dfa_name, cond) ->
@@ -684,45 +697,21 @@ let hc4_bench () =
       let box = fst (Box.split (fst (Box.split domain))) in
       Printf.printf "--- %s / %s (%d tape registers) ---\n" dfa_name
         (Conditions.name cond) (Itape.length prog);
-      let t_revise =
-        measure
-          (Test.make ~name:"revise (tree walk)"
-             (Staged.stage (fun () -> Hc4.revise box atom)))
+      row ~pair "revise" "revise (interval tape)" (fun () ->
+          Itape.revise prog box);
+      row ~pair "contract" "contract x4 (tape + agenda)" (fun () ->
+          Hc4.contract_tape compiled box ~rounds:4);
+      let solver =
+        {
+          Icp.default_config with
+          fuel = 50;
+          faults = None;
+          tape = Some compiled;
+        }
       in
-      let v_revise =
-        measure
-          (Test.make ~name:"revise (interval tape)"
-             (Staged.stage (fun () -> Itape.revise prog box)))
-      in
-      speedup ~pair "revise" t_revise v_revise;
-      let t_contract =
-        measure
-          (Test.make ~name:"contract x4 (tree walk)"
-             (Staged.stage (fun () -> Hc4.contract box formula ~rounds:4)))
-      in
-      let v_contract =
-        measure
-          (Test.make ~name:"contract x4 (tape + agenda)"
-             (Staged.stage (fun () ->
-                  Hc4.contract_tape compiled box ~rounds:4)))
-      in
-      speedup ~pair "contract" t_contract v_contract;
-      let solver = { Icp.default_config with fuel = 50; faults = None } in
-      let t_solve =
-        measure
-          (Test.make ~name:"icp 50-expansion (tree walk)"
-             (Staged.stage (fun () -> Icp.solve solver domain formula)))
-      in
-      let v_solve =
-        measure
-          (Test.make
-             ~name:"icp 50-expansion (interval tape)"
-             (Staged.stage (fun () ->
-                  Icp.solve
-                    { solver with Icp.tape = Some compiled }
-                    domain formula)))
-      in
-      speedup ~pair "solve" t_solve v_solve)
+      row ~pair "solve" "icp 50-expansion (interval tape)" (fun () ->
+          Icp.solve solver domain formula);
+      print_newline ())
     [
       ("pbe", Conditions.Ec1);
       ("pbe", Conditions.Ec7);
@@ -730,25 +719,21 @@ let hc4_bench () =
       ("scan", Conditions.Ec1);
     ];
 
-  (* -- mean-value contractor: symbolic tree walk vs one adjoint sweep -- *)
-  section "Mean-value contractor: tree-walk Taylor vs adjoint tape";
-  let mvf_speedups = ref [] in
+  (* -- mean-value contractor: one adjoint sweep per atom -- *)
+  section "Mean-value contractor: adjoint tape";
   List.iter
     (fun (dfa_name, cond, clamps) ->
       let dfa = Registry.find dfa_name in
       let problem = Option.get (Encoder.encode dfa cond) in
-      let formula = problem.Encoder.negated in
       let domain = problem.Encoder.domain in
-      let vars = Box.vars domain in
-      let compiled = Hc4.compile ~vars formula in
-      let preps = List.map (Taylor.prepare ~vars) formula in
+      let compiled =
+        Hc4.compile ~vars:(Box.vars domain) problem.Encoder.negated
+      in
       let pair = dfa_name ^ "_" ^ Conditions.name cond in
       (* a mid-search box: atoms undecided, so the linear solve actually
          runs. Piecewise DFAs (SCAN) get explicit clamps away from the
-         guard seams — on an undecided-guard box both contractors are
-         no-ops and the comparison would only measure how fast each one
-         notices (the tree walk wins that by design: its guards are
-         precollected as tiny standalone expressions). *)
+         guard seams — on an undecided-guard box the contractor is a no-op
+         and the row would only measure how fast it notices. *)
       let box =
         match clamps with
         | [] -> fst (Box.split (fst (Box.split domain)))
@@ -757,27 +742,10 @@ let hc4_bench () =
               (fun b (v, lo, hi) -> Box.set b v (Interval.make lo hi))
               domain clamps
       in
-      let tree_contract b0 =
-        List.fold_left
-          (fun acc prep ->
-            match acc with
-            | Hc4.Infeasible -> acc
-            | Hc4.Contracted b -> Taylor.contract prep b)
-          (Hc4.Contracted b0) preps
-      in
       Printf.printf "--- %s / %s ---\n" dfa_name (Conditions.name cond);
-      let t_tree =
-        measure
-          (Test.make ~name:"mvf contract (tree walk)"
-             (Staged.stage (fun () -> tree_contract box)))
-      in
-      let t_tape =
-        measure
-          (Test.make ~name:"mvf contract (adjoint tape)"
-             (Staged.stage (fun () -> Hc4.mean_value_tape compiled box)))
-      in
-      mvf_speedups := (t_tree /. t_tape) :: !mvf_speedups;
-      speedup ~pair "mvf" t_tree t_tape)
+      row ~pair "mvf" "mvf contract (adjoint tape)" (fun () ->
+          Hc4.mean_value_tape compiled box);
+      print_newline ())
     [
       ("pbe", Conditions.Ec1, []);
       ("pbe", Conditions.Ec7, []);
@@ -789,13 +757,6 @@ let hc4_bench () =
          (Dft_vars.alpha_name, 1.2, 1.5);
        ]);
     ];
-  (let sp = !mvf_speedups in
-   let geomean =
-     exp (List.fold_left (fun a x -> a +. log x) 0.0 sp
-          /. float_of_int (List.length sp))
-   in
-   Printf.printf "mvf geometric-mean speedup: %.2fx\n" geomean;
-   record_metric "mvf_geomean_speedup" geomean);
 
   (* -- JIT: the interpreted tape pipeline vs the batched native kernel -- *)
   section "JIT: interpreted tape vs batched native C kernel";
@@ -926,7 +887,6 @@ let hc4_bench () =
       let domain = problem.Encoder.domain in
       let vars = Box.vars domain in
       let compiled = Hc4.compile ~vars formula in
-      let preps = List.map (Taylor.prepare ~vars) formula in
       let box =
         List.fold_left
           (fun b (v, lo, hi) -> Box.set b v (Interval.make lo hi))
@@ -971,7 +931,6 @@ let hc4_bench () =
             [ ("widest", `Widest); ("smear", `Smear) ])
         [
           ("taylor-off", []);
-          ("taylor-tree", List.map Taylor.contractor preps);
           ("taylor-tape", [ Hc4.mean_value_tape compiled ]);
         ];
       (match

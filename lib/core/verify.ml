@@ -157,36 +157,27 @@ let fresh_sink () =
     sk_retries = Atomic.make 0;
   }
 
+(* The interval tape is the only interpreted engine; [use_tape] survives
+   as a config field (and in [config_hash]) but cannot be turned off. *)
+let check_config config =
+  if not config.use_tape then
+    invalid_arg
+      "Verify: use_tape = false is not supported (the tape is the engine)"
+
 let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
     ~dfa_label ~condition_label ~domain ~(psi : Form.atom) () =
+  check_config config;
   let negated = [ Form.negate_atom psi ] in
   (* Compile the negated formula once per (DFA, condition) pair — not per
      box — and hand the tape to every solver call through its config. The
      compiled form is immutable and shared by all worker domains. *)
-  let tape, contractors =
+  let compiled =
     Obs.Metrics.time_phase Obs.Metrics.Encode (fun () ->
-        let tape =
-          if config.use_tape then
-            Some (Hc4.compile ~vars:(Box.vars domain) negated)
-          else None
-        in
-        let contractors =
-          if not config.use_taylor then []
-          else
-            match tape with
-            | Some compiled ->
-                (* tape-native mean-value contractor: one adjoint sweep per
-                   atom instead of a symbolic-gradient tree walk per
-                   variable *)
-                [ Hc4.mean_value_tape compiled ]
-            | None ->
-                List.map
-                  (fun a ->
-                    Taylor.contractor
-                      (Taylor.prepare ~vars:(Box.vars domain) a))
-                  negated
-        in
-        (tape, contractors))
+        Hc4.compile ~vars:(Box.vars domain) negated)
+  in
+  (* the mean-value contractor: one adjoint sweep per atom *)
+  let contractors =
+    if config.use_taylor then [ Hc4.mean_value_tape compiled ] else []
   in
   (* JIT: compile the same tape into a batched native kernel, once per
      pair. The kernel replays the whole contraction pipeline (HC4 agenda
@@ -195,32 +186,30 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
      failing compile, a bad dlopen — leaves [native = None] and the run
      continues on the interpreted tape ([jit.fallbacks] counts it). *)
   let native =
-    match (config.jit, tape) with
-    | true, Some compiled -> (
-        match
-          Jit.plan ?cache_dir:config.jit_cache ~mvf:config.use_taylor
-            ~rounds:config.solver.Icp.contractor_rounds compiled
-        with
-        | Ok plan -> Some (Jit.native_batch plan)
-        | Error _ -> None)
-    | _ -> None
+    if not config.jit then None
+    else
+      match
+        Jit.plan ?cache_dir:config.jit_cache ~mvf:config.use_taylor
+          ~rounds:config.solver.Icp.contractor_rounds compiled
+      with
+      | Ok plan -> Some (Jit.native_batch plan)
+      | Error _ -> None
   in
   let solver_config =
     {
       config.solver with
-      Icp.tape;
+      Icp.tape = Some compiled;
       split_heuristic = config.split_heuristic;
       native;
     }
   in
   (* Campaign-level smear priority: the task's key is its maximum
      per-dimension smear score, from the same compiled tape the solver
-     replays. 0.0 (priority off) under `Widest or without a tape. *)
+     replays. 0.0 (priority off) under `Widest. *)
   let smear_of box =
-    match (config.split_heuristic, tape) with
-    | `Smear, Some compiled ->
-        Array.fold_left Float.max 0.0 (Hc4.smear_scores compiled box)
-    | _ -> 0.0
+    match config.split_heuristic with
+    | `Smear -> Array.fold_left Float.max 0.0 (Hc4.smear_scores compiled box)
+    | `Widest -> 0.0
   in
   let started = Unix.gettimeofday () in
   let deadline =
@@ -260,8 +249,8 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
   let children ~record t =
     Obs.Metrics.time_phase Obs.Metrics.Split @@ fun () ->
     let boxes =
-      match (config.split_heuristic, tape) with
-      | `Smear, Some compiled ->
+      match config.split_heuristic with
+      | `Smear ->
           (* bisect only the dimension of maximal smear: two children that
              cut across the formula's steepest direction, instead of the
              2^k blind split of every dimension *)
@@ -269,7 +258,7 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
             Box.split_smear t.box ~scores:(Hc4.smear_scores compiled t.box)
           in
           [ b1; b2 ]
-      | _ -> Box.split_all t.box
+      | `Widest -> Box.split_all t.box
     in
     let boxes =
       List.stable_sort
@@ -428,9 +417,9 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
     | None -> ([], [ root ])
     | Some { shard_index; shard_count } ->
         let fanout =
-          match (config.split_heuristic, tape) with
-          | `Smear, Some _ -> 2
-          | _ -> List.length (Box.split_all domain)
+          match config.split_heuristic with
+          | `Smear -> 2
+          | `Widest -> List.length (Box.split_all domain)
         in
         let trunk_depth = shard_trunk_depth ~fanout ~count:shard_count in
         let owns_trunk = shard_index = 0 in
@@ -541,8 +530,10 @@ let run_sharded ?config ?shard (p : Encoder.problem) =
 (* Campaign identity hashes (checkpoint headers).
 
    [config_hash] covers exactly the verdict-relevant knobs: threshold,
-   solver fuel/delta/rounds/sample-check, the fault plan, contractor and
-   tape choices, split heuristic and retry policy. [workers] and
+   solver fuel/delta/rounds/sample-check, the fault plan, the contractor
+   choice, split heuristic and retry policy. [use_tape] is still folded in
+   (it can only be true now) so the hash, and the checkpoint headers that
+   carry it, match those of older runs. [workers] and
    [deadline_seconds] are deliberately excluded — they change scheduling,
    never verdicts (for deadline-free runs), and a checkpoint taken at -j4
    must be resumable at -j1. [jit] and [jit_cache] are excluded for the
@@ -694,6 +685,7 @@ let load_resume ~expect path =
 
 let campaign ?(config = default_config) ?shard ?checkpoint ?resume
     ?(on_pair = fun (_ : Outcome.t) -> ()) dfas =
+  check_config config;
   Option.iter
     (fun s ->
       if

@@ -52,17 +52,15 @@ type config = {
       (** global wall budget for one (DFA, condition) pair *)
   workers : int;  (** OCaml domains executing sub-box solver calls *)
   use_taylor : bool;
-      (** add the mean-value-form contractor to the solver's contraction
-          pipeline. With [use_tape] it is the tape-native
-          {!Hc4.mean_value_tape} (one adjoint sweep per atom); without, the
-          tree-walk {!Taylor.contractor} (one symbolic-gradient tree walk
-          per variable). On by default — the adjoint sweep made it cheap. *)
+      (** add the mean-value-form contractor ({!Hc4.mean_value_tape}, one
+          adjoint sweep per atom) to the solver's contraction pipeline. On
+          by default. *)
   use_tape : bool;
-      (** compile the negated condition once per pair into an interval tape
-          ({!Hc4.compile}) and have every solver call replay it instead of
-          walking the expression trees — bit-identical paint logs, much
-          cheaper contraction. On by default; turn off to run the reference
-          tree-walking path (the equivalence tests do). *)
+      (** must be [true]: the negated condition is always compiled once per
+          pair into an interval tape ({!Hc4.compile}) that every solver
+          call replays. The field remains so existing config records build
+          and {!config_hash} is unchanged; the run entry points and
+          {!campaign} raise [Invalid_argument] when it is [false]. *)
   split_heuristic : [ `Widest | `Smear ];
       (** how boxes split, at both levels of the search. [`Widest] (default):
           the paper's blind split — campaign tasks split every dimension
@@ -70,18 +68,17 @@ type config = {
           [`Smear]: Kearfott's maximal-smear rule — both levels bisect the
           dimension maximizing [|∂f/∂x_i| * width(x_i)] (adjoint-tape
           scores, {!Hc4.smear_scores}), and the worklist drains
-          steepest-boxes-first. Needs [use_tape]; degrades to widest-first
-          without it. Sound either way: the heuristic changes exploration
-          order, never verdict soundness. *)
+          steepest-boxes-first. Sound either way: the heuristic changes
+          exploration order, never verdict soundness. *)
   retry : retry_policy;
   jit : bool;
       (** compile the pair's tape into a batched native C kernel ({!Jit})
           and contract boxes through it. Bit-identical paint at any worker
           count — the kernel replays the interpreted pipeline operation
-          for operation — just faster. Needs [use_tape]; when no C
-          compiler is available or compilation fails the run silently
-          stays on the interpreted tape ([jit.fallbacks] in the metrics
-          counts it). Off by default. *)
+          for operation — just faster. When no C compiler is available or
+          compilation fails the run silently stays on the interpreted
+          tape ([jit.fallbacks] in the metrics counts it). Off by
+          default. *)
   jit_cache : string option;
       (** directory for compiled kernels, content-addressed by source
           digest: campaigns over the same formulas reuse the [.so] instead
@@ -112,7 +109,10 @@ val run :
     atom) over an arbitrary box — the entry point for conditions outside the
     registry pipeline, e.g. spin-resolved slices or user-supplied
     inequalities from the CLI. Labels are only used in the outcome record.
-    [stop] as in {!run}. *)
+    [stop] as in {!run}.
+
+    All run entry points raise [Invalid_argument] when
+    [config.use_tape = false]. *)
 val run_custom :
   ?config:config -> ?recorder:Trace.t -> ?stop:(unit -> bool) ->
   dfa_label:string -> condition_label:string -> domain:Box.t ->
@@ -161,7 +161,8 @@ val run_sharded :
 
 (** [config_hash config] — {!Serialize.digest} of the verdict-relevant
     configuration: threshold, solver fuel/delta/rounds/sample-check, fault
-    plan, contractor and tape choices, split heuristic, retry policy.
+    plan, contractor choice, [use_tape] (always true, kept so hashes stay
+    stable), split heuristic, retry policy.
     [workers] and [deadline_seconds] are excluded: they change scheduling,
     never verdicts (for deadline-free runs), so a checkpoint taken at -j4
     resumes at -j1. *)

@@ -85,8 +85,8 @@ let table : t Table.t = Table.create 65536
 let counter = ref 0
 
 (* The cons table is global; guard it so expressions can also be built from
-   worker domains (e.g. Taylor preparation inside a parallel campaign).
-   Uncontended lock cost is negligible next to hashing. *)
+   worker domains (e.g. symbolic differentiation inside a parallel
+   campaign). Uncontended lock cost is negligible next to hashing. *)
 let table_mutex = Mutex.create ()
 
 let mk node =

@@ -29,7 +29,7 @@ val guard_status_of_interval :
 val apply_unop : Expr.unop -> Interval.t -> Interval.t
 
 (** [pow_node rat base expo] is the forward rule for [Pow] nodes, shared
-    by the tree walker, {!Hc4.revise} and the compiled tape: when the
+    by the tree walker and the compiled interval tape: when the
     exponent is the exact rational [rat] it dispatches to
     {!Transcend.pow_rat} (bit-identical to [pow_int] for integers,
     exponent-rounding-aware otherwise); with [None] it falls back to the

@@ -49,22 +49,4 @@ let map ~workers f xs =
            (function Some v -> v | None -> assert false)
            results)
 
-let map_result ~workers f xs =
-  let wrap x = match f x with v -> Ok v | exception e -> Error e in
-  match xs with
-  | [] -> []
-  | [ x ] -> [ wrap x ]
-  | _ when workers <= 1 -> List.map wrap xs
-  | _ ->
-      let items = Array.of_list xs in
-      let n = Array.length items in
-      let results = Array.make n None in
-      distribute ~workers n
-        ~continue:(fun () -> true)
-        ~run:(fun i -> results.(i) <- Some (wrap items.(i)));
-      Array.to_list
-        (Array.map
-           (function Some v -> v | None -> assert false)
-           results)
-
 let iter ~workers f xs = ignore (map ~workers (fun x -> f x; ()) xs)

@@ -21,16 +21,8 @@ val default_workers : unit -> int
     order. Fail-fast: the first exception raised by any task is re-raised
     after all domains are joined, and a worker that observes the failure
     stops claiming new items immediately (in-flight items on other workers
-    still finish). For supervision — every item attempted, all failures
-    collected — use {!map_result}. *)
+    still finish). *)
 val map : workers:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [map_result ~workers f xs] — supervised map: every item is attempted
-    regardless of other items' failures, and each failure is captured in
-    place as [Error exn] rather than aborting the run. Results preserve
-    input order; no exception escapes. *)
-val map_result :
-  workers:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 
 (** [iter ~workers f xs] — as {!map}, discarding results. *)
 val iter : workers:int -> ('a -> unit) -> 'a list -> unit

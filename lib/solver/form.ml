@@ -61,8 +61,6 @@ let status_of_interval i rel =
         else if not (Interval.mem 0.0 i) then `Fails
         else `Unknown
 
-let status_on box a = status_of_interval (Ieval.eval (Box.to_env box) a.expr) a.rel
-
 let vars f =
   List.concat_map (fun a -> Expr.vars a.expr) f |> List.sort_uniq String.compare
 

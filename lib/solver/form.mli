@@ -38,14 +38,10 @@ val holds_at : (string * float) list -> atom -> bool
 
 val all_hold_at : (string * float) list -> t -> bool
 
-(** Interval certainty of an atom over a box:
-    [`Holds] everywhere, [`Fails] everywhere, or [`Unknown]. *)
-val status_on : Box.t -> atom -> [ `Holds | `Fails | `Unknown ]
-
-(** The classification behind {!status_on}, applied to an already-computed
-    enclosure of the atom's expression over the box (an empty enclosure —
-    expression nowhere defined — is [`Fails]). Shared with the compiled-tape
-    evaluation ({!Itape.status_on}) so the two paths cannot drift. *)
+(** Interval certainty of an atom whose expression has the given enclosure
+    over a box: [`Holds] everywhere, [`Fails] everywhere, or [`Unknown]. An
+    empty enclosure — expression nowhere defined — is [`Fails]. The
+    per-box test of {!Itape.status_on}. *)
 val status_of_interval :
   Interval.t -> relation -> [ `Holds | `Fails | `Unknown ]
 

@@ -1,217 +1,8 @@
-open Expr
-
 type result = Itape.result = Contracted of Box.t | Infeasible
 
 type counters = { mutable revise_calls : int; mutable sweeps : int }
 
 let counters () = { revise_calls = 0; sweeps = 0 }
-
-(* The backward machinery (relation targets, power/abs branch inverses) is
-   shared with the compiled-tape replay so the two paths cannot drift. *)
-let target_of_relation = Itape.target_of_relation
-let backward_pow_const = Itape.backward_pow_const
-let backward_pow_rat = Itape.backward_pow_rat
-let backward_abs = Itape.backward_abs
-
-(* Prefix/suffix folds used to compute, for every operand of an n-ary node,
-   the combination of all *other* operands in O(n). *)
-let others combine unit xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let prefix = Array.make (n + 1) unit in
-  for i = 0 to n - 1 do
-    prefix.(i + 1) <- combine prefix.(i) arr.(i)
-  done;
-  let suffix = Array.make (n + 1) unit in
-  for i = n - 1 downto 0 do
-    suffix.(i) <- combine arr.(i) suffix.(i + 1)
-  done;
-  List.init n (fun i -> combine prefix.(i) suffix.(i + 1))
-
-let revise box atom =
-  let e = atom.Form.expr in
-  let env = Box.to_env box in
-  (* ---- forward pass -------------------------------------------------- *)
-  let fwd : (int, Interval.t) Hashtbl.t = Hashtbl.create 256 in
-  let order = ref [] in
-  (* children-first order *)
-  let rec forward e =
-    match Hashtbl.find_opt fwd e.id with
-    | Some i -> i
-    | None ->
-        let i =
-          match e.node with
-          | Num r -> Interval.point (Rat.to_float r)
-          | Flt f -> Interval.point f
-          | Var v -> (
-              match List.assoc_opt v env with
-              | Some i -> i
-              | None -> raise (Eval.Unbound_variable v))
-          | Add terms ->
-              List.fold_left
-                (fun acc t -> Interval.add acc (forward t))
-                Interval.zero terms
-          | Mul factors ->
-              List.fold_left
-                (fun acc f -> Interval.mul acc (forward f))
-                Interval.one factors
-          | Pow (b, x) -> Ieval.pow_node (as_rat x) (forward b) (forward x)
-          | Apply (op, a) -> Ieval.apply_unop op (forward a)
-          | Piecewise (branches, default) ->
-              let rec walk acc = function
-                | [] -> Interval.join acc (forward default)
-                | (g, body) :: rest -> (
-                    match
-                      Ieval.guard_status_of_interval g.grel (forward g.cond)
-                    with
-                    | `True -> Interval.join acc (forward body)
-                    | `False ->
-                        (* still record dead branches in fwd for uniformity *)
-                        ignore (forward body);
-                        walk acc rest
-                    | `Unknown -> walk (Interval.join acc (forward body)) rest)
-              in
-              walk Interval.empty branches
-        in
-        Hashtbl.add fwd e.id i;
-        order := e :: !order;
-        i
-  in
-  let root_fwd = forward e in
-  (* ---- backward pass ------------------------------------------------- *)
-  let req : (int, Interval.t) Hashtbl.t = Hashtbl.create 256 in
-  let requirement n =
-    match Hashtbl.find_opt req n.id with
-    | Some r -> r
-    | None -> Hashtbl.find fwd n.id
-  in
-  let tighten child contribution =
-    Hashtbl.replace req child.id (Interval.meet (requirement child) contribution)
-  in
-  (* Union-of-branches contribution: meet each branch with the current
-     requirement first, then hull, preserving gaps the union straddles
-     (crucial for even powers: x^2 >= 4 on [0,10] must yield [2,10]). *)
-  let tighten_branches child branches =
-    let cur = requirement child in
-    let joined =
-      List.fold_left
-        (fun acc b -> Interval.join acc (Interval.meet cur b))
-        Interval.empty branches
-    in
-    Hashtbl.replace req child.id joined
-  in
-  let root_req = Interval.meet root_fwd (target_of_relation atom.Form.rel) in
-  if Interval.is_empty root_req then Infeasible
-  else begin
-    Hashtbl.replace req e.id root_req;
-    let infeasible = ref false in
-    let propagate n =
-      let r = requirement n in
-      if Interval.is_empty r then infeasible := true
-      else
-        match n.node with
-        | Num _ | Flt _ | Var _ -> ()
-        | Add terms ->
-            let fwd_of t = Hashtbl.find fwd t.id in
-            let rest_sums =
-              others Interval.add Interval.zero (List.map fwd_of terms)
-            in
-            List.iter2
-              (fun t rest -> tighten t (Interval.sub r rest))
-              terms rest_sums
-        | Mul factors ->
-            let fwd_of t = Hashtbl.find fwd t.id in
-            let rest_prods =
-              others Interval.mul Interval.one (List.map fwd_of factors)
-            in
-            List.iter2
-              (fun t rest ->
-                (* x * rest = r => x in the relational quotient r / rest:
-                   top when 0 is in both (x * 0 = 0 constrains nothing),
-                   empty when rest = {0} but 0 is not in r. *)
-                if Interval.is_empty rest then ()
-                else tighten t (Interval.div_rel r rest))
-              factors rest_prods
-        | Pow (b, x) -> (
-            match (as_rat x, as_const x) with
-            | Some rat, _ -> tighten_branches b (backward_pow_rat r rat)
-            | None, Some p -> tighten_branches b (backward_pow_const r p)
-            | None, None ->
-                (* Variable exponent: contract the exponent when the base is
-                   certainly > 1 or in (0, 1): y = log r / log b. *)
-                let fb = Hashtbl.find fwd b.id in
-                if Interval.certainly_gt fb 0.0 then begin
-                  let logb = Transcend.log fb in
-                  let logr = Transcend.log (Interval.meet r Interval.nonneg) in
-                  if
-                    (not (Interval.is_empty logr))
-                    && not (Interval.mem 0.0 logb)
-                  then tighten x (Interval.div logr logb)
-                end)
-        | Apply (op, a) -> (
-            match op with
-            | Exp -> tighten a (Transcend.log r)
-            | Log -> tighten a (Transcend.exp r)
-            | Tanh -> tighten a (Transcend.atanh r)
-            | Atan -> tighten a (Transcend.tan_on_principal r)
-            | Abs -> tighten_branches a (backward_abs r)
-            | Lambert_w -> tighten a (Transcend.w_inverse r)
-            | Sin ->
-                (* Only invert within a range certainly strictly inside the
-                   principal monotone branch (round-down pi/2). *)
-                let fa = Hashtbl.find fwd a.id in
-                if
-                  Interval.is_bounded fa
-                  && Interval.inf fa >= -.Transcend.half_pi_lo
-                  && Interval.sup fa <= Transcend.half_pi_lo
-                then tighten a (Transcend.asin_hull r)
-            | Cos ->
-                let fa = Hashtbl.find fwd a.id in
-                if
-                  Interval.is_bounded fa
-                  && Interval.inf fa >= 0.0
-                  && Interval.sup fa <= Transcend.pi_lo
-                then tighten a (Transcend.acos_hull r))
-        | Piecewise (branches, default) ->
-            (* Propagate into a branch only when it is certainly the one
-               taken on the whole box. *)
-            let rec walk = function
-              | [] -> tighten default r
-              | (g, body) :: rest -> (
-                  match
-                    Ieval.guard_status_of_interval g.grel
-                      (Hashtbl.find fwd g.cond.id)
-                  with
-                  | `True -> tighten body r
-                  | `False -> walk rest
-                  | `Unknown -> ())
-            in
-            walk branches
-    in
-    (* Nodes were consed onto [order] in post-order (children pushed before
-       parents), so the list head-first runs parents-first: each node's
-       requirement is final before its children are tightened. *)
-    List.iter (fun n -> if not !infeasible then propagate n) !order;
-    if !infeasible then Infeasible
-    else begin
-      (* Read contracted variable domains. *)
-      let contracted = ref box in
-      let failed = ref false in
-      List.iter
-        (fun n ->
-          match n.node with
-          | Var v -> (
-              match Hashtbl.find_opt req n.id with
-              | Some r ->
-                  let r = Interval.meet r (Box.get box v) in
-                  if Interval.is_empty r then failed := true
-                  else contracted := Box.set !contracted v r
-              | None -> ())
-          | _ -> ())
-        !order;
-      if !failed then Infeasible else Contracted !contracted
-    end
-  end
 
 let improvement before after =
   (* Largest relative width reduction over dimensions. *)
@@ -224,34 +15,6 @@ let improvement before after =
       best := Float.max !best ((wb -. wa) /. wb)
   done;
   !best
-
-let contract ?counters:cnt box formula ~rounds =
-  let count_revise () =
-    match cnt with Some c -> c.revise_calls <- c.revise_calls + 1 | None -> ()
-  in
-  let count_sweep () =
-    match cnt with Some c -> c.sweeps <- c.sweeps + 1 | None -> ()
-  in
-  let rec sweep box k =
-    if k >= rounds then Contracted box
-    else begin
-      count_sweep ();
-      let rec apply box = function
-        | [] -> Contracted box
-        | a :: rest -> (
-            count_revise ();
-            match revise box a with
-            | Infeasible -> Infeasible
-            | Contracted box' -> apply box' rest)
-      in
-      match apply box formula with
-      | Infeasible -> Infeasible
-      | Contracted box' ->
-          if improvement box box' < 0.01 then Contracted box'
-          else sweep box' (k + 1)
-    end
-  in
-  sweep box 0
 
 (* ------------------------------------------------------------------ *)
 (* Compiled formulas and the contraction agenda                        *)
@@ -286,18 +49,8 @@ let statuses_on compiled box =
   Array.to_list
     (Array.map (fun prog -> Itape.status_on prog box) compiled.progs)
 
-(* Same sweep structure (and hence identical sweep counts, improvement
-   tests and results) as [contract], with an AC-3 style agenda on top: an
-   atom is skipped while it is clean — its last revise changed nothing and
-   none of its variables were contracted since. Skipping is sound *and*
-   result-identical because revise is a deterministic function of the
-   atom's own variable domains: re-running a clean atom would return the
-   box unchanged, which is exactly what the tree path's re-run does. Only
-   [revise_calls] drops. *)
-(* The tape-native mean-value contractor: one adjoint sweep per atom gives
-   every partial at once, replacing the per-variable symbolic-gradient tree
-   walks of [Taylor.contractor]. Used as a pipeline stage after the HC4
-   agenda, exactly where the tree-walk Taylor stage used to sit. *)
+(* The mean-value contractor: one adjoint sweep per atom gives every
+   partial at once. Used as a pipeline stage after the HC4 agenda. *)
 let mean_value_tape compiled box =
   let nprogs = Array.length compiled.progs in
   let rec go box j =
@@ -327,6 +80,14 @@ let smear_scores compiled box =
     compiled.progs;
   scores
 
+(* Sweeps of a revise per atom, stopped after [rounds] or when a sweep
+   improves no dimension by 1%, with an AC-3 style agenda on top: an atom
+   is skipped while it is clean — its last revise changed nothing and none
+   of its variables were contracted since. Skipping is sound *and*
+   result-identical because revise is a deterministic function of the
+   atom's own variable domains: re-running a clean atom would return the
+   box unchanged. Only [revise_calls] drops below the one-revise-per-atom
+   sweep of the tree-walk oracle (test/tree_oracle.ml). *)
 let contract_tape ?counters:cnt compiled box ~rounds =
   let count_revise () =
     match cnt with Some c -> c.revise_calls <- c.revise_calls + 1 | None -> ()

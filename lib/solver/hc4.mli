@@ -1,25 +1,29 @@
 (** HC4-revise: forward-backward interval constraint propagation.
 
     This is the contractor at the heart of the δ-complete decision procedure
-    (dReal's ICP core uses the same scheme). Given an atom [e rel 0] and a
-    box, it:
+    (dReal's ICP core uses the same scheme). Each atom [e rel 0] is compiled
+    once into an interval tape ({!Itape}); a revise on a box then:
 
-    + evaluates the expression DAG forward with interval arithmetic, caching
-      one interval per distinct subterm;
+    + evaluates the expression DAG forward with interval arithmetic, one
+      register per distinct subterm;
     + seeds the root with the relation's target interval (e.g. [[-inf, 0]]
       for [e <= 0]) and propagates {e requirements} backward through each
-      operator's partial inverses, visiting the DAG in reverse topological
-      order so that a shared subterm meets the requirements of {e all} its
-      parents in one linear pass;
-    + reads the contracted variable domains off the requirement table.
+      operator's partial inverses, in reverse topological order so that a
+      shared subterm meets the requirements of {e all} its parents in one
+      linear pass;
+    + reads the contracted variable domains off the requirement registers.
 
     The result is a box that contains every point of the input box satisfying
     the atom. An empty requirement anywhere proves the atom unsatisfiable on
-    the box. *)
+    the box.
+
+    The tape is the only interpreted engine. A tree-walking reference
+    implementation lives in [test/tree_oracle.ml], where the equivalence
+    properties check the tape against it bit for bit. *)
 
 type result = Itape.result = Contracted of Box.t | Infeasible
 
-(** Telemetry cell for the contraction pipeline: how many {!revise} calls
+(** Telemetry cell for the contraction pipeline: how many revise calls
     and full sweeps a caller (usually one {!Icp.solve}) consumed. The
     solver threads one of these per call and reports the totals in
     {!Icp.stats}; the verifier aggregates them per (DFA, condition) pair. *)
@@ -28,21 +32,7 @@ type counters = { mutable revise_calls : int; mutable sweeps : int }
 (** A fresh zeroed cell. *)
 val counters : unit -> counters
 
-(** [revise box atom] contracts [box] with one atom. *)
-val revise : Box.t -> Form.atom -> result
-
-(** [contract ?counters box formula ~rounds] applies {!revise} for every
-    atom of the conjunction repeatedly, up to [rounds] sweeps or until a
-    sweep improves no dimension by more than 1%. When [counters] is given,
-    revise calls and sweeps are accumulated into it. *)
-val contract : ?counters:counters -> Box.t -> Form.t -> rounds:int -> result
-
-(** {1 Compiled formulas}
-
-    The per-campaign fast path: compile each atom once into an interval
-    tape ({!Itape}), then contract every box of the search against the
-    compiled form. Results are bit-identical to {!contract}; only the cost
-    per call changes. *)
+(** {1 Compiled formulas} *)
 
 (** A formula compiled against a fixed variable order, plus the
     variable-to-atom incidence map driving the contraction agenda.
@@ -66,23 +56,22 @@ val progs : compiled -> Itape.t array
     map. Read-only, same caveat as {!progs}. *)
 val incidence : compiled -> int array array
 
-(** [statuses_on compiled box] is [Form.status_on box] of every atom, in
-    formula order, computed by tape forward passes instead of tree walks.
-    Identical statuses — {!Itape.eval} reproduces [Ieval.eval] exactly. *)
+(** [statuses_on compiled box] is {!Itape.status_on} of every atom, in
+    formula order: the interval certainty of each atom over the box. *)
 val statuses_on : compiled -> Box.t -> [ `Holds | `Fails | `Unknown ] list
 
-(** [contract_tape ?counters compiled box ~rounds] is {!contract} on the
-    compiled formula: identical sweep structure, stop test and result, with
-    an AC-3 style agenda that skips atoms whose variables have not been
-    contracted since their last (fixpoint) revise — so [counters] records
-    the same [sweeps] but typically far fewer [revise_calls]. *)
+(** [contract_tape ?counters compiled box ~rounds] applies {!Itape.revise}
+    for every atom of the conjunction repeatedly, up to [rounds] sweeps or
+    until a sweep improves no dimension by more than 1%. An AC-3 style
+    agenda skips atoms whose variables have not been contracted since
+    their last (fixpoint) revise; skipping never changes the result. When
+    [counters] is given, revise calls and sweeps are accumulated into it. *)
 val contract_tape :
   ?counters:counters -> compiled -> Box.t -> rounds:int -> result
 
 (** [mean_value_tape compiled box] applies {!Itape.contract_mvf} — the
     mean-value-form contractor driven by the adjoint sweep — for every
-    compiled atom in turn. The tape-native replacement for a pipeline of
-    tree-walk [Taylor.contractor] stages. *)
+    compiled atom in turn. *)
 val mean_value_tape : compiled -> Box.t -> result
 
 (** [smear_scores compiled box] is Kearfott's smear value per box dimension:

@@ -78,8 +78,6 @@ let fault_key box =
    contract/solve phase split is wall-class and flushed once per solver
    call, never per expansion. *)
 let m_solves = Obs.Metrics.counter "icp.solves"
-let m_solve_tape = Obs.Metrics.counter "icp.solve_tape"
-let m_solve_tree = Obs.Metrics.counter "icp.solve_tree"
 let m_expansions = Obs.Metrics.counter "icp.expansions"
 let m_prunes = Obs.Metrics.counter "icp.prunes"
 let m_revise = Obs.Metrics.counter "icp.revise_calls"
@@ -89,7 +87,6 @@ let m_sat = Obs.Metrics.counter "icp.sat"
 let m_timeout = Obs.Metrics.counter "icp.timeout"
 let m_faults = Obs.Metrics.counter "icp.faults_injected"
 let m_hc4_tape = Obs.Metrics.counter "hc4.contract_tape"
-let m_hc4_tree = Obs.Metrics.counter "hc4.contract_tree"
 
 (* Width-reduction ratio of one contraction burst, scaled to 0..1024 before
    log2 bucketing; a prune (Infeasible) counts as full contraction. *)
@@ -101,6 +98,14 @@ let ratio_scale = 1024
 let h_expansions = Obs.Metrics.histogram "icp.expansions_per_solve"
 
 let solve_real ~contractors cfg box formula =
+  (* Standalone callers (tests, benches) pass no tape: compile it here,
+     once per call. The verifier compiles once per pair and always passes
+     one. *)
+  let compiled =
+    match cfg.tape with
+    | Some compiled -> compiled
+    | None -> Hc4.compile ~vars:(Box.vars box) formula
+  in
   let expansions = ref 0 and prunes = ref 0 and max_depth = ref 0 in
   let t_start = Obs.Clock.now_ns () in
   let contract_ns = ref 0 in
@@ -119,9 +124,6 @@ let solve_real ~contractors cfg box formula =
   let finish verdict =
     let s = stats () in
     Obs.Metrics.incr m_solves 1;
-    Obs.Metrics.incr
-      (match cfg.tape with Some _ -> m_solve_tape | None -> m_solve_tree)
-      1;
     Obs.Metrics.incr m_expansions s.expansions;
     Obs.Metrics.incr m_prunes s.prunes;
     Obs.Metrics.incr m_revise s.revise_calls;
@@ -201,16 +203,10 @@ let solve_real ~contractors cfg box formula =
                    stages below are not applied on top. *)
                 native_contract nb box rest
             | None -> (
+                Obs.Metrics.incr m_hc4_tape 1;
                 match
-                  match cfg.tape with
-                  | Some compiled ->
-                      Obs.Metrics.incr m_hc4_tape 1;
-                      Hc4.contract_tape ~counters:hc4 compiled box
-                        ~rounds:cfg.contractor_rounds
-                  | None ->
-                      Obs.Metrics.incr m_hc4_tree 1;
-                      Hc4.contract ~counters:hc4 box formula
-                        ~rounds:cfg.contractor_rounds
+                  Hc4.contract_tape ~counters:hc4 compiled box
+                    ~rounds:cfg.contractor_rounds
                 with
                 | Hc4.Infeasible -> Hc4.Infeasible
                 | Hc4.Contracted box ->
@@ -249,11 +245,7 @@ let solve_real ~contractors cfg box formula =
                 let statuses =
                   match cfg.native with
                   | Some _ -> Array.to_list !native_statuses
-                  | None -> (
-                      match cfg.tape with
-                      | Some compiled -> Hc4.statuses_on compiled box
-                      | None ->
-                          List.map (fun a -> Form.status_on box a) formula)
+                  | None -> Hc4.statuses_on compiled box
                 in
                 if List.for_all (fun s -> s = `Holds) statuses then
                   (* Every point of the box is a model. *)
@@ -273,11 +265,11 @@ let solve_real ~contractors cfg box formula =
                     finish (Sat { model = mid; certified = false })
                   else begin
                     let b1, b2 =
-                      match (cfg.split_heuristic, cfg.tape) with
-                      | `Smear, Some compiled ->
+                      match cfg.split_heuristic with
+                      | `Smear ->
                           Box.split_smear box
                             ~scores:(Hc4.smear_scores compiled box)
-                      | _ -> Box.split box
+                      | `Widest -> Box.split box
                     in
                     loop ((b1, depth + 1) :: (b2, depth + 1) :: rest)
                   end

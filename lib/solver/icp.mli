@@ -17,8 +17,9 @@
       deterministic, machine-independent measure.
 
     The search is depth-first; each expanded box is first narrowed by the
-    {!Hc4} contractor, then tested, then bisected along the dimension the
-    configured [split_heuristic] picks (widest-first by default). A floating-point sample at the box midpoint accelerates SAT
+    {!Hc4} contractor replaying the formula's compiled interval tape, then
+    tested, then bisected along the dimension the configured
+    [split_heuristic] picks (widest-first by default). A floating-point sample at the box midpoint accelerates SAT
     detection (counterexamples in large violation regions are typically found
     within a handful of expansions). *)
 
@@ -67,19 +68,17 @@ type config = {
           this up from the [XCV_FAULT_RATE] / [XCV_FAULT_SEED] environment
           hook, [None] otherwise *)
   tape : Hc4.compiled option;
-      (** when set, HC4 contraction replays this compiled form of the
-          formula ({!Hc4.contract_tape}) instead of walking the expression
-          trees — bit-identical verdicts, far cheaper per box. The compiled
-          formula must match [formula] and the box's variable order; the
-          verifier compiles it once per (DFA, condition) pair. [None] in
-          [default_config]. *)
+      (** the formula compiled against the box's variable order
+          ({!Hc4.compile}); every box of the search is contracted and
+          tested by replaying it. [None] (as in [default_config]) compiles
+          the formula once on entry to each {!solve}; the verifier compiles
+          it once per (DFA, condition) pair and always passes it here. *)
   split_heuristic : [ `Widest | `Smear ];
       (** which dimension to bisect: [`Widest] (the default, the paper's
           blind widest-first rule) or [`Smear] — Kearfott's maximal-smear
           rule [|∂f/∂x_i| * width(x_i)] fed by the adjoint tape
-          ({!Hc4.smear_scores}). [`Smear] needs [tape]; without one it
-          silently degrades to widest-first. Both splits are sound — the
-          heuristic changes exploration order, never verdict soundness. *)
+          ({!Hc4.smear_scores}). Both splits are sound — the heuristic
+          changes exploration order, never verdict soundness. *)
   native : native_batch option;
       (** when set, contraction dispatches to this batched native kernel
           instead of the interpreted tape (speculatively prefetching
@@ -97,12 +96,14 @@ val fault_key : Box.t -> int64
 
 (** [solve ?contractors ?attempt cfg box formula] decides the conjunction.
     Optional [contractors] are extra pipeline stages applied after each HC4
-    contraction (e.g. {!Taylor.contractor}); each must be sound (never
+    contraction (e.g. {!Hc4.mean_value_tape}); each must be sound (never
     discard a satisfying point). [attempt] (default 0) is the caller's retry
     ordinal; it only affects fault injection — a retried call re-rolls the
     fault dice. When [cfg.faults] decides to fault this call, the call
     raises {!Fault.Injected}, returns a NaN-coordinate δ-sat model, or
-    reports {!Timeout} without consuming fuel, by the drawn kind. *)
+    reports {!Timeout} without consuming fuel, by the drawn kind.
+    @raise Invalid_argument when [cfg.tape] is [None] and the formula reads
+    a variable the box does not have. *)
 val solve :
   ?contractors:(Box.t -> Hc4.result) list ->
   ?attempt:int ->

@@ -591,7 +591,8 @@ let adjoint_pass instrs (fwd : Interval.t array) (adj : Interval.t array) s
    select in the tape have an undecided guard? Mirrors the guard walk of
    [adjoint_pass] (a certainly-True guard shadows everything after it) but
    covers every select, reachable from the root or not — exactly the
-   precollected-guard semantics of [Taylor.contract]. Lets the mean-value
+   precollected-guard semantics of the symbolic mean-value form (the
+   tree-walk oracle in test/tree_oracle.ml). Lets the mean-value
    contractor bail before paying for the adjoint and midpoint passes on
    boxes where it would degrade to the identity anyway; on piecewise-heavy
    DFAs (SCAN) that is most boxes near the seams. *)
@@ -637,8 +638,8 @@ let eval_gradient prog box =
 
 (* Tape-native mean-value-form contraction:
      f(X) ⊆ f(m) + Σ_i G_i (X_i − m_i)
-   with G the adjoint partials from one reverse sweep — replacing the
-   per-variable symbolic-gradient tree walks of [Taylor.contract]. The
+   with G the adjoint partials from one reverse sweep, instead of one
+   symbolic-gradient tree walk per variable. The
    linear form is solved for each read variable with the relational
    {!Interval.div_rel}, so dimensions whose gradient encloses 0 still
    contract soundly: a strictly straddling gradient yields top (a no-op)

@@ -1,19 +1,19 @@
 (** Compiled interval tapes: the flat SSA form of the HC4 revise procedure.
 
-    {!Hc4.revise} walks the expression tree with two fresh hashtables and an
-    association-list environment per call; on campaign workloads revise
-    dominates the profile. This module compiles a {!Form.atom} once into a
-    register tape (mirroring the scalar tape of {!Compile}) that the solver
-    then replays per box: integer register slots instead of hashtables,
-    integer box dimensions instead of name lookups, and per-worker-domain
-    scratch arrays reused across calls.
+    This module compiles a {!Form.atom} once into a register tape
+    (mirroring the scalar tape of {!Compile}) that the solver then replays
+    per box: integer register slots instead of hashtables, integer box
+    dimensions instead of name lookups, and per-worker-domain scratch
+    arrays reused across calls. It is the solver's only interpreted
+    contraction engine ({!Hc4.contract_tape}).
 
-    The replay is {e operation-for-operation identical} to the tree walker —
-    registers are emitted in the tree walker's forward completion order, the
-    backward scan runs in its exact reverse, n-ary folds keep their seeds,
-    and certainly-True piecewise guards prune the same branches — so revise
-    results (and therefore paint logs) are bit-identical to {!Hc4.revise}.
-    This is enforced by the equivalence properties in [test_itape.ml]. *)
+    The replay is {e operation-for-operation identical} to a tree walk of
+    the expression — registers are emitted in the tree walk's forward
+    completion order, the backward scan runs in its exact reverse, n-ary
+    folds keep their seeds, and certainly-True piecewise guards prune the
+    same branches. The tree-walking reference lives in
+    [test/tree_oracle.ml], and the equivalence properties in
+    [test/test_itape.ml] check the tape against it bit for bit. *)
 
 type result = Contracted of Box.t | Infeasible
 
@@ -69,7 +69,7 @@ val length : t -> int
     variable-to-atom incidence map {!Hc4.compile} builds. *)
 val slots : t -> int array
 
-(** [revise prog box] is {!Hc4.revise} of the compiled atom on [box]:
+(** [revise prog box] is one HC4 revise of the compiled atom on [box]:
     forward evaluation, feasibility test against the atom's relation,
     backward contraction, and read-off of the contracted variable domains.
     Scratch registers live in domain-local storage; calls from different
@@ -81,8 +81,8 @@ val revise : t -> Box.t -> result
     (same operations in the same association), at tape speed. *)
 val eval : t -> Box.t -> Interval.t
 
-(** [status_on prog box] is {!Form.status_on} of the compiled atom — the
-    solver's per-box certainty test without the tree walk. *)
+(** [status_on prog box] is {!Form.status_of_interval} of {!eval}: the
+    solver's per-box certainty test of the compiled atom. *)
 val status_on : t -> Box.t -> [ `Holds | `Fails | `Unknown ]
 
 (** {1 Reverse-mode adjoint sweep} *)
@@ -114,7 +114,7 @@ val contract_mvf : t -> Box.t -> result
 
 (** {1 Shared backward machinery}
 
-    Used by both the tree walker and the tape replay, so the two paths
+    Used by the tape replay and by the tree-walking test oracle, so the two
     cannot drift apart. *)
 
 (** The sign interval a relation requires of its root expression. *)

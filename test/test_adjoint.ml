@@ -117,7 +117,11 @@ let test_straddling_gradient_contracts () =
      positive and the same solve makes a genuine cut (true bound is
      sqrt(0.5) ~ 0.7071). *)
   let f = sub (sqr x) (const 0.5) in
-  let tree b = Taylor.contract (Taylor.prepare ~vars:[ "x" ] (Form.le f)) b in
+  let tree b =
+    Tree_oracle.Taylor.contract
+      (Tree_oracle.Taylor.prepare ~vars:[ "x" ] (Form.le f))
+      b
+  in
   let tape b =
     match Itape.contract_mvf (Itape.compile ~vars:[ "x" ] (Form.le f)) b with
     | Itape.Infeasible -> Hc4.Infeasible

@@ -4,8 +4,9 @@ open Testutil
    that ride with it.
 
    The headline property is bit-identity: the compiled tape must reproduce
-   the tree-walking HC4 revise operation for operation, so verdicts, boxes
-   and paint logs are byte-identical at every worker count. The regression
+   the tree-walking HC4 revise of Tree_oracle operation for operation, so
+   verdicts, boxes and paint logs are byte-identical to the tree walker's
+   at every worker count. The regression
    cases pin the zero-divisor, Lambert-W fallback, huge-argument trig and
    zero-progress split fixes, each of which failed before this change. *)
 
@@ -74,7 +75,7 @@ let prop_revise_equiv =
     QCheck2.Gen.(pair atom_gen box_gen)
     (fun (atom, box) ->
       let tape = Itape.compile ~vars:(Box.vars box) atom in
-      same_result (Hc4.revise box atom) (Itape.revise tape box))
+      same_result (Tree_oracle.revise box atom) (Itape.revise tape box))
 
 let prop_contract_equiv =
   qcheck ~count:200 "contract_tape = contract (result and sweeps)"
@@ -83,7 +84,7 @@ let prop_contract_equiv =
     (fun (formula, box, rounds) ->
       let tree_c = Hc4.counters () and tape_c = Hc4.counters () in
       let compiled = Hc4.compile ~vars:(Box.vars box) formula in
-      let tree = Hc4.contract ~counters:tree_c box formula ~rounds in
+      let tree = Tree_oracle.contract ~counters:tree_c box formula ~rounds in
       let tape = Hc4.contract_tape ~counters:tape_c compiled box ~rounds in
       same_result tree tape
       && tree_c.Hc4.sweeps = tape_c.Hc4.sweeps
@@ -109,7 +110,7 @@ let test_mul_by_zero_sound () =
         check_true (label ^ ": y untouched")
           (Interval.equal (Box.get b "y") (Interval.point 0.0))
   in
-  check "tree" (Hc4.revise box atom);
+  check "tree" (Tree_oracle.revise box atom);
   let tape = Itape.compile ~vars:(Box.vars box) atom in
   check "tape" (Itape.revise tape box)
 
@@ -122,7 +123,8 @@ let test_mul_by_zero_still_prunes () =
   let box =
     Box.make [ ("x", Interval.make 1.0 2.0); ("y", Interval.point 0.0) ]
   in
-  check_true "tree prunes x*0 = 1" (Hc4.revise box atom = Hc4.Infeasible);
+  check_true "tree prunes x*0 = 1"
+    (Tree_oracle.revise box atom = Hc4.Infeasible);
   let tape = Itape.compile ~vars:(Box.vars box) atom in
   check_true "tape prunes x*0 = 1" (Itape.revise tape box = Hc4.Infeasible)
 
@@ -255,7 +257,7 @@ let prop_split_progress =
 
    Three independent evaluators of the same atom must agree: the compiled
    tape's forward pass (Itape.eval / status_on), the tree walk
-   (Ieval.eval / Form.status_on), and point evaluation at the box midpoint
+   (Ieval.eval / Tree_oracle.status_on), and point evaluation at the box midpoint
    (Eval.eval, with Dual.eval's value track as a fourth witness). Interval
    comparisons are exact — the tape is operation-identical to the tree —
    while the float-in-enclosure check allows point-evaluation roundoff. *)
@@ -268,7 +270,7 @@ let prop_status_eval_equiv =
       Interval.equal
         (Ieval.eval (Box.to_env box) atom.Form.expr)
         (Itape.eval tape box)
-      && Itape.status_on tape box = Form.status_on box atom)
+      && Itape.status_on tape box = Tree_oracle.status_on box atom)
 
 (* Random sub-box of a problem domain: shrink every dimension by two
    uniform cut points (kept ordered, so rounding cannot cross the ends). *)
@@ -303,7 +305,7 @@ let prop_registry_differential_oracle =
       let slack = 1e-9 *. (1.0 +. Float.abs v) in
       (* the tape's enclosure and certainty test match the tree walk *)
       Interval.equal (Ieval.eval (Box.to_env box) atom.Form.expr) enc
-      && Itape.status_on tape box = Form.status_on box atom
+      && Itape.status_on tape box = Tree_oracle.status_on box atom
       (* dual's value track is the float evaluator, operation for operation *)
       && (dual.Dual.v = v || (Float.is_nan dual.Dual.v && Float.is_nan v))
       (* the midpoint value lies in the interval enclosure, up to point
@@ -320,17 +322,30 @@ let prop_registry_differential_oracle =
          | `Fails -> not (Form.holds_at env atom)))
 
 (* ------------------------------------------------------------------ *)
-(* Paint-log identity on a real campaign pair *)
+(* Paint-log identity on a real campaign pair.
 
-let campaign_config ~use_tape ~workers =
+   The fixture is the normalized PBE/EC1 paint log of the tree-walking
+   engine under exactly this config, recorded when the solver still had a
+   tree-walk path (Verify.config.use_tape = false). Matching it at 1 and 4
+   workers keeps "byte-identical to the tree walker" checked evidence. *)
+
+let paint_fixture = "fixtures/pbe_ec1_tree_paint.sexp"
+
+let campaign_config ~workers =
   {
     Verify.threshold = 0.4;
     solver =
-      { Icp.default_config with fuel = 60; delta = 1e-2; contractor_rounds = 2 };
+      {
+        Icp.default_config with
+        fuel = 60;
+        delta = 1e-2;
+        contractor_rounds = 2;
+        faults = None;
+      };
     deadline_seconds = None;
     workers;
     use_taylor = false;
-    use_tape;
+    use_tape = true;
     split_heuristic = `Widest;
     retry = Verify.no_retry;
     jit = false;
@@ -339,23 +354,36 @@ let campaign_config ~use_tape ~workers =
 
 let normalized o = Serialize.to_string { o with Outcome.stats = Outcome.zero_stats }
 
-let test_paint_log_identity () =
-  let run ~use_tape ~workers =
+let test_paint_log_matches_tree_fixture () =
+  let run ~workers =
     match
-      Verify.run_pair
-        ~config:(campaign_config ~use_tape ~workers)
-        (Registry.find "pbe") Conditions.Ec1
+      Verify.run_pair ~config:(campaign_config ~workers) (Registry.find "pbe")
+        Conditions.Ec1
     with
     | Some o -> normalized o
     | None -> Alcotest.fail "PBE/EC1 must be applicable"
   in
-  let reference = run ~use_tape:false ~workers:1 in
-  Alcotest.(check string) "tape paint log byte-identical (workers=1)"
-    reference
-    (run ~use_tape:true ~workers:1);
-  Alcotest.(check string) "tape paint log byte-identical (workers=4)"
-    reference
-    (run ~use_tape:true ~workers:4)
+  let reference =
+    String.trim (In_channel.with_open_bin paint_fixture In_channel.input_all)
+  in
+  Alcotest.(check string) "tape paint log = tree fixture (workers=1)"
+    reference (run ~workers:1);
+  Alcotest.(check string) "tape paint log = tree fixture (workers=4)"
+    reference (run ~workers:4)
+
+(* The tape is the only engine: a config asking for the removed tree-walk
+   path is refused up front rather than silently run on the tape. *)
+let test_tree_walk_config_refused () =
+  let config = { (campaign_config ~workers:1) with use_tape = false } in
+  let refused label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: use_tape = false must be refused" label
+  in
+  refused "run_pair" (fun () ->
+      ignore (Verify.run_pair ~config (Registry.find "pbe") Conditions.Ec1));
+  refused "campaign" (fun () ->
+      ignore (Verify.campaign ~config [ Registry.find "pbe" ]))
 
 let suite =
   [
@@ -372,5 +400,7 @@ let suite =
     prop_split_progress;
     prop_status_eval_equiv;
     prop_registry_differential_oracle;
-    case "paint log identity tree vs tape" test_paint_log_identity;
+    case "paint log matches tree-walk fixture"
+      test_paint_log_matches_tree_fixture;
+    case "tree-walk config refused" test_tree_walk_config_refused;
   ]

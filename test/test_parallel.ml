@@ -30,23 +30,6 @@ let test_exception_propagation () =
            (fun x -> if x = 37 then raise Boom else x)
            (List.init 100 Fun.id)))
 
-let test_map_result_collects_all () =
-  (* unlike [map], every item is attempted and every failure reported *)
-  let results =
-    Pool.map_result ~workers:4
-      (fun x -> if x mod 10 = 7 then raise Boom else x * 2)
-      (List.init 50 Fun.id)
-  in
-  Alcotest.(check int) "one result per item" 50 (List.length results);
-  let oks = List.filter_map (function Ok v -> Some v | Error _ -> None) results
-  and errs = List.filter (function Error _ -> true | Ok _ -> false) results in
-  Alcotest.(check int) "all five failures reported" 5 (List.length errs);
-  Alcotest.(check (list int)) "successes in order, values intact"
-    (List.filter_map
-       (fun x -> if x mod 10 = 7 then None else Some (x * 2))
-       (List.init 50 Fun.id))
-    oks
-
 let test_map_stops_claiming_after_failure () =
   (* After one worker fails, workers that observe the flag must not claim
      further items. With a failure on the first item and a barrier-free
@@ -275,7 +258,6 @@ let suite =
     case "empty and singleton" test_empty_and_singleton;
     case "more workers than items" test_more_workers_than_items;
     case "exception propagation" test_exception_propagation;
-    case "map_result collects all failures" test_map_result_collects_all;
     case "map stops claiming after failure" test_map_stops_claiming_after_failure;
     case "iter side effects" test_iter_effects;
     case "default workers" test_default_workers;

@@ -56,14 +56,15 @@ let test_form () =
   Alcotest.check_raises "cannot negate equality"
     (Invalid_argument "Form.negate_atom: cannot negate an equality") (fun () ->
       ignore (Form.negate_atom (Form.eq f)));
-  (* status over boxes *)
-  (match Form.status_on (box2 (2.0, 3.0) (2.0, 3.0)) a with
+  (* status over boxes, as the solver tests it: on the compiled tape *)
+  let status_on b = Itape.status_on (Itape.compile ~vars:(Box.vars b) a) b in
+  (match status_on (box2 (2.0, 3.0) (2.0, 3.0)) with
   | `Fails -> ()
   | _ -> Alcotest.fail "far box should certainly fail");
-  (match Form.status_on (box2 (0.0, 0.1) (0.0, 0.1)) a with
+  (match status_on (box2 (0.0, 0.1) (0.0, 0.1)) with
   | `Holds -> ()
   | _ -> Alcotest.fail "tiny box should certainly hold");
-  match Form.status_on unit_box a with
+  match status_on unit_box with
   | `Unknown -> ()
   | _ -> Alcotest.fail "unit box should be unknown"
 
@@ -75,34 +76,37 @@ let test_form_nan_semantics () =
 
 (* ---- HC4 ------------------------------------------------------------- *)
 
+(* One HC4 revise of a single atom, on the compiled tape the solver uses. *)
+let revise box atom = Itape.revise (Itape.compile ~vars:(Box.vars box) atom) box
+
 let contracted_box = function
   | Hc4.Contracted b -> b
   | Hc4.Infeasible -> Alcotest.fail "unexpected infeasible"
 
 let test_hc4_linear () =
   (* x + y <= 0 on [0,1]^2 forces x = y = 0 up to rounding. *)
-  let r = Hc4.revise unit_box (Form.le (add x y)) in
+  let r = revise unit_box (Form.le (add x y)) in
   let b = contracted_box r in
   check_true "x pinched" (Interval.sup (Box.get b "x") <= 1e-9);
   check_true "y pinched" (Interval.sup (Box.get b "y") <= 1e-9)
 
 let test_hc4_infeasible () =
   (* x + y + 3 <= 0 impossible on the unit box. *)
-  match Hc4.revise unit_box (Form.le (add_n [ x; y; int 3 ])) with
+  match revise unit_box (Form.le (add_n [ x; y; int 3 ])) with
   | Hc4.Infeasible -> ()
   | Hc4.Contracted _ -> Alcotest.fail "should be infeasible"
 
 let test_hc4_quadratic () =
   (* x^2 - 4 >= 0 on x in [0, 10] contracts to [2, 10]. *)
   let b = Box.make [ ("x", iv 0.0 10.0) ] in
-  let r = contracted_box (Hc4.revise b (Form.ge (sub (sqr x) (int 4)))) in
+  let r = contracted_box (revise b (Form.ge (sub (sqr x) (int 4)))) in
   check_true "lower bound near 2" (Interval.inf (Box.get r "x") >= 1.999);
   check_true "lower bound sound" (Interval.inf (Box.get r "x") <= 2.0)
 
 let test_hc4_exp () =
   (* exp x <= 1 forces x <= 0. *)
   let b = Box.make [ ("x", iv (-5.0) 5.0) ] in
-  let r = contracted_box (Hc4.revise b (Form.le (sub (exp x) one))) in
+  let r = contracted_box (revise b (Form.le (sub (exp x) one))) in
   check_true "x <= 0 (+ulp)" (Interval.sup (Box.get r "x") <= 1e-9);
   check_true "lower untouched" (Interval.inf (Box.get r "x") = -5.0)
 
@@ -112,7 +116,8 @@ let test_hc4_shared_subterm () =
   let t = sub x one in
   let f = add (sqr t) t in
   let b = Box.make [ ("x", iv (-10.0) 10.0) ] in
-  let r = Hc4.contract b [ Form.le (add f (rat 1 4)) ] ~rounds:20 in
+  let compiled = Hc4.compile ~vars:(Box.vars b) [ Form.le (add f (rat 1 4)) ] in
+  let r = Hc4.contract_tape compiled b ~rounds:20 in
   let bx = contracted_box r in
   check_true "contains solution 0.5" (Interval.mem 0.5 (Box.get bx "x"));
   check_true "substantially narrowed" (Interval.width (Box.get bx "x") < 10.0)
@@ -134,7 +139,7 @@ let test_hc4_soundness_random =
       let atom = Form.le e in
       let point = [ ("x", px); ("y", py) ] in
       if certainly_satisfies_le point e then
-        match Hc4.revise unit_box atom with
+        match revise unit_box atom with
         | Hc4.Infeasible -> false
         | Hc4.Contracted b -> Box.mem point b
       else true)
@@ -193,6 +198,13 @@ let test_icp_transcendental () =
       check_close ~tol:1e-2 "ln 2" (Stdlib.log 2.0) (List.assoc "x" model)
   | _ -> Alcotest.fail "expected sat near ln 2"
 
+let test_icp_unbound_variable () =
+  (* without a tape the formula is compiled on entry, so a variable the box
+     lacks is reported before any search *)
+  Alcotest.check_raises "unbound variable"
+    (Invalid_argument "Itape.compile: unbound variable \"z\"") (fun () ->
+      ignore (Icp.solve cfg unit_box [ Form.le (sub (var "z") x) ]))
+
 let test_icp_soundness_random =
   qcheck ~count:100 "unsat verdicts are sound"
     QCheck2.Gen.(tup3 expr_gen (float_range 0.0 1.0) (float_range 0.0 1.0))
@@ -218,6 +230,7 @@ let suite =
     case "hc4 shared subterms" test_hc4_shared_subterm;
     test_hc4_soundness_random;
     case "icp unsat" test_icp_unsat;
+    case "icp unbound variable" test_icp_unbound_variable;
     case "icp sat with model" test_icp_sat_model;
     case "icp conjunction" test_icp_conjunction;
     case "icp timeout" test_icp_timeout;

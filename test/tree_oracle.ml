@@ -1,0 +1,405 @@
+(* Tree-walking reference implementations of the solver's contraction and
+   certainty tests. The library contracts only through the compiled
+   interval tape (Itape / Hc4.contract_tape / Hc4.mean_value_tape); these
+   walk the expression trees directly, with hashtables keyed by node id,
+   and serve as independent oracles: the equivalence properties in
+   test_itape.ml and test_adjoint.ml check the tape against them bit for
+   bit. They share only the backward branch inverses (the Itape.backward_
+   functions) and the relation targets with the tape. *)
+
+open Expr
+
+(* Prefix/suffix folds used to compute, for every operand of an n-ary node,
+   the combination of all *other* operands in O(n). *)
+let others combine unit xs =
+  let arr = Array.of_list xs in
+  let n = Array.length arr in
+  let prefix = Array.make (n + 1) unit in
+  for i = 0 to n - 1 do
+    prefix.(i + 1) <- combine prefix.(i) arr.(i)
+  done;
+  let suffix = Array.make (n + 1) unit in
+  for i = n - 1 downto 0 do
+    suffix.(i) <- combine arr.(i) suffix.(i + 1)
+  done;
+  List.init n (fun i -> combine prefix.(i) suffix.(i + 1))
+
+let revise box atom =
+  let e = atom.Form.expr in
+  let env = Box.to_env box in
+  (* ---- forward pass -------------------------------------------------- *)
+  let fwd : (int, Interval.t) Hashtbl.t = Hashtbl.create 256 in
+  let order = ref [] in
+  (* children-first order *)
+  let rec forward e =
+    match Hashtbl.find_opt fwd e.id with
+    | Some i -> i
+    | None ->
+        let i =
+          match e.node with
+          | Num r -> Interval.point (Rat.to_float r)
+          | Flt f -> Interval.point f
+          | Var v -> (
+              match List.assoc_opt v env with
+              | Some i -> i
+              | None -> raise (Eval.Unbound_variable v))
+          | Add terms ->
+              List.fold_left
+                (fun acc t -> Interval.add acc (forward t))
+                Interval.zero terms
+          | Mul factors ->
+              List.fold_left
+                (fun acc f -> Interval.mul acc (forward f))
+                Interval.one factors
+          | Pow (b, x) -> Ieval.pow_node (as_rat x) (forward b) (forward x)
+          | Apply (op, a) -> Ieval.apply_unop op (forward a)
+          | Piecewise (branches, default) ->
+              let rec walk acc = function
+                | [] -> Interval.join acc (forward default)
+                | (g, body) :: rest -> (
+                    match
+                      Ieval.guard_status_of_interval g.grel (forward g.cond)
+                    with
+                    | `True -> Interval.join acc (forward body)
+                    | `False ->
+                        (* still record dead branches in fwd for uniformity *)
+                        ignore (forward body);
+                        walk acc rest
+                    | `Unknown -> walk (Interval.join acc (forward body)) rest)
+              in
+              walk Interval.empty branches
+        in
+        Hashtbl.add fwd e.id i;
+        order := e :: !order;
+        i
+  in
+  let root_fwd = forward e in
+  (* ---- backward pass ------------------------------------------------- *)
+  let req : (int, Interval.t) Hashtbl.t = Hashtbl.create 256 in
+  let requirement n =
+    match Hashtbl.find_opt req n.id with
+    | Some r -> r
+    | None -> Hashtbl.find fwd n.id
+  in
+  let tighten child contribution =
+    Hashtbl.replace req child.id (Interval.meet (requirement child) contribution)
+  in
+  (* Union-of-branches contribution: meet each branch with the current
+     requirement first, then hull, preserving gaps the union straddles
+     (crucial for even powers: x^2 >= 4 on [0,10] must yield [2,10]). *)
+  let tighten_branches child branches =
+    let cur = requirement child in
+    let joined =
+      List.fold_left
+        (fun acc b -> Interval.join acc (Interval.meet cur b))
+        Interval.empty branches
+    in
+    Hashtbl.replace req child.id joined
+  in
+  let root_req =
+    Interval.meet root_fwd (Itape.target_of_relation atom.Form.rel)
+  in
+  if Interval.is_empty root_req then Hc4.Infeasible
+  else begin
+    Hashtbl.replace req e.id root_req;
+    let infeasible = ref false in
+    let propagate n =
+      let r = requirement n in
+      if Interval.is_empty r then infeasible := true
+      else
+        match n.node with
+        | Num _ | Flt _ | Var _ -> ()
+        | Add terms ->
+            let fwd_of t = Hashtbl.find fwd t.id in
+            let rest_sums =
+              others Interval.add Interval.zero (List.map fwd_of terms)
+            in
+            List.iter2
+              (fun t rest -> tighten t (Interval.sub r rest))
+              terms rest_sums
+        | Mul factors ->
+            let fwd_of t = Hashtbl.find fwd t.id in
+            let rest_prods =
+              others Interval.mul Interval.one (List.map fwd_of factors)
+            in
+            List.iter2
+              (fun t rest ->
+                (* x * rest = r => x in the relational quotient r / rest:
+                   top when 0 is in both (x * 0 = 0 constrains nothing),
+                   empty when rest = {0} but 0 is not in r. *)
+                if Interval.is_empty rest then ()
+                else tighten t (Interval.div_rel r rest))
+              factors rest_prods
+        | Pow (b, x) -> (
+            match (as_rat x, as_const x) with
+            | Some rat, _ -> tighten_branches b (Itape.backward_pow_rat r rat)
+            | None, Some p -> tighten_branches b (Itape.backward_pow_const r p)
+            | None, None ->
+                (* Variable exponent: contract the exponent when the base is
+                   certainly > 1 or in (0, 1): y = log r / log b. *)
+                let fb = Hashtbl.find fwd b.id in
+                if Interval.certainly_gt fb 0.0 then begin
+                  let logb = Transcend.log fb in
+                  let logr = Transcend.log (Interval.meet r Interval.nonneg) in
+                  if
+                    (not (Interval.is_empty logr))
+                    && not (Interval.mem 0.0 logb)
+                  then tighten x (Interval.div logr logb)
+                end)
+        | Apply (op, a) -> (
+            match op with
+            | Exp -> tighten a (Transcend.log r)
+            | Log -> tighten a (Transcend.exp r)
+            | Tanh -> tighten a (Transcend.atanh r)
+            | Atan -> tighten a (Transcend.tan_on_principal r)
+            | Abs -> tighten_branches a (Itape.backward_abs r)
+            | Lambert_w -> tighten a (Transcend.w_inverse r)
+            | Sin ->
+                (* Only invert within a range certainly strictly inside the
+                   principal monotone branch (round-down pi/2). *)
+                let fa = Hashtbl.find fwd a.id in
+                if
+                  Interval.is_bounded fa
+                  && Interval.inf fa >= -.Transcend.half_pi_lo
+                  && Interval.sup fa <= Transcend.half_pi_lo
+                then tighten a (Transcend.asin_hull r)
+            | Cos ->
+                let fa = Hashtbl.find fwd a.id in
+                if
+                  Interval.is_bounded fa
+                  && Interval.inf fa >= 0.0
+                  && Interval.sup fa <= Transcend.pi_lo
+                then tighten a (Transcend.acos_hull r))
+        | Piecewise (branches, default) ->
+            (* Propagate into a branch only when it is certainly the one
+               taken on the whole box. *)
+            let rec walk = function
+              | [] -> tighten default r
+              | (g, body) :: rest -> (
+                  match
+                    Ieval.guard_status_of_interval g.grel
+                      (Hashtbl.find fwd g.cond.id)
+                  with
+                  | `True -> tighten body r
+                  | `False -> walk rest
+                  | `Unknown -> ())
+            in
+            walk branches
+    in
+    (* Nodes were consed onto [order] in post-order (children pushed before
+       parents), so the list head-first runs parents-first: each node's
+       requirement is final before its children are tightened. *)
+    List.iter (fun n -> if not !infeasible then propagate n) !order;
+    if !infeasible then Hc4.Infeasible
+    else begin
+      (* Read contracted variable domains. *)
+      let contracted = ref box in
+      let failed = ref false in
+      List.iter
+        (fun n ->
+          match n.node with
+          | Var v -> (
+              match Hashtbl.find_opt req n.id with
+              | Some r ->
+                  let r = Interval.meet r (Box.get box v) in
+                  if Interval.is_empty r then failed := true
+                  else contracted := Box.set !contracted v r
+              | None -> ())
+          | _ -> ())
+        !order;
+      if !failed then Hc4.Infeasible else Hc4.Contracted !contracted
+    end
+  end
+
+(* The sweep stop test of Hc4.contract_tape: largest relative width
+   reduction over dimensions. *)
+let improvement before after =
+  let n = Box.dim before in
+  let best = ref 0.0 in
+  for i = 0 to n - 1 do
+    let wb = Interval.width (Box.get_idx before i) in
+    let wa = Interval.width (Box.get_idx after i) in
+    if wb > 0.0 && Float.is_finite wb then
+      best := Float.max !best ((wb -. wa) /. wb)
+  done;
+  !best
+
+(* One revise per atom per sweep, no agenda: the reference for
+   Hc4.contract_tape's results and sweep counts. *)
+let contract ?counters:cnt box formula ~rounds =
+  let count_revise () =
+    match cnt with
+    | Some c -> c.Hc4.revise_calls <- c.Hc4.revise_calls + 1
+    | None -> ()
+  in
+  let count_sweep () =
+    match cnt with Some c -> c.Hc4.sweeps <- c.Hc4.sweeps + 1 | None -> ()
+  in
+  let rec sweep box k =
+    if k >= rounds then Hc4.Contracted box
+    else begin
+      count_sweep ();
+      let rec apply box = function
+        | [] -> Hc4.Contracted box
+        | a :: rest -> (
+            count_revise ();
+            match revise box a with
+            | Hc4.Infeasible -> Hc4.Infeasible
+            | Hc4.Contracted box' -> apply box' rest)
+      in
+      match apply box formula with
+      | Hc4.Infeasible -> Hc4.Infeasible
+      | Hc4.Contracted box' ->
+          if improvement box box' < 0.01 then Hc4.Contracted box'
+          else sweep box' (k + 1)
+    end
+  in
+  sweep box 0
+
+(* [Form.status_of_interval] of the tree-walk enclosure [Ieval.eval]. *)
+let status_on box a =
+  Form.status_of_interval (Ieval.eval (Box.to_env box) a.Form.expr) a.Form.rel
+
+(* The symbolic mean-value-form contractor: one symbolic gradient per
+   variable, prepared up front and evaluated by tree walks on each box.
+   The reference for Itape.contract_mvf. *)
+module Taylor = struct
+  type prepared = {
+    atom : Form.atom;
+    grads : (int * Expr.t) list;
+        (** (box dimension, symbolic gradient) per free variable — dimensions
+            are resolved once at prepare time so the per-box hot path never
+            does a name lookup *)
+    guards : Expr.guard list;  (** every piecewise guard inside the atom *)
+  }
+
+  let collect_guards e =
+    fold_dag
+      (fun e acc ->
+        match e.node with
+        | Piecewise (branches, _) -> List.map fst branches @ acc
+        | _ -> acc)
+      e []
+
+  let prepare ~vars (atom : Form.atom) =
+    let slot_of v =
+      let rec find i = function
+        | [] ->
+            invalid_arg
+              (Printf.sprintf "Tree_oracle.Taylor.prepare: unbound variable %S"
+                 v)
+        | v' :: rest -> if String.equal v v' then i else find (i + 1) rest
+      in
+      find 0 vars
+    in
+    let grads =
+      List.map
+        (fun v ->
+          (slot_of v, Simplify.simplify (Deriv.diff ~wrt:v atom.Form.expr)))
+        (Expr.vars atom.Form.expr)
+    in
+    { atom; grads; guards = collect_guards atom.Form.expr }
+
+  (* The mean value form is only valid where f is differentiable: every
+     piecewise guard must be decided over the whole box. *)
+  let differentiable prepared env =
+    List.for_all
+      (fun g ->
+        match Ieval.guard_status env g with
+        | `True | `False -> true
+        | `Unknown -> false)
+      prepared.guards
+
+  let deviations prepared box =
+    (* (box dimension, gradient enclosure, X_i - m_i) per dimension. *)
+    let env = Box.to_env box in
+    List.map
+      (fun (slot, grad) ->
+        let xi = Box.get_idx box slot in
+        let mi = Interval.midpoint xi in
+        let centred =
+          Interval.of_bounds
+            (Interval.lo_down (Interval.inf xi -. mi))
+            (Interval.hi_up (Interval.sup xi -. mi))
+        in
+        (slot, Ieval.eval env grad, centred))
+      prepared.grads
+
+  let midpoint_env box =
+    List.map (fun (v, x) -> (v, Interval.point x)) (Box.midpoint box)
+
+  let enclosure prepared box =
+    let env = Box.to_env box in
+    let natural = Ieval.eval env prepared.atom.Form.expr in
+    if not (differentiable prepared env) then natural
+    else begin
+      let fm = Ieval.eval (midpoint_env box) prepared.atom.Form.expr in
+      if Interval.is_empty fm then natural
+      else begin
+        let mvf =
+          List.fold_left
+            (fun acc (_, g, dx) -> Interval.add acc (Interval.mul g dx))
+            fm (deviations prepared box)
+        in
+        Interval.meet natural mvf
+      end
+    end
+
+  let contract prepared box =
+    let env = Box.to_env box in
+    let target = Itape.target_of_relation prepared.atom.Form.rel in
+    if not (differentiable prepared env) then Hc4.Contracted box
+    else begin
+      let fm = Ieval.eval (midpoint_env box) prepared.atom.Form.expr in
+      if Interval.is_empty fm then
+        (* Midpoint outside the expression's domain (possible on boxes that
+           straddle a domain boundary): no sound linearization point. *)
+        Hc4.Contracted box
+      else begin
+        let devs = deviations prepared box in
+        let terms = List.map (fun (_, g, dx) -> Interval.mul g dx) devs in
+        let total =
+          List.fold_left Interval.add fm terms
+        in
+        if Interval.is_empty (Interval.meet total target) then Hc4.Infeasible
+        else begin
+          (* Solve the linear form for each variable in turn:
+             g_i (x_i - m_i) in target - f(m) - sum_{j<>i} terms_j. *)
+          let arr = Array.of_list terms in
+          let n = Array.length arr in
+          let prefix = Array.make (n + 1) fm in
+          for i = 0 to n - 1 do
+            prefix.(i + 1) <- Interval.add prefix.(i) arr.(i)
+          done;
+          let suffix = Array.make (n + 1) Interval.zero in
+          for i = n - 1 downto 0 do
+            suffix.(i) <- Interval.add arr.(i) suffix.(i + 1)
+          done;
+          let box' = ref box in
+          let infeasible = ref false in
+          List.iteri
+            (fun i (slot, g, _) ->
+              if not !infeasible then begin
+                let others = Interval.add prefix.(i) suffix.(i + 1) in
+                (* Relational division: a gradient enclosing 0 no longer
+                   skips the dimension. Strictly straddling gradients give
+                   top (a sound no-op), half-open ones ([0, k]) genuine
+                   contraction, and g = {0} with 0 outside the numerator a
+                   correct infeasibility proof. *)
+                let rhs = Interval.div_rel (Interval.sub target others) g in
+                let xi = Box.get_idx !box' slot in
+                let mi = Interval.midpoint xi in
+                let shifted = Interval.add rhs (Interval.point mi) in
+                let narrowed = Interval.meet xi shifted in
+                if Interval.is_empty narrowed then infeasible := true
+                else if not (Interval.equal narrowed xi) then
+                  box' := Box.set_idx !box' slot narrowed
+              end)
+            devs;
+          if !infeasible then Hc4.Infeasible else Hc4.Contracted !box'
+        end
+      end
+    end
+
+  let contractor prepared box = contract prepared box
+end
