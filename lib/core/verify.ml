@@ -238,7 +238,7 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
   let margin box =
     match negated with
     | [ a ] ->
-        let v = Eval.eval (Box.midpoint box) a.Form.expr in
+        let v = Hc4.eval_midpoint compiled 0 box in
         if Float.is_nan v then Float.infinity
         else (
           match a.Form.rel with

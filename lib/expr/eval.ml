@@ -7,13 +7,14 @@ exception Unbound_variable of string
 let pow_float b x =
   if Float.is_integer x && Float.abs x <= 64.0 then begin
     let n = int_of_float x in
-    let rec go acc b n =
-      if n = 0 then acc
-      else if n land 1 = 1 then go (acc *. b) (b *. b) (n asr 1)
-      else go acc (b *. b) (n asr 1)
-    in
-    let p = go 1.0 b (Stdlib.abs n) in
-    if n >= 0 then p else 1.0 /. p
+    (* binary powering; a loop over float refs keeps every step unboxed *)
+    let acc = ref 1.0 and b = ref b and k = ref (Stdlib.abs n) in
+    while !k <> 0 do
+      if !k land 1 = 1 then acc := !acc *. !b;
+      b := !b *. !b;
+      k := !k asr 1
+    done;
+    if n >= 0 then !acc else 1.0 /. !acc
   end
   else Float.pow b x
 

@@ -23,50 +23,73 @@
 (* Error-free transforms and double-double arithmetic                  *)
 (* ------------------------------------------------------------------ *)
 
+(* A dd value hi + lo lives in a mutable cell: every operation below takes
+   its operands as floats and writes its result into a destination cell
+   (which may hold an operand — operands are read first). Inlined, the
+   whole evaluation stays in unboxed floats, where pairs returned by value
+   would allocate a tuple and two boxed floats per operation. *)
+type dd = { mutable hi : float; mutable lo : float }
+
+let dd () = { hi = 0.0; lo = 0.0 }
+
+let[@inline] set d h l =
+  d.hi <- h;
+  d.lo <- l
+
 (* Knuth two_sum: s + e = a + b exactly. *)
-let two_sum a b =
+let[@inline] two_sum d a b =
   let s = a +. b in
   let b' = s -. a in
-  let e = (a -. (s -. b')) +. (b -. b') in
-  (s, e)
+  set d s ((a -. (s -. b')) +. (b -. b'))
 
 (* Fast path valid when |a| >= |b|. *)
-let quick_two_sum a b =
+let[@inline] quick_two_sum d a b =
   let s = a +. b in
-  (s, b -. (s -. a))
+  set d s (b -. (s -. a))
 
 (* p + e = a * b exactly (glibc fma is correctly rounded). *)
-let two_prod a b =
+let[@inline] two_prod d a b =
   let p = a *. b in
-  (p, Float.fma a b (-.p))
+  set d p (Float.fma a b (-.p))
 
 (* dd addition (the accurate variant): relative error <= 3 * 2^-106
-   (Joldes-Muller-Popescu). *)
-let dd_add (xh, xl) (yh, yl) =
-  let sh, se = two_sum xh yh in
-  let th, te = two_sum xl yl in
+   (Joldes-Muller-Popescu). The two two_sums and the first quick_two_sum
+   are spelled out so their pairs stay in registers. *)
+let[@inline] dd_add d xh xl yh yl =
+  let sh = xh +. yh in
+  let b1 = sh -. xh in
+  let se = (xh -. (sh -. b1)) +. (yh -. b1) in
+  let th = xl +. yl in
+  let b2 = th -. xl in
+  let te = (xl -. (th -. b2)) +. (yl -. b2) in
   let c = se +. th in
-  let vh, vl = quick_two_sum sh c in
-  let w = te +. vl in
-  quick_two_sum vh w
+  let vh = sh +. c in
+  let vl = c -. (vh -. sh) in
+  quick_two_sum d vh (te +. vl)
 
-let dd_neg (h, l) = (-.h, -.l)
-let dd_sub x y = dd_add x (dd_neg y)
+let[@inline] dd_sub d xh xl yh yl = dd_add d xh xl (-.yh) (-.yl)
 
 (* dd multiplication: relative error <= 7 * 2^-106. *)
-let dd_mul (xh, xl) (yh, yl) =
-  let ph, pe = two_prod xh yh in
-  let pe = pe +. ((xh *. yl) +. (xl *. yh)) in
-  quick_two_sum ph pe
+let[@inline] dd_mul d xh xl yh yl =
+  let ph = xh *. yh in
+  let pe = Float.fma xh yh (-.ph) in
+  quick_two_sum d ph (pe +. ((xh *. yl) +. (xl *. yh)))
 
 (* dd division (one Newton correction): relative error <= 15 * 2^-106. *)
-let dd_div (xh, xl) (yh, yl) =
+let dd_div d xh xl yh yl =
   let th = xh /. yh in
-  let rh, rl = dd_sub (xh, xl) (dd_mul (th, 0.0) (yh, yl)) in
-  let tl = (rh +. rl) /. yh in
-  quick_two_sum th tl
+  dd_mul d th 0.0 yh yl;
+  dd_sub d xh xl d.hi d.lo;
+  quick_two_sum d th ((d.hi +. d.lo) /. yh)
 
-let dd_scale2 (h, l) = (2.0 *. h, 2.0 *. l) (* exact *)
+(* A dd constant table, as (hi, lo) pairs. *)
+let dd_inverses denominators =
+  Array.map
+    (fun den ->
+      let d = dd () in
+      dd_div d 1.0 0.0 den 0.0;
+      (d.hi, d.lo))
+    denominators
 
 (* ------------------------------------------------------------------ *)
 (* Outward rounding of a dd value with an explicit error radius        *)
@@ -82,7 +105,7 @@ let dd_scale2 (h, l) = (2.0 *. h, 2.0 *. l) (* exact *)
    that, plus an absolute floor where the value can vanish. One step
    instead of two is what makes the kernel strictly tighter than the
    legacy blanket two-ulp margin at every point input. *)
-let enclose_dd (vh, vl) err =
+let enclose_dd vh vl err =
   let e = 1.25 *. err in
   let lo = Interval.lo_down (vh +. (vl -. e)) in
   let hi = Interval.hi_up (vh +. (vl +. e)) in
@@ -90,7 +113,7 @@ let enclose_dd (vh, vl) err =
 
 let ulp_of v =
   let a = Float.abs v in
-  Float.succ a -. a
+  Interval.succ a -. a
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch counters                                                   *)
@@ -173,56 +196,61 @@ let exp_coeffs =
   for i = 1 to 13 do
     fact.(i) <- fact.(i - 1) *. float_of_int i (* exact: 13! < 2^53 *)
   done;
-  Array.init 14 (fun j -> dd_div (1.0, 0.0) (fact.(13 - j), 0.0))
+  dd_inverses (Array.init 14 (fun j -> fact.(13 - j)))
 
 (* Certified enclosure of exp(t) for a dd argument with its own absolute
    error bound [terr]; requires exp_dom_lo <= t <= exp_dom_hi. *)
-let exp_core (th, tl) terr =
+let exp_core th tl terr =
   let k = Float.round (th *. inv_ln2) in
   (* r = t - k*ln2 in dd: every product below is exact (two_prod; k is an
      integer < 2^11), so only the dd_add compressions round. *)
-  let p, pe = two_prod k ln2_hi in
-  let q, qe = two_prod k ln2_lo in
-  let s, se = two_sum th (-.p) in
-  let r = dd_sub (dd_add (s, se) (tl -. pe, 0.0)) (q, qe) in
-  let acc = ref exp_coeffs.(0) in
+  let p = dd () and q = dd () and r = dd () in
+  two_prod p k ln2_hi;
+  two_prod q k ln2_lo;
+  two_sum r th (-.p.hi);
+  dd_add r r.hi r.lo (tl -. p.lo) 0.0;
+  dd_sub r r.hi r.lo q.hi q.lo;
+  let h0, l0 = exp_coeffs.(0) in
+  let acc = p in
+  set acc h0 l0;
   for j = 1 to 13 do
-    acc := dd_add (dd_mul !acc r) exp_coeffs.(j)
+    dd_mul acc acc.hi acc.lo r.hi r.lo;
+    let ch, cl = exp_coeffs.(j) in
+    dd_add acc acc.hi acc.lo ch cl
   done;
-  let vh, vl = !acc in
   let ik = int_of_float k in
-  let sh = Float.ldexp vh ik and sl = Float.ldexp vl ik in
+  let sh = Float.ldexp acc.hi ik and sl = Float.ldexp acc.lo ik in
   (* Argument uncertainty terr maps through the Lipschitz constant of exp
      on the result's scale: |d exp| = exp <= 1.01 * |sh| relative-wise. *)
   let err = Float.abs sh *. (exp_rel_err +. (1.01 *. terr)) in
-  enclose_dd (sh, sl) err
+  enclose_dd sh sl err
 
 (* Enclosure of exp at a single endpoint, sound for every float. *)
 let exp_point x =
   if x < exp_dom_lo then begin
     count_exp_fallback ();
-    Interval.of_bounds 0.0 (Interval.sup (exp_core (exp_dom_lo, 0.0) 0.0))
+    Interval.of_bounds 0.0 (Interval.sup (exp_core exp_dom_lo 0.0 0.0))
   end
   else if x > exp_dom_hi then begin
     count_exp_fallback ();
     Interval.of_bounds
-      (Interval.inf (exp_core (exp_dom_hi, 0.0) 0.0))
+      (Interval.inf (exp_core exp_dom_hi 0.0 0.0))
       Float.infinity
   end
   else begin
     count_exp_kernel ();
-    exp_core (x, 0.0) 0.0
+    exp_core x 0.0 0.0
   end
 
 let exp i =
   if Interval.is_empty i then Interval.empty
   else if Interval.is_point i then begin
     let e = exp_point (Interval.inf i) in
-    Interval.of_bounds (Float.max 0.0 (Interval.inf e)) (Interval.sup e)
+    Interval.of_bounds (Interval.fmax 0.0 (Interval.inf e)) (Interval.sup e)
   end
   else
     Interval.of_bounds
-      (Float.max 0.0 (Interval.inf (exp_point (Interval.inf i))))
+      (Interval.fmax 0.0 (Interval.inf (exp_point (Interval.inf i))))
       (Interval.sup (exp_point (Interval.sup i)))
 
 (* ------------------------------------------------------------------ *)
@@ -249,32 +277,42 @@ let sqrt_half = 0.7071067811865476
 
 let log_coeffs =
   (* 1/(2j+1), j = 11 .. 0, as dd (Horner order in s = u^2). *)
-  Array.init 12 (fun j -> dd_div (1.0, 0.0) (float_of_int (2 * (11 - j) + 1), 0.0))
+  dd_inverses (Array.init 12 (fun j -> float_of_int ((2 * (11 - j)) + 1)))
 
-(* dd log of a positive finite float, with its derived error radius. *)
-let log_core x =
+(* dd log of a positive finite float into [v]; returns its derived error
+   radius. *)
+let log_core v x =
   let m0, e0 = Float.frexp x in
   let m, e = if m0 < sqrt_half then (m0 *. 2.0, e0 - 1) else (m0, e0) in
   let num = m -. 1.0 in
-  let den = two_sum m 1.0 in
-  let u = dd_div (num, 0.0) den in
-  let s = dd_mul u u in
-  let acc = ref log_coeffs.(0) in
+  let u = dd () and s = dd () and acc = dd () in
+  two_sum u m 1.0;
+  dd_div u num 0.0 u.hi u.lo;
+  dd_mul s u.hi u.lo u.hi u.lo;
+  let h0, l0 = log_coeffs.(0) in
+  set acc h0 l0;
   for j = 1 to 11 do
-    acc := dd_add (dd_mul !acc s) log_coeffs.(j)
+    dd_mul acc acc.hi acc.lo s.hi s.lo;
+    let ch, cl = log_coeffs.(j) in
+    dd_add acc acc.hi acc.lo ch cl
   done;
-  let logm = dd_scale2 (dd_mul u !acc) in
+  (* logm = 2 u P(s), the doubling exact *)
+  let logm = u in
+  dd_mul logm u.hi u.lo acc.hi acc.lo;
+  set logm (2.0 *. logm.hi) (2.0 *. logm.lo);
   let ef = float_of_int e in
-  let p, pe = two_prod ef ln2_hi in
-  let q, qe = two_prod ef ln2_lo in
-  let v = dd_add (dd_add (p, pe) (q, qe)) logm in
-  let vh, _ = v in
-  (v, (Float.abs vh *. log_rel_err) +. log_abs_err)
+  let p = s and q = acc in
+  two_prod p ef ln2_hi;
+  two_prod q ef ln2_lo;
+  dd_add v p.hi p.lo q.hi q.lo;
+  dd_add v v.hi v.lo logm.hi logm.lo;
+  (Float.abs v.hi *. log_rel_err) +. log_abs_err
 
 let log_point x =
   count_log_kernel ();
-  let v, err = log_core x in
-  enclose_dd v err
+  let v = dd () in
+  let err = log_core v x in
+  enclose_dd v.hi v.lo err
 
 let log i =
   let i = Interval.meet i Interval.nonneg in
@@ -303,23 +341,24 @@ let log i =
    of t = r_dd * ln_dd(x) maps to the same relative error on exp t. *)
 let pow_rat_point x rat =
   (* x > 0 finite. *)
-  let y = dd_div (float_of_int (Rat.num rat), 0.0) (float_of_int (Rat.den rat), 0.0) in
-  let lx, lerr = log_core x in
-  let th, tl = dd_mul y lx in
-  let yh, _ = y in
+  let y = dd () and t = dd () in
+  dd_div y (float_of_int (Rat.num rat)) 0.0 (float_of_int (Rat.den rat)) 0.0;
+  let lerr = log_core t x in
+  dd_mul t y.hi y.lo t.hi t.lo;
+  let th = t.hi and tl = t.lo in
   (* |d(y * lx)| <= |y| * lerr + |t| * (rel of y and of the product). *)
-  let terr = (Float.abs yh *. lerr) +. (Float.abs th *. 1e-30) in
+  let terr = (Float.abs y.hi *. lerr) +. (Float.abs th *. 1e-30) in
   if th < exp_dom_lo then begin
     count_exp_fallback ();
-    Interval.of_bounds 0.0 (Interval.sup (exp_core (exp_dom_lo, 0.0) 0.0))
+    Interval.of_bounds 0.0 (Interval.sup (exp_core exp_dom_lo 0.0 0.0))
   end
   else if th > exp_dom_hi then begin
     count_exp_fallback ();
     Interval.of_bounds
-      (Interval.inf (exp_core (exp_dom_hi, 0.0) 0.0))
+      (Interval.inf (exp_core exp_dom_hi 0.0 0.0))
       Float.infinity
   end
-  else exp_core (th, tl) terr
+  else exp_core th tl terr
 
 let pow_rat i rat =
   match Rat.to_int rat with
@@ -348,11 +387,11 @@ let pow_rat i rat =
         (* monotone increasing for r > 0, decreasing for r < 0 *)
         if pos then
           Interval.of_bounds
-            (Float.max 0.0 (Interval.inf ia))
+            (Interval.fmax 0.0 (Interval.inf ia))
             (Interval.sup ib)
         else
           Interval.of_bounds
-            (Float.max 0.0 (Interval.inf ib))
+            (Interval.fmax 0.0 (Interval.inf ib))
             (Interval.sup ia)
       end
 
@@ -368,20 +407,26 @@ let trig_reduce_max = 0x1p52
    products; the only approximation is the constant's defect (|k| *
    two_pi_defect) plus two dd_add compressions on magnitudes <= 5:
    < 2e-31. *)
-let reduce_shifted k x =
-  if k = 0.0 then ((x, 0.0), 0.0)
+let reduce_shifted r k x =
+  if k = 0.0 then begin
+    set r x 0.0;
+    0.0
+  end
   else begin
-    let p, pe = two_prod k two_pi_hi in
-    let q, qe = two_prod k two_pi_lo in
-    let s, se = two_sum x (-.p) in
-    let r = dd_sub (dd_add (s, se) (-.pe, 0.0)) (q, qe) in
-    (r, (Float.abs k *. two_pi_defect) +. 1e-30)
+    let p = dd () and q = dd () in
+    two_prod p k two_pi_hi;
+    two_prod q k two_pi_lo;
+    two_sum r x (-.p.hi);
+    dd_add r r.hi r.lo (-.p.lo) 0.0;
+    dd_sub r r.hi r.lo q.hi q.lo;
+    (Float.abs k *. two_pi_defect) +. 1e-30
   end
 
 let reduce_two_pi x =
   let k = Float.round (x *. inv_two_pi) in
-  let (rh, rl), err = reduce_shifted k x in
-  (rh, rl, err)
+  let r = dd () in
+  let err = reduce_shifted r k x in
+  (r.hi, r.lo, err)
 
 (* Containment slack for the critical-point test on the *reduced*
    argument: the reduced interval lives in [-16, 16], where reconstructing
@@ -413,8 +458,9 @@ let trig_certified f phase_of_max i =
       (* One shift k for both endpoints, so the reduced interval is the
          original translated by exactly k * 2pi. *)
       let k = Float.round (Interval.midpoint i *. inv_two_pi) in
-      let (rah, ral), ea = reduce_shifted k a in
-      let (rbh, rbl), eb = reduce_shifted k b in
+      let ra = dd () and rb = dd () in
+      let ea = reduce_shifted ra k a and eb = reduce_shifted rb k b in
+      let rah = ra.hi and ral = ra.lo and rbh = rb.hi and rbl = rb.lo in
       let arg_a = rah +. ral and arg_b = rbh +. rbl in
       (* Endpoint argument uncertainty: reduction error + the rounding of
          collapsing the dd to one double (zero on the k = 0 path). *)
@@ -423,8 +469,8 @@ let trig_certified f phase_of_max i =
       let fa = f arg_a and fb = f arg_b in
       (* f is 1-Lipschitz: argument slack widens the value directly; two
          pred/succ steps cover libm's faithful rounding as before. *)
-      let lo = ref (Float.min (fa -. da) (fb -. db)) in
-      let hi = ref (Float.max (fa +. da) (fb +. db)) in
+      let lo = ref (Interval.fmin (fa -. da) (fb -. db)) in
+      let hi = ref (Interval.fmax (fa +. da) (fb +. db)) in
       let r_lo = arg_a -. da and r_hi = arg_b +. db in
       let check_extremum phase value =
         let k0 = Float.floor ((r_lo -. crit_slack -. phase) /. two_pi_hi) in
@@ -435,15 +481,15 @@ let trig_certified f phase_of_max i =
             hit := true
         done;
         if !hit then begin
-          lo := Float.min !lo value;
-          hi := Float.max !hi value
+          lo := Interval.fmin !lo value;
+          hi := Interval.fmax !hi value
         end
       in
       check_extremum phase_of_max 1.0;
       check_extremum (phase_of_max +. (two_pi_hi /. 2.0)) (-1.0);
       Interval.of_bounds
-        (Float.max (-1.0) (Interval.lo_down (Interval.lo_down !lo)))
-        (Float.min 1.0 (Interval.hi_up (Interval.hi_up !hi)))
+        (Interval.fmax (-1.0) (Interval.lo_down (Interval.lo_down !lo)))
+        (Interval.fmin 1.0 (Interval.hi_up (Interval.hi_up !hi)))
     end
   end
 
@@ -478,13 +524,13 @@ let w_lo x =
   else begin
     let guess =
       let w = Lambert.w0 x in
-      if Float.is_nan w then -1.0 else Float.max (-1.0) w
+      if Float.is_nan w then -1.0 else Interval.fmax (-1.0) w
     in
     let rec down w step steps =
       if w <= -1.0 then -1.0 (* inf of W0's range: sound floor *)
       else if residual_le w x then w
       else if steps > 60 then -1.0
-      else down (Float.max (-1.0) (w -. step)) (2.0 *. step) (steps + 1)
+      else down (Interval.fmax (-1.0) (w -. step)) (2.0 *. step) (steps + 1)
     in
     count_w_kernel ();
     if guess <= -1.0 then
@@ -517,7 +563,7 @@ let w_hi x =
   else begin
     let w0 = Lambert.w0 x in
     let guess =
-      if Float.is_nan w0 then branch_hi_guess x else Float.max (-1.0) w0
+      if Float.is_nan w0 then branch_hi_guess x else Interval.fmax (-1.0) w0
     in
     let rec up w step steps =
       if residual_ge w x then w

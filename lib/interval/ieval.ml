@@ -25,18 +25,18 @@ let pow_node rat base expo =
   | Some r -> Transcend.pow_rat base r
   | None -> Interval.pow_expr base expo
 
-let guard_status_of_interval rel gi =
-  if Interval.is_empty gi then `False
+let[@inline] guard_status_of_bounds rel lo hi =
+  if not (lo <= hi) then `False
   else
     match rel with
-    | Le ->
-        if Interval.certainly_le gi 0.0 then `True
-        else if Interval.certainly_gt gi 0.0 then `False
-        else `Unknown
-    | Lt ->
-        if Interval.certainly_lt gi 0.0 then `True
-        else if Interval.certainly_ge gi 0.0 then `False
-        else `Unknown
+    | Le -> if hi <= 0.0 then `True else if lo > 0.0 then `False else `Unknown
+    | Lt -> if hi < 0.0 then `True else if lo >= 0.0 then `False else `Unknown
+
+let guard_status_of_interval rel gi =
+  guard_status_of_bounds rel (Interval.inf gi) (Interval.sup gi)
+
+let guard_status_of_reg rel (r : Interval.Regs.t) i =
+  guard_status_of_bounds rel (Float.Array.get r.lo i) (Float.Array.get r.hi i)
 
 let eval env e =
   let go =

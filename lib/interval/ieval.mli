@@ -24,6 +24,11 @@ val guard_status : env -> Expr.guard -> [ `True | `False | `Unknown ]
 val guard_status_of_interval :
   Expr.rel -> Interval.t -> [ `True | `False | `Unknown ]
 
+(** [guard_status_of_reg rel regs i] is [guard_status_of_interval] of
+    register [i], without boxing it: for register-file interpreters. *)
+val guard_status_of_reg :
+  Expr.rel -> Interval.Regs.t -> int -> [ `True | `False | `Unknown ]
+
 (** [apply_unop op i] is the interval image of primitive [op] (dispatch into
     {!Interval} / {!Transcend}). *)
 val apply_unop : Expr.unop -> Interval.t -> Interval.t

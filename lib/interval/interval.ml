@@ -1,5 +1,72 @@
 type t = { lo : float; hi : float }
 
+(* ------------------------------------------------------------------ *)
+(* Outward rounding                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Successor and predecessor in round-to-nearest arithmetic, after Rump,
+   Zimmermann, Boldo and Melquiond, "Computing predecessor and successor
+   in rounding to nearest", BIT 49 (2009). For |x| >= 2^-969 the product
+   phi * |x| with phi = u (1 + 2u), u = 2^-53, lies strictly between half
+   an ulp and one and a half ulps of x and is computed without underflow,
+   so x + phi |x| rounds to the neighbour. Below 2^-1021 the spacing is
+   the smallest subnormal eta = 2^-1074 and x + eta is exact; in between,
+   scaling by 2^53 moves x into the first range exactly. Each branch is
+   plain float arithmetic: [Float.succ]/[Float.pred] are C calls
+   ([nextafter]) and this sits on every interval operation. The result is
+   bit-identical to [nextafter] (test/test_interval.ml checks it), with
+   one special case the formula misses: succ (-eta) is -0, not +0. *)
+let phi = 0x1.0000000000001p-53
+
+(* Infinities as literals: unlike [Float.infinity] they fold to constants,
+   so an inlined function that returns one keeps its result unboxed. *)
+let pos_inf = 0x1p1024
+let neg_inf = -0x1p1024
+
+(* [up ~strict x]: the successor of [x]. With [strict] it is [nextafter]
+   toward +inf exactly (-inf steps to -max_float, NaN is quieted); without,
+   infinities and NaN are fixed points, the outward-rounding rule. *)
+let[@inline] up ~strict x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 then
+    if a <= 0x1.fffffffffffffp1023 then x +. (phi *. a)
+    else if (not strict) || x > 0.0 then x
+    else -0x1.fffffffffffffp1023
+  else if a < 0x1p-1021 then if x = -0x1p-1074 then -0.0 else x +. 0x1p-1074
+  else if a >= 0x1p-1021 then
+    let c = x *. 0x1p53 in
+    (c +. (phi *. Float.abs c)) *. 0x1p-53
+  else if strict then x +. x
+  else x
+
+let[@inline] succ x = up ~strict:true x
+let[@inline] pred x = -.up ~strict:true (-.x)
+let[@inline] hi_up x = up ~strict:false x
+let[@inline] lo_down x = -.up ~strict:false (-.x)
+
+(* [Float.min]/[Float.max] without their C calls on ordered operands:
+   comparisons decide every ordered pair, and -0 < +0 is settled by the
+   sign of 1/x. Only a NaN operand (never produced on the hot path) falls
+   through to the stdlib's own sign-bit rule, spelled out here so both
+   arms return unboxed floats. *)
+let[@inline] fmin x y =
+  if y > x then x
+  else if x > y then y
+  else if x = y then if x = 0.0 && 1.0 /. x < 0.0 then x else y
+  else if (not (Float.sign_bit y)) && Float.sign_bit x then
+    if Float.is_nan y then y else x
+  else if Float.is_nan x then x
+  else y
+
+let[@inline] fmax x y =
+  if y > x then y
+  else if x > y then x
+  else if x = y then if x = 0.0 && 1.0 /. x < 0.0 then y else x
+  else if (not (Float.sign_bit y)) && Float.sign_bit x then
+    if Float.is_nan x then x else y
+  else if Float.is_nan y then y
+  else x
+
 (* Empty is canonically [{lo = +inf; hi = -inf}]. *)
 let empty = { lo = Float.infinity; hi = Float.neg_infinity }
 let is_empty i = not (i.lo <= i.hi)
@@ -15,7 +82,7 @@ let zero = point 0.0
 let one = point 1.0
 let nonneg = { lo = 0.0; hi = Float.infinity }
 
-let of_bounds lo hi =
+let[@inline] of_bounds lo hi =
   if Float.is_nan lo || Float.is_nan hi || lo > hi then empty else { lo; hi }
 
 let is_point i = i.lo = i.hi
@@ -33,11 +100,11 @@ let midpoint i =
     let m = 0.5 *. (i.lo +. i.hi) in
     if Float.is_finite m then m else (0.5 *. i.lo) +. (0.5 *. i.hi)
   end
-  else if Float.is_finite i.lo then Float.max i.lo 1e150
-  else if Float.is_finite i.hi then Float.min i.hi (-1e150)
+  else if Float.is_finite i.lo then fmax i.lo 1e150
+  else if Float.is_finite i.hi then fmin i.hi (-1e150)
   else 0.0
 
-let mag i = if is_empty i then 0.0 else Float.max (Float.abs i.lo) (Float.abs i.hi)
+let mag i = if is_empty i then 0.0 else fmax (Float.abs i.lo) (Float.abs i.hi)
 
 let mig i =
   if is_empty i then 0.0
@@ -48,12 +115,12 @@ let mig i =
 let equal a b =
   (is_empty a && is_empty b) || (a.lo = b.lo && a.hi = b.hi)
 
-let meet a b = of_bounds (Float.max a.lo b.lo) (Float.min a.hi b.hi)
+let meet a b = of_bounds (fmax a.lo b.lo) (fmin a.hi b.hi)
 
 let join a b =
   if is_empty a then b
   else if is_empty b then a
-  else { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
+  else { lo = fmin a.lo b.lo; hi = fmax a.hi b.hi }
 
 let split i =
   if is_empty i || is_point i then invalid_arg "Interval.split";
@@ -63,20 +130,13 @@ let split i =
      splitting worklist. Nudge one ulp inward; if no interior float exists
      the interval is not splittable at all. *)
   let m =
-    if m <= i.lo then Float.succ i.lo
-    else if m >= i.hi then Float.pred i.hi
+    if m <= i.lo then succ i.lo
+    else if m >= i.hi then pred i.hi
     else m
   in
   if not (i.lo < m && m < i.hi) then
     invalid_arg "Interval.split: no float strictly inside";
   ({ lo = i.lo; hi = m }, { lo = m; hi = i.hi })
-
-(* ------------------------------------------------------------------ *)
-(* Outward rounding                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let lo_down x = if Float.is_finite x then Float.pred x else x
-let hi_up x = if Float.is_finite x then Float.succ x else x
 
 (* ------------------------------------------------------------------ *)
 (* Ring operations                                                     *)
@@ -93,7 +153,12 @@ let sub a b = add a (neg b)
 (* Endpoint product with the interval-arithmetic convention 0 * inf = 0
    (a zero endpoint means the factor can be exactly 0, and 0 times any finite
    approximant is 0). *)
-let xmul x y = if x = 0.0 || y = 0.0 then 0.0 else x *. y
+let[@inline] xmul x y = if x = 0.0 || y = 0.0 then 0.0 else x *. y
+
+(* Outward hull of four corner values, one bound each: the shared tail of
+   {!mul} and {!div} and of their register kernels below. *)
+let[@inline] hull4_lo c1 c2 c3 c4 = lo_down (fmin (fmin c1 c2) (fmin c3 c4))
+let[@inline] hull4_hi c1 c2 c3 c4 = hi_up (fmax (fmax c1 c2) (fmax c3 c4))
 
 let mul a b =
   if is_empty a || is_empty b then empty
@@ -106,14 +171,12 @@ let mul a b =
     let p2 = xmul a.lo b.hi in
     let p3 = xmul a.hi b.lo in
     let p4 = xmul a.hi b.hi in
-    of_bounds
-      (lo_down (Float.min (Float.min p1 p2) (Float.min p3 p4)))
-      (hi_up (Float.max (Float.max p1 p2) (Float.max p3 p4)))
+    of_bounds (hull4_lo p1 p2 p3 p4) (hull4_hi p1 p2 p3 p4)
   end
 
-let xdiv x y =
+let[@inline] xdiv x y =
   if x = 0.0 then 0.0
-  else if y = 0.0 then if x > 0.0 then Float.infinity else Float.neg_infinity
+  else if y = 0.0 then if x > 0.0 then pos_inf else neg_inf
   else x /. y
 
 let div a b =
@@ -129,9 +192,7 @@ let div a b =
     let q2 = xdiv a.lo b.hi in
     let q3 = xdiv a.hi b.lo in
     let q4 = xdiv a.hi b.hi in
-    of_bounds
-      (lo_down (Float.min (Float.min q1 q2) (Float.min q3 q4)))
-      (hi_up (Float.max (Float.max q1 q2) (Float.max q3 q4)))
+    of_bounds (hull4_lo q1 q2 q3 q4) (hull4_hi q1 q2 q3 q4)
   end
 
 (* Relational division, the projection the HC4 backward pass for products
@@ -150,7 +211,7 @@ let abs i =
   if is_empty i then empty
   else if i.lo >= 0.0 then i
   else if i.hi <= 0.0 then neg i
-  else { lo = 0.0; hi = Float.max (-.i.lo) i.hi }
+  else { lo = 0.0; hi = fmax (-.i.lo) i.hi }
 
 (* ------------------------------------------------------------------ *)
 (* Powers                                                              *)
@@ -160,20 +221,36 @@ let pow_bound b x =
   (* Round-to-nearest power used for both bounds before widening. *)
   Eval.pow_float b x
 
+(* [pow_bound b (float_of_int n)] for n >= 1: {!Eval.pow_float}'s binary
+   powering, inlined here so its operands stay unboxed. *)
+let[@inline] pow_bound_int b n =
+  if n > 64 then Float.pow b (float_of_int n)
+  else begin
+    let acc = ref 1.0 and b = ref b and n = ref n in
+    while !n <> 0 do
+      if !n land 1 = 1 then acc := !acc *. !b;
+      b := !b *. !b;
+      n := !n asr 1
+    done;
+    !acc
+  end
+
+(* The bounds of the base i^n is monotone in, for n >= 1: [i] itself for
+   odd powers (monotone increasing), [abs i] for even ones, which behave
+   like |i|^n. *)
+let[@inline] pow_base_lo n lo hi =
+  if n land 1 = 1 || lo >= 0.0 then lo else if hi <= 0.0 then -.hi else 0.0
+
+let[@inline] pow_base_hi n lo hi =
+  if n land 1 = 1 || lo >= 0.0 then hi
+  else if hi <= 0.0 then -.lo
+  else fmax (-.lo) hi
+
 let pow_int_pos i n =
   (* i^n for n >= 1. *)
-  if n land 1 = 1 then
-    (* Odd power: monotone increasing. *)
-    of_bounds
-      (lo_down (pow_bound i.lo (float_of_int n)))
-      (hi_up (pow_bound i.hi (float_of_int n)))
-  else begin
-    (* Even power: behaves like |i|^n. *)
-    let a = abs i in
-    of_bounds
-      (lo_down (pow_bound a.lo (float_of_int n)))
-      (hi_up (pow_bound a.hi (float_of_int n)))
-  end
+  of_bounds
+    (lo_down (pow_bound_int (pow_base_lo n i.lo i.hi) n))
+    (hi_up (pow_bound_int (pow_base_hi n i.lo i.hi) n))
 
 let rec pow_int i n =
   if is_empty i then empty
@@ -223,8 +300,8 @@ let pow_expr base expo =
       match cs with
       | [] -> empty
       | c :: rest ->
-          let lo = List.fold_left Float.min c rest in
-          let hi = List.fold_left Float.max c rest in
+          let lo = List.fold_left fmin c rest in
+          let hi = List.fold_left fmax c rest in
           (* Interior extrema of x^y on a box lie on the edges x in {b.lo,
              b.hi} or y in {expo.lo, expo.hi}, where the function is monotone
              in the remaining variable — corners suffice except across x = 1,
@@ -250,3 +327,118 @@ let pp ppf i =
   else Format.fprintf ppf "[%.17g, %.17g]" i.lo i.hi
 
 let to_string i = Format.asprintf "%a" pp i
+
+(* ------------------------------------------------------------------ *)
+(* Register files                                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Regs = struct
+  type interval = t
+  type t = { lo : Float.Array.t; hi : Float.Array.t }
+
+  let create n =
+    { lo = Float.Array.make n pos_inf; hi = Float.Array.make n neg_inf }
+
+  let length r = Float.Array.length r.lo
+  let[@inline] lo r i = Float.Array.get r.lo i
+  let[@inline] hi r i = Float.Array.get r.hi i
+
+  let[@inline] store r i l h =
+    Float.Array.set r.lo i l;
+    Float.Array.set r.hi i h
+
+  (* {!of_bounds}, into a register *)
+  let[@inline] store_bounds r i l h =
+    if Float.is_nan l || Float.is_nan h || l > h then store r i pos_inf neg_inf
+    else store r i l h
+
+  let get r i = of_bounds (lo r i) (hi r i)
+  let set r i (iv : interval) = store r i (inf iv) (sup iv)
+  let copy dst d a i = store dst d (lo a i) (hi a i)
+
+  let blit src dst n =
+    Float.Array.blit src.lo 0 dst.lo 0 n;
+    Float.Array.blit src.hi 0 dst.hi 0 n
+
+  let fill r n (iv : interval) =
+    Float.Array.fill r.lo 0 n (inf iv);
+    Float.Array.fill r.hi 0 n (sup iv)
+
+  let[@inline] is_empty r i = not (lo r i <= hi r i)
+  let[@inline] is_zero r i = lo r i = 0.0 && hi r i = 0.0
+  let[@inline] mem x r i = lo r i <= x && x <= hi r i
+
+  let equal a i b j =
+    (is_empty a i && is_empty b j) || (lo a i = lo b j && hi a i = hi b j)
+
+  (* Each kernel reads its operands before it writes, so [dst.(d)] may be
+     one of them: accumulators update in place. *)
+
+  let[@inline] add_bounds dst d alo ahi blo bhi =
+    if not (alo <= ahi) || not (blo <= bhi) then store dst d pos_inf neg_inf
+    else store_bounds dst d (lo_down (alo +. blo)) (hi_up (ahi +. bhi))
+
+  let add dst d a i b j =
+    add_bounds dst d (lo a i) (hi a i) (lo b j) (hi b j)
+
+  (* a - b is a + (neg b) *)
+  let sub dst d a i b j =
+    add_bounds dst d (lo a i) (hi a i) (-.hi b j) (-.lo b j)
+
+  let mul dst d a i b j =
+    let alo = lo a i and ahi = hi a i and blo = lo b j and bhi = hi b j in
+    if not (alo <= ahi) || not (blo <= bhi) then store dst d pos_inf neg_inf
+    else if (alo = 0.0 && ahi = 0.0) || (blo = 0.0 && bhi = 0.0) then
+      store dst d 0.0 0.0
+    else begin
+      let p1 = xmul alo blo in
+      let p2 = xmul alo bhi in
+      let p3 = xmul ahi blo in
+      let p4 = xmul ahi bhi in
+      store_bounds dst d (hull4_lo p1 p2 p3 p4) (hull4_hi p1 p2 p3 p4)
+    end
+
+  let[@inline] div_bounds dst d alo ahi blo bhi =
+    if not (alo <= ahi) || not (blo <= bhi) then store dst d pos_inf neg_inf
+    else if blo = 0.0 && bhi = 0.0 then store dst d pos_inf neg_inf
+    else if blo < 0.0 && bhi > 0.0 then
+      if alo = 0.0 && ahi = 0.0 then store dst d 0.0 0.0
+      else store dst d neg_inf pos_inf
+    else begin
+      let q1 = xdiv alo blo in
+      let q2 = xdiv alo bhi in
+      let q3 = xdiv ahi blo in
+      let q4 = xdiv ahi bhi in
+      store_bounds dst d (hull4_lo q1 q2 q3 q4) (hull4_hi q1 q2 q3 q4)
+    end
+
+  let div dst d a i b j = div_bounds dst d (lo a i) (hi a i) (lo b j) (hi b j)
+
+  (* {!pow_int}: i^|n| from the shared base and powering rules, inverted
+     through {!div} for negative n. *)
+  let pow_int dst d a i n =
+    let l = lo a i and h = hi a i in
+    if not (l <= h) then store dst d pos_inf neg_inf
+    else if n = 0 then store dst d 1.0 1.0
+    else begin
+      let m = Stdlib.abs n in
+      let pl = lo_down (pow_bound_int (pow_base_lo m l h) m) in
+      let ph = hi_up (pow_bound_int (pow_base_hi m l h) m) in
+      if n > 0 then store_bounds dst d pl ph
+      else if Float.is_nan pl || Float.is_nan ph || pl > ph then
+        store dst d pos_inf neg_inf
+      else div_bounds dst d 1.0 1.0 pl ph
+    end
+
+  let div_rel dst d a i b j =
+    if mem 0.0 a i && mem 0.0 b j then store dst d neg_inf pos_inf
+    else div dst d a i b j
+
+  let meet dst d a i b j =
+    store_bounds dst d (fmax (lo a i) (lo b j)) (fmin (hi a i) (hi b j))
+
+  let join dst d a i b j =
+    if is_empty a i then copy dst d b j
+    else if is_empty b j then copy dst d a i
+    else store dst d (fmin (lo a i) (lo b j)) (fmax (hi a i) (hi b j))
+end

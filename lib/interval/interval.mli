@@ -8,6 +8,12 @@
     implementations may be off by one ulp); this over-approximates true
     directed rounding but never under-approximates.
 
+    The one-ulp steps assume the FPU is in its default round-to-nearest
+    mode. They are computed with plain float arithmetic, after Rump,
+    Zimmermann, Boldo and Melquiond, "Computing predecessor and successor
+    in rounding to nearest" (BIT 49, 2009), and are bit-identical to
+    [nextafter] ({!succ}, {!pred}) without its C call.
+
     Domain semantics follow SMT-over-reals: an operation applied outside its
     real domain contributes no values. [log [-2, -1]] is {!empty};
     [log [-1, 4]] is [[-inf, log 4]]. The empty interval propagates through
@@ -129,11 +135,23 @@ val possibly_lt : t -> float -> bool
 
 (** {1 Rounding helpers (shared with {!Transcend})} *)
 
+(** [succ x] and [pred x] are [Float.succ x] and [Float.pred x] bit for
+    bit (NaN included), in round-to-nearest. *)
+val succ : float -> float
+
+val pred : float -> float
+
 (** [lo_down x] steps [x] one ulp toward [-inf]; [hi_up x] one ulp toward
-    [+inf]. Infinities are fixed points. *)
+    [+inf]. Infinities and NaN are fixed points. *)
 val lo_down : float -> float
 
 val hi_up : float -> float
+
+(** [fmin] and [fmax] are [Float.min] and [Float.max] bit for bit
+    ([-0 < +0], NaN wins), decided by comparisons on ordered operands. *)
+val fmin : float -> float -> float
+
+val fmax : float -> float -> float
 
 (** [of_bounds lo hi] builds an interval from already-directed bounds,
     normalizing empty ([lo > hi]) to {!empty}. Used by {!Transcend}. *)
@@ -141,3 +159,55 @@ val of_bounds : float -> float -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+(** {1 Register files}
+
+    Structure-of-arrays interval registers for tape interpreters: register
+    [i] of [r] is [[r.lo.(i), r.hi.(i)]], empty as [(+inf, -inf)]. The
+    kernels write their result straight into a destination register,
+    without allocating, and compute it with the same rules as the boxed
+    operation of the same name, bit for bit. Operands are (file, index)
+    pairs; the destination may be one of them. *)
+module Regs : sig
+  type interval := t
+  type t = private { lo : Float.Array.t; hi : Float.Array.t }
+
+  (** [create n] is [n] empty registers. *)
+  val create : int -> t
+
+  val length : t -> int
+  val get : t -> int -> interval
+  val set : t -> int -> interval -> unit
+
+  (** [store_bounds r i lo hi] is [set r i (of_bounds lo hi)]. *)
+  val store_bounds : t -> int -> float -> float -> unit
+
+  (** [copy dst d a i] copies register [a.(i)] to [dst.(d)]. *)
+  val copy : t -> int -> t -> int -> unit
+
+  (** [blit src dst n] copies the first [n] registers. *)
+  val blit : t -> t -> int -> unit
+
+  (** [fill r n iv] sets the first [n] registers to [iv]. *)
+  val fill : t -> int -> interval -> unit
+
+  val is_empty : t -> int -> bool
+
+  (** [is_zero r i]: the register is exactly [[0, 0]]. *)
+  val is_zero : t -> int -> bool
+
+  val equal : t -> int -> t -> int -> bool
+
+  (** [add dst d a i b j] sets [dst.(d)] to [add a.(i) b.(j)]; likewise
+      the others. *)
+  val add : t -> int -> t -> int -> t -> int -> unit
+
+  val sub : t -> int -> t -> int -> t -> int -> unit
+  val mul : t -> int -> t -> int -> t -> int -> unit
+  val div_rel : t -> int -> t -> int -> t -> int -> unit
+  val meet : t -> int -> t -> int -> t -> int -> unit
+  val join : t -> int -> t -> int -> t -> int -> unit
+
+  (** [pow_int dst d a i n] sets [dst.(d)] to [pow_int a.(i) n]. *)
+  val pow_int : t -> int -> t -> int -> int -> unit
+end

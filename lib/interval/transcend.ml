@@ -1,5 +1,5 @@
-let down2 x = Interval.lo_down (Interval.lo_down x)
-let up2 x = Interval.hi_up (Interval.hi_up x)
+let[@inline] down2 x = Interval.lo_down (Interval.lo_down x)
+let[@inline] up2 x = Interval.hi_up (Interval.hi_up x)
 
 (* Monotone increasing function on the whole real line. *)
 let mono_inc f i =
@@ -11,9 +11,9 @@ let mono_inc f i =
    enclosures change contraction; on wide intervals the enclosure width is
    dominated by the function's variation and the cheaper libm path loses
    nothing. *)
-let ulp_of v =
+let[@inline] ulp_of v =
   let a = Float.abs v in
-  Float.succ a -. a
+  Interval.succ a -. a
 
 let narrow i =
   Interval.is_bounded i
@@ -58,7 +58,7 @@ module Legacy = struct
     if Interval.is_empty i then Interval.empty
     else begin
       (* exp never goes below 0: clamp the widened lower bound. *)
-      let lo = Float.max 0.0 (down2 (Stdlib.exp (Interval.inf i))) in
+      let lo = Interval.fmax 0.0 (down2 (Stdlib.exp (Interval.inf i))) in
       let hi = up2 (Stdlib.exp (Interval.sup i)) in
       Interval.of_bounds lo hi
     end
@@ -93,7 +93,7 @@ module Legacy = struct
     else begin
       let a = Interval.inf i and b = Interval.sup i in
       let fa = f a and fb = f b in
-      let lo = ref (Float.min fa fb) and hi = ref (Float.max fa fb) in
+      let lo = ref (Interval.fmin fa fb) and hi = ref (Interval.fmax fa fb) in
       let check_extremum phase value =
         let k0 = Float.floor ((a -. phase) /. two_pi) in
         let candidates = [ k0; k0 +. 1.0; k0 +. 2.0 ] in
@@ -104,15 +104,15 @@ module Legacy = struct
               x >= a -. 1e-9 && x <= b +. 1e-9)
             candidates
         then begin
-          lo := Float.min !lo value;
-          hi := Float.max !hi value
+          lo := Interval.fmin !lo value;
+          hi := Interval.fmax !hi value
         end
       in
       check_extremum critical_shift 1.0;
       check_extremum (critical_shift +. (two_pi /. 2.0)) (-1.0);
       Interval.of_bounds
-        (Float.max (-1.0) (down2 !lo))
-        (Float.min 1.0 (up2 !hi))
+        (Interval.fmax (-1.0) (down2 !lo))
+        (Interval.fmin 1.0 (up2 !hi))
     end
 
   let sin i = trig Stdlib.sin (two_pi /. 4.0) i
@@ -130,7 +130,7 @@ module Legacy = struct
           else if Lambert.residual w x <= 0.0 then w
           else widen (Interval.lo_down (w -. (Float.abs w *. 1e-15))) (steps + 1)
         in
-        Float.max (-1.0) (widen (Interval.lo_down w) 0)
+        Interval.fmax (-1.0) (widen (Interval.lo_down w) 0)
       end
     end
 
@@ -187,16 +187,16 @@ let log i =
 let tanh i =
   if Interval.is_empty i then Interval.empty
   else begin
-    let lo = Float.max (-1.0) (down2 (Stdlib.tanh (Interval.inf i))) in
-    let hi = Float.min 1.0 (up2 (Stdlib.tanh (Interval.sup i))) in
+    let lo = Interval.fmax (-1.0) (down2 (Stdlib.tanh (Interval.inf i))) in
+    let hi = Interval.fmin 1.0 (up2 (Stdlib.tanh (Interval.sup i))) in
     Interval.of_bounds lo hi
   end
 
 let atan i =
   if Interval.is_empty i then Interval.empty
   else begin
-    let lo = Float.max (-.half_pi_hi) (down2 (Stdlib.atan (Interval.inf i))) in
-    let hi = Float.min half_pi_hi (up2 (Stdlib.atan (Interval.sup i))) in
+    let lo = Interval.fmax (-.half_pi_hi) (down2 (Stdlib.atan (Interval.inf i))) in
+    let hi = Interval.fmin half_pi_hi (up2 (Stdlib.atan (Interval.sup i))) in
     Interval.of_bounds lo hi
   end
 
@@ -234,7 +234,7 @@ let cos i = Interval.meet (Legacy.cos i) (Certified.cos i)
    near the branch point, or stride exhausted) and the caller repairs it
    with the certified kernel. *)
 
-let w_stride w = Float.max 1e-300 (Float.max (4.0 *. ulp_of w) (Float.abs w *. 4e-17))
+let w_stride w = Interval.fmax 1e-300 (Interval.fmax (4.0 *. ulp_of w) (Float.abs w *. 4e-17))
 
 let certify_lo x =
   if x = Float.neg_infinity then Float.nan
@@ -250,7 +250,7 @@ let certify_lo x =
       in
       let w0 = Interval.lo_down w in
       let r = widen w0 (w_stride w0) 0 in
-      if Float.is_nan r then r else Float.max (-1.0) r
+      if Float.is_nan r then r else Interval.fmax (-1.0) r
     end
   end
 
@@ -303,12 +303,12 @@ let widen_exponent_rounding i base p =
   if Interval.is_empty base then base
   else begin
     let ln_extreme x = if x > 0.0 && x < Float.infinity then Float.abs (Stdlib.log x) else 0.0 in
-    let lnb = Float.max (ln_extreme (Interval.mig i)) (ln_extreme (Interval.mag i)) in
+    let lnb = Interval.fmax (ln_extreme (Interval.mig i)) (ln_extreme (Interval.mag i)) in
     let d = (lnb +. 1.0) *. ulp_of p in
     (* base is within [0, +inf] (nonneg-base semantics). *)
     let lo = Interval.inf base and hi = Interval.sup base in
     let lo =
-      if Float.is_finite lo then Float.max 0.0 (Interval.lo_down (lo -. (lo *. d)))
+      if Float.is_finite lo then Interval.fmax 0.0 (Interval.lo_down (lo -. (lo *. d)))
       else lo
     in
     let hi = if hi = Float.infinity then hi else Interval.hi_up (hi +. (hi *. d)) in

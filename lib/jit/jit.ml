@@ -125,14 +125,13 @@ let instr_line push_args (instr : Itape.instr) =
   | Itape.Imul regs ->
       let off = push_args (Array.to_list regs) in
       ji 3 ~a:off ~b:(Array.length regs)
-  | Itape.Ipow { base; expo; const_expo; const_rat } -> (
+  | Itape.Ipow { base; expo; const_expo; const_rat; rat_deriv } -> (
       let p = match const_expo with Some v -> cfloat v | None -> "0x0p+0" in
       match const_rat with
       | Some rat ->
-          (* Forward: rational kernel. Adjoint: the rational rule needs both
-             an exact enclosure of the exponent and exponent-1 as a Rat; when
-             the latter overflows the tape falls back to the const-float
-             rule, and so do we. *)
+          (* Forward: rational kernel. Adjoint: the tape's exact-rational
+             rule ([rat_deriv]) when it has one, else the const-float rule,
+             and so do we. *)
           let enc = Transcend.enclose_rat rat in
           let clo = cfloat (Interval.inf enc)
           and chi = cfloat (Interval.sup enc) in
@@ -141,14 +140,9 @@ let instr_line push_args (instr : Itape.instr) =
             | Some _ -> crat_zero
             | None -> crat_of (Rat.inv rat)
           in
-          let rm1_opt =
-            match Rat.to_int rat with
-            | Some _ -> None
-            | None -> ( try Some (Rat.sub rat Rat.one) with Rat.Overflow -> None)
-          in
           let d, rm1_ok, rm1 =
-            match rm1_opt with
-            | Some rm1 -> (2, 1, crat_of rm1)
+            match rat_deriv with
+            | Some (rm1, _) -> (2, 1, crat_of rm1)
             | None -> ((if const_expo <> None then 1 else 0), 0, crat_zero)
           in
           ji 4 ~a:base ~b:expo ~u:2 ~d ~rm1_ok ~clo ~chi ~p ~r:(crat_of rat)

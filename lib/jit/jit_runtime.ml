@@ -9,6 +9,11 @@
    software outward rounding ([nextafter], never [fesetround]), the same
    NaN/signed-zero handling ([o_min]/[o_max] replicate [Float.min]/
    [Float.max]), and the same libm entry points the OCaml runtime calls.
+   The OCaml side computes its one-ulp steps and min/max with plain float
+   arithmetic and comparisons instead ([Interval.succ]/[pred]/[fmin]/
+   [fmax]); those are bit-identical to [nextafter] and [Float.min]/
+   [Float.max] (test/test_interval.ml checks it), so this engine keeps the
+   C library calls and still matches the OCaml side bit for bit.
 
    The emitter ({!Jit}) prefixes this text with the per-formula [#define]s
    (XCV_DIM, XCV_NPROGS, XCV_ROUNDS, XCV_DO_MVF,

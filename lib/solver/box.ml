@@ -33,6 +33,12 @@ let set_idx b i iv =
   { b with ivs }
 
 let set b v iv = set_idx b (index b v) iv
+let intervals b = Array.copy b.ivs
+
+let with_intervals b ivs =
+  if Array.length ivs <> Array.length b.ivs then
+    invalid_arg "Box.with_intervals: dimension mismatch";
+  { b with ivs }
 let is_empty b = Array.exists Interval.is_empty b.ivs
 
 let to_env b =

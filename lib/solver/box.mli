@@ -27,6 +27,16 @@ val set : t -> string -> Interval.t -> t
 
 val set_idx : t -> int -> Interval.t -> t
 
+(** [intervals box] is a fresh array of the box's intervals, in variable
+    order. *)
+val intervals : t -> Interval.t array
+
+(** [with_intervals box ivs] is [box] with its intervals replaced by [ivs]
+    (taken, not copied): one allocation for any number of changed
+    dimensions, where a chain of {!set_idx} copies the box per dimension.
+    @raise Invalid_argument if [ivs] does not match the box dimension. *)
+val with_intervals : t -> Interval.t array -> t
+
 (** A box is empty as soon as one of its intervals is. *)
 val is_empty : t -> bool
 

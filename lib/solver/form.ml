@@ -20,16 +20,17 @@ let negate_atom a =
   | Gt0 -> { a with rel = Le0 }
   | Eq0 -> invalid_arg "Form.negate_atom: cannot negate an equality"
 
-let holds_at env a =
-  let v = Eval.eval env a.expr in
+let satisfies rel v =
   if Float.is_nan v then false
   else
-    match a.rel with
+    match rel with
     | Le0 -> v <= 0.0
     | Lt0 -> v < 0.0
     | Ge0 -> v >= 0.0
     | Gt0 -> v > 0.0
     | Eq0 -> v = 0.0
+
+let holds_at env a = satisfies a.rel (Eval.eval env a.expr)
 
 let all_hold_at env f = List.for_all (holds_at env) f
 

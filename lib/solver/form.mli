@@ -36,6 +36,10 @@ val negate_atom : atom -> atom
     false (the model fell outside the expression's domain). *)
 val holds_at : (string * float) list -> atom -> bool
 
+(** [satisfies rel v]: the value [v] of an atom's expression satisfies
+    [rel]; NaN never does. *)
+val satisfies : relation -> float -> bool
+
 val all_hold_at : (string * float) list -> t -> bool
 
 (** Interval certainty of an atom whose expression has the given enclosure

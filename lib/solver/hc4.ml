@@ -24,10 +24,16 @@ type compiled = {
   progs : Itape.t array;
   incidence : int array array;
       (* box dimension -> indices of atoms reading it *)
+  points : Compile.t array;
+      (* each atom's expression as a scalar float tape, for point probes *)
 }
 
 let compile ~vars formula =
   let progs = Array.of_list (List.map (Itape.compile ~vars) formula) in
+  let points =
+    Array.of_list
+      (List.map (fun (a : Form.atom) -> Compile.compile ~vars a.expr) formula)
+  in
   let nslots = List.length vars in
   let buckets = Array.make nslots [] in
   Array.iteri
@@ -39,6 +45,7 @@ let compile ~vars formula =
   {
     progs;
     incidence = Array.map (fun js -> Array.of_list (List.rev js)) buckets;
+    points;
   }
 
 let atoms compiled = Array.length compiled.progs
@@ -48,6 +55,21 @@ let incidence compiled = compiled.incidence
 let statuses_on compiled box =
   Array.to_list
     (Array.map (fun prog -> Itape.status_on prog box) compiled.progs)
+
+(* Compile.run agrees with Eval.eval to the last ulp (up to the sign of a
+   zero sum, which no relation or margin comparison sees) without Eval's
+   memo table per call. *)
+let eval_midpoint compiled j box =
+  Compile.run compiled.points.(j)
+    (Array.init (Box.dim box) (fun i -> Interval.midpoint (Box.get_idx box i)))
+
+let holds_at_midpoint compiled box =
+  let rec go j =
+    j >= Array.length compiled.progs
+    || Form.satisfies (Itape.rel compiled.progs.(j)) (eval_midpoint compiled j box)
+       && go (j + 1)
+  in
+  go 0
 
 (* The mean-value contractor: one adjoint sweep per atom gives every
    partial at once. Used as a pipeline stage after the HC4 agenda. *)

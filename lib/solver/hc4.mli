@@ -60,6 +60,16 @@ val incidence : compiled -> int array array
     formula order: the interval certainty of each atom over the box. *)
 val statuses_on : compiled -> Box.t -> [ `Holds | `Fails | `Unknown ] list
 
+(** [eval_midpoint compiled j box] is atom [j]'s expression in float
+    arithmetic at the box's midpoint, on its scalar {!Compile} tape: the
+    value [Eval.eval (Box.midpoint box)] computes, with the same
+    operations in the same order. *)
+val eval_midpoint : compiled -> int -> Box.t -> float
+
+(** [holds_at_midpoint compiled box] is [Form.all_hold_at (Box.midpoint
+    box)] of the compiled formula, on the scalar tapes. *)
+val holds_at_midpoint : compiled -> Box.t -> bool
+
 (** [contract_tape ?counters compiled box ~rounds] applies {!Itape.revise}
     for every atom of the conjunction repeatedly, up to [rounds] sweeps or
     until a sweep improves no dimension by more than 1%. An AC-3 style

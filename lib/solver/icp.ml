@@ -256,7 +256,8 @@ let solve_real ~contractors cfg box formula =
                 end
                 else begin
                   let mid = Box.midpoint box in
-                  if cfg.sample_check && Form.all_hold_at mid formula then
+                  if cfg.sample_check && Hc4.holds_at_midpoint compiled box
+                  then
                     (* A float-arithmetic witness: not box-certified, but it
                        will pass the caller's valid(x) re-check. *)
                     finish (Sat { model = mid; certified = false })

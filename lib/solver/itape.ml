@@ -19,6 +19,11 @@ type instr =
           (* exact rational exponent, when the expression carries one: the
              forward rule and the backward inverse then account for the
              rounding of the exponent instead of silently using fl(r) *)
+      rat_deriv : (Rat.t * Interval.t) option;
+          (* [Some (r - 1, enclosure of r)] when [const_rat] is a
+             non-integer [r] and [r - 1] does not overflow: the operands of
+             the exact derivative rule, computed once at compile time
+             instead of on every adjoint sweep *)
     }
   | Iunop of Expr.unop * int
   | Iselect of { branches : (int * Expr.rel * int) array; default : int }
@@ -84,6 +89,14 @@ let backward_abs r =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let rat_deriv r =
+  match Rat.to_int r with
+  | Some _ -> None
+  | None -> (
+      match Rat.sub r Rat.one with
+      | rm1 -> Some (rm1, Transcend.enclose_rat r)
+      | exception Rat.Overflow -> None)
+
 let compile ~vars (atom : Form.atom) =
   let slot_of v =
     let rec find i = function
@@ -121,13 +134,15 @@ let compile ~vars (atom : Form.atom) =
                nodes in the tree walker's exact sequence. *)
             let rx = self x in
             let rb = self b in
+            let const_rat = as_rat x in
             emit
               (Ipow
                  {
                    base = rb;
                    expo = rx;
                    const_expo = as_const x;
-                   const_rat = as_rat x;
+                   const_rat;
+                   rat_deriv = Option.bind const_rat rat_deriv;
                  })
         | Apply (op, a) -> emit (Iunop (op, self a))
         | Piecewise (branches, default) ->
@@ -176,47 +191,96 @@ let has_select prog = prog.has_select
 (* Per-domain scratch registers                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One forward array, one requirement array and one visited mask per worker
-   domain, grown on demand and reused across every revise call the domain
-   performs — this is what replaces the tree walker's two fresh hashtables
-   per call. Keyed per domain (not stored in the shared program, which
-   several workers revise concurrently). *)
+(* Structure-of-arrays register files, one set per worker domain, grown on
+   demand and reused across every call the domain makes: the forward,
+   requirement and adjoint registers, the visited mask, the suffix-fold
+   buffer of n-ary backward contributions, a few named temporaries and the
+   per-variable terms of the mean-value form. Every interval operation of
+   a sweep writes into one of these through an {!Interval.Regs} kernel,
+   so sweeping a tape allocates nothing per instruction; only the boxed
+   transcendental and power rules allocate, at their call boundary. Keyed
+   per domain (not stored in the shared program, which several workers
+   revise concurrently). *)
 type scratch = {
-  mutable fwd : Interval.t array;
-  mutable req : Interval.t array;
-  mutable adj : Interval.t array;
+  mutable fwd : Interval.Regs.t;
+  mutable req : Interval.Regs.t;
+  mutable adj : Interval.Regs.t;
       (* adjoint registers of the reverse-mode gradient sweep *)
   mutable visited : bool array;
-  mutable nary : Interval.t array;
+  mutable nary : Interval.Regs.t;
       (* suffix-fold buffer for n-ary backward contributions *)
+  tmp : Interval.Regs.t;  (* the t_* temporaries below *)
+  mutable dx : Interval.Regs.t;  (* mean-value form, one per variable *)
+  mutable terms : Interval.Regs.t;
+  mutable prefix : Interval.Regs.t;
+  mutable suffix : Interval.Regs.t;
+  mutable mids : Float.Array.t;
 }
+
+(* Temporaries: a running n-ary prefix, the combination of the other
+   operands, one operation's result, the [0, 1] branch weight, the
+   relation target and the root requirement. *)
+let t_acc = 0
+let t_rest = 1
+let t_res = 2
+let t_weight = 3
+let t_target = 4
+let t_root = 5
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { fwd = [||]; req = [||]; adj = [||]; visited = [||]; nary = [||] })
+      let tmp = Interval.Regs.create 6 in
+      Interval.Regs.set tmp t_weight (Interval.make 0.0 1.0);
+      let none = Interval.Regs.create 0 in
+      {
+        fwd = none;
+        req = none;
+        adj = none;
+        visited = [||];
+        nary = none;
+        tmp;
+        dx = none;
+        terms = none;
+        prefix = none;
+        suffix = none;
+        mids = Float.Array.create 0;
+      })
+
+let grown r m = Interval.Regs.create (Stdlib.max m (2 * Interval.Regs.length r))
 
 let ensure_capacity s n =
-  if Array.length s.fwd < n then begin
-    let m = Stdlib.max n (2 * Array.length s.fwd) in
-    s.fwd <- Array.make m Interval.empty;
-    s.req <- Array.make m Interval.empty;
-    s.adj <- Array.make m Interval.empty;
-    s.visited <- Array.make m false
+  if Interval.Regs.length s.fwd < n then begin
+    s.fwd <- grown s.fwd n;
+    s.req <- grown s.req n;
+    s.adj <- grown s.adj n;
+    s.visited <- Array.make (Interval.Regs.length s.fwd) false
   end
 
 let nary_buffer s m =
-  if Array.length s.nary < m then
-    s.nary <- Array.make (Stdlib.max m (2 * Array.length s.nary)) Interval.empty;
+  if Interval.Regs.length s.nary < m then s.nary <- grown s.nary m;
   s.nary
+
+let ensure_vars s k =
+  if Interval.Regs.length s.dx < k + 1 then begin
+    s.dx <- grown s.dx (k + 1);
+    s.terms <- grown s.terms (k + 1);
+    s.prefix <- grown s.prefix (k + 1);
+    s.suffix <- grown s.suffix (k + 1);
+    s.mids <- Float.Array.make (Interval.Regs.length s.dx) 0.0
+  end
+
+let guard regs rel c = Ieval.guard_status_of_reg rel regs c
 
 (* ------------------------------------------------------------------ *)
 (* Revise                                                              *)
 (* ------------------------------------------------------------------ *)
 
+module R = Interval.Regs
+
 (* The backward pass of an n-ary node needs, for every operand, the
    combination of all *other* operands. As in the tree walker this is the
-   O(n) prefix/suffix trick — here fused into one suffix array (reused from
-   scratch) and a running prefix accumulator, associating the combines
+   O(n) prefix/suffix trick — here fused into one suffix buffer (reused
+   from scratch) and a running prefix register, associating the combines
    exactly as the tree's [others] does so the values stay float-identical. *)
 
 (* Mark the registers the tree walker would actually visit: all reachable
@@ -224,227 +288,226 @@ let nary_buffer s m =
    remaining branches and the default (certainly-False branch bodies *are*
    walked — the tree records them "for uniformity", and the backward pass
    runs over them too, so the replay must include them). *)
-let mark_visited instrs (fwd : Interval.t array) visited root =
-  let rec mark i =
-    if not visited.(i) then begin
-      visited.(i) <- true;
-      match instrs.(i) with
-      | Iconst _ | Ivar _ -> ()
-      | Iadd regs | Imul regs -> Array.iter mark regs
-      | Ipow { base; expo; _ } ->
-          mark expo;
-          mark base
-      | Iunop (_, a) -> mark a
-      | Iselect { branches; default } ->
-          let rec walk idx =
-            if idx >= Array.length branches then mark default
-            else begin
-              let c, rel, b = branches.(idx) in
-              mark c;
-              match Ieval.guard_status_of_interval rel fwd.(c) with
-              | `True -> mark b
-              | `False ->
-                  mark b;
-                  walk (idx + 1)
-              | `Unknown ->
-                  mark b;
-                  walk (idx + 1)
-            end
-          in
-          walk 0
-    end
-  in
-  mark root
+let rec mark_visited instrs fwd visited i =
+  if not visited.(i) then begin
+    visited.(i) <- true;
+    match instrs.(i) with
+    | Iconst _ | Ivar _ -> ()
+    | Iadd regs | Imul regs ->
+        for j = 0 to Array.length regs - 1 do
+          mark_visited instrs fwd visited regs.(j)
+        done
+    | Ipow { base; expo; _ } ->
+        mark_visited instrs fwd visited expo;
+        mark_visited instrs fwd visited base
+    | Iunop (_, a) -> mark_visited instrs fwd visited a
+    | Iselect { branches; default } ->
+        mark_branches instrs fwd visited branches default 0
+  end
+
+and mark_branches instrs fwd visited branches default idx =
+  if idx >= Array.length branches then mark_visited instrs fwd visited default
+  else begin
+    let c, rel, b = branches.(idx) in
+    mark_visited instrs fwd visited c;
+    mark_visited instrs fwd visited b;
+    if guard fwd rel c <> `True then
+      mark_branches instrs fwd visited branches default (idx + 1)
+  end
+
+(* Hull, into [fwd.(i)], of the branches a select may take. *)
+let rec select_forward fwd i branches default idx =
+  if idx >= Array.length branches then R.join fwd i fwd i fwd default
+  else begin
+    let c, rel, b = branches.(idx) in
+    match guard fwd rel c with
+    | `True -> R.join fwd i fwd i fwd b
+    | `False -> select_forward fwd i branches default (idx + 1)
+    | `Unknown ->
+        R.join fwd i fwd i fwd b;
+        select_forward fwd i branches default (idx + 1)
+  end
 
 (* Forward evaluation of every register, bottom-up. Writes into [fwd] and
    returns nothing; the caller reads the registers it needs. *)
-let forward_pass instrs (fwd : Interval.t array) box n =
+let forward_pass instrs fwd box n =
   for i = 0 to n - 1 do
-    fwd.(i) <-
-      (match instrs.(i) with
-      | Iconst c -> c
-      | Ivar slot -> Box.get_idx box slot
-      | Iadd regs ->
-          let acc = ref Interval.zero in
-          for j = 0 to Array.length regs - 1 do
-            acc := Interval.add !acc fwd.(regs.(j))
-          done;
-          !acc
-      | Imul regs ->
-          let acc = ref Interval.one in
-          for j = 0 to Array.length regs - 1 do
-            acc := Interval.mul !acc fwd.(regs.(j))
-          done;
-          !acc
-      | Ipow { base; expo; const_rat; _ } ->
-          Ieval.pow_node const_rat fwd.(base) fwd.(expo)
-      | Iunop (op, a) -> Ieval.apply_unop op fwd.(a)
-      | Iselect { branches; default } ->
-          let rec walk acc idx =
-            if idx >= Array.length branches then
-              Interval.join acc fwd.(default)
-            else begin
-              let c, rel, b = branches.(idx) in
-              match Ieval.guard_status_of_interval rel fwd.(c) with
-              | `True -> Interval.join acc fwd.(b)
-              | `False -> walk acc (idx + 1)
-              | `Unknown -> walk (Interval.join acc fwd.(b)) (idx + 1)
-            end
-          in
-          walk Interval.empty 0)
+    match instrs.(i) with
+    | Iconst c -> R.set fwd i c
+    | Ivar slot -> R.set fwd i (Box.get_idx box slot)
+    | Iadd regs ->
+        R.set fwd i Interval.zero;
+        for j = 0 to Array.length regs - 1 do
+          R.add fwd i fwd i fwd regs.(j)
+        done
+    | Imul regs ->
+        R.set fwd i Interval.one;
+        for j = 0 to Array.length regs - 1 do
+          R.mul fwd i fwd i fwd regs.(j)
+        done
+    | Ipow { base; const_rat = Some r; _ } when Rat.den r = 1 ->
+        (* an integer exponent: Ieval.pow_node's rule, unboxed *)
+        R.pow_int fwd i fwd base (Rat.num r)
+    | Ipow { base; expo; const_rat; _ } ->
+        R.set fwd i (Ieval.pow_node const_rat (R.get fwd base) (R.get fwd expo))
+    | Iunop (op, a) -> R.set fwd i (Ieval.apply_unop op (R.get fwd a))
+    | Iselect { branches; default } ->
+        R.set fwd i Interval.empty;
+        select_forward fwd i branches default 0
   done
+
+(* req.(c) <- req.(c) ∩ iv, for contributions computed by a boxed rule *)
+let tighten req c iv = R.set req c (Interval.meet (R.get req c) iv)
+
+(* Union-of-branches contribution: meet each branch with the current
+   requirement first, then hull, preserving gaps the union straddles. *)
+let tighten_branches req c branches =
+  let cur = R.get req c in
+  R.set req c
+    (List.fold_left
+       (fun acc b -> Interval.join acc (Interval.meet cur b))
+       Interval.empty branches)
+
+(* Propagate into a select's branch only when it is certainly the one
+   taken on the whole box. *)
+let rec select_backward fwd req i branches default idx =
+  if idx >= Array.length branches then R.meet req default req default req i
+  else begin
+    let c, rel, b = branches.(idx) in
+    match guard fwd rel c with
+    | `True -> R.meet req b req b req i
+    | `False -> select_backward fwd req i branches default (idx + 1)
+    | `Unknown -> ()
+  end
+
+(* Tighten the children of register [i] from its requirement [req.(i)]
+   (non-empty). *)
+let propagate s instrs i =
+  let fwd = s.fwd and req = s.req and tmp = s.tmp in
+  match instrs.(i) with
+  | Iconst _ | Ivar _ -> ()
+  | Iadd regs ->
+      let m = Array.length regs in
+      let suffix = nary_buffer s (m + 1) in
+      R.set suffix m Interval.zero;
+      for j = m - 1 downto 0 do
+        R.add suffix j fwd regs.(j) suffix (j + 1)
+      done;
+      R.set tmp t_acc Interval.zero;
+      for j = 0 to m - 1 do
+        let c = regs.(j) in
+        R.add tmp t_rest tmp t_acc suffix (j + 1);
+        R.sub tmp t_res req i tmp t_rest;
+        R.meet req c req c tmp t_res;
+        if j < m - 1 then R.add tmp t_acc tmp t_acc fwd c
+      done
+  | Imul regs ->
+      let m = Array.length regs in
+      let suffix = nary_buffer s (m + 1) in
+      R.set suffix m Interval.one;
+      for j = m - 1 downto 0 do
+        R.mul suffix j fwd regs.(j) suffix (j + 1)
+      done;
+      R.set tmp t_acc Interval.one;
+      for j = 0 to m - 1 do
+        (* x * rest = r => x in the relational quotient r / rest: top when
+           0 is in both (x * 0 = 0 constrains nothing), empty when
+           rest = {0} but 0 is not in r. *)
+        let c = regs.(j) in
+        R.mul tmp t_rest tmp t_acc suffix (j + 1);
+        if not (R.is_empty tmp t_rest) then begin
+          R.div_rel tmp t_res req i tmp t_rest;
+          R.meet req c req c tmp t_res
+        end;
+        if j < m - 1 then R.mul tmp t_acc tmp t_acc fwd c
+      done
+  | Ipow { base; expo; const_expo; const_rat; _ } -> (
+      let r = R.get req i in
+      match (const_rat, const_expo) with
+      | Some rat, _ -> tighten_branches req base (backward_pow_rat r rat)
+      | None, Some p -> tighten_branches req base (backward_pow_const r p)
+      | None, None ->
+          (* Variable exponent: contract the exponent when the base is
+             certainly > 1 or in (0, 1): y = log r / log b. *)
+          let fb = R.get fwd base in
+          if Interval.certainly_gt fb 0.0 then begin
+            let logb = Transcend.log fb in
+            let logr = Transcend.log (Interval.meet r Interval.nonneg) in
+            if (not (Interval.is_empty logr)) && not (Interval.mem 0.0 logb)
+            then tighten req expo (Interval.div logr logb)
+          end)
+  | Iunop (op, a) -> (
+      let r = R.get req i in
+      match op with
+      | Exp -> tighten req a (Transcend.log r)
+      | Log -> tighten req a (Transcend.exp r)
+      | Tanh -> tighten req a (Transcend.atanh r)
+      | Atan -> tighten req a (Transcend.tan_on_principal r)
+      | Abs -> tighten_branches req a (backward_abs r)
+      | Lambert_w -> tighten req a (Transcend.w_inverse r)
+      | Sin ->
+          (* Only invert within a range certainly strictly inside the
+             principal monotone branch (round-down pi/2). *)
+          let fa = R.get fwd a in
+          if
+            Interval.is_bounded fa
+            && Interval.inf fa >= -.Transcend.half_pi_lo
+            && Interval.sup fa <= Transcend.half_pi_lo
+          then tighten req a (Transcend.asin_hull r)
+      | Cos ->
+          let fa = R.get fwd a in
+          if
+            Interval.is_bounded fa
+            && Interval.inf fa >= 0.0
+            && Interval.sup fa <= Transcend.pi_lo
+          then tighten req a (Transcend.acos_hull r))
+  | Iselect { branches; default } ->
+      select_backward fwd req i branches default 0
 
 let revise prog box =
   let s = Domain.DLS.get scratch_key in
   let n = Array.length prog.instrs in
   ensure_capacity s n;
-  let fwd = s.fwd and req = s.req and visited = s.visited in
+  let fwd = s.fwd and req = s.req and tmp = s.tmp and visited = s.visited in
   forward_pass prog.instrs fwd box n;
-  let root_req = Interval.meet fwd.(prog.root) prog.target in
-  if Interval.is_empty root_req then Infeasible
+  R.set tmp t_target prog.target;
+  R.meet tmp t_root fwd prog.root tmp t_target;
+  if R.is_empty tmp t_root then Infeasible
   else begin
     (* ---- backward pass ------------------------------------------------ *)
     if prog.has_select then begin
       Array.fill visited 0 n false;
       mark_visited prog.instrs fwd visited prog.root
     end;
-    Array.blit fwd 0 req 0 n;
-    req.(prog.root) <- root_req;
-    let infeasible = ref false in
-    let tighten c contribution =
-      req.(c) <- Interval.meet req.(c) contribution
-    in
-    (* Union-of-branches contribution: meet each branch with the current
-       requirement first, then hull, preserving gaps the union straddles. *)
-    let tighten_branches c branches =
-      let cur = req.(c) in
-      req.(c) <-
-        List.fold_left
-          (fun acc b -> Interval.join acc (Interval.meet cur b))
-          Interval.empty branches
-    in
-    let propagate i =
-      let r = req.(i) in
-      if Interval.is_empty r then infeasible := true
-      else
-        match prog.instrs.(i) with
-        | Iconst _ | Ivar _ -> ()
-        | Iadd regs ->
-            let m = Array.length regs in
-            let suffix = nary_buffer s (m + 1) in
-            suffix.(m) <- Interval.zero;
-            for j = m - 1 downto 0 do
-              suffix.(j) <- Interval.add fwd.(regs.(j)) suffix.(j + 1)
-            done;
-            let prefix = ref Interval.zero in
-            for j = 0 to m - 1 do
-              let rest = Interval.add !prefix suffix.(j + 1) in
-              tighten regs.(j) (Interval.sub r rest);
-              if j < m - 1 then prefix := Interval.add !prefix fwd.(regs.(j))
-            done
-        | Imul regs ->
-            let m = Array.length regs in
-            let suffix = nary_buffer s (m + 1) in
-            suffix.(m) <- Interval.one;
-            for j = m - 1 downto 0 do
-              suffix.(j) <- Interval.mul fwd.(regs.(j)) suffix.(j + 1)
-            done;
-            let prefix = ref Interval.one in
-            for j = 0 to m - 1 do
-              (* x * rest = r => x in the relational quotient r / rest:
-                 top when 0 is in both (x * 0 = 0 constrains nothing),
-                 empty when rest = {0} but 0 is not in r. *)
-              let rest = Interval.mul !prefix suffix.(j + 1) in
-              if not (Interval.is_empty rest) then
-                tighten regs.(j) (Interval.div_rel r rest);
-              if j < m - 1 then prefix := Interval.mul !prefix fwd.(regs.(j))
-            done
-        | Ipow { base; expo; const_expo; const_rat } -> (
-            match (const_rat, const_expo) with
-            | Some rat, _ -> tighten_branches base (backward_pow_rat r rat)
-            | None, Some p -> tighten_branches base (backward_pow_const r p)
-            | None, None ->
-                (* Variable exponent: contract the exponent when the base is
-                   certainly > 1 or in (0, 1): y = log r / log b. *)
-                let fb = fwd.(base) in
-                if Interval.certainly_gt fb 0.0 then begin
-                  let logb = Transcend.log fb in
-                  let logr = Transcend.log (Interval.meet r Interval.nonneg) in
-                  if
-                    (not (Interval.is_empty logr))
-                    && not (Interval.mem 0.0 logb)
-                  then tighten expo (Interval.div logr logb)
-                end)
-        | Iunop (op, a) -> (
-            match op with
-            | Exp -> tighten a (Transcend.log r)
-            | Log -> tighten a (Transcend.exp r)
-            | Tanh -> tighten a (Transcend.atanh r)
-            | Atan -> tighten a (Transcend.tan_on_principal r)
-            | Abs -> tighten_branches a (backward_abs r)
-            | Lambert_w -> tighten a (Transcend.w_inverse r)
-            | Sin ->
-                (* Only invert within a range certainly strictly inside the
-                   principal monotone branch (round-down pi/2). *)
-                let fa = fwd.(a) in
-                if
-                  Interval.is_bounded fa
-                  && Interval.inf fa >= -.Transcend.half_pi_lo
-                  && Interval.sup fa <= Transcend.half_pi_lo
-                then tighten a (Transcend.asin_hull r)
-            | Cos ->
-                let fa = fwd.(a) in
-                if
-                  Interval.is_bounded fa
-                  && Interval.inf fa >= 0.0
-                  && Interval.sup fa <= Transcend.pi_lo
-                then tighten a (Transcend.acos_hull r))
-        | Iselect { branches; default } ->
-            (* Propagate into a branch only when it is certainly the one
-               taken on the whole box. *)
-            let rec walk idx =
-              if idx >= Array.length branches then tighten default r
-              else begin
-                let c, rel, b = branches.(idx) in
-                match Ieval.guard_status_of_interval rel fwd.(c) with
-                | `True -> tighten b r
-                | `False -> walk (idx + 1)
-                | `Unknown -> ()
-              end
-            in
-            walk 0
-    in
+    R.blit fwd req n;
+    R.copy req prog.root tmp t_root;
     (* Registers were emitted children-first, so the reverse scan runs
        parents-first: each register's requirement is final before its
        children are tightened — the same order as the tree walker. *)
-    (try
-       if prog.has_select then
-         for i = n - 1 downto 0 do
-           if visited.(i) then begin
-             propagate i;
-             if !infeasible then raise_notrace Exit
-           end
-         done
-       else
-         for i = n - 1 downto 0 do
-           propagate i;
-           if !infeasible then raise_notrace Exit
-         done
-     with Exit -> ());
+    let infeasible = ref false in
+    let i = ref (n - 1) in
+    while (not !infeasible) && !i >= 0 do
+      if (not prog.has_select) || visited.(!i) then begin
+        if R.is_empty req !i then infeasible := true
+        else propagate s prog.instrs !i
+      end;
+      decr i
+    done;
     if !infeasible then Infeasible
     else begin
       (* Read contracted variable domains. *)
-      let contracted = ref box in
+      let ivs = Box.intervals box in
       let failed = ref false in
       Array.iter
         (fun (i, slot) ->
           if (not prog.has_select) || visited.(i) then begin
-            let r = Interval.meet req.(i) (Box.get_idx box slot) in
-            if Interval.is_empty r then failed := true
-            else contracted := Box.set_idx !contracted slot r
+            R.set tmp t_res (Box.get_idx box slot);
+            R.meet tmp t_res req i tmp t_res;
+            if R.is_empty tmp t_res then failed := true
+            else ivs.(slot) <- R.get tmp t_res
           end)
         prog.var_regs;
-      if !failed then Infeasible else Contracted !contracted
+      if !failed then Infeasible else Contracted (Box.with_intervals box ivs)
     end
   end
 
@@ -457,18 +520,13 @@ let eval prog box =
   let n = Array.length prog.instrs in
   ensure_capacity s n;
   forward_pass prog.instrs s.fwd box n;
-  s.fwd.(prog.root)
+  R.get s.fwd prog.root
 
 let status_on prog box = Form.status_of_interval (eval prog box) prog.rel
 
 (* ------------------------------------------------------------------ *)
 (* Reverse-mode adjoint sweep                                          *)
 (* ------------------------------------------------------------------ *)
-
-let is_zero_point iv =
-  (not (Interval.is_empty iv))
-  && Interval.inf iv = 0.0
-  && Interval.sup iv = 0.0
 
 (* Interval enclosure of the local derivative of [op] at input [fa], where
    [fi] is the node's own forward value (reused where the derivative is a
@@ -493,6 +551,44 @@ let d_unop op fa fi =
       Interval.inv
         (Interval.mul (Interval.add Interval.one fi) (Ieval.apply_unop Exp fi))
 
+(* adj.(c) <- adj.(c) + adj.(i), the adjoint weighted by [0, 1] when
+   [weighted] *)
+let accum_scaled s c i ~weighted =
+  if weighted then begin
+    R.mul s.tmp t_res s.adj i s.tmp t_weight;
+    R.add s.adj c s.adj c s.tmp t_res
+  end
+  else R.add s.adj c s.adj c s.adj i
+
+(* adj.(c) <- adj.(c) + v, for contributions computed by a boxed rule *)
+let accum_boxed s c v =
+  R.set s.tmp t_res v;
+  R.add s.adj c s.adj c s.tmp t_res
+
+(* A certainly-True guard makes its branch f on the whole box and stops
+   the walk. Undecided guards leave several branches selectable: each
+   still-possible body gets its adjoint weighted by [0, 1] (it is the
+   active slope on part of the box at most). Guard condition subtrees get
+   no contribution — Deriv.diff never differentiates guards. Returns
+   whether every guard was decided. *)
+let rec select_adjoint s i branches default certain idx =
+  if idx >= Array.length branches then begin
+    accum_scaled s default i ~weighted:(not certain);
+    certain
+  end
+  else begin
+    let c, rel, b = branches.(idx) in
+    match guard s.fwd rel c with
+    | `True ->
+        accum_scaled s b i ~weighted:(not certain);
+        certain
+    | `False -> select_adjoint s i branches default certain (idx + 1)
+    | `Unknown ->
+        accum_scaled s b i ~weighted:true;
+        ignore (select_adjoint s i branches default false (idx + 1) : bool);
+        false
+  end
+
 (* One reverse walk over an already-filled forward register file computes
    interval enclosures of every partial d(root)/d(register) simultaneously.
    Registers are emitted children-first, so the downward scan visits parents
@@ -503,87 +599,71 @@ let d_unop op fa fi =
    still-selectable branch (weighted by [0, 1]) — fine for the smear split
    heuristic, but not a derivative of the (possibly non-differentiable)
    select, so the mean-value contractor must not use them. *)
-let adjoint_pass instrs (fwd : Interval.t array) (adj : Interval.t array) s
-    root n =
-  Array.fill adj 0 n Interval.zero;
-  adj.(root) <- Interval.one;
+let adjoint_pass s instrs root n =
+  let fwd = s.fwd and adj = s.adj and tmp = s.tmp in
+  R.fill adj n Interval.zero;
+  R.set adj root Interval.one;
   let decided = ref true in
-  let accum c v = adj.(c) <- Interval.add adj.(c) v in
   for i = n - 1 downto 0 do
-    let a = adj.(i) in
-    if not (is_zero_point a) then
+    if not (R.is_zero adj i) then
       match instrs.(i) with
       | Iconst _ | Ivar _ -> ()
-      | Iadd regs -> Array.iter (fun c -> accum c a) regs
+      | Iadd regs ->
+          for j = 0 to Array.length regs - 1 do
+            R.add adj regs.(j) adj regs.(j) adj i
+          done
       | Imul regs ->
           let m = Array.length regs in
           let suffix = nary_buffer s (m + 1) in
-          suffix.(m) <- Interval.one;
+          R.set suffix m Interval.one;
           for j = m - 1 downto 0 do
-            suffix.(j) <- Interval.mul fwd.(regs.(j)) suffix.(j + 1)
+            R.mul suffix j fwd regs.(j) suffix (j + 1)
           done;
-          let prefix = ref Interval.one in
+          R.set tmp t_acc Interval.one;
           for j = 0 to m - 1 do
-            let others = Interval.mul !prefix suffix.(j + 1) in
-            accum regs.(j) (Interval.mul a others);
-            if j < m - 1 then prefix := Interval.mul !prefix fwd.(regs.(j))
+            let c = regs.(j) in
+            R.mul tmp t_rest tmp t_acc suffix (j + 1);
+            R.mul tmp t_res adj i tmp t_rest;
+            R.add adj c adj c tmp t_res;
+            if j < m - 1 then R.mul tmp t_acc tmp t_acc fwd c
           done
-      | Ipow { base; expo; const_expo; const_rat } -> (
-          match (const_rat, const_expo) with
-          | Some rat, _
-            when Rat.to_int rat = None
-                 && (match Rat.sub rat Rat.one with
-                    | _ -> true
-                    | exception Rat.Overflow -> false) ->
+      | Ipow { base; expo; const_expo; rat_deriv; _ } -> (
+          match (rat_deriv, const_expo) with
+          | Some (rm1, r), _ ->
               (* d/db b^r = r * b^(r-1) with r exact: both factors carry
                  the rational's rounding, or the mean-value form would
                  enclose the derivative of b^fl(r) instead of b^r *)
-              let bq = Transcend.pow_rat fwd.(base) (Rat.sub rat Rat.one) in
-              accum base
-                (Interval.mul a (Interval.mul (Transcend.enclose_rat rat) bq))
-          | _, Some p ->
+              let bq = Transcend.pow_rat (R.get fwd base) rm1 in
+              accum_boxed s base (Interval.mul (R.get adj i) (Interval.mul r bq))
+          | None, Some p ->
               if p <> 0.0 then begin
                 (* d/db b^p = p * b^(p-1) *)
                 let q = p -. 1.0 in
-                let bq =
-                  if Float.is_integer q && Float.abs q <= 1073741823.0 then
-                    Interval.pow_int fwd.(base) (int_of_float q)
-                  else Interval.pow fwd.(base) q
-                in
-                accum base (Interval.mul a (Interval.mul (Interval.point p) bq))
+                if Float.is_integer q && Float.abs q <= 1073741823.0 then
+                  R.pow_int tmp t_res fwd base (int_of_float q)
+                else R.set tmp t_res (Interval.pow (R.get fwd base) q);
+                R.set tmp t_acc (Interval.point p);
+                R.mul tmp t_res tmp t_acc tmp t_res;
+                R.mul tmp t_res adj i tmp t_res;
+                R.add adj base adj base tmp t_res
               end
-          | _, None ->
+          | None, None ->
               (* d/db b^x = x * b^(x-1) = fi * x / b ; d/dx b^x = fi * ln b *)
-              let fb = fwd.(base) and fx = fwd.(expo) and fi = fwd.(i) in
-              accum base
+              let a = R.get adj i
+              and fb = R.get fwd base
+              and fx = R.get fwd expo
+              and fi = R.get fwd i in
+              accum_boxed s base
                 (Interval.mul a
                    (Interval.mul fi (Interval.mul fx (Interval.inv fb))));
-              accum expo
+              accum_boxed s expo
                 (Interval.mul a (Interval.mul fi (Ieval.apply_unop Log fb))))
-      | Iunop (op, c) -> accum c (Interval.mul a (d_unop op fwd.(c) fwd.(i)))
+      | Iunop (op, c) ->
+          accum_boxed s c
+            (Interval.mul (R.get adj i) (d_unop op (R.get fwd c) (R.get fwd i)))
       | Iselect { branches; default } ->
-          (* A certainly-True guard makes its branch f on the whole box and
-             stops the walk. Undecided guards leave several branches
-             selectable: each still-possible body gets its adjoint weighted
-             by [0, 1] (it is the active slope on part of the box at most)
-             and the sweep is flagged undecided. Guard condition subtrees
-             get no contribution — Deriv.diff never differentiates guards. *)
-          let weight = Interval.make 0.0 1.0 in
-          let rec walk certain idx =
-            if idx >= Array.length branches then
-              accum default (if certain then a else Interval.mul a weight)
-            else begin
-              let c, rel, b = branches.(idx) in
-              match Ieval.guard_status_of_interval rel fwd.(c) with
-              | `True -> accum b (if certain then a else Interval.mul a weight)
-              | `False -> walk certain (idx + 1)
-              | `Unknown ->
-                  decided := false;
-                  accum b (Interval.mul a weight);
-                  walk false (idx + 1)
-            end
-          in
-          walk true 0
+          if not (select_adjoint s i branches default true 0) then
+            decided := false
   done;
   !decided
 
@@ -596,26 +676,23 @@ let adjoint_pass instrs (fwd : Interval.t array) (adj : Interval.t array) s
    contractor bail before paying for the adjoint and midpoint passes on
    boxes where it would degrade to the identity anyway; on piecewise-heavy
    DFAs (SCAN) that is most boxes near the seams. *)
-let selects_undecided instrs (fwd : Interval.t array) n =
-  let undecided = ref false in
-  (try
-     for i = 0 to n - 1 do
-       match instrs.(i) with
-       | Iselect { branches; _ } ->
-           let rec walk idx =
-             if idx < Array.length branches then
-               let c, rel, _ = branches.(idx) in
-               match Ieval.guard_status_of_interval rel fwd.(c) with
-               | `True -> ()
-               | `False -> walk (idx + 1)
-               | `Unknown ->
-                   undecided := true;
-                   raise Exit
-           in
-           walk 0
-       | _ -> ()
-     done
-   with Exit -> ());
+let rec guards_undecided fwd branches idx =
+  idx < Array.length branches
+  &&
+  let c, rel, _ = branches.(idx) in
+  match guard fwd rel c with
+  | `True -> false
+  | `False -> guards_undecided fwd branches (idx + 1)
+  | `Unknown -> true
+
+let selects_undecided instrs fwd n =
+  let undecided = ref false and i = ref 0 in
+  while (not !undecided) && !i < n do
+    (match instrs.(!i) with
+    | Iselect { branches; _ } -> undecided := guards_undecided fwd branches 0
+    | _ -> ());
+    incr i
+  done;
   !undecided
 
 type gradient = {
@@ -629,12 +706,12 @@ let eval_gradient prog box =
   let n = Array.length prog.instrs in
   ensure_capacity s n;
   forward_pass prog.instrs s.fwd box n;
-  let decided = adjoint_pass prog.instrs s.fwd s.adj s prog.root n in
+  let decided = adjoint_pass s prog.instrs prog.root n in
   let partials = Array.make (Box.dim box) Interval.zero in
   Array.iter
-    (fun (reg, slot) -> partials.(slot) <- s.adj.(reg))
+    (fun (reg, slot) -> partials.(slot) <- R.get s.adj reg)
     prog.var_regs;
-  { value = s.fwd.(prog.root); partials; decided }
+  { value = R.get s.fwd prog.root; partials; decided }
 
 (* Tape-native mean-value-form contraction:
      f(X) ⊆ f(m) + Σ_i G_i (X_i − m_i)
@@ -646,7 +723,9 @@ let eval_gradient prog box =
    and a half-open one genuine progress. Degrades to an identity
    contraction whenever the mean value form is not valid on the box: an
    undecided piecewise guard (f may not be differentiable there), a
-   midpoint outside the expression's domain, or an empty partial. *)
+   midpoint outside the expression's domain, or an empty partial. The
+   partials stay in the adjoint registers, which the midpoint forward
+   replay does not touch. *)
 let contract_mvf prog box =
   let s = Domain.DLS.get scratch_key in
   let n = Array.length prog.instrs in
@@ -654,69 +733,67 @@ let contract_mvf prog box =
   forward_pass prog.instrs s.fwd box n;
   if prog.has_select && selects_undecided prog.instrs s.fwd n then
     Contracted box
-  else if not (adjoint_pass prog.instrs s.fwd s.adj s prog.root n) then
-    Contracted box
+  else if not (adjoint_pass s prog.instrs prog.root n) then Contracted box
   else begin
     let k = Array.length prog.var_regs in
-    let g = Array.make k Interval.empty in
-    let dx = Array.make k Interval.empty in
-    let mids = Array.make k 0.0 in
+    ensure_vars s k;
+    let adj = s.adj and dx = s.dx and mids = s.mids in
     let degenerate = ref false in
     Array.iteri
       (fun j (reg, slot) ->
-        let gi = s.adj.(reg) in
-        if Interval.is_empty gi then degenerate := true
+        if R.is_empty adj reg then degenerate := true
         else begin
-          g.(j) <- gi;
           let xi = Box.get_idx box slot in
           let mi = Interval.midpoint xi in
-          mids.(j) <- mi;
-          dx.(j) <-
-            Interval.of_bounds
-              (Interval.lo_down (Interval.inf xi -. mi))
-              (Interval.hi_up (Interval.sup xi -. mi))
+          Float.Array.set mids j mi;
+          R.store_bounds dx j
+            (Interval.lo_down (Interval.inf xi -. mi))
+            (Interval.hi_up (Interval.sup xi -. mi))
         end)
       prog.var_regs;
     if !degenerate then Contracted box
     else begin
       (* f at the midpoint: one more forward replay on the degenerate
-         midpoint box (the adjoints were already copied out above). *)
+         midpoint box. *)
       forward_pass prog.instrs s.fwd (Box.midpoint_box box) n;
-      let fm = s.fwd.(prog.root) in
-      if Interval.is_empty fm then Contracted box
+      if R.is_empty s.fwd prog.root then Contracted box
       else begin
-        let terms = Array.init k (fun j -> Interval.mul g.(j) dx.(j)) in
-        let prefix = Array.make (k + 1) fm in
+        let terms = s.terms and prefix = s.prefix and suffix = s.suffix in
+        let tmp = s.tmp in
+        Array.iteri (fun j (reg, _) -> R.mul terms j adj reg dx j) prog.var_regs;
+        R.copy prefix 0 s.fwd prog.root;
         for j = 0 to k - 1 do
-          prefix.(j + 1) <- Interval.add prefix.(j) terms.(j)
+          R.add prefix (j + 1) prefix j terms j
         done;
-        let suffix = Array.make (k + 1) Interval.zero in
+        R.set suffix k Interval.zero;
         for j = k - 1 downto 0 do
-          suffix.(j) <- Interval.add terms.(j) suffix.(j + 1)
+          R.add suffix j terms j suffix (j + 1)
         done;
-        if Interval.is_empty (Interval.meet prefix.(k) prog.target) then
-          Infeasible
+        R.set tmp t_target prog.target;
+        R.meet tmp t_res prefix k tmp t_target;
+        if R.is_empty tmp t_res then Infeasible
         else begin
           (* Solve the linear form for each variable in turn:
              g_j (x_j - m_j) in target - f(m) - sum_{i<>j} terms_i. *)
-          let box' = ref box in
-          let infeasible = ref false in
-          Array.iteri
-            (fun j (_, slot) ->
-              if not !infeasible then begin
-                let others = Interval.add prefix.(j) suffix.(j + 1) in
-                let rhs =
-                  Interval.div_rel (Interval.sub prog.target others) g.(j)
-                in
-                let shifted = Interval.add rhs (Interval.point mids.(j)) in
-                let xi = Box.get_idx !box' slot in
-                let narrowed = Interval.meet xi shifted in
-                if Interval.is_empty narrowed then infeasible := true
-                else if not (Interval.equal narrowed xi) then
-                  box' := Box.set_idx !box' slot narrowed
-              end)
-            prog.var_regs;
-          if !infeasible then Infeasible else Contracted !box'
+          let ivs = Box.intervals box in
+          let infeasible = ref false and j = ref 0 in
+          while (not !infeasible) && !j < k do
+            let reg, slot = prog.var_regs.(!j) in
+            R.add tmp t_rest prefix !j suffix (!j + 1);
+            R.sub tmp t_res tmp t_target tmp t_rest;
+            R.div_rel tmp t_res tmp t_res adj reg;
+            let m = Float.Array.get mids !j in
+            R.store_bounds tmp t_acc m m;
+            R.add tmp t_res tmp t_res tmp t_acc;
+            R.set tmp t_acc ivs.(slot);
+            R.meet tmp t_res tmp t_acc tmp t_res;
+            if R.is_empty tmp t_res then infeasible := true
+            else if not (R.equal tmp t_res tmp t_acc) then
+              ivs.(slot) <- R.get tmp t_res;
+            incr j
+          done;
+          if !infeasible then Infeasible
+          else Contracted (Box.with_intervals box ivs)
         end
       end
     end

@@ -36,6 +36,11 @@ type instr =
       expo : int;
       const_expo : float option;
       const_rat : Rat.t option;
+      rat_deriv : (Rat.t * Interval.t) option;
+          (** [Some (r - 1, enclosure of r)] when [const_rat] is a
+              non-integer [r] and [r - 1] does not overflow: the operands
+              of the exact-rational derivative rule, computed at compile
+              time *)
     }
   | Iunop of Expr.unop * int
   | Iselect of { branches : (int * Expr.rel * int) array; default : int }

@@ -80,6 +80,58 @@ let test_split () =
   Alcotest.check_raises "split point" (Invalid_argument "Interval.split")
     (fun () -> ignore (Interval.split (Interval.point 1.0)))
 
+(* The hand-written successor/predecessor and min/max replace C calls on
+   the soundness path, so they must agree with the stdlib bit for bit. *)
+let bits = Int64.bits_of_float
+
+let same_bits name want got x =
+  if bits want <> bits got then
+    Alcotest.failf "%s %h (%Lx): got %h (%Lx), want %h (%Lx)" name x (bits x)
+      got (bits got) want (bits want)
+
+let eta = 0x1p-1074
+
+let rounding_points =
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  let base =
+    [ 0.0; eta; 1.0; Float.max_float; Float.infinity; Float.nan ]
+    @ around 0x1p-1022 @ around 0x1p-1021 @ around 0x1p-969
+  in
+  base @ List.map Float.neg base
+
+let check_rounding x =
+  same_bits "succ" (Float.succ x) (Interval.succ x) x;
+  same_bits "pred" (Float.pred x) (Interval.pred x) x;
+  let fixed f x = if Float.is_finite x then f x else x in
+  same_bits "hi_up" (fixed Float.succ x) (Interval.hi_up x) x;
+  same_bits "lo_down" (fixed Float.pred x) (Interval.lo_down x) x
+
+let test_rounding_points () =
+  List.iter check_rounding rounding_points;
+  (* the zero the naive formula gets wrong *)
+  check_true "succ (-eta) is -0"
+    (bits (Interval.succ (-.eta)) = bits (-0.0));
+  check_true "pred eta is +0" (bits (Interval.pred eta) = bits 0.0)
+
+let test_min_max () =
+  let args = [ 0.0; -0.0; 1.0; -1.0; Float.nan; -.Float.nan ] in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          let name = Printf.sprintf "(%h, %h)" x y in
+          same_bits ("fmin " ^ name) (Float.min x y) (Interval.fmin x y) x;
+          same_bits ("fmax " ^ name) (Float.max x y) (Interval.fmax x y) x)
+        args)
+    args
+
+let prop_rounding_bits =
+  qcheck ~count:20_000 "succ/pred bit-identical on random bit patterns"
+    QCheck2.Gen.int64
+    (fun b ->
+      check_rounding (Int64.float_of_bits b);
+      true)
+
 (* Containment property: f([a,b]) contains f(x) for sampled x. *)
 let containment_qcheck name ixf ff =
   qcheck name
@@ -104,6 +156,9 @@ let suite =
     case "powers" test_powers;
     case "sign tests" test_sign_tests;
     case "splitting" test_split;
+    case "succ/pred/lo_down/hi_up match nextafter" test_rounding_points;
+    case "fmin/fmax match Float.min/max" test_min_max;
+    prop_rounding_bits;
     containment_qcheck "exp containment" Transcend.exp Stdlib.exp;
     containment_qcheck "log containment" Transcend.log Stdlib.log;
     containment_qcheck "atan containment" Transcend.atan Stdlib.atan;

@@ -385,6 +385,53 @@ let test_tree_walk_config_refused () =
   refused "campaign" (fun () ->
       ignore (Verify.campaign ~config [ Registry.find "pbe" ]))
 
+(* ------------------------------------------------------------------ *)
+(* Allocation: the sweeps do not allocate per instruction *)
+
+(* A transcendental-free atom with [k] product terms, positive on the box
+   below so no sweep prunes or contracts and every call takes the same
+   branches whatever [k]. *)
+let sum_of_products k =
+  let x = Expr.var "x" and y = Expr.var "y" in
+  Expr.add_n
+    (List.init k (fun j ->
+         let c = Expr.const (float_of_int (j + 1) /. 8.0) in
+         let d = Expr.const (float_of_int (j + 2) /. 16.0) in
+         Expr.mul (Expr.add x c) (Expr.add y d)))
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_sweeps_allocation_flat () =
+  let box =
+    Box.make [ ("x", Interval.make 1.0 2.0); ("y", Interval.make 0.5 1.5) ]
+  in
+  let tape k =
+    Itape.compile ~vars:(Box.vars box) (Form.atom (sum_of_products k) Form.Ge0)
+  in
+  let short = tape 2 and long = tape 200 in
+  check_true "long tape is long" (Itape.length long > 50 * Itape.length short);
+  let calls =
+    [
+      ("eval", fun p () -> ignore (Itape.eval p box));
+      ("revise", fun p () -> ignore (Itape.revise p box));
+      ("eval_gradient", fun p () -> ignore (Itape.eval_gradient p box));
+      ("contract_mvf", fun p () -> ignore (Itape.contract_mvf p box));
+    ]
+  in
+  List.iter
+    (fun (name, call) ->
+      (* warm-up: grow this domain's scratch registers to the long tape *)
+      call long ();
+      call short ();
+      let ws = minor_words_of (call short) and wl = minor_words_of (call long) in
+      if ws <> wl then
+        Alcotest.failf "%s: %.0f minor words on %d registers, %.0f on %d" name
+          ws (Itape.length short) wl (Itape.length long))
+    calls
+
 let suite =
   [
     prop_revise_equiv;
@@ -403,4 +450,6 @@ let suite =
     case "paint log matches tree-walk fixture"
       test_paint_log_matches_tree_fixture;
     case "tree-walk config refused" test_tree_walk_config_refused;
+    case "sweeps allocate independently of tape length"
+      test_sweeps_allocation_flat;
   ]
