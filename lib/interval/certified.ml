@@ -319,15 +319,22 @@ let log i =
   if Interval.is_empty i then Interval.empty
   else begin
     let a = Interval.inf i and b = Interval.sup i in
-    let lo =
-      if a = 0.0 then Float.neg_infinity else Interval.inf (log_point a)
-    in
-    let hi =
-      if b = 0.0 then Float.neg_infinity
-      else if b = Float.infinity then Float.infinity
-      else Interval.sup (log_point b)
-    in
-    Interval.of_bounds lo hi
+    if a = b && a > 0.0 && a < Float.infinity then begin
+      (* a point: one kernel call serves both ends *)
+      let e = log_point a in
+      Interval.of_bounds (Interval.inf e) (Interval.sup e)
+    end
+    else begin
+      let lo =
+        if a = 0.0 then Float.neg_infinity else Interval.inf (log_point a)
+      in
+      let hi =
+        if b = 0.0 then Float.neg_infinity
+        else if b = Float.infinity then Float.infinity
+        else Interval.sup (log_point b)
+      in
+      Interval.of_bounds lo hi
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -383,7 +390,10 @@ let pow_rat i rat =
             else Interval.zero
           else pow_rat_point x rat
         in
-        let ia = at (Interval.inf i) and ib = at (Interval.sup i) in
+        let a = Interval.inf i and b = Interval.sup i in
+        let ia = at a in
+        (* a point: one kernel call serves both ends *)
+        let ib = if b = a then ia else at b in
         (* monotone increasing for r > 0, decreasing for r < 0 *)
         if pos then
           Interval.of_bounds

@@ -174,9 +174,13 @@ let mul a b =
     of_bounds (hull4_lo p1 p2 p3 p4) (hull4_hi p1 p2 p3 p4)
   end
 
-let[@inline] xdiv x y =
+(* Endpoint quotient for a divisor of constant sign. A zero endpoint [y]
+   is approached from the divisor's own side — from below when the divisor
+   is nonpositive ([nonpos]), from above otherwise — whatever the sign of
+   the stored zero: 1 / [-1, 0] is (-inf, -1], not [-1, +inf]. *)
+let[@inline] xdiv x y nonpos =
   if x = 0.0 then 0.0
-  else if y = 0.0 then if x > 0.0 then pos_inf else neg_inf
+  else if y = 0.0 then if (x > 0.0) <> nonpos then pos_inf else neg_inf
   else x /. y
 
 let div a b =
@@ -187,11 +191,13 @@ let div a b =
        the hull, which is top unless the numerator is exactly 0. *)
     if a.lo = 0.0 && a.hi = 0.0 then zero else top
   else begin
-    (* Divisor has constant sign (possibly with a zero endpoint). *)
-    let q1 = xdiv a.lo b.lo in
-    let q2 = xdiv a.lo b.hi in
-    let q3 = xdiv a.hi b.lo in
-    let q4 = xdiv a.hi b.hi in
+    (* Divisor has constant sign (possibly with a zero endpoint); b.lo < 0
+       here means b.hi <= 0. *)
+    let nonpos = b.lo < 0.0 in
+    let q1 = xdiv a.lo b.lo nonpos in
+    let q2 = xdiv a.lo b.hi nonpos in
+    let q3 = xdiv a.hi b.lo nonpos in
+    let q4 = xdiv a.hi b.hi nonpos in
     of_bounds (hull4_lo q1 q2 q3 q4) (hull4_hi q1 q2 q3 q4)
   end
 
@@ -371,6 +377,10 @@ module Regs = struct
   let equal a i b j =
     (is_empty a i && is_empty b j) || (lo a i = lo b j && hi a i = hi b j)
 
+  let same r i (iv : interval) =
+    Int64.bits_of_float (lo r i) = Int64.bits_of_float iv.lo
+    && Int64.bits_of_float (hi r i) = Int64.bits_of_float iv.hi
+
   (* Each kernel reads its operands before it writes, so [dst.(d)] may be
      one of them: accumulators update in place. *)
 
@@ -405,10 +415,11 @@ module Regs = struct
       if alo = 0.0 && ahi = 0.0 then store dst d 0.0 0.0
       else store dst d neg_inf pos_inf
     else begin
-      let q1 = xdiv alo blo in
-      let q2 = xdiv alo bhi in
-      let q3 = xdiv ahi blo in
-      let q4 = xdiv ahi bhi in
+      let nonpos = blo < 0.0 in
+      let q1 = xdiv alo blo nonpos in
+      let q2 = xdiv alo bhi nonpos in
+      let q3 = xdiv ahi blo nonpos in
+      let q4 = xdiv ahi bhi nonpos in
       store_bounds dst d (hull4_lo q1 q2 q3 q4) (hull4_hi q1 q2 q3 q4)
     end
 

@@ -198,12 +198,17 @@ module Regs : sig
 
   val equal : t -> int -> t -> int -> bool
 
+  (** [same r i iv]: the register holds [iv]'s bounds bit for bit, so
+      unlike {!equal} it tells [-0] from [+0]. *)
+  val same : t -> int -> interval -> bool
+
   (** [add dst d a i b j] sets [dst.(d)] to [add a.(i) b.(j)]; likewise
       the others. *)
   val add : t -> int -> t -> int -> t -> int -> unit
 
   val sub : t -> int -> t -> int -> t -> int -> unit
   val mul : t -> int -> t -> int -> t -> int -> unit
+  val div : t -> int -> t -> int -> t -> int -> unit
   val div_rel : t -> int -> t -> int -> t -> int -> unit
   val meet : t -> int -> t -> int -> t -> int -> unit
   val join : t -> int -> t -> int -> t -> int -> unit

@@ -125,7 +125,7 @@ let instr_line push_args (instr : Itape.instr) =
   | Itape.Imul regs ->
       let off = push_args (Array.to_list regs) in
       ji 3 ~a:off ~b:(Array.length regs)
-  | Itape.Ipow { base; expo; const_expo; const_rat; rat_deriv } -> (
+  | Itape.Ipow { base; expo; const_expo; const_rat; rat_deriv; rat_inv } -> (
       let p = match const_expo with Some v -> cfloat v | None -> "0x0p+0" in
       match const_rat with
       | Some rat ->
@@ -136,9 +136,7 @@ let instr_line push_args (instr : Itape.instr) =
           let clo = cfloat (Interval.inf enc)
           and chi = cfloat (Interval.sup enc) in
           let rinv =
-            match Rat.to_int rat with
-            | Some _ -> crat_zero
-            | None -> crat_of (Rat.inv rat)
+            match rat_inv with Some inv -> crat_of inv | None -> crat_zero
           in
           let d, rm1_ok, rm1 =
             match rat_deriv with

@@ -150,10 +150,12 @@ static itv i_mul(itv a, itv b)
   }
 }
 
-static inline double xdiv(double x, double y)
+/* A zero divisor endpoint is approached from the divisor's own side:
+   from below when the divisor is nonpositive, whatever the zero's sign. */
+static inline double xdiv(double x, double y, int nonpos)
 {
   if (x == 0.0) return 0.0;
-  if (y == 0.0) return x > 0.0 ? INFINITY : -INFINITY;
+  if (y == 0.0) return (x > 0.0) != nonpos ? INFINITY : -INFINITY;
   return x / y;
 }
 static itv i_div(itv a, itv b)
@@ -165,8 +167,9 @@ static itv i_div(itv a, itv b)
     return I_TOP;
   }
   {
-    double p1 = xdiv(a.lo, b.lo), p2 = xdiv(a.lo, b.hi);
-    double p3 = xdiv(a.hi, b.lo), p4 = xdiv(a.hi, b.hi);
+    int nonpos = b.lo < 0.0;
+    double p1 = xdiv(a.lo, b.lo, nonpos), p2 = xdiv(a.lo, b.hi, nonpos);
+    double p3 = xdiv(a.hi, b.lo, nonpos), p4 = xdiv(a.hi, b.hi, nonpos);
     return i_of_bounds(lo_down(o_min(o_min(p1, p2), o_min(p3, p4))),
                        hi_up(o_max(o_max(p1, p2), o_max(p3, p4))));
   }

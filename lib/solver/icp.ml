@@ -284,6 +284,7 @@ let zero_stats =
   { expansions = 0; prunes = 0; max_depth = 0; revise_calls = 0; sweeps = 0 }
 
 let solve ?(contractors = []) ?(attempt = 0) cfg box formula =
+  Itape.forget ();
   let injected =
     match cfg.faults with
     | None -> None

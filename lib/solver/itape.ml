@@ -24,6 +24,10 @@ type instr =
              non-integer [r] and [r - 1] does not overflow: the operands of
              the exact derivative rule, computed once at compile time
              instead of on every adjoint sweep *)
+      rat_inv : Rat.t option;
+          (* [Some (1 / r)] when [const_rat] is a non-integer [r]: the
+             exponent of the backward inverse, computed once at compile
+             time instead of on every backward visit *)
     }
   | Iunop of Expr.unop * int
   | Iselect of { branches : (int * Expr.rel * int) array; default : int }
@@ -38,6 +42,9 @@ type t = {
   has_select : bool;
       (* select-free programs have a static visited set (every register),
          so the per-call mark pass and mask are skipped entirely *)
+  const : bool array;
+      (* [const.(i)] when register [i] is an [Iconst]: its adjoint is never
+         read, so the adjoint sweep skips contributions into it *)
 }
 
 let target_of_relation = function
@@ -75,10 +82,13 @@ let backward_pow_const r p =
 (* Exact-rational exponent: integers reuse the branch inverse verbatim;
    non-integers invert through [pow_rat] with the exact reciprocal, so
    the inverse carries the exponent's rounding the float path drops. *)
+let backward_pow_rat_inv r inv =
+  [ Transcend.pow_rat (Interval.meet r Interval.nonneg) inv ]
+
 let backward_pow_rat r rat =
   match Rat.to_int rat with
   | Some n -> backward_pow_int r n
-  | None -> [ Transcend.pow_rat (Interval.meet r Interval.nonneg) (Rat.inv rat) ]
+  | None -> backward_pow_rat_inv r (Rat.inv rat)
 
 let backward_abs r =
   let r' = Interval.meet r Interval.nonneg in
@@ -96,6 +106,9 @@ let rat_deriv r =
       match Rat.sub r Rat.one with
       | rm1 -> Some (rm1, Transcend.enclose_rat r)
       | exception Rat.Overflow -> None)
+
+let rat_inv r =
+  match Rat.to_int r with Some _ -> None | None -> Some (Rat.inv r)
 
 let compile ~vars (atom : Form.atom) =
   let slot_of v =
@@ -143,6 +156,7 @@ let compile ~vars (atom : Form.atom) =
                    const_expo = as_const x;
                    const_rat;
                    rat_deriv = Option.bind const_rat rat_deriv;
+                   rat_inv = Option.bind const_rat rat_inv;
                  })
         | Apply (op, a) -> emit (Iunop (op, self a))
         | Piecewise (branches, default) ->
@@ -174,6 +188,7 @@ let compile ~vars (atom : Form.atom) =
     slots = Array.of_list (List.sort_uniq Stdlib.compare !slots);
     var_regs = Array.of_list (List.rev !var_regs);
     has_select = !has_select;
+    const = Array.map (function Iconst _ -> true | _ -> false) instrs;
   }
 
 let length prog = Array.length prog.instrs
@@ -200,9 +215,22 @@ let has_select prog = prog.has_select
    so sweeping a tape allocates nothing per instruction; only the boxed
    transcendental and power rules allocate, at their call boundary. Keyed
    per domain (not stored in the shared program, which several workers
-   revise concurrently). *)
+   revise concurrently).
+
+   The forward file remembers the sweep it holds: the program (by physical
+   identity) and the bit patterns of the slot bounds it was swept on. A
+   sweep is a pure function of the two, so {!forward} skips it when both
+   match — the HC4 revise, the mean-value stage and the status test of one
+   expansion usually see the same box. Bits, not [Interval.equal]: -0 and
+   +0 bounds are equal yet can sweep to different registers. The
+   mean-value midpoint replay has its own point file, so it never evicts
+   the box sweep. *)
 type scratch = {
   mutable fwd : Interval.Regs.t;
+  mutable held : t;  (* the program [fwd] holds a sweep of, or [nothing] *)
+  mutable held_bounds : Interval.Regs.t;
+      (* the bounds of [held]'s slots it was swept on, in [slots] order *)
+  mutable pt : Interval.Regs.t;  (* the mean-value midpoint replay *)
   mutable req : Interval.Regs.t;
   mutable adj : Interval.Regs.t;
       (* adjoint registers of the reverse-mode gradient sweep *)
@@ -227,6 +255,19 @@ let t_weight = 3
 let t_target = 4
 let t_root = 5
 
+(* Held by no register file: [compile] never emits an empty program. *)
+let nothing =
+  {
+    instrs = [||];
+    root = 0;
+    rel = Form.Eq0;
+    target = Interval.zero;
+    slots = [||];
+    var_regs = [||];
+    has_select = false;
+    const = [||];
+  }
+
 let scratch_key =
   Domain.DLS.new_key (fun () ->
       let tmp = Interval.Regs.create 6 in
@@ -234,6 +275,9 @@ let scratch_key =
       let none = Interval.Regs.create 0 in
       {
         fwd = none;
+        held = nothing;
+        held_bounds = none;
+        pt = none;
         req = none;
         adj = none;
         visited = [||];
@@ -250,7 +294,9 @@ let grown r m = Interval.Regs.create (Stdlib.max m (2 * Interval.Regs.length r))
 
 let ensure_capacity s n =
   if Interval.Regs.length s.fwd < n then begin
+    s.held <- nothing;
     s.fwd <- grown s.fwd n;
+    s.pt <- grown s.pt n;
     s.req <- grown s.req n;
     s.adj <- grown s.adj n;
     s.visited <- Array.make (Interval.Regs.length s.fwd) false
@@ -268,6 +314,8 @@ let ensure_vars s k =
     s.suffix <- grown s.suffix (k + 1);
     s.mids <- Float.Array.make (Interval.Regs.length s.dx) 0.0
   end
+
+let forget () = (Domain.DLS.get scratch_key).held <- nothing
 
 let guard regs rel c = Ieval.guard_status_of_reg rel regs c
 
@@ -356,6 +404,41 @@ let forward_pass instrs fwd box n =
         select_forward fwd i branches default 0
   done
 
+let m_forward_sweeps =
+  Obs.Metrics.counter ~clas:Obs.Metrics.Wall "itape.forward_sweeps"
+
+let m_forward_reused =
+  Obs.Metrics.counter ~clas:Obs.Metrics.Wall "itape.forward_reused"
+
+let rec same_bounds held slots box k =
+  k >= Array.length slots
+  || R.same held k (Box.get_idx box slots.(k))
+     && same_bounds held slots box (k + 1)
+
+(* Does [s.fwd] hold [prog]'s sweep over [box]? *)
+let holds s prog box =
+  s.held == prog && same_bounds s.held_bounds prog.slots box 0
+
+(* Fill [s.fwd] with [prog]'s forward sweep over [box], unless it already
+   holds that sweep. The tag is cleared before the sweep and set after it,
+   so a sweep that raises leaves no stale hit. *)
+let forward s prog box =
+  let n = Array.length prog.instrs in
+  ensure_capacity s n;
+  if holds s prog box then Obs.Metrics.incr m_forward_reused 1
+  else begin
+    s.held <- nothing;
+    forward_pass prog.instrs s.fwd box n;
+    let slots = prog.slots in
+    let k = Array.length slots in
+    if R.length s.held_bounds < k then s.held_bounds <- grown s.held_bounds k;
+    for j = 0 to k - 1 do
+      R.set s.held_bounds j (Box.get_idx box slots.(j))
+    done;
+    s.held <- prog;
+    Obs.Metrics.incr m_forward_sweeps 1
+  end
+
 (* req.(c) <- req.(c) ∩ iv, for contributions computed by a boxed rule *)
 let tighten req c iv = R.set req c (Interval.meet (R.get req c) iv)
 
@@ -390,7 +473,7 @@ let propagate s instrs i =
       let m = Array.length regs in
       let suffix = nary_buffer s (m + 1) in
       R.set suffix m Interval.zero;
-      for j = m - 1 downto 0 do
+      for j = m - 1 downto 1 do
         R.add suffix j fwd regs.(j) suffix (j + 1)
       done;
       R.set tmp t_acc Interval.zero;
@@ -405,7 +488,7 @@ let propagate s instrs i =
       let m = Array.length regs in
       let suffix = nary_buffer s (m + 1) in
       R.set suffix m Interval.one;
-      for j = m - 1 downto 0 do
+      for j = m - 1 downto 1 do
         R.mul suffix j fwd regs.(j) suffix (j + 1)
       done;
       R.set tmp t_acc Interval.one;
@@ -421,10 +504,14 @@ let propagate s instrs i =
         end;
         if j < m - 1 then R.mul tmp t_acc tmp t_acc fwd c
       done
-  | Ipow { base; expo; const_expo; const_rat; _ } -> (
+  | Ipow { base; expo; const_expo; const_rat; rat_inv; _ } -> (
       let r = R.get req i in
       match (const_rat, const_expo) with
-      | Some rat, _ -> tighten_branches req base (backward_pow_rat r rat)
+      | Some rat, _ ->
+          tighten_branches req base
+            (match rat_inv with
+            | Some inv -> backward_pow_rat_inv r inv
+            | None -> backward_pow_rat r rat)
       | None, Some p -> tighten_branches req base (backward_pow_const r p)
       | None, None ->
           (* Variable exponent: contract the exponent when the base is
@@ -467,9 +554,8 @@ let propagate s instrs i =
 let revise prog box =
   let s = Domain.DLS.get scratch_key in
   let n = Array.length prog.instrs in
-  ensure_capacity s n;
+  forward s prog box;
   let fwd = s.fwd and req = s.req and tmp = s.tmp and visited = s.visited in
-  forward_pass prog.instrs fwd box n;
   R.set tmp t_target prog.target;
   R.meet tmp t_root fwd prog.root tmp t_target;
   if R.is_empty tmp t_root then Infeasible
@@ -517,9 +603,7 @@ let revise prog box =
 
 let eval prog box =
   let s = Domain.DLS.get scratch_key in
-  let n = Array.length prog.instrs in
-  ensure_capacity s n;
-  forward_pass prog.instrs s.fwd box n;
+  forward s prog box;
   R.get s.fwd prog.root
 
 let status_on prog box = Form.status_of_interval (eval prog box) prog.rel
@@ -552,9 +636,10 @@ let d_unop op fa fi =
         (Interval.mul (Interval.add Interval.one fi) (Ieval.apply_unop Exp fi))
 
 (* adj.(c) <- adj.(c) + adj.(i), the adjoint weighted by [0, 1] when
-   [weighted] *)
-let accum_scaled s c i ~weighted =
-  if weighted then begin
+   [weighted]; nothing for a constant [c], whose adjoint nobody reads *)
+let accum_scaled s const c i ~weighted =
+  if const.(c) then ()
+  else if weighted then begin
     R.mul s.tmp t_res s.adj i s.tmp t_weight;
     R.add s.adj c s.adj c s.tmp t_res
   end
@@ -571,21 +656,22 @@ let accum_boxed s c v =
    active slope on part of the box at most). Guard condition subtrees get
    no contribution — Deriv.diff never differentiates guards. Returns
    whether every guard was decided. *)
-let rec select_adjoint s i branches default certain idx =
+let rec select_adjoint s const i branches default certain idx =
   if idx >= Array.length branches then begin
-    accum_scaled s default i ~weighted:(not certain);
+    accum_scaled s const default i ~weighted:(not certain);
     certain
   end
   else begin
     let c, rel, b = branches.(idx) in
     match guard s.fwd rel c with
     | `True ->
-        accum_scaled s b i ~weighted:(not certain);
+        accum_scaled s const b i ~weighted:(not certain);
         certain
-    | `False -> select_adjoint s i branches default certain (idx + 1)
+    | `False -> select_adjoint s const i branches default certain (idx + 1)
     | `Unknown ->
-        accum_scaled s b i ~weighted:true;
-        ignore (select_adjoint s i branches default false (idx + 1) : bool);
+        accum_scaled s const b i ~weighted:true;
+        ignore
+          (select_adjoint s const i branches default false (idx + 1) : bool);
         false
   end
 
@@ -598,11 +684,15 @@ let rec select_adjoint s i branches default certain idx =
    is undecided over the box: the partials then enclose the slopes of every
    still-selectable branch (weighted by [0, 1]) — fine for the smear split
    heuristic, but not a derivative of the (possibly non-differentiable)
-   select, so the mean-value contractor must not use them. *)
-let adjoint_pass s instrs root n =
+   select, so the mean-value contractor must not use them. Only variable
+   registers' adjoints are read, so contributions into constants are
+   skipped. *)
+let adjoint_pass s prog =
+  let instrs = prog.instrs and const = prog.const in
+  let n = Array.length instrs in
   let fwd = s.fwd and adj = s.adj and tmp = s.tmp in
   R.fill adj n Interval.zero;
-  R.set adj root Interval.one;
+  R.set adj prog.root Interval.one;
   let decided = ref true in
   for i = n - 1 downto 0 do
     if not (R.is_zero adj i) then
@@ -610,21 +700,24 @@ let adjoint_pass s instrs root n =
       | Iconst _ | Ivar _ -> ()
       | Iadd regs ->
           for j = 0 to Array.length regs - 1 do
-            R.add adj regs.(j) adj regs.(j) adj i
+            let c = regs.(j) in
+            if not const.(c) then R.add adj c adj c adj i
           done
       | Imul regs ->
           let m = Array.length regs in
           let suffix = nary_buffer s (m + 1) in
           R.set suffix m Interval.one;
-          for j = m - 1 downto 0 do
+          for j = m - 1 downto 1 do
             R.mul suffix j fwd regs.(j) suffix (j + 1)
           done;
           R.set tmp t_acc Interval.one;
           for j = 0 to m - 1 do
             let c = regs.(j) in
-            R.mul tmp t_rest tmp t_acc suffix (j + 1);
-            R.mul tmp t_res adj i tmp t_rest;
-            R.add adj c adj c tmp t_res;
+            if not const.(c) then begin
+              R.mul tmp t_rest tmp t_acc suffix (j + 1);
+              R.mul tmp t_res adj i tmp t_rest;
+              R.add adj c adj c tmp t_res
+            end;
             if j < m - 1 then R.mul tmp t_acc tmp t_acc fwd c
           done
       | Ipow { base; expo; const_expo; rat_deriv; _ } -> (
@@ -633,10 +726,13 @@ let adjoint_pass s instrs root n =
               (* d/db b^r = r * b^(r-1) with r exact: both factors carry
                  the rational's rounding, or the mean-value form would
                  enclose the derivative of b^fl(r) instead of b^r *)
-              let bq = Transcend.pow_rat (R.get fwd base) rm1 in
-              accum_boxed s base (Interval.mul (R.get adj i) (Interval.mul r bq))
+              if not const.(base) then begin
+                let bq = Transcend.pow_rat (R.get fwd base) rm1 in
+                accum_boxed s base
+                  (Interval.mul (R.get adj i) (Interval.mul r bq))
+              end
           | None, Some p ->
-              if p <> 0.0 then begin
+              if p <> 0.0 && not const.(base) then begin
                 (* d/db b^p = p * b^(p-1) *)
                 let q = p -. 1.0 in
                 if Float.is_integer q && Float.abs q <= 1073741823.0 then
@@ -653,16 +749,20 @@ let adjoint_pass s instrs root n =
               and fb = R.get fwd base
               and fx = R.get fwd expo
               and fi = R.get fwd i in
-              accum_boxed s base
-                (Interval.mul a
-                   (Interval.mul fi (Interval.mul fx (Interval.inv fb))));
-              accum_boxed s expo
-                (Interval.mul a (Interval.mul fi (Ieval.apply_unop Log fb))))
+              if not const.(base) then
+                accum_boxed s base
+                  (Interval.mul a
+                     (Interval.mul fi (Interval.mul fx (Interval.inv fb))));
+              if not const.(expo) then
+                accum_boxed s expo
+                  (Interval.mul a (Interval.mul fi (Ieval.apply_unop Log fb))))
       | Iunop (op, c) ->
-          accum_boxed s c
-            (Interval.mul (R.get adj i) (d_unop op (R.get fwd c) (R.get fwd i)))
+          if not const.(c) then
+            accum_boxed s c
+              (Interval.mul (R.get adj i)
+                 (d_unop op (R.get fwd c) (R.get fwd i)))
       | Iselect { branches; default } ->
-          if not (select_adjoint s i branches default true 0) then
+          if not (select_adjoint s const i branches default true 0) then
             decided := false
   done;
   !decided
@@ -703,10 +803,8 @@ type gradient = {
 
 let eval_gradient prog box =
   let s = Domain.DLS.get scratch_key in
-  let n = Array.length prog.instrs in
-  ensure_capacity s n;
-  forward_pass prog.instrs s.fwd box n;
-  let decided = adjoint_pass s prog.instrs prog.root n in
+  forward s prog box;
+  let decided = adjoint_pass s prog in
   let partials = Array.make (Box.dim box) Interval.zero in
   Array.iter
     (fun (reg, slot) -> partials.(slot) <- R.get s.adj reg)
@@ -724,16 +822,16 @@ let eval_gradient prog box =
    contraction whenever the mean value form is not valid on the box: an
    undecided piecewise guard (f may not be differentiable there), a
    midpoint outside the expression's domain, or an empty partial. The
-   partials stay in the adjoint registers, which the midpoint forward
-   replay does not touch. *)
+   box sweep stays in [fwd] and the partials in the adjoint registers:
+   f at the midpoint is replayed into the separate point file, so a
+   status test of the same box afterwards reuses the box sweep. *)
 let contract_mvf prog box =
   let s = Domain.DLS.get scratch_key in
   let n = Array.length prog.instrs in
-  ensure_capacity s n;
-  forward_pass prog.instrs s.fwd box n;
+  forward s prog box;
   if prog.has_select && selects_undecided prog.instrs s.fwd n then
     Contracted box
-  else if not (adjoint_pass s prog.instrs prog.root n) then Contracted box
+  else if not (adjoint_pass s prog) then Contracted box
   else begin
     let k = Array.length prog.var_regs in
     ensure_vars s k;
@@ -753,15 +851,15 @@ let contract_mvf prog box =
       prog.var_regs;
     if !degenerate then Contracted box
     else begin
-      (* f at the midpoint: one more forward replay on the degenerate
-         midpoint box. *)
-      forward_pass prog.instrs s.fwd (Box.midpoint_box box) n;
-      if R.is_empty s.fwd prog.root then Contracted box
+      (* f at the midpoint: one more forward replay, on the degenerate
+         midpoint box, into the point file. *)
+      forward_pass prog.instrs s.pt (Box.midpoint_box box) n;
+      if R.is_empty s.pt prog.root then Contracted box
       else begin
         let terms = s.terms and prefix = s.prefix and suffix = s.suffix in
         let tmp = s.tmp in
         Array.iteri (fun j (reg, _) -> R.mul terms j adj reg dx j) prog.var_regs;
-        R.copy prefix 0 s.fwd prog.root;
+        R.copy prefix 0 s.pt prog.root;
         for j = 0 to k - 1 do
           R.add prefix (j + 1) prefix j terms j
         done;

@@ -41,6 +41,9 @@ type instr =
               non-integer [r] and [r - 1] does not overflow: the operands
               of the exact-rational derivative rule, computed at compile
               time *)
+      rat_inv : Rat.t option;
+          (** [Some (1 / r)] when [const_rat] is a non-integer [r]: the
+              exponent of the backward inverse, computed at compile time *)
     }
   | Iunop of Expr.unop * int
   | Iselect of { branches : (int * Expr.rel * int) array; default : int }
@@ -73,6 +76,23 @@ val length : t -> int
 (** Box dimensions the atom reads, ascending — the rows of the
     variable-to-atom incidence map {!Hc4.compile} builds. *)
 val slots : t -> int array
+
+(** {1 Sweeps}
+
+    Each worker domain keeps one forward register file, shared by
+    {!revise}, {!eval}, {!status_on}, {!eval_gradient} and {!contract_mvf}.
+    It remembers the program and the bit patterns of the slot bounds it
+    last swept, and a call on the same pair reuses that sweep instead of
+    repeating it ([itape.forward_reused] counts the reuses,
+    [itape.forward_sweeps] the sweeps). The answers are the same either
+    way: a sweep is a pure function of the two. *)
+
+(** [forget ()] drops the calling domain's remembered sweep, so its next
+    call sweeps afresh. {!Icp.solve} calls it on entry: reuse then depends
+    only on the calls of one solver task, which run in order on one
+    domain, so the work counters a reused sweep skips (the
+    [transcend.*] counts) come out the same at every worker count. *)
+val forget : unit -> unit
 
 (** [revise prog box] is one HC4 revise of the compiled atom on [box]:
     forward evaluation, feasibility test against the atom's relation,

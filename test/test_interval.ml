@@ -80,6 +80,69 @@ let test_split () =
   Alcotest.check_raises "split point" (Invalid_argument "Interval.split")
     (fun () -> ignore (Interval.split (Interval.point 1.0)))
 
+(* Division by a nonpositive divisor with a zero end: that zero is
+   approached from below whatever its sign bit, so 1 / [-1, 0] reaches
+   -inf. Taking it for +0 gave [-1, +inf], which misses every true
+   quotient below -1. Each path below — the boxed operations and the
+   register kernels, reciprocals through negative integer powers — must
+   contain the quotients of sampled points. *)
+let regs_op2 f a b =
+  let r = Interval.Regs.create 3 in
+  Interval.Regs.set r 0 a;
+  Interval.Regs.set r 1 b;
+  f r 2 r 0 r 1;
+  Interval.Regs.get r 2
+
+let regs_pow_int a n =
+  let r = Interval.Regs.create 2 in
+  Interval.Regs.set r 0 a;
+  Interval.Regs.pow_int r 1 r 0 n;
+  Interval.Regs.get r 1
+
+let test_div_nonpositive_zero_end () =
+  let eta = 0x1p-1074 in
+  let divisors =
+    [ ("[-1, 0]", iv (-1.0) 0.0, [ -1.0; -0.5; -1e-3; -1e-300; -.eta ]);
+      ("[-1, -0]", iv (-1.0) (-0.0), [ -1.0; -0.25; -1e-300; -.eta ]);
+      ("[-3, 0]", iv (-3.0) 0.0, [ -3.0; -1.0; -1e-8 ]) ]
+  in
+  let numerators = [ iv 1.0 2.0; iv (-2.0) (-1.0); iv 1.0 1.0; iv (-4.0) (-0.5) ] in
+  let contains name q x =
+    if not (Interval.mem x q) then
+      Alcotest.failf "%s: %h not in %s" name x (Interval.to_string q)
+  in
+  List.iter
+    (fun (dname, b, ys) ->
+      List.iter
+        (fun a ->
+          let name op = Printf.sprintf "%s %s %s" op (Interval.to_string a) dname in
+          let quotients =
+            [ (name "div", Interval.div a b);
+              (name "div_rel", Interval.div_rel a b);
+              (name "Regs.div", regs_op2 Interval.Regs.div a b);
+              (name "Regs.div_rel", regs_op2 Interval.Regs.div_rel a b) ]
+          in
+          List.iter
+            (fun (qname, q) ->
+              List.iter
+                (fun x -> List.iter (fun y -> contains qname q (x /. y)) ys)
+                [ Interval.inf a; Interval.sup a; Interval.midpoint a ])
+            quotients)
+        numerators;
+      List.iter
+        (fun (qname, q) -> List.iter (fun y -> contains qname q (1.0 /. y)) ys)
+        [ ("pow_int " ^ dname ^ " (-1)", Interval.pow_int b (-1));
+          ("Regs.pow_int " ^ dname ^ " (-1)", regs_pow_int b (-1)) ])
+    divisors;
+  (* hi_up (-eta) is -0: the |x|^1 bounds of [-1, -eta] end in a zero the
+     reciprocal must approach from below *)
+  let b = iv (-1.0) (-.eta) in
+  List.iter
+    (fun (qname, q) ->
+      List.iter (fun y -> contains qname q (1.0 /. y)) [ -1.0; -1e-3; -1e-300 ])
+    [ ("pow_int [-1, -eta] (-1)", Interval.pow_int b (-1));
+      ("Regs.pow_int [-1, -eta] (-1)", regs_pow_int b (-1)) ]
+
 (* The hand-written successor/predecessor and min/max replace C calls on
    the soundness path, so they must agree with the stdlib bit for bit. *)
 let bits = Int64.bits_of_float
@@ -158,6 +221,8 @@ let suite =
     case "splitting" test_split;
     case "succ/pred/lo_down/hi_up match nextafter" test_rounding_points;
     case "fmin/fmax match Float.min/max" test_min_max;
+    case "division by a nonpositive divisor with a zero end"
+      test_div_nonpositive_zero_end;
     prop_rounding_bits;
     containment_qcheck "exp containment" Transcend.exp Stdlib.exp;
     containment_qcheck "log containment" Transcend.log Stdlib.log;

@@ -386,6 +386,93 @@ let test_tree_walk_config_refused () =
       ignore (Verify.campaign ~config [ Registry.find "pbe" ]))
 
 (* ------------------------------------------------------------------ *)
+(* Reuse of the forward registers *)
+
+(* A domain's forward registers keep their last sweep, and a call on the
+   same program and the same slot bounds reuses it. Random call sequences
+   over two programs and a pool of boxes — each box next to a copy with
+   every zero bound's sign flipped, which Interval.equal cannot tell
+   apart but a sweep can (x itself, abs x) — must answer bit for bit as
+   the same calls each made in a fresh domain. *)
+
+let bits_equal_iv a b =
+  Int64.equal
+    (Int64.bits_of_float (Interval.inf a))
+    (Int64.bits_of_float (Interval.inf b))
+  && Int64.equal
+       (Int64.bits_of_float (Interval.sup a))
+       (Int64.bits_of_float (Interval.sup b))
+
+let bits_equal_box a b =
+  List.for_all2 bits_equal_iv
+    (Array.to_list (Box.intervals a))
+    (Array.to_list (Box.intervals b))
+
+let flip_zero_signs box =
+  let flip x = if x = 0.0 then -.x else x in
+  Box.make
+    (List.map
+       (fun v ->
+         let iv = Box.get box v in
+         (v, Interval.make (flip (Interval.inf iv)) (flip (Interval.sup iv))))
+       (Box.vars box))
+
+let reuse_atom_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, atom_gen);
+        (1, map (fun rel -> Form.atom (Expr.var "x") rel) rel_gen);
+        (1, map (fun rel -> Form.atom (Expr.abs (Expr.var "y")) rel) rel_gen);
+      ])
+
+let call_gen = QCheck2.Gen.oneofl [ `Eval; `Status; `Revise; `Gradient; `Mvf ]
+
+let run_call prog box = function
+  | `Eval -> `Value (Itape.eval prog box)
+  | `Status -> `Status (Itape.status_on prog box)
+  | `Revise -> `Result (Itape.revise prog box)
+  | `Gradient -> `Gradient (Itape.eval_gradient prog box)
+  | `Mvf -> `Result (Itape.contract_mvf prog box)
+
+let same_answer a b =
+  match (a, b) with
+  | `Value x, `Value y -> bits_equal_iv x y
+  | `Status x, `Status y -> x = y
+  | `Result Itape.Infeasible, `Result Itape.Infeasible -> true
+  | `Result (Itape.Contracted x), `Result (Itape.Contracted y) ->
+      bits_equal_box x y
+  | `Gradient (g : Itape.gradient), `Gradient (h : Itape.gradient) ->
+      bits_equal_iv g.value h.value
+      && g.decided = h.decided
+      && List.for_all2 bits_equal_iv (Array.to_list g.partials)
+           (Array.to_list h.partials)
+  | _ -> false
+
+let prop_forward_reuse =
+  qcheck ~count:100 "reused forward sweeps = fresh-domain calls, bit for bit"
+    QCheck2.Gen.(
+      triple
+        (pair reuse_atom_gen reuse_atom_gen)
+        (list_size (return 2) box_gen)
+        (list_size (int_range 1 16)
+           (triple (int_range 0 1) (int_range 0 3) call_gen)))
+    (fun ((a1, a2), boxes, calls) ->
+      let vars = [ "x"; "y" ] in
+      let progs = [| Itape.compile ~vars a1; Itape.compile ~vars a2 |] in
+      let pool =
+        Array.of_list (List.concat_map (fun b -> [ b; flip_zero_signs b ]) boxes)
+      in
+      Itape.forget ();
+      List.for_all
+        (fun (p, b, call) ->
+          let prog = progs.(p) and box = pool.(b) in
+          let got = run_call prog box call in
+          let fresh = Domain.join (Domain.spawn (fun () -> run_call prog box call)) in
+          same_answer got fresh)
+        calls)
+
+(* ------------------------------------------------------------------ *)
 (* Allocation: the sweeps do not allocate per instruction *)
 
 (* A transcendental-free atom with [k] product terms, positive on the box
@@ -404,9 +491,19 @@ let minor_words_of f =
   f ();
   Gc.minor_words () -. before
 
+let forward_sweeps () =
+  match
+    List.assoc_opt "itape.forward_sweeps"
+      (Obs.Metrics.snapshot ()).Obs.Metrics.wall_counters
+  with
+  | Some n -> n
+  | None -> 0
+
 let test_sweeps_allocation_flat () =
   let box =
     Box.make [ ("x", Interval.make 1.0 2.0); ("y", Interval.make 0.5 1.5) ]
+  and box' =
+    Box.make [ ("x", Interval.make 1.0 1.5); ("y", Interval.make 0.5 1.5) ]
   in
   let tape k =
     Itape.compile ~vars:(Box.vars box) (Form.atom (sum_of_products k) Form.Ge0)
@@ -415,18 +512,24 @@ let test_sweeps_allocation_flat () =
   check_true "long tape is long" (Itape.length long > 50 * Itape.length short);
   let calls =
     [
-      ("eval", fun p () -> ignore (Itape.eval p box));
-      ("revise", fun p () -> ignore (Itape.revise p box));
-      ("eval_gradient", fun p () -> ignore (Itape.eval_gradient p box));
-      ("contract_mvf", fun p () -> ignore (Itape.contract_mvf p box));
+      ("eval", fun p b () -> ignore (Itape.eval p b));
+      ("revise", fun p b () -> ignore (Itape.revise p b));
+      ("eval_gradient", fun p b () -> ignore (Itape.eval_gradient p b));
+      ("contract_mvf", fun p b () -> ignore (Itape.contract_mvf p b));
     ]
   in
   List.iter
     (fun (name, call) ->
       (* warm-up: grow this domain's scratch registers to the long tape *)
-      call long ();
-      call short ();
-      let ws = minor_words_of (call short) and wl = minor_words_of (call long) in
+      call long box ();
+      call short box ();
+      (* each measured call differs from the one before in its box or its
+         program, so both sweep rather than reuse the registers *)
+      let before = forward_sweeps () in
+      let ws = minor_words_of (call short box')
+      and wl = minor_words_of (call long box) in
+      if forward_sweeps () - before <> 2 then
+        Alcotest.failf "%s: a measured call reused the last sweep" name;
       if ws <> wl then
         Alcotest.failf "%s: %.0f minor words on %d registers, %.0f on %d" name
           ws (Itape.length short) wl (Itape.length long))
@@ -446,6 +549,7 @@ let suite =
     case "split progress" test_split_progress;
     prop_split_progress;
     prop_status_eval_equiv;
+    prop_forward_reuse;
     prop_registry_differential_oracle;
     case "paint log matches tree-walk fixture"
       test_paint_log_matches_tree_fixture;

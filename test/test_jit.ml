@@ -227,6 +227,51 @@ let test_identity_fixed_case () =
              (interpreted ~mvf:true ~rounds:3 compiled box))
   end
 
+(* Division by a nonpositive divisor with a zero end, in C as in OCaml:
+   on x in [-1, -eta] the bounds of x^1 are [-1 - ulp, -0], and 1/x must
+   reach -inf. Taking the -0 for +0 made 1/x [-1, +inf] and pruned the
+   box as infeasible for 1/x <= -2, though x = -1/4 satisfies it. *)
+let test_identity_zero_end_divisor () =
+  if Jit.available () then begin
+    let formula =
+      [
+        Form.atom
+          (Expr.add (Expr.inv (Expr.var "x")) (Expr.int 2))
+          Form.Le0;
+      ]
+    in
+    let compiled = Hc4.compile ~vars:[ "x"; "y" ] formula in
+    match
+      Jit.plan ~cache_dir:(Lazy.force cache_dir) ~mvf:true ~rounds:3 compiled
+    with
+    | Error e -> Alcotest.failf "plan failed: %s" e
+    | Ok plan ->
+        List.iter
+          (fun x_hi ->
+            let box =
+              Box.make
+                [ ("x", Interval.make (-1.0) x_hi); ("y", Interval.make 0.0 1.0) ]
+            in
+            let reference = interpreted ~mvf:true ~rounds:3 compiled box in
+            ignore
+              (check_outcome
+                 (Printf.sprintf "x in [-1, %h]" x_hi)
+                 (Jit.contract_batch plan [| box |]).(0)
+                 reference);
+            let result, _, _, _ = reference in
+            match result with
+            | Hc4.Infeasible ->
+                Alcotest.failf "x in [-1, %h]: pruned a box with models" x_hi
+            | Hc4.Contracted b ->
+                List.iter
+                  (fun x ->
+                    check_true
+                      (Printf.sprintf "model x = %h kept" x)
+                      (Interval.mem x (Box.get b "x")))
+                  [ -0.5; -0.25; -1e-3 ])
+          [ -0x1p-1074; -0.0; 0.0 ]
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Degradation: compiler failures are an [Error], counted, never fatal *)
 
@@ -386,6 +431,8 @@ let suite =
   [
     prop_jit_identity;
     case "identity on a fixed exp/pow/W case" test_identity_fixed_case;
+    case "identity on a divisor with a zero end"
+      test_identity_zero_end_divisor;
     case "degrades to Error on a broken compiler" test_degrades_on_broken_cc;
     case "degrades to Error on a missing compiler" test_degrades_on_missing_cc;
     case "compile cache serves the second plan" test_cache_hit;

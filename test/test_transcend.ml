@@ -452,6 +452,172 @@ let pow_rat_containment_qcheck =
       Float.is_nan v || Interval.is_empty i || mem_approx v i)
 
 (* ------------------------------------------------------------------ *)
+(* Point evaluation                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A point [x, x] runs its certified kernel once and uses the one
+   enclosure for both ends. The two-endpoint evaluation it replaces is
+   rebuilt here from intervals that share one end with the point: the
+   lower end of [x, succ x] and the upper end of [pred x, x] each come
+   from their own kernel call at x. [increasing] picks which end bounds
+   which side. *)
+let two_end_eval f ~increasing x =
+  let above = f (iv x (Float.succ x)) and below = f (iv (Float.pred x) x) in
+  if increasing then Interval.of_bounds (Interval.inf above) (Interval.sup below)
+  else Interval.of_bounds (Interval.inf below) (Interval.sup above)
+
+(* Test-side copy of Transcend's float-path widening for the rounding of
+   a rational exponent (lib/interval/transcend.ml). *)
+let widen_exponent_rounding i base p =
+  if Interval.is_empty base then base
+  else begin
+    let ulp_of v = let a = Float.abs v in Float.succ a -. a in
+    let ln_extreme x =
+      if x > 0.0 && x < Float.infinity then Float.abs (Stdlib.log x) else 0.0
+    in
+    let lnb =
+      Float.max (ln_extreme (Interval.mig i)) (ln_extreme (Interval.mag i))
+    in
+    let d = (lnb +. 1.0) *. ulp_of p in
+    let lo = Interval.inf base and hi = Interval.sup base in
+    let lo =
+      if Float.is_finite lo then Float.max 0.0 (Float.pred (lo -. (lo *. d)))
+      else lo
+    in
+    let hi =
+      if hi = Float.infinity then hi else Float.succ (hi +. (hi *. d))
+    in
+    Interval.of_bounds lo hi
+  end
+
+(* Transcend's meets, over the rebuilt certified enclosure of a point. *)
+let two_end_transcend_log x =
+  let i = point x in
+  let base = Transcend.Legacy.log i in
+  if Interval.is_empty base || not (Interval.is_bounded i) then base
+  else
+    Interval.meet base (two_end_eval Certified.log ~increasing:true x)
+
+(* Integer exponents take Interval.pow_int, which has no kernel call. *)
+let two_end_certified_pow_rat x r =
+  match Rat.to_int r with
+  | Some n -> Interval.pow_int (point x) n
+  | None ->
+      two_end_eval
+        (fun i -> Certified.pow_rat i r)
+        ~increasing:(Rat.sign r > 0) x
+
+let two_end_transcend_pow_rat x r =
+  let i = point x in
+  match Rat.to_int r with
+  | Some n -> Interval.pow_int i n
+  | None ->
+      let p = Rat.to_float r in
+      let base = widen_exponent_rounding i (Interval.pow i p) p in
+      if Interval.is_bounded i then
+        Interval.meet base (two_end_certified_pow_rat x r)
+      else base
+
+(* The exact rational exponents of the registry's encoded conditions. *)
+let registry_rats =
+  lazy
+    (List.sort_uniq Rat.compare
+       (List.concat_map
+          (fun (p : Encoder.problem) ->
+            let prog =
+              Itape.compile ~vars:(Box.vars p.Encoder.domain) p.Encoder.psi
+            in
+            Array.to_list (Itape.instrs prog)
+            |> List.filter_map (function
+                 | Itape.Ipow { const_rat = Some r; _ } -> Some r
+                 | _ -> None))
+          (Encoder.encode_all Registry.paper_five)))
+
+(* ... plus a few of either sign *)
+let oracle_rats =
+  lazy
+    (List.sort_uniq Rat.compare
+       (Rat.third :: Rat.make (-1) 3 :: Rat.make 3 2 :: Rat.make (-7) 6
+        :: Lazy.force registry_rats))
+
+(* 0, subnormals, 1, huge values and, per exponent r, the bases where
+   r ln x crosses the ends of the dd exp kernel's domain. *)
+let special_points r =
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  let rf = Rat.to_float r in
+  [ 0.0; 0x1p-1074; 1e-310; 0x1p-1022; 1.0; 1e300; Float.max_float;
+    Float.infinity ]
+  @ around 1.0
+  @ List.concat_map around
+      (List.filter
+         (fun x -> x > 0.0 && Float.is_finite x)
+         [ Stdlib.exp (709.0 /. rf); Stdlib.exp (-670.0 /. rf) ])
+
+let check_same name x got want =
+  let bits v = Int64.bits_of_float v in
+  if
+    not
+      ((Interval.is_empty got && Interval.is_empty want)
+      || bits (Interval.inf got) = bits (Interval.inf want)
+         && bits (Interval.sup got) = bits (Interval.sup want))
+  then
+    Alcotest.failf "%s at %h: %s, two-end %s" name x (Interval.to_string got)
+      (Interval.to_string want)
+
+let check_pow_rat_point r x =
+  let rs = Rat.to_string r in
+  check_same ("Certified.pow_rat " ^ rs) x
+    (Certified.pow_rat (point x) r)
+    (two_end_certified_pow_rat x r);
+  check_same ("Transcend.pow_rat " ^ rs) x
+    (Transcend.pow_rat (point x) r)
+    (two_end_transcend_pow_rat x r)
+
+let check_log_point x =
+  check_same "Certified.log" x
+    (Certified.log (point x))
+    (two_end_eval Certified.log ~increasing:true x);
+  check_same "Transcend.log" x
+    (Transcend.log (point x))
+    (two_end_transcend_log x)
+
+let test_point_eval_specials () =
+  let fractional =
+    List.filter (fun r -> Rat.to_int r = None) (Lazy.force registry_rats)
+  in
+  check_true
+    (Printf.sprintf "registry has fractional exponents (%d)"
+       (List.length fractional))
+    (List.length fractional >= 3);
+  List.iter
+    (fun r ->
+      List.iter
+        (fun x ->
+          check_pow_rat_point r x;
+          check_log_point x)
+        (special_points r))
+    (Lazy.force oracle_rats)
+
+let point_eval_qcheck =
+  qcheck ~count:500 "point enclosures = two-end evaluation, bit for bit"
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun b -> Float.abs (Int64.float_of_bits b)) int64;
+          float_range 0.0 4.0;
+          map (fun e -> Float.ldexp 1.0 e) (int_range (-1074) 1023);
+        ])
+    (fun x ->
+      Float.is_nan x
+      || begin
+           check_log_point x;
+           List.iter
+             (fun r -> check_pow_rat_point r x)
+             (Lazy.force oracle_rats);
+           true
+         end)
+
+(* ------------------------------------------------------------------ *)
 (* subset-of-legacy and containment sweeps for the remaining exports   *)
 (* ------------------------------------------------------------------ *)
 
@@ -546,6 +712,8 @@ let suite =
     case "pow_rat integer parity" test_pow_rat_integer_parity;
     case "pow_rat references" test_pow_rat_references;
     case "pow_rat edges" test_pow_rat_edges;
+    case "point enclosures at special points" test_point_eval_specials;
+    point_eval_qcheck;
     case "dispatch counters" test_counters_fire;
     case "single path on a fixed table" test_single_path_fixed_table;
     subset_of_legacy "exp subset of legacy" Transcend.exp Transcend.Legacy.exp
