@@ -381,6 +381,16 @@ module Regs = struct
     Int64.bits_of_float (lo r i) = Int64.bits_of_float iv.lo
     && Int64.bits_of_float (hi r i) = Int64.bits_of_float iv.hi
 
+  (* Bit equality without a C call: finite bounds that compare equal are
+     the same float, except a zero, whose sign [1 / x] tells. *)
+  let[@inline] same_finite_bound x y =
+    Float.abs x < pos_inf && x = y && (x <> 0.0 || 1.0 /. x = 1.0 /. y)
+
+  let same_finite a i b j =
+    same_finite_bound (lo a i) (lo b j) && same_finite_bound (hi a i) (hi b j)
+
+  let lo_above r i x = lo r i > x && lo r i <= hi r i
+
   (* Each kernel reads its operands before it writes, so [dst.(d)] may be
      one of them: accumulators update in place. *)
 

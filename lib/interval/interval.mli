@@ -202,6 +202,14 @@ module Regs : sig
       unlike {!equal} it tells [-0] from [+0]. *)
   val same : t -> int -> interval -> bool
 
+  (** [same_finite a i b j]: both registers hold the same finite bounds,
+      bit for bit (so [-0] and [+0] differ). False for empty registers. *)
+  val same_finite : t -> int -> t -> int -> bool
+
+  (** [lo_above r i x]: the lower bound of [r.(i)] is above [x] (false
+      for an empty register). *)
+  val lo_above : t -> int -> float -> bool
+
   (** [add dst d a i b j] sets [dst.(d)] to [add a.(i) b.(j)]; likewise
       the others. *)
   val add : t -> int -> t -> int -> t -> int -> unit

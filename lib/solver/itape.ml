@@ -45,7 +45,20 @@ type t = {
   const : bool array;
       (* [const.(i)] when register [i] is an [Iconst]: its adjoint is never
          read, so the adjoint sweep skips contributions into it *)
+  deps : int array;
+      (* [deps.(i)]: the slot bits (see [slot_bit]) of the box dimensions
+         register [i] reads, through any path, select guards included;
+         [const_bit] when it reads none *)
+  skip : skip array;
+      (* [skip.(i)]: when register [i]'s backward rule cannot tighten a
+         child from the register's own bounded forward value (see
+         [skippable]) *)
 }
+
+(* When a backward rule may be skipped: never, always, or [Above (c, x)]
+   when child register [c]'s forward lower bound is above [x], inside the
+   domain the forward rule clips the child to. *)
+and skip = Never | Always | Above of int * float
 
 let target_of_relation = function
   | Form.Le0 | Form.Lt0 -> Interval.make Float.neg_infinity 0.0
@@ -109,6 +122,69 @@ let rat_deriv r =
 
 let rat_inv r =
   match Rat.to_int r with Some _ -> None | None -> Some (Rat.inv r)
+
+(* A register's slot bits: one bit per box dimension it reads, slot mod 62,
+   so two slots may share a bit (the forward sweep then recomputes a
+   register it could have kept, never the reverse). Bit 62 marks the
+   registers that read no slot, constants and their unfolded combinations,
+   which only a full sweep writes. *)
+let slot_bit s = 1 lsl (s mod 62)
+let const_bit = 1 lsl 62
+
+(* The changed-slot mask of a full sweep: every bit, constants included. *)
+let all_regs = -1
+
+let deps_of instrs =
+  let deps = Array.make (Array.length instrs) 0 in
+  Array.iteri
+    (fun i ins ->
+      let d r = deps.(r) land lnot const_bit in
+      let reads =
+        match ins with
+        | Iconst _ -> 0
+        | Ivar s -> slot_bit s
+        | Iadd regs | Imul regs -> Array.fold_left (fun m r -> m lor d r) 0 regs
+        | Ipow { base; expo; _ } -> d base lor d expo
+        | Iunop (_, a) -> d a
+        | Iselect { branches; default } ->
+            Array.fold_left
+              (fun m (c, _, b) -> m lor d c lor d b)
+              (d default) branches
+      in
+      deps.(i) <- (if reads = 0 then const_bit else reads))
+    instrs;
+  deps
+
+(* Backward rules that leave every child's requirement bit-identical when
+   the register's requirement is still its own bounded forward value: the
+   requirement then contains the image of the children's forward values,
+   the rule's outward-rounded preimage contains each child's forward value
+   and so its requirement, and the meet keeps that. The preimage only
+   covers the part of a child inside the rule's domain, so a rule whose
+   forward pass clips its argument (a non-integer rational power to
+   x >= 0, W to x >= -1/e) is skipped only when the child's forward value
+   lies strictly inside that domain, which also keeps a zero bound of
+   either sign out. Log needs no such test: a clipped argument reaches 0
+   and sends the register's lower bound to -inf. Excluded are the rules
+   that break this today: an integer power whose reciprocal exponent is
+   inexact ([backward_pow_int] roots through fl(1/n) and can cut real
+   bounds); the powers with a float or variable exponent are left out
+   unargued. The unbounded requirements, where a division of infinities
+   empties a product's preimage, are excluded at the call by
+   [Regs.same_finite]. *)
+let skippable = function
+  | Iconst _ | Ivar _ | Iadd _ | Imul _ | Iselect _ -> Always
+  | Iunop (Lambert_w, a) ->
+      (* any bound above -1/e = -0.36787944... *)
+      Above (a, -0.3678)
+  | Iunop (_, _) -> Always
+  | Ipow { base; const_rat = Some r; _ } -> (
+      match Rat.to_int r with
+      | None -> Above (base, 0.0)
+      | Some n ->
+          let m = Stdlib.abs n in
+          if m > 0 && m land (m - 1) = 0 then Always else Never)
+  | Ipow _ -> Never
 
 let compile ~vars (atom : Form.atom) =
   let slot_of v =
@@ -189,6 +265,8 @@ let compile ~vars (atom : Form.atom) =
     var_regs = Array.of_list (List.rev !var_regs);
     has_select = !has_select;
     const = Array.map (function Iconst _ -> true | _ -> false) instrs;
+    deps = deps_of instrs;
+    skip = Array.map skippable instrs;
   }
 
 let length prog = Array.length prog.instrs
@@ -217,20 +295,27 @@ let has_select prog = prog.has_select
    per domain (not stored in the shared program, which several workers
    revise concurrently).
 
-   The forward file remembers the sweep it holds: the program (by physical
-   identity) and the bit patterns of the slot bounds it was swept on. A
-   sweep is a pure function of the two, so {!forward} skips it when both
-   match — the HC4 revise, the mean-value stage and the status test of one
-   expansion usually see the same box. Bits, not [Interval.equal]: -0 and
-   +0 bounds are equal yet can sweep to different registers. The
-   mean-value midpoint replay has its own point file, so it never evicts
-   the box sweep. *)
+   The forward file and the mean-value point file each carry a [tag]: the
+   program whose sweep they hold (by physical identity) and the bit
+   patterns of the slot bounds it was swept on. A register is a pure
+   function of the program and the bounds of the slots in its [deps], so
+   {!sweep} skips the sweep when no slot bound changed and otherwise
+   recomputes only the registers that read a changed slot — the HC4
+   revise, the mean-value stage and the status test of one expansion
+   usually see the same box, and a split or a contraction changes only
+   some of its slots. Bits, not [Interval.equal]: -0 and +0 bounds are
+   equal yet can sweep to different registers. *)
+type tag = {
+  mutable prog : t;  (* the program the file holds a sweep of, or [nothing] *)
+  mutable bounds : Interval.Regs.t;
+      (* the bounds of [prog]'s slots it was swept on, in [slots] order *)
+}
+
 type scratch = {
   mutable fwd : Interval.Regs.t;
-  mutable held : t;  (* the program [fwd] holds a sweep of, or [nothing] *)
-  mutable held_bounds : Interval.Regs.t;
-      (* the bounds of [held]'s slots it was swept on, in [slots] order *)
+  fwd_tag : tag;
   mutable pt : Interval.Regs.t;  (* the mean-value midpoint replay *)
+  pt_tag : tag;
   mutable req : Interval.Regs.t;
   mutable adj : Interval.Regs.t;
       (* adjoint registers of the reverse-mode gradient sweep *)
@@ -266,6 +351,8 @@ let nothing =
     var_regs = [||];
     has_select = false;
     const = [||];
+    deps = [||];
+    skip = [||];
   }
 
 let scratch_key =
@@ -275,9 +362,9 @@ let scratch_key =
       let none = Interval.Regs.create 0 in
       {
         fwd = none;
-        held = nothing;
-        held_bounds = none;
+        fwd_tag = { prog = nothing; bounds = none };
         pt = none;
+        pt_tag = { prog = nothing; bounds = none };
         req = none;
         adj = none;
         visited = [||];
@@ -294,7 +381,8 @@ let grown r m = Interval.Regs.create (Stdlib.max m (2 * Interval.Regs.length r))
 
 let ensure_capacity s n =
   if Interval.Regs.length s.fwd < n then begin
-    s.held <- nothing;
+    s.fwd_tag.prog <- nothing;
+    s.pt_tag.prog <- nothing;
     s.fwd <- grown s.fwd n;
     s.pt <- grown s.pt n;
     s.req <- grown s.req n;
@@ -315,7 +403,10 @@ let ensure_vars s k =
     s.mids <- Float.Array.make (Interval.Regs.length s.dx) 0.0
   end
 
-let forget () = (Domain.DLS.get scratch_key).held <- nothing
+let forget () =
+  let s = Domain.DLS.get scratch_key in
+  s.fwd_tag.prog <- nothing;
+  s.pt_tag.prog <- nothing
 
 let guard regs rel c = Ieval.guard_status_of_reg rel regs c
 
@@ -376,68 +467,90 @@ let rec select_forward fwd i branches default idx =
         select_forward fwd i branches default (idx + 1)
   end
 
-(* Forward evaluation of every register, bottom-up. Writes into [fwd] and
-   returns nothing; the caller reads the registers it needs. *)
-let forward_pass instrs fwd box n =
+(* Forward evaluation, bottom-up, of the registers whose [deps] meet
+   [changed]: every register for [all_regs], else those that read a changed
+   slot. Writes into [fwd] and returns nothing; the caller reads the
+   registers it needs. *)
+let forward_pass instrs deps fwd box n changed =
   for i = 0 to n - 1 do
-    match instrs.(i) with
-    | Iconst c -> R.set fwd i c
-    | Ivar slot -> R.set fwd i (Box.get_idx box slot)
-    | Iadd regs ->
-        R.set fwd i Interval.zero;
-        for j = 0 to Array.length regs - 1 do
-          R.add fwd i fwd i fwd regs.(j)
-        done
-    | Imul regs ->
-        R.set fwd i Interval.one;
-        for j = 0 to Array.length regs - 1 do
-          R.mul fwd i fwd i fwd regs.(j)
-        done
-    | Ipow { base; const_rat = Some r; _ } when Rat.den r = 1 ->
-        (* an integer exponent: Ieval.pow_node's rule, unboxed *)
-        R.pow_int fwd i fwd base (Rat.num r)
-    | Ipow { base; expo; const_rat; _ } ->
-        R.set fwd i (Ieval.pow_node const_rat (R.get fwd base) (R.get fwd expo))
-    | Iunop (op, a) -> R.set fwd i (Ieval.apply_unop op (R.get fwd a))
-    | Iselect { branches; default } ->
-        R.set fwd i Interval.empty;
-        select_forward fwd i branches default 0
+    if deps.(i) land changed <> 0 then
+      match instrs.(i) with
+      | Iconst c -> R.set fwd i c
+      | Ivar slot -> R.set fwd i (Box.get_idx box slot)
+      | Iadd regs ->
+          R.set fwd i Interval.zero;
+          for j = 0 to Array.length regs - 1 do
+            R.add fwd i fwd i fwd regs.(j)
+          done
+      | Imul regs ->
+          R.set fwd i Interval.one;
+          for j = 0 to Array.length regs - 1 do
+            R.mul fwd i fwd i fwd regs.(j)
+          done
+      | Ipow { base; const_rat = Some r; _ } when Rat.den r = 1 ->
+          (* an integer exponent: Ieval.pow_node's rule, unboxed *)
+          R.pow_int fwd i fwd base (Rat.num r)
+      | Ipow { base; expo; const_rat; _ } ->
+          R.set fwd i
+            (Ieval.pow_node const_rat (R.get fwd base) (R.get fwd expo))
+      | Iunop (op, a) -> R.set fwd i (Ieval.apply_unop op (R.get fwd a))
+      | Iselect { branches; default } ->
+          R.set fwd i Interval.empty;
+          select_forward fwd i branches default 0
   done
 
 let m_forward_sweeps =
   Obs.Metrics.counter ~clas:Obs.Metrics.Wall "itape.forward_sweeps"
 
+let m_forward_partial =
+  Obs.Metrics.counter ~clas:Obs.Metrics.Wall "itape.forward_partial"
+
 let m_forward_reused =
   Obs.Metrics.counter ~clas:Obs.Metrics.Wall "itape.forward_reused"
 
-let rec same_bounds held slots box k =
-  k >= Array.length slots
-  || R.same held k (Box.get_idx box slots.(k))
-     && same_bounds held slots box (k + 1)
+(* The slot bits of [prog]'s slots whose bounds in [box] differ, bit for
+   bit, from those [tag] was swept on ([tag.prog == prog]). *)
+let changed_slots tag prog box =
+  let slots = prog.slots and changed = ref 0 in
+  for k = 0 to Array.length slots - 1 do
+    if not (R.same tag.bounds k (Box.get_idx box slots.(k))) then
+      changed := !changed lor slot_bit slots.(k)
+  done;
+  !changed
 
-(* Does [s.fwd] hold [prog]'s sweep over [box]? *)
-let holds s prog box =
-  s.held == prog && same_bounds s.held_bounds prog.slots box 0
-
-(* Fill [s.fwd] with [prog]'s forward sweep over [box], unless it already
-   holds that sweep. The tag is cleared before the sweep and set after it,
-   so a sweep that raises leaves no stale hit. *)
-let forward s prog box =
+(* Make [regs] hold [prog]'s forward sweep over [box]: nothing to do when
+   [tag] says it already does, only the registers reading a changed slot
+   when it holds a sweep of [prog] over other bounds, every register
+   otherwise. The tag is cleared before the sweep and set after it, so a
+   sweep that raises leaves no stale hit. *)
+let sweep regs tag prog box =
   let n = Array.length prog.instrs in
-  ensure_capacity s n;
-  if holds s prog box then Obs.Metrics.incr m_forward_reused 1
+  let changed =
+    if tag.prog == prog then changed_slots tag prog box else all_regs
+  in
+  if changed = 0 then `Reused
   else begin
-    s.held <- nothing;
-    forward_pass prog.instrs s.fwd box n;
+    tag.prog <- nothing;
+    forward_pass prog.instrs prog.deps regs box n changed;
     let slots = prog.slots in
     let k = Array.length slots in
-    if R.length s.held_bounds < k then s.held_bounds <- grown s.held_bounds k;
+    if R.length tag.bounds < k then tag.bounds <- grown tag.bounds k;
     for j = 0 to k - 1 do
-      R.set s.held_bounds j (Box.get_idx box slots.(j))
+      R.set tag.bounds j (Box.get_idx box slots.(j))
     done;
-    s.held <- prog;
-    Obs.Metrics.incr m_forward_sweeps 1
+    tag.prog <- prog;
+    if changed = all_regs then `Full else `Partial
   end
+
+(* Fill [s.fwd] with [prog]'s forward sweep over [box]. *)
+let forward s prog box =
+  ensure_capacity s (Array.length prog.instrs);
+  match sweep s.fwd s.fwd_tag prog box with
+  | `Reused -> Obs.Metrics.incr m_forward_reused 1
+  | `Full -> Obs.Metrics.incr m_forward_sweeps 1
+  | `Partial ->
+      Obs.Metrics.incr m_forward_sweeps 1;
+      Obs.Metrics.incr m_forward_partial 1
 
 (* req.(c) <- req.(c) ∩ iv, for contributions computed by a boxed rule *)
 let tighten req c iv = R.set req c (Interval.meet (R.get req c) iv)
@@ -551,6 +664,17 @@ let propagate s instrs i =
   | Iselect { branches; default } ->
       select_backward fwd req i branches default 0
 
+let m_backward_skipped = Obs.Metrics.counter "itape.backward_skipped"
+
+(* Does register [i]'s requirement (non-empty) leave its [skip] rule
+   nothing to tighten? *)
+let skips skip fwd req i =
+  (match skip with
+  | Never -> false
+  | Always -> true
+  | Above (c, x) -> R.lo_above fwd c x)
+  && R.same_finite req i fwd i
+
 let revise prog box =
   let s = Domain.DLS.get scratch_key in
   let n = Array.length prog.instrs in
@@ -570,15 +694,20 @@ let revise prog box =
     (* Registers were emitted children-first, so the reverse scan runs
        parents-first: each register's requirement is final before its
        children are tightened — the same order as the tree walker. *)
-    let infeasible = ref false in
+    (* A register whose requirement is still its own bounded forward value
+       would hand each child back its requirement unchanged under a
+       [skip] rule, so that rule is not run. *)
+    let infeasible = ref false and skipped = ref 0 in
     let i = ref (n - 1) in
     while (not !infeasible) && !i >= 0 do
       if (not prog.has_select) || visited.(!i) then begin
         if R.is_empty req !i then infeasible := true
+        else if skips prog.skip.(!i) fwd req !i then incr skipped
         else propagate s prog.instrs !i
       end;
       decr i
     done;
+    Obs.Metrics.incr m_backward_skipped !skipped;
     if !infeasible then Infeasible
     else begin
       (* Read contracted variable domains. *)
@@ -853,7 +982,7 @@ let contract_mvf prog box =
     else begin
       (* f at the midpoint: one more forward replay, on the degenerate
          midpoint box, into the point file. *)
-      forward_pass prog.instrs s.pt (Box.midpoint_box box) n;
+      ignore (sweep s.pt s.pt_tag prog (Box.midpoint_box box));
       if R.is_empty s.pt prog.root then Contracted box
       else begin
         let terms = s.terms and prefix = s.prefix and suffix = s.suffix in

@@ -11,7 +11,10 @@
     the expression — registers are emitted in the tree walk's forward
     completion order, the backward scan runs in its exact reverse, n-ary
     folds keep their seeds, and certainly-True piecewise guards prune the
-    same branches. The tree-walking reference lives in
+    same branches. The only operations the replay leaves out are ones
+    that provably change no register: forward registers no changed slot
+    reaches, and backward rules that would hand every child back its
+    requirement. The tree-walking reference lives in
     [test/tree_oracle.ml], and the equivalence properties in
     [test/test_itape.ml] check the tape against it bit for bit. *)
 
@@ -82,13 +85,17 @@ val slots : t -> int array
     Each worker domain keeps one forward register file, shared by
     {!revise}, {!eval}, {!status_on}, {!eval_gradient} and {!contract_mvf}.
     It remembers the program and the bit patterns of the slot bounds it
-    last swept, and a call on the same pair reuses that sweep instead of
-    repeating it ([itape.forward_reused] counts the reuses,
-    [itape.forward_sweeps] the sweeps). The answers are the same either
-    way: a sweep is a pure function of the two. *)
+    last swept. A call on the same pair reuses that sweep instead of
+    repeating it, and a call on the same program whose box differs in some
+    slots recomputes only the registers that read those slots
+    ([itape.forward_reused] counts the reuses, [itape.forward_sweeps] the
+    sweeps, [itape.forward_partial] the partial ones among them). The
+    mean-value midpoint replay keeps its own file, remembered the same
+    way. The answers are the same either way: a register is a pure
+    function of the program and the bounds of the slots it reads. *)
 
-(** [forget ()] drops the calling domain's remembered sweep, so its next
-    call sweeps afresh. {!Icp.solve} calls it on entry: reuse then depends
+(** [forget ()] drops the calling domain's remembered sweeps, of both
+    files, so its next calls sweep afresh. {!Icp.solve} calls it on entry: reuse then depends
     only on the calls of one solver task, which run in order on one
     domain, so the work counters a reused sweep skips (the
     [transcend.*] counts) come out the same at every worker count. *)
@@ -97,8 +104,12 @@ val forget : unit -> unit
 (** [revise prog box] is one HC4 revise of the compiled atom on [box]:
     forward evaluation, feasibility test against the atom's relation,
     backward contraction, and read-off of the contracted variable domains.
-    Scratch registers live in domain-local storage; calls from different
-    worker domains never share them. *)
+    The backward pass does not run a rule that would hand every child back
+    its requirement unchanged: one whose register still requires exactly
+    its own bounded forward value, for the rules that provably keep it
+    ([itape.backward_skipped] counts them). Scratch registers live in
+    domain-local storage; calls from different worker domains never share
+    them. *)
 val revise : t -> Box.t -> result
 
 (** [eval prog box] is the forward pass alone: the enclosure of the atom's

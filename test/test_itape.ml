@@ -37,7 +37,8 @@ let rel_gen =
   QCheck2.Gen.oneofl [ Form.Le0; Form.Lt0; Form.Ge0; Form.Gt0; Form.Eq0 ]
 
 (* expr_gen plus piecewise roots, so the tape's guard-pruned branch walk is
-   exercised (the plain generator never emits Piecewise). *)
+   exercised (the plain generator never emits Piecewise), and roots that
+   clip their argument to a domain: non-integer powers and W. *)
 let atom_expr_gen =
   QCheck2.Gen.(
     let pw =
@@ -56,7 +57,17 @@ let atom_expr_gen =
         (pair expr_gen expr_gen)
         expr_gen
     in
-    frequency [ (4, expr_gen); (1, pw); (1, pw2) ])
+    let clipped =
+      map2
+        (fun e k ->
+          match k with
+          | 0 -> Expr.sqrt e
+          | 1 -> Expr.powr e (Rat.make (-1) 3)
+          | 2 -> Expr.add (Expr.powr e (Rat.make 3 2)) (Expr.var "y")
+          | _ -> Expr.lambert_w e)
+        expr_gen (int_range 0 3)
+    in
+    frequency [ (4, expr_gen); (1, pw); (1, pw2); (1, clipped) ])
 
 let atom_gen =
   QCheck2.Gen.map2 (fun e rel -> Form.atom e rel) atom_expr_gen rel_gen
@@ -253,6 +264,44 @@ let prop_split_progress =
             Float.succ lo >= hi)
 
 (* ------------------------------------------------------------------ *)
+(* Bit-for-bit comparison *)
+
+let bits_equal_iv a b =
+  Int64.equal
+    (Int64.bits_of_float (Interval.inf a))
+    (Int64.bits_of_float (Interval.inf b))
+  && Int64.equal
+       (Int64.bits_of_float (Interval.sup a))
+       (Int64.bits_of_float (Interval.sup b))
+
+let bits_equal_box a b =
+  List.for_all2 bits_equal_iv
+    (Array.to_list (Box.intervals a))
+    (Array.to_list (Box.intervals b))
+
+let flip_zero_signs box =
+  let flip x = if x = 0.0 then -.x else x in
+  Box.make
+    (List.map
+       (fun v ->
+         let iv = Box.get box v in
+         (v, Interval.make (flip (Interval.inf iv)) (flip (Interval.sup iv))))
+       (Box.vars box))
+
+let same_bits a b =
+  match (a, b) with
+  | Itape.Infeasible, Itape.Infeasible -> true
+  | Itape.Contracted x, Itape.Contracted y -> bits_equal_box x y
+  | _ -> false
+
+let skip_matches_tree box atom =
+  let tape = Itape.compile ~vars:(Box.vars box) atom in
+  same_bits (Tree_oracle.revise box atom) (Itape.revise tape box)
+  && same_bits
+       (Tree_oracle.revise (flip_zero_signs box) atom)
+       (Itape.revise tape (flip_zero_signs box))
+
+(* ------------------------------------------------------------------ *)
 (* Differential oracle: tape vs tree vs point evaluation.
 
    Three independent evaluators of the same atom must agree: the compiled
@@ -289,11 +338,12 @@ let subbox_gen domain =
       (flatten_l
          (List.map (fun v -> shrink (Box.get domain v)) (Box.vars domain))))
 
+let table1_problems = Encoder.encode_all Registry.paper_five
+
 let prop_registry_differential_oracle =
-  let problems = Encoder.encode_all Registry.paper_five in
-  qcheck ~count:60 "registry differential oracle: tape = tree = point"
+  qcheck ~count:200 "registry differential oracle: tape = tree = point"
     QCheck2.Gen.(
-      oneofl problems >>= fun p ->
+      oneofl table1_problems >>= fun p ->
       map (fun b -> (p, b)) (subbox_gen p.Encoder.domain))
     (fun (p, box) ->
       let atom = p.Encoder.psi in
@@ -306,6 +356,9 @@ let prop_registry_differential_oracle =
       (* the tape's enclosure and certainty test match the tree walk *)
       Interval.equal (Ieval.eval (Box.to_env box) atom.Form.expr) enc
       && Itape.status_on tape box = Tree_oracle.status_on box atom
+      (* revise, with the backward rules it skips, matches the tree's
+         revise running every rule, bit for bit *)
+      && skip_matches_tree box atom
       (* dual's value track is the float evaluator, operation for operation *)
       && (dual.Dual.v = v || (Float.is_nan dual.Dual.v && Float.is_nan v))
       (* the midpoint value lies in the interval enclosure, up to point
@@ -395,27 +448,32 @@ let test_tree_walk_config_refused () =
    apart but a sweep can (x itself, abs x) — must answer bit for bit as
    the same calls each made in a fresh domain. *)
 
-let bits_equal_iv a b =
-  Int64.equal
-    (Int64.bits_of_float (Interval.inf a))
-    (Int64.bits_of_float (Interval.inf b))
-  && Int64.equal
-       (Int64.bits_of_float (Interval.sup a))
-       (Int64.bits_of_float (Interval.sup b))
+(* A select whose guard alone reads x: a sweep after a change of x only
+   must still recompute it. *)
+let guard_only_x =
+  let y = Expr.var "y" in
+  Expr.piecewise [ (Expr.guard_le (Expr.var "x"), y) ] (Expr.neg y)
 
-let bits_equal_box a b =
-  List.for_all2 bits_equal_iv
-    (Array.to_list (Box.intervals a))
-    (Array.to_list (Box.intervals b))
+(* W(1) does not fold: a register that reads no slot but is no constant,
+   which a full sweep must write although no slot change reaches it. *)
+let x_plus_w1 = Expr.add (Expr.var "x") (Expr.lambert_w (Expr.int 1))
 
-let flip_zero_signs box =
-  let flip x = if x = 0.0 then -.x else x in
-  Box.make
-    (List.map
-       (fun v ->
-         let iv = Box.get box v in
-         (v, Interval.make (flip (Interval.inf iv)) (flip (Interval.sup iv))))
-       (Box.vars box))
+(* What a sweep must recompute: a register that reads no slot on a full
+   sweep, and a select whose guard alone reads the changed slot on a
+   partial one. *)
+let test_sweeps_reach_dependents () =
+  let box =
+    Box.make [ ("x", Interval.make (-1.0) 1.0); ("y", Interval.make 0.5 1.5) ]
+  in
+  let box_x = Box.set box "x" (Interval.make (-2.0) (-1.0)) in
+  let same label e b =
+    let tape = Itape.compile ~vars:(Box.vars box) (Form.atom e Form.Ge0) in
+    ignore (Itape.eval tape box);
+    check_true label
+      (bits_equal_iv (Ieval.eval (Box.to_env b) e) (Itape.eval tape b))
+  in
+  same "x + W(1) swept like the tree walk" x_plus_w1 box;
+  same "select re-swept after a change of its guard's slot" guard_only_x box_x
 
 let reuse_atom_gen =
   QCheck2.Gen.(
@@ -424,7 +482,30 @@ let reuse_atom_gen =
         (3, atom_gen);
         (1, map (fun rel -> Form.atom (Expr.var "x") rel) rel_gen);
         (1, map (fun rel -> Form.atom (Expr.abs (Expr.var "y")) rel) rel_gen);
+        (1, map (fun rel -> Form.atom guard_only_x rel) rel_gen);
+        (1, map (fun rel -> Form.atom x_plus_w1 rel) rel_gen);
       ])
+
+(* Neighbours of a box that share all but one slot with it, so that a
+   call after a call on the box sweeps both register files partially: the
+   two halves of a split of x, and y contracted from above. A point slot
+   has no such neighbour and stands in for itself. *)
+let neighbours box =
+  let x = Box.get box "x" and y = Box.get box "y" in
+  let halves =
+    if Interval.is_point x then [ box; box ]
+    else
+      let l, r = Interval.split x in
+      [ Box.set box "x" l; Box.set box "x" r ]
+  in
+  let contracted =
+    if Interval.is_point y then box
+    else
+      Box.set box "y"
+        (Interval.make (Interval.inf y)
+           (Interval.inf y +. (0.75 *. Interval.width y)))
+  in
+  halves @ [ contracted ]
 
 let call_gen = QCheck2.Gen.oneofl [ `Eval; `Status; `Revise; `Gradient; `Mvf ]
 
@@ -456,12 +537,15 @@ let prop_forward_reuse =
         (pair reuse_atom_gen reuse_atom_gen)
         (list_size (return 2) box_gen)
         (list_size (int_range 1 16)
-           (triple (int_range 0 1) (int_range 0 3) call_gen)))
+           (triple (int_range 0 1) (int_range 0 9) call_gen)))
     (fun ((a1, a2), boxes, calls) ->
       let vars = [ "x"; "y" ] in
       let progs = [| Itape.compile ~vars a1; Itape.compile ~vars a2 |] in
       let pool =
-        Array.of_list (List.concat_map (fun b -> [ b; flip_zero_signs b ]) boxes)
+        Array.of_list
+          (List.concat_map (fun b -> [ b; flip_zero_signs b ]) boxes
+          @ neighbours (List.hd boxes)
+          @ neighbours (flip_zero_signs (List.nth boxes 1)))
       in
       Itape.forget ();
       List.for_all
@@ -471,6 +555,73 @@ let prop_forward_reuse =
           let fresh = Domain.join (Domain.spawn (fun () -> run_call prog box call)) in
           same_answer got fresh)
         calls)
+
+(* ------------------------------------------------------------------ *)
+(* Sparse backward: skipped rules change no register *)
+
+(* Itape.revise does not run the backward rule of a register whose
+   requirement is still its own bounded forward value, when the rule is in
+   the program's skip mask. The tree walker runs every rule, so revise must
+   match it bit for bit — signed zeros included — wherever a rule is
+   skipped, next to the same box with its zero bounds' signs flipped. The
+   registry differential oracle checks this on cut-down Table I domains;
+   here the whole domains and the rules a skip must not cover. *)
+
+let test_skip_table1_domains () =
+  List.iter
+    (fun (p : Encoder.problem) ->
+      if not (skip_matches_tree p.domain p.psi) then
+        Alcotest.failf "%s/%s: sparse revise differs from the tree walk"
+          p.dfa.Registry.name
+          (Conditions.name p.condition))
+    table1_problems
+
+(* Rules a skip must not cover. The product below is SCAN-shaped: its
+   forward value [-inf, -2.2275] is unbounded, and the tree's backward
+   quotient [-inf, -2.2275] / [0.45, +inf] hits inf/inf and empties the
+   constant factor, so both engines report Infeasible. Skipping it would
+   keep the box. The integer powers invert through fl(1/n): for n = ±3, 9
+   and ±12 that cuts x's upper bound by ulps on these boxes, so a skip
+   would change the answer there, while for |n| a power of two the
+   inverse is exact and a skip must not. The non-integer powers and W
+   clip their argument to their domain before the forward rule, so the
+   tree contracts a child reaching outside it even when the register's
+   requirement is its own bounded forward value: sqrt x >= 0 on [-1, 4]
+   keeps [0, 4], W(x) >= -1 on [-1, 1] keeps [-1/e, 1]. *)
+let test_skip_targeted () =
+  let x = Expr.var "x" in
+  let product = Expr.mul (Expr.const (-4.95)) x in
+  let check label atom lo hi =
+    let box = Box.make [ ("x", Interval.make lo hi) ] in
+    if not (skip_matches_tree box atom) then
+      Alcotest.failf "%s on [%h, %h]: sparse revise differs from the tree"
+        label lo hi
+  in
+  check "-4.95 x <= 0" (Form.atom product Form.Le0) 0.45 Float.infinity;
+  check "exp (-4.95 x) >= 0"
+    (Form.atom (Expr.exp product) Form.Ge0)
+    0.45 Float.infinity;
+  List.iter
+    (fun n ->
+      let atom = Form.atom (Expr.pow x (Expr.int n)) Form.Ge0 in
+      List.iter
+        (fun (lo, hi) -> check (Printf.sprintf "x^%d >= 0" n) atom lo hi)
+        [ (0.3, 7e5); (1.1, 1e3); (0.01, 100.0); (2.0, 1e10); (3.0, 1e6) ])
+    [ -3; 3; 12; 9; -12; 1; -1; 2; -2; 4; 8; -16 ];
+  check "sqrt x >= 0" (Form.atom (Expr.sqrt x) Form.Ge0) (-1.0) 4.0;
+  check "x^(3/2) >= 0" (Form.atom (Expr.powr x (Rat.make 3 2)) Form.Ge0)
+    (-1.0) 4.0;
+  check "x^(1/3) >= 0" (Form.atom (Expr.cbrt x) Form.Ge0) (-1.0) 4.0;
+  check "sqrt x >= 0" (Form.atom (Expr.sqrt x) Form.Ge0) 0.0 4.0;
+  check "W(x) >= -1"
+    (Form.atom (Expr.add (Expr.lambert_w x) Expr.one) Form.Ge0)
+    (-1.0) 1.0;
+  check "W(x) >= -1"
+    (Form.atom (Expr.add (Expr.lambert_w x) Expr.one) Form.Ge0)
+    (-0.375) 1.0;
+  check "W(x) >= -1"
+    (Form.atom (Expr.add (Expr.lambert_w x) Expr.one) Form.Ge0)
+    0.0 1.0
 
 (* ------------------------------------------------------------------ *)
 (* Allocation: the sweeps do not allocate per instruction *)
@@ -491,19 +642,23 @@ let minor_words_of f =
   f ();
   Gc.minor_words () -. before
 
-let forward_sweeps () =
+let wall_counter name =
   match
-    List.assoc_opt "itape.forward_sweeps"
-      (Obs.Metrics.snapshot ()).Obs.Metrics.wall_counters
+    List.assoc_opt name (Obs.Metrics.snapshot ()).Obs.Metrics.wall_counters
   with
   | Some n -> n
   | None -> 0
 
+let sweep_counts () =
+  (wall_counter "itape.forward_sweeps", wall_counter "itape.forward_partial")
+
 let test_sweeps_allocation_flat () =
+  (* [box_x] differs from [box] in x alone, so a call on it after one on
+     [box] sweeps both register files partially. *)
   let box =
     Box.make [ ("x", Interval.make 1.0 2.0); ("y", Interval.make 0.5 1.5) ]
-  and box' =
-    Box.make [ ("x", Interval.make 1.0 1.5); ("y", Interval.make 0.5 1.5) ]
+  and box_x =
+    Box.make [ ("x", Interval.make 1.25 2.0); ("y", Interval.make 0.5 1.5) ]
   in
   let tape k =
     Itape.compile ~vars:(Box.vars box) (Form.atom (sum_of_products k) Form.Ge0)
@@ -521,17 +676,29 @@ let test_sweeps_allocation_flat () =
   List.iter
     (fun (name, call) ->
       (* warm-up: grow this domain's scratch registers to the long tape *)
-      call long box ();
       call short box ();
-      (* each measured call differs from the one before in its box or its
-         program, so both sweep rather than reuse the registers *)
-      let before = forward_sweeps () in
-      let ws = minor_words_of (call short box')
-      and wl = minor_words_of (call long box) in
-      if forward_sweeps () - before <> 2 then
-        Alcotest.failf "%s: a measured call reused the last sweep" name;
+      call long box ();
+      (* each measured call follows a call on the other program, so both
+         register files sweep in full *)
+      let sweeps, partial = sweep_counts () in
+      let ws = minor_words_of (call short box) in
+      let wl = minor_words_of (call long box) in
+      if sweep_counts () <> (sweeps + 2, partial) then
+        Alcotest.failf "%s: a measured call did not sweep in full" name;
       if ws <> wl then
         Alcotest.failf "%s: %.0f minor words on %d registers, %.0f on %d" name
+          ws (Itape.length short) wl (Itape.length long);
+      (* one changed slot: both sweep partially *)
+      let sweeps, partial = sweep_counts () in
+      call short box ();
+      let ws = minor_words_of (call short box_x) in
+      call long box ();
+      let wl = minor_words_of (call long box_x) in
+      if sweep_counts () <> (sweeps + 4, partial + 2) then
+        Alcotest.failf "%s: a one-slot call did not sweep partially" name;
+      if ws <> wl then
+        Alcotest.failf "%s: partial sweeps: %.0f minor words on %d registers, \
+                        %.0f on %d" name
           ws (Itape.length short) wl (Itape.length long))
     calls
 
@@ -550,6 +717,9 @@ let suite =
     prop_split_progress;
     prop_status_eval_equiv;
     prop_forward_reuse;
+    case "sweeps reach every dependent register" test_sweeps_reach_dependents;
+    case "sparse revise on every Table I domain" test_skip_table1_domains;
+    case "sparse revise keeps the rules it cannot skip" test_skip_targeted;
     prop_registry_differential_oracle;
     case "paint log matches tree-walk fixture"
       test_paint_log_matches_tree_fixture;
