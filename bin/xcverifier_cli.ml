@@ -118,9 +118,10 @@ let split_arg =
 
 let jit_arg =
   let doc =
-    "JIT-compile each pair's interval tape into a batched native C kernel \
-     and contract boxes through it. Paint and Table I are bit-identical to \
-     the interpreted run at any worker count; only the speed changes. \
+    "JIT-compile each pair's interval tape into a native C kernel and \
+     contract and test each expanded box through it, one box per call. \
+     Paint and Table I are bit-identical to the interpreted run at any \
+     worker count; only the speed changes. \
      Needs a C compiler ($(b,XCV_CC), $(b,cc) or $(b,gcc)); without one \
      the run silently stays on the interpreted tape (the $(b,jit.fallbacks) \
      metric counts it)."

@@ -179,12 +179,13 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
   let contractors =
     if config.use_taylor then [ Hc4.mean_value_tape compiled ] else []
   in
-  (* JIT: compile the same tape into a batched native kernel, once per
-     pair. The kernel replays the whole contraction pipeline (HC4 agenda
-     plus the mean-value stage when [use_taylor]) bit-identically, so
-     engaging it never changes paint. Any failure — no C compiler, a
-     failing compile, a bad dlopen — leaves [native = None] and the run
-     continues on the interpreted tape ([jit.fallbacks] counts it). *)
+  (* JIT: compile the same tape into a native kernel, once per pair. The
+     solver calls it on one box per expansion; it replays the whole
+     contraction pipeline (HC4 agenda, the mean-value stage when
+     [use_taylor], the statuses) bit-identically, so engaging it never
+     changes paint. Any failure — no C compiler, a failing compile, a bad
+     dlopen — leaves [native = None] and the run continues on the
+     interpreted tape ([jit.fallbacks] counts it). *)
   let native =
     if not config.jit then None
     else

@@ -72,10 +72,11 @@ type config = {
           exploration order, never verdict soundness. *)
   retry : retry_policy;
   jit : bool;
-      (** compile the pair's tape into a batched native C kernel ({!Jit})
-          and contract boxes through it. Bit-identical paint at any worker
-          count — the kernel replays the interpreted pipeline operation
-          for operation — just faster. When no C compiler is available or
+      (** compile the pair's tape into a native C kernel ({!Jit}) and
+          contract and test each expanded box through it, one box per
+          call. Bit-identical paint at any worker count — the kernel
+          replays the interpreted pipeline operation for operation — so
+          only the speed differs. When no C compiler is available or
           compilation fails the run silently stays on the interpreted
           tape ([jit.fallbacks] in the metrics counts it). Off by
           default. *)

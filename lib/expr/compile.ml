@@ -149,11 +149,22 @@ let run_batch tape args out =
     Array.blit regs.(m - 1) 0 out 0 n
   end
 
+(* [run]'s registers: one file per domain, grown to the longest tape run
+   there. Every instruction writes its register before any later one reads
+   it, so stale values are never seen. A fresh file per call would go
+   straight to the major heap for tapes of more than 256 instructions,
+   once per solver midpoint probe, and that garbage sets the major GC's
+   pace and the verifier's peak heap. *)
+let run_regs : float array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
 let run tape args =
   if Array.length args <> tape.nvars then
     invalid_arg "Compile.run: arity mismatch";
   let m = Array.length tape.instrs in
-  let regs = Array.make (Stdlib.max m 1) 0.0 in
+  let file = Domain.DLS.get run_regs in
+  if Array.length !file < m then file := Array.make m 0.0;
+  let regs = !file in
   for i = 0 to m - 1 do
     regs.(i) <-
       (match tape.instrs.(i) with

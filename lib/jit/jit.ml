@@ -1,6 +1,6 @@
 (* JIT driver: render a compiled tape as C, compile it once into a shared
    object (content-addressed cache), dlopen it through the stubs, and expose
-   the batched kernel as an [Icp.native_batch].
+   the kernel as an [Icp.native] contractor, one box per call.
 
    Design notes:
    - The generated translation unit is [#define]s + {!Jit_runtime.engine} +
@@ -49,7 +49,6 @@ type t = {
   handle : nativeint;
   dim : int;
   natoms : int;
-  batch : int;
   so_path : string;
 }
 
@@ -413,13 +412,12 @@ let ensure_dir dir =
 
 let ( let* ) r f = match r with Ok v -> f v | Error e -> fallback e
 
-let plan ?cache_dir ?(batch = 8) ~mvf ~rounds compiled =
+let plan ?cache_dir ~mvf ~rounds compiled =
   let incidence = Hc4.incidence compiled in
   let progs = Hc4.progs compiled in
   let dim = Array.length incidence in
   let natoms = Array.length progs in
   if dim = 0 || natoms = 0 then fallback "xcvjit: formula has no atoms"
-  else if batch < 1 then fallback "xcvjit: batch width must be positive"
   else begin
     let source = render_source ~mvf ~rounds compiled in
     let key = cache_key source in
@@ -462,7 +460,7 @@ let plan ?cache_dir ?(batch = 8) ~mvf ~rounds compiled =
     in
     match stub_open so_path with
     | handle ->
-        let t = { handle; dim; natoms; batch; so_path } in
+        let t = { handle; dim; natoms; so_path } in
         Gc.finalise (fun t -> stub_close t.handle) t;
         Ok t
     | exception Failure msg -> fallback msg
@@ -532,5 +530,4 @@ let contract_batch t boxes =
       boxes
   end
 
-let native_batch t =
-  { Icp.nb_width = t.batch; nb_contract = contract_batch t }
+let native_batch t box = (contract_batch t [| box |]).(0)

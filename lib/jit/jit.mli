@@ -1,13 +1,15 @@
-(** JIT compilation of the interval tape to batched native C kernels.
+(** JIT compilation of the interval tape to native C kernels.
 
     [plan] renders a compiled formula ({!Hc4.compiled}) as a self-contained
     C99 translation unit — the generic engine of {!Jit_runtime} plus
     per-formula static instruction tables — compiles it once into a shared
-    object, and [dlopen]s it. One {!contract_batch} call then replays the
-    whole per-box contraction pipeline (HC4 dirty-agenda sweeps and, when
-    [mvf] is set, the mean-value-form stage) for N boxes natively,
+    object, and [dlopen]s it. The kernel then replays the whole per-box
+    contraction pipeline (HC4 dirty-agenda sweeps, the mean-value-form
+    stage when [mvf] is set, and the per-atom statuses) natively,
     bit-identically to the interpreted tape: same operation order, same
-    software outward rounding, same libm.
+    software outward rounding, same libm. The solver calls it through
+    {!native_batch}, one box per call; {!contract_batch} takes an array of
+    boxes for benchmarks and tests.
 
     Everything here degrades gracefully: no C compiler, a failing compile,
     or a bad [dlopen] yield [Error _] (counted in [jit.fallbacks]) and the
@@ -32,31 +34,31 @@ val render_source : mvf:bool -> rounds:int -> Hc4.compiled -> string
     version. The compile cache stores [<key>.so]. *)
 val cache_key : string -> string
 
-(** [plan ?cache_dir ?batch ~mvf ~rounds compiled] compiles and loads the
+(** [plan ?cache_dir ~mvf ~rounds compiled] compiles and loads the
     kernel. [rounds] is the HC4 sweep budget ([Icp.config.contractor_rounds]);
-    [mvf] bakes in the mean-value stage ([Verify.config.use_taylor]);
-    [batch] (default 8) is the speculative batch width reported through
-    {!native_batch}. With [cache_dir] the shared object persists there
-    under its content key and stale sibling workspaces of dead processes
-    are swept; without it the object lives in a private temp workspace
-    removed at exit. *)
+    [mvf] bakes in the mean-value stage ([Verify.config.use_taylor]). With
+    [cache_dir] the shared object persists there under its content key and
+    stale sibling workspaces of dead processes are swept; without it the
+    object lives in a private temp workspace removed at exit. *)
 val plan :
   ?cache_dir:string ->
-  ?batch:int ->
   mvf:bool ->
   rounds:int ->
   Hc4.compiled ->
   (t, string) result
 
 (** Contract each box through the native pipeline. Boxes must have the
-    dimension the plan was compiled for. One native call per batch;
-    outcomes are in input order and bit-identical to
+    dimension the plan was compiled for. One native call per array (one
+    [jit.batches] count, one [jit.boxes_per_batch] observation of the
+    array's length); outcomes are in input order and bit-identical to
     {!Hc4.contract_tape} (+ {!Hc4.mean_value_tape} when [mvf]) followed by
     {!Hc4.statuses_on}. *)
 val contract_batch : t -> Box.t array -> Icp.native_outcome array
 
-(** The {!Icp.config.native} hook for this plan. *)
-val native_batch : t -> Icp.native_batch
+(** The {!Icp.config.native} hook for this plan: {!contract_batch} on the
+    one box the solver expands, so a solve makes one native call per
+    expansion. *)
+val native_batch : t -> Icp.native
 
 (** Remove workspaces left under [dir] (or the system temp dir) by
     crashed/killed processes — directories named [xcvjit-<pid>-*] whose

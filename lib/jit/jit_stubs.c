@@ -11,7 +11,8 @@
  *
  * Buffers are Bigarray data (outside the OCaml heap, stable under the
  * OCaml 5 GC), so the runtime lock is released for the whole batch call
- * and worker domains contract batches in parallel.
+ * and worker domains contract boxes in parallel; the stub roots the
+ * Bigarrays for the duration of the call so none is finalised under it.
  */
 
 #include <stdint.h>
@@ -90,6 +91,12 @@ CAMLprim value xcvjit_stub_batch(value vh, value vn, value vin_lo,
                                  value vflags, value vstatus, value vrevise,
                                  value vsweeps)
 {
+  /* Root every Bigarray: a caller may hold no other live reference to the
+     inputs once the call is made, and while this domain is blocked another
+     domain's minor GC can finalise an unrooted small Bigarray and free the
+     data the kernel is still reading. */
+  CAMLparam5(vh, vn, vin_lo, vin_hi, vout_lo);
+  CAMLxparam5(vout_hi, vflags, vstatus, vrevise, vsweeps);
   struct xcvjit_handle *h = (struct xcvjit_handle *)Nativeint_val(vh);
   int32_t n = Int_val(vn);
   const double *in_lo = (const double *)Caml_ba_data_val(vin_lo);
@@ -103,7 +110,7 @@ CAMLprim value xcvjit_stub_batch(value vh, value vn, value vin_lo,
   caml_enter_blocking_section();
   h->batch(n, in_lo, in_hi, out_lo, out_hi, flags, status, revise, sweeps);
   caml_leave_blocking_section();
-  return Val_unit;
+  CAMLreturn(Val_unit);
 }
 
 CAMLprim value xcvjit_stub_batch_bytecode(value *argv, int argn)

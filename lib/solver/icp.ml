@@ -18,10 +18,7 @@ type native_outcome = {
   n_sweeps : int;
 }
 
-type native_batch = {
-  nb_width : int;
-  nb_contract : Box.t array -> native_outcome array;
-}
+type native = Box.t -> native_outcome
 
 type config = {
   delta : float;
@@ -31,7 +28,7 @@ type config = {
   faults : Fault.plan option;
   tape : Hc4.compiled option;
   split_heuristic : [ `Widest | `Smear ];
-  native : native_batch option;
+  native : native option;
 }
 
 let default_config =
@@ -45,20 +42,6 @@ let default_config =
     split_heuristic = `Widest;
     native = None;
   }
-
-(* Bit-exact identity of a box's bounds, the memo key of the native batch
-   path. Contraction is a pure function of the box, so two boxes with equal
-   keys have equal outcomes — byte-identity of the batched path reduces to
-   byte-identity of one native contraction. *)
-let box_key box =
-  let d = Box.dim box in
-  let b = Bytes.create (16 * d) in
-  for i = 0 to d - 1 do
-    let iv = Box.get_idx box i in
-    Bytes.set_int64_le b (16 * i) (Int64.bits_of_float (Interval.inf iv));
-    Bytes.set_int64_le b ((16 * i) + 8) (Int64.bits_of_float (Interval.sup iv))
-  done;
-  Bytes.unsafe_to_string b
 
 (* A stable identity for a solver call: the box bounds, bit-exact. Fault
    decisions keyed on it are independent of scheduling order, so injected
@@ -120,7 +103,8 @@ let solve_real ~contractors cfg box formula =
     }
   in
   (* One flush per solver call: counters, per-call histograms, and the
-     contract/solve wall split (solve = everything outside contraction). *)
+     contract/solve wall split (contract = the engine's steps, statuses
+     included; solve = everything else). *)
   let finish verdict =
     let s = stats () in
     Obs.Metrics.incr m_solves 1;
@@ -141,49 +125,45 @@ let solve_real ~contractors cfg box formula =
       (Stdlib.max 0 (total - !contract_ns));
     (verdict, s)
   in
-  (* Native (JIT) batch path: one memo table per solver call, keyed by box
-     bounds. A popped box on a memo miss is contracted together with up to
-     [nb_width - 1] not-yet-memoized boxes speculatively pulled from the
-     pending worklist — those boxes will be popped (unsplit) later, so
-     their memoized outcomes are consumed then. Counter deltas are applied
-     at consume time, entries are never evicted, and duplicated boxes
-     re-apply their deltas — exactly the interpreted path's accounting. *)
-  let memo : (string, native_outcome) Hashtbl.t = Hashtbl.create 512 in
-  let native_statuses = ref [||] in
-  let native_contract nb box rest =
-    Obs.Metrics.incr m_hc4_tape 1;
-    let key = box_key box in
-    let outcome =
-      match Hashtbl.find_opt memo key with
-      | Some o -> o
-      | None ->
-          let count = ref 1 and racc = ref [] in
-          let seen = Hashtbl.create 8 in
-          Hashtbl.add seen key ();
-          (try
-             List.iter
-               (fun (b, _) ->
-                 if !count >= nb.nb_width then raise_notrace Exit;
-                 let k = box_key b in
-                 if (not (Hashtbl.mem memo k)) && not (Hashtbl.mem seen k)
-                 then begin
-                   Hashtbl.add seen k ();
-                   racc := b :: !racc;
-                   incr count
-                 end)
-               rest
-           with Exit -> ());
-          let batch = Array.of_list (box :: List.rev !racc) in
-          let outs = nb.nb_contract batch in
-          Array.iteri
-            (fun i o -> Hashtbl.replace memo (box_key batch.(i)) o)
-            outs;
-          Hashtbl.find memo key
-    in
-    hc4.Hc4.revise_calls <- hc4.Hc4.revise_calls + outcome.n_revise;
-    hc4.Hc4.sweeps <- hc4.Hc4.sweeps + outcome.n_sweeps;
-    native_statuses := outcome.n_statuses;
-    outcome.n_result
+  (* The contraction engine, chosen once per call. One step contracts one
+     box and, when the contracted box is non-empty, reads the per-atom
+     statuses on it. The native kernel replays the whole pipeline (HC4
+     agenda, the baked-in mean-value stage, the statuses) in one call and
+     hands back its revise/sweep deltas, so the [contractors] are not
+     applied on top. The interpreted pipeline runs the tape's HC4 sweeps,
+     then the [contractors], then the statuses, in that order: each stage
+     reuses the forward sweep the one before left for the same box. *)
+  let step =
+    match cfg.native with
+    | Some kernel ->
+        fun box ->
+          let o = kernel box in
+          hc4.Hc4.revise_calls <- hc4.Hc4.revise_calls + o.n_revise;
+          hc4.Hc4.sweeps <- hc4.Hc4.sweeps + o.n_sweeps;
+          (o.n_result, Array.to_list o.n_statuses)
+    | None ->
+        fun box ->
+          let result =
+            match
+              Hc4.contract_tape ~counters:hc4 compiled box
+                ~rounds:cfg.contractor_rounds
+            with
+            | Hc4.Infeasible -> Hc4.Infeasible
+            | Hc4.Contracted box ->
+                List.fold_left
+                  (fun acc stage ->
+                    match acc with
+                    | Hc4.Infeasible -> Hc4.Infeasible
+                    | Hc4.Contracted b -> stage b)
+                  (Hc4.Contracted box) contractors
+          in
+          let statuses =
+            match result with
+            | Hc4.Contracted b when not (Box.is_empty b) ->
+                Hc4.statuses_on compiled b
+            | _ -> []
+          in
+          (result, statuses)
   in
   (* Worklist of (box, depth), depth-first. *)
   let rec loop = function
@@ -195,30 +175,8 @@ let solve_real ~contractors cfg box formula =
           if depth > !max_depth then max_depth := depth;
           let before_w = Box.max_width box in
           let c0 = Obs.Clock.now_ns () in
-          let contracted =
-            match cfg.native with
-            | Some nb ->
-                (* The native kernel replays the whole pipeline — HC4 agenda
-                   plus the configured mean-value stage — so the interpreted
-                   stages below are not applied on top. *)
-                native_contract nb box rest
-            | None -> (
-                Obs.Metrics.incr m_hc4_tape 1;
-                match
-                  Hc4.contract_tape ~counters:hc4 compiled box
-                    ~rounds:cfg.contractor_rounds
-                with
-                | Hc4.Infeasible -> Hc4.Infeasible
-                | Hc4.Contracted box ->
-                    (* extra pipeline stages (e.g. the mean-value-form
-                       contractor), each sound on its own *)
-                    List.fold_left
-                      (fun acc stage ->
-                        match acc with
-                        | Hc4.Infeasible -> Hc4.Infeasible
-                        | Hc4.Contracted b -> stage b)
-                      (Hc4.Contracted box) contractors)
-          in
+          Obs.Metrics.incr m_hc4_tape 1;
+          let contracted, statuses = step box in
           contract_ns := !contract_ns + (Obs.Clock.now_ns () - c0);
           (match contracted with
           | Hc4.Infeasible -> Obs.Metrics.observe h_ratio ratio_scale
@@ -236,44 +194,35 @@ let solve_real ~contractors cfg box formula =
           | Hc4.Infeasible ->
               incr prunes;
               loop rest
+          | Hc4.Contracted box when Box.is_empty box ->
+              incr prunes;
+              loop rest
           | Hc4.Contracted box ->
-              if Box.is_empty box then begin
+              if List.for_all (fun s -> s = `Holds) statuses then
+                (* Every point of the box is a model. *)
+                finish (Sat { model = Box.midpoint box; certified = true })
+              else if List.exists (fun s -> s = `Fails) statuses then begin
                 incr prunes;
                 loop rest
               end
               else begin
-                let statuses =
-                  match cfg.native with
-                  | Some _ -> Array.to_list !native_statuses
-                  | None -> Hc4.statuses_on compiled box
-                in
-                if List.for_all (fun s -> s = `Holds) statuses then
-                  (* Every point of the box is a model. *)
-                  finish (Sat { model = Box.midpoint box; certified = true })
-                else if List.exists (fun s -> s = `Fails) statuses then begin
-                  incr prunes;
-                  loop rest
-                end
+                let mid = Box.midpoint box in
+                if cfg.sample_check && Hc4.holds_at_midpoint compiled box then
+                  (* A float-arithmetic witness: not box-certified, but it
+                     will pass the caller's valid(x) re-check. *)
+                  finish (Sat { model = mid; certified = false })
+                else if Box.max_width box <= cfg.delta then
+                  (* δ-SAT: cannot decide at this resolution. *)
+                  finish (Sat { model = mid; certified = false })
                 else begin
-                  let mid = Box.midpoint box in
-                  if cfg.sample_check && Hc4.holds_at_midpoint compiled box
-                  then
-                    (* A float-arithmetic witness: not box-certified, but it
-                       will pass the caller's valid(x) re-check. *)
-                    finish (Sat { model = mid; certified = false })
-                  else if Box.max_width box <= cfg.delta then
-                    (* δ-SAT: cannot decide at this resolution. *)
-                    finish (Sat { model = mid; certified = false })
-                  else begin
-                    let b1, b2 =
-                      match cfg.split_heuristic with
-                      | `Smear ->
-                          Box.split_smear box
-                            ~scores:(Hc4.smear_scores compiled box)
-                      | `Widest -> Box.split box
-                    in
-                    loop ((b1, depth + 1) :: (b2, depth + 1) :: rest)
-                  end
+                  let b1, b2 =
+                    match cfg.split_heuristic with
+                    | `Smear ->
+                        Box.split_smear box
+                          ~scores:(Hc4.smear_scores compiled box)
+                    | `Widest -> Box.split box
+                  in
+                  loop ((b1, depth + 1) :: (b2, depth + 1) :: rest)
                 end
               end
         end

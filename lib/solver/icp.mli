@@ -17,11 +17,13 @@
       deterministic, machine-independent measure.
 
     The search is depth-first; each expanded box is first narrowed by the
-    {!Hc4} contractor replaying the formula's compiled interval tape, then
+    {!Hc4} contractor replaying the formula's compiled interval tape (or,
+    with [config.native] set, by one call of the native kernel), then
     tested, then bisected along the dimension the configured
-    [split_heuristic] picks (widest-first by default). A floating-point sample at the box midpoint accelerates SAT
-    detection (counterexamples in large violation regions are typically found
-    within a handful of expansions). *)
+    [split_heuristic] picks (widest-first by default). A floating-point
+    sample at the box midpoint accelerates SAT detection (counterexamples
+    in large violation regions are typically found within a handful of
+    expansions). *)
 
 type verdict =
   | Unsat
@@ -38,9 +40,9 @@ type stats = {
 
 (** Result of one native (JIT-compiled) contraction of one box: the
     pipeline outcome, the per-atom statuses on the contracted box, and the
-    revise/sweep counter deltas the kernel accrued — applied to the
-    caller's {!Hc4.counters} when the box is consumed, so the interpreted
-    and native paths report identical deterministic counters. *)
+    revise/sweep counter deltas the kernel accrued — added to the solver
+    call's {!Hc4.counters}, so the interpreted and native paths report
+    identical deterministic counters. *)
 type native_outcome = {
   n_result : Hc4.result;
   n_statuses : [ `Holds | `Fails | `Unknown ] array;
@@ -48,15 +50,12 @@ type native_outcome = {
   n_sweeps : int;
 }
 
-(** A batched native contractor ({!Jit}): one call contracts up to
-    [nb_width] boxes. The kernel must replay the {e whole} configured
-    pipeline (HC4 agenda and any mean-value stage) bit-identically to the
-    interpreted tape; when [config.native] is set the [contractors]
-    argument of {!solve} is ignored. *)
-type native_batch = {
-  nb_width : int;
-  nb_contract : Box.t array -> native_outcome array;
-}
+(** A native contractor ({!Jit}): one call contracts one box. It must
+    replay the {e whole} configured pipeline (HC4 agenda, any mean-value
+    stage and the statuses) bit-identically to the interpreted tape; when
+    [config.native] is set the [contractors] argument of {!solve} is
+    ignored. *)
+type native = Box.t -> native_outcome
 
 type config = {
   delta : float;  (** box-width threshold for the δ-SAT verdict *)
@@ -79,11 +78,10 @@ type config = {
           rule [|∂f/∂x_i| * width(x_i)] fed by the adjoint tape
           ({!Hc4.smear_scores}). Both splits are sound — the heuristic
           changes exploration order, never verdict soundness. *)
-  native : native_batch option;
-      (** when set, contraction dispatches to this batched native kernel
-          instead of the interpreted tape (speculatively prefetching
-          pending worklist boxes into the same call, memoized per box
-          bounds). [None] in [default_config]; the verifier installs the
+  native : native option;
+      (** when set, each expanded box is contracted and tested by this
+          native kernel, one box per call, instead of the interpreted
+          tape. [None] in [default_config]; the verifier installs the
           {!Jit} kernel behind [--jit]. *)
 }
 

@@ -75,6 +75,30 @@ let test_compile_sharing () =
     (Compile.length tape < tree_size e);
   Alcotest.(check int) "arity" 2 (Compile.arity tape)
 
+(* The solver probes box midpoints on this tape once per expansion, so a
+   run allocates the same whatever the tape's length: no register file per
+   call (past 256 registers it would land in the major heap). *)
+let test_run_allocation_flat () =
+  let tape k =
+    Compile.compile ~vars:[ "x"; "y" ]
+      (add_n
+         (List.init k (fun j ->
+              mul (add x (const (float_of_int j))) (add y (const 0.5)))))
+  in
+  let short = tape 2 and long = tape 200 in
+  check_true "long tape is long" (Compile.length long > 256);
+  let words_of t =
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Compile.run t [| 1.5; -0.25 |]));
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  (* warm-up: grow this domain's registers to the long tape *)
+  ignore (words_of long);
+  let ws = words_of short and wl = words_of long in
+  if ws <> wl then
+    Alcotest.failf "%.0f words on %d registers, %.0f on %d" ws
+      (Compile.length short) wl (Compile.length long)
+
 let test_parser_roundtrip () =
   List.iter
     (fun src ->
@@ -158,6 +182,8 @@ let suite =
     case "compile agrees with eval" test_compile_agrees;
     case "compile error handling" test_compile_errors;
     case "compile shares subterms" test_compile_sharing;
+    case "run allocates independently of tape length"
+      test_run_allocation_flat;
     case "parser round-trip" test_parser_roundtrip;
     case "parser errors" test_parser_errors;
     case "sexp round-trip" test_sexp_roundtrip;

@@ -5,11 +5,12 @@ open Testutil
    The headline property mirrors the itape suite one level down: the
    compiled C kernel must reproduce the interpreted tape pipeline — HC4
    dirty-agenda contraction, the optional mean-value-form stage, and the
-   per-atom statuses — bit for bit, for any formula, box, round budget and
-   batch width. On top of that sit the operational guarantees: batched
-   calls equal single-box calls, a missing/broken C compiler degrades to
-   [Error] (never an exception), and the content-addressed cache serves a
-   second plan without invoking the compiler. *)
+   per-atom statuses — bit for bit, for any formula, box and round budget,
+   called on one box or on an array of boxes. On top of that sit the
+   operational guarantees: the solver makes one single-box native call
+   per expansion, a missing/broken C compiler degrades to [Error] (never
+   an exception), and the content-addressed cache serves a second plan
+   without invoking the compiler. *)
 
 (* ------------------------------------------------------------------ *)
 (* Harness *)
@@ -427,6 +428,52 @@ let test_paint_log_identity () =
       [ (false, 4); (true, 1); (true, 4) ]
   end
 
+(* ------------------------------------------------------------------ *)
+(* One box per native call: the solver hands the kernel the box it
+   expands and nothing else, so a pair's run makes exactly one native call
+   per expansion, each carrying one box. Faulted solver calls neither
+   expand nor call the kernel, so this holds under the @jit fault rate. *)
+
+let test_one_box_per_call () =
+  if Jit.available () then begin
+    let config =
+      {
+        Verify.default_config with
+        Verify.threshold = 0.625;
+        solver =
+          {
+            Icp.default_config with
+            fuel = 5;
+            delta = 1e-3;
+            contractor_rounds = 3;
+          };
+        workers = test_workers;
+        jit = true;
+        jit_cache = Some (Lazy.force cache_dir);
+      }
+    in
+    let prev = Obs.Metrics.install (Obs.Metrics.fresh ()) in
+    let snap =
+      Fun.protect
+        ~finally:(fun () -> ignore (Obs.Metrics.install prev))
+        (fun () ->
+          match
+            Verify.run_pair ~config (Registry.find "pbe") Conditions.Ec1
+          with
+          | Some _ -> Obs.Metrics.snapshot ()
+          | None -> Alcotest.fail "PBE/EC1 must be applicable")
+    in
+    let counter k = List.assoc k snap.Obs.Metrics.counters in
+    let expansions = counter "icp.expansions" in
+    check_true "the pair expands boxes" (expansions > 0);
+    Alcotest.(check int)
+      "one native call per expansion" expansions (counter "jit.batches");
+    Alcotest.(check (list (pair int int)))
+      "every call carries one box (log2 bucket 1)"
+      [ (1, expansions) ]
+      (List.assoc "jit.boxes_per_batch" snap.Obs.Metrics.histograms)
+  end
+
 let suite =
   [
     prop_jit_identity;
@@ -440,4 +487,6 @@ let suite =
     case "stale workspaces of dead pids are swept" test_sweeps_stale_workspaces;
     case "paint log is byte-identical with the JIT on, at 1 and 4 workers"
       test_paint_log_identity;
+    case "a solve makes one single-box native call per expansion"
+      test_one_box_per_call;
   ]
