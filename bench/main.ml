@@ -13,10 +13,10 @@
      dune exec bench/main.exe scheduler     -- worklist scaling + trace check
      dune exec bench/main.exe micro         -- Bechamel micro-benchmarks
      dune exec bench/main.exe hc4           -- compiled interval tape (HC4,
-                                              mean-value, ICP) vs the batched
-                                              native JIT kernel
-                                              (jit.* metrics: speedup, compile
-                                              latency, batch-size sweep)
+                                              mean-value, ICP) vs the native
+                                              JIT kernel (jit.* metrics:
+                                              single-box speedup, compile
+                                              latency)
 
    Pass `--json` (anywhere in the argument list) to additionally write
    BENCH_<target>.json for every target run: the target name, its
@@ -481,7 +481,7 @@ let scheduler () =
     (outcomes, secs_since t0)
   in
   let seq, t_seq = time_campaign 1 in
-  let workers = Pool.default_workers () in
+  let workers = Worklist.default_workers () in
   let par, t_par = time_campaign workers in
   Printf.printf "workers=1:  %.2fs over %d pairs\n" t_seq (List.length seq);
   Printf.printf "workers=%d:  %.2fs over %d pairs  (speedup %.2fx)\n" workers
@@ -758,15 +758,15 @@ let hc4_bench () =
        ]);
     ];
 
-  (* -- JIT: the interpreted tape pipeline vs the batched native kernel -- *)
-  section "JIT: interpreted tape vs batched native C kernel";
+  (* -- JIT: the interpreted tape pipeline vs the native kernel, one box
+     per call as the solver makes it -- *)
+  section "JIT: interpreted tape vs native C kernel";
   (if not (Jit.available ()) then begin
      Printf.printf "no C compiler found (XCV_CC/cc/gcc) -- skipping\n\n";
      record_metric "jit_available" 0.0
    end
    else begin
      record_metric "jit_available" 1.0;
-     let jit_speedups = ref [] in
      let cache = Filename.temp_file "xcvjit-bench" "" in
      Sys.remove cache;
      Unix.mkdir cache 0o700;
@@ -807,65 +807,18 @@ let hc4_bench () =
                  (Test.make ~name:"contract+statuses (tape)"
                     (Staged.stage (fun () -> interp box)))
              in
-             let single = [| box |] in
              let t_jit =
                measure
-                 (Test.make ~name:"contract+statuses (jit, batch 1)"
-                    (Staged.stage (fun () -> Jit.contract_batch plan single)))
+                 (Test.make ~name:"contract+statuses (jit)"
+                    (Staged.stage (fun () -> Jit.native_batch plan box)))
              in
-             speedup ~pair "jit" t_tape t_jit;
-             (* batch-size sweep over a refined frontier — the box mix a
-                campaign actually feeds the kernel (narrow boxes, atoms
-                undecided), and the granularity the solver dispatches at.
-                The headline geomean is taken on the deepest sweep point. *)
-             let rec refine boxes n =
-               if List.length boxes >= n then boxes
-               else refine (List.concat_map Box.split_all boxes) n
-             in
-             let deepest = 64 in
-             List.iter
-               (fun n ->
-                 let boxes =
-                   Array.of_list
-                     (List.filteri (fun i _ -> i < n) (refine [ domain ] n))
-                 in
-                 let t_batch_tape =
-                   measure
-                     (Test.make
-                        ~name:(Printf.sprintf "tape over %d-box frontier" n)
-                        (Staged.stage (fun () -> Array.map interp boxes)))
-                 in
-                 let t_batch =
-                   measure
-                     (Test.make
-                        ~name:(Printf.sprintf "jit batch %d" n)
-                        (Staged.stage (fun () -> Jit.contract_batch plan boxes)))
-                 in
-                 record_metric
-                   (Printf.sprintf "%s_jit_batch%d_ns_per_box" pair n)
-                   (t_batch /. float_of_int n);
-                 let label = Printf.sprintf "jit_batch%d" n in
-                 speedup ~pair label t_batch_tape t_batch;
-                 if n = deepest then
-                   jit_speedups := (t_batch_tape /. t_batch) :: !jit_speedups)
-               [ 4; 16; deepest ];
-             Printf.printf "\n%!")
+             speedup ~pair "jit" t_tape t_jit)
        [
          ("pbe", Conditions.Ec1);
          ("pbe", Conditions.Ec7);
          ("lyp", Conditions.Ec1);
          ("scan", Conditions.Ec1);
-       ];
-     let sp = !jit_speedups in
-     if sp <> [] then begin
-       let geomean =
-         exp
-           (List.fold_left (fun a x -> a +. log x) 0.0 sp
-           /. float_of_int (List.length sp))
-       in
-       Printf.printf "jit geometric-mean speedup over the tape: %.2fx\n" geomean;
-       record_metric "jit_geomean_speedup" geomean
-     end
+       ]
    end);
 
   (* -- split heuristic x contractor grid: fuel spent to a verdict -- *)

@@ -275,7 +275,7 @@ let config_of ?(use_taylor = true) ?(split = `Widest) ?(workers = 1)
     solver =
       { Icp.default_config with fuel; delta; contractor_rounds = 3; faults };
     deadline_seconds = deadline;
-    workers = (if workers <= 0 then Pool.default_workers () else workers);
+    workers = (if workers <= 0 then Worklist.default_workers () else workers);
     use_taylor;
     use_tape = true;
     split_heuristic = split;

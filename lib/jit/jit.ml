@@ -18,32 +18,21 @@
 external stub_open : string -> nativeint = "xcvjit_stub_open"
 external stub_close : nativeint -> unit = "xcvjit_stub_close"
 
-type f64ba = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type i32ba = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-type i64ba = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-external stub_batch :
-  nativeint ->
-  int ->
-  f64ba ->
-  f64ba ->
-  f64ba ->
-  f64ba ->
-  i32ba ->
-  i32ba ->
-  i64ba ->
-  i64ba ->
-  unit = "xcvjit_stub_batch_bytecode" "xcvjit_stub_batch"
+(* Contracts one box: [bounds] holds the dim lower then dim upper bounds
+   and is contracted in place; [out] receives the revise and sweep counts,
+   then one status per atom (0 holds, 1 fails, 2 unknown) when the box
+   survives. Returns [true] when the box is infeasible. *)
+external stub_contract : nativeint -> Float.Array.t -> int array -> bool
+  = "xcvjit_stub_contract"
 
 (* Compiler invocations and cache hits depend on on-disk cache state and the
-   environment, never on the verification inputs — Wall class. Batch counts
-   and sizes replay deterministically for a fixed config. *)
+   environment, never on the verification inputs — Wall class. Kernel
+   calls replay deterministically for a fixed config. *)
 let m_compiles = Obs.Metrics.counter ~clas:Obs.Metrics.Wall "jit.compiles"
 let m_compile_ms = Obs.Metrics.counter ~clas:Obs.Metrics.Wall "jit.compile_ms"
 let m_cache_hits = Obs.Metrics.counter ~clas:Obs.Metrics.Wall "jit.cache_hits"
 let m_fallbacks = Obs.Metrics.counter ~clas:Obs.Metrics.Wall "jit.fallbacks"
 let m_batches = Obs.Metrics.counter "jit.batches"
-let h_boxes_per_batch = Obs.Metrics.histogram "jit.boxes_per_batch"
 
 type t = {
   handle : nativeint;
@@ -254,7 +243,7 @@ let render_source ~mvf ~rounds compiled =
 
 (* ================= toolchain and workspaces ================= *)
 
-let abi_tag = "xcvjit-abi-1\n"
+let abi_tag = "xcvjit-abi-2\n"
 let cache_key source = Digest.to_hex (Digest.string (abi_tag ^ source))
 
 let find_cc () =
@@ -468,66 +457,47 @@ let plan ?cache_dir ~mvf ~rounds compiled =
 
 (* ================= dispatch ================= *)
 
-let contract_batch t boxes =
-  let n = Array.length boxes in
-  if n = 0 then [||]
+let native_batch t box =
+  if Box.dim box <> t.dim then
+    invalid_arg "Jit.native_batch: box dimension mismatch";
+  let bounds = Float.Array.create (2 * t.dim) in
+  for d = 0 to t.dim - 1 do
+    let iv = Box.get_idx box d in
+    Float.Array.set bounds d (Interval.inf iv);
+    Float.Array.set bounds (t.dim + d) (Interval.sup iv)
+  done;
+  let out = Array.make (2 + t.natoms) 0 in
+  let infeasible = stub_contract t.handle bounds out in
+  (* [t]'s finaliser unloads the kernel: keep [t] reachable until the call
+     has returned. *)
+  ignore (Sys.opaque_identity t);
+  Obs.Metrics.incr m_batches 1;
+  let n_revise = out.(0) and n_sweeps = out.(1) in
+  if infeasible then
+    {
+      Icp.n_result = Hc4.Infeasible;
+      n_statuses = Array.make t.natoms `Unknown;
+      n_revise;
+      n_sweeps;
+    }
   else begin
-    let open Bigarray in
-    let in_lo = Array1.create Float64 C_layout (n * t.dim) in
-    let in_hi = Array1.create Float64 C_layout (n * t.dim) in
-    let out_lo = Array1.create Float64 C_layout (n * t.dim) in
-    let out_hi = Array1.create Float64 C_layout (n * t.dim) in
-    let flags = Array1.create Int32 C_layout n in
-    let status = Array1.create Int32 C_layout (n * t.natoms) in
-    let revise = Array1.create Int64 C_layout n in
-    let sweeps = Array1.create Int64 C_layout n in
-    Array.iteri
-      (fun b box ->
-        if Box.dim box <> t.dim then
-          invalid_arg "Jit.contract_batch: box dimension mismatch";
-        for d = 0 to t.dim - 1 do
-          let iv = Box.get_idx box d in
-          in_lo.{(b * t.dim) + d} <- Interval.inf iv;
-          in_hi.{(b * t.dim) + d} <- Interval.sup iv
-        done)
-      boxes;
-    stub_batch t.handle n in_lo in_hi out_lo out_hi flags status revise sweeps;
-    Obs.Metrics.incr m_batches 1;
-    Obs.Metrics.observe h_boxes_per_batch n;
-    Array.mapi
-      (fun b box ->
-        let n_revise = Int64.to_int revise.{b}
-        and n_sweeps = Int64.to_int sweeps.{b} in
-        if flags.{b} <> 0l then
-          {
-            Icp.n_result = Hc4.Infeasible;
-            n_statuses = Array.make t.natoms `Unknown;
-            n_revise;
-            n_sweeps;
-          }
-        else begin
-          let bx = ref box in
-          for d = 0 to t.dim - 1 do
-            let iv = Box.get_idx box d in
-            let lo = out_lo.{(b * t.dim) + d}
-            and hi = out_hi.{(b * t.dim) + d} in
-            (* bit-exact comparison: a bound moving from 0.0 to -0.0 is a
-               real update on the interpreted path too *)
-            if
-              Int64.bits_of_float lo <> Int64.bits_of_float (Interval.inf iv)
-              || Int64.bits_of_float hi <> Int64.bits_of_float (Interval.sup iv)
-            then bx := Box.set_idx !bx d (Interval.of_bounds lo hi)
-          done;
-          let n_statuses =
-            Array.init t.natoms (fun j ->
-                match status.{(b * t.natoms) + j} with
-                | 0l -> `Holds
-                | 1l -> `Fails
-                | _ -> `Unknown)
-          in
-          { Icp.n_result = Hc4.Contracted !bx; n_statuses; n_revise; n_sweeps }
-        end)
-      boxes
+    let bx = ref box in
+    for d = 0 to t.dim - 1 do
+      let iv = Box.get_idx box d in
+      let lo = Float.Array.get bounds d
+      and hi = Float.Array.get bounds (t.dim + d) in
+      (* bit-exact comparison: a bound moving from 0.0 to -0.0 is a real
+         update on the interpreted path too *)
+      if
+        Int64.bits_of_float lo <> Int64.bits_of_float (Interval.inf iv)
+        || Int64.bits_of_float hi <> Int64.bits_of_float (Interval.sup iv)
+      then bx := Box.set_idx !bx d (Interval.of_bounds lo hi)
+    done;
+    let n_statuses =
+      Array.init t.natoms (fun j ->
+          match out.(2 + j) with 0 -> `Holds | 1 -> `Fails | _ -> `Unknown)
+    in
+    { Icp.n_result = Hc4.Contracted !bx; n_statuses; n_revise; n_sweeps }
   end
 
-let native_batch t box = (contract_batch t [| box |]).(0)
+let contract_batch t boxes = Array.map (native_batch t) boxes

@@ -8,8 +8,8 @@
     stage when [mvf] is set, and the per-atom statuses) natively,
     bit-identically to the interpreted tape: same operation order, same
     software outward rounding, same libm. The solver calls it through
-    {!native_batch}, one box per call; {!contract_batch} takes an array of
-    boxes for benchmarks and tests.
+    {!native_batch}, one box per call; {!contract_batch} maps it over an
+    array of boxes for benchmarks and tests.
 
     Everything here degrades gracefully: no C compiler, a failing compile,
     or a bad [dlopen] yield [Error _] (counted in [jit.fallbacks]) and the
@@ -47,17 +47,18 @@ val plan :
   Hc4.compiled ->
   (t, string) result
 
-(** Contract each box through the native pipeline. Boxes must have the
-    dimension the plan was compiled for. One native call per array (one
-    [jit.batches] count, one [jit.boxes_per_batch] observation of the
-    array's length); outcomes are in input order and bit-identical to
-    {!Hc4.contract_tape} (+ {!Hc4.mean_value_tape} when [mvf]) followed by
-    {!Hc4.statuses_on}. *)
+(** Contract each box through the native pipeline: {!native_batch} on
+    every box, one native call (one [jit.batches] count) per box. Outcomes
+    are in input order. *)
 val contract_batch : t -> Box.t array -> Icp.native_outcome array
 
-(** The {!Icp.config.native} hook for this plan: {!contract_batch} on the
-    one box the solver expands, so a solve makes one native call per
-    expansion. *)
+(** The {!Icp.config.native} hook for this plan: one native call on the one
+    box the solver expands, so a solve makes one call per expansion. The
+    box must have the dimension the plan was compiled for. The outcome is
+    bit-identical to {!Hc4.contract_tape} (+ {!Hc4.mean_value_tape} when
+    [mvf]) followed by {!Hc4.statuses_on}. The runtime lock is released for
+    the kernel call only, so domains sharing a plan contract in
+    parallel. *)
 val native_batch : t -> Icp.native
 
 (** Remove workspaces left under [dir] (or the system temp dir) by

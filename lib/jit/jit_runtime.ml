@@ -1605,47 +1605,33 @@ static void rt_init(void)
 |rt}
 
 (* Closing section, emitted after the static tables ([xcv_progs],
-   [xcv_incidence], [xcv_inc_len]): the exported entry points. *)
+   [xcv_incidence], [xcv_inc_len]): the exported entry points.
+   [xcvjit_contract] contracts one box in place (lo/hi: XCV_DIM bounds
+   each), writes the revise/sweep counts to counts[0]/counts[1] and, when
+   the box survives, one status per atom (0 holds, 1 fails, 2 unknown);
+   it returns 1 when the box is infeasible. *)
 let entry =
   {rt|
-int32_t xcvjit_abi_version(void) { return 1; }
+int32_t xcvjit_abi_version(void) { return 2; }
 void xcvjit_init(void) { rt_init(); }
 
-void xcvjit_contract_batch(int32_t n, const double *in_lo,
-                           const double *in_hi, double *out_lo,
-                           double *out_hi, int32_t *out_flags,
-                           int32_t *out_status, int64_t *out_revise,
-                           int64_t *out_sweeps)
+int32_t xcvjit_contract(double *lo, double *hi, int32_t *status,
+                        int64_t *counts)
 {
-  int32_t b;
-  int j;
-  for (b = 0; b < n; b++) {
-    double lo[XCV_DIM], hi[XCV_DIM];
-    int64_t rc = 0, sw = 0;
-    int st;
-    memcpy(lo, in_lo + (size_t)b * XCV_DIM, sizeof lo);
-    memcpy(hi, in_hi + (size_t)b * XCV_DIM, sizeof hi);
-    st = hc4_contract(xcv_progs, XCV_NPROGS, xcv_incidence, xcv_inc_len, lo,
-                      hi, &rc, &sw);
+  int j, st;
+  counts[0] = 0;
+  counts[1] = 0;
+  st = hc4_contract(xcv_progs, XCV_NPROGS, xcv_incidence, xcv_inc_len, lo,
+                    hi, &counts[0], &counts[1]);
 #if XCV_DO_MVF
-    for (j = 0; j < XCV_NPROGS && st == 0; j++)
-      st = prog_mvf(&xcv_progs[j], lo, hi);
+  for (j = 0; j < XCV_NPROGS && st == 0; j++)
+    st = prog_mvf(&xcv_progs[j], lo, hi);
 #endif
-    out_revise[b] = rc;
-    out_sweeps[b] = sw;
-    memcpy(out_lo + (size_t)b * XCV_DIM, lo, sizeof lo);
-    memcpy(out_hi + (size_t)b * XCV_DIM, hi, sizeof hi);
-    if (st) {
-      out_flags[b] = 1;
-      for (j = 0; j < XCV_NPROGS; j++) out_status[b * XCV_NPROGS + j] = 2;
-    } else {
-      out_flags[b] = 0;
-      for (j = 0; j < XCV_NPROGS; j++) {
-        forward_pass(&xcv_progs[j], lo, hi, sc_fwd);
-        out_status[b * XCV_NPROGS + j] =
-            status_of(sc_fwd[xcv_progs[j].root], xcv_progs[j].rel);
-      }
-    }
+  if (st) return 1;
+  for (j = 0; j < XCV_NPROGS; j++) {
+    forward_pass(&xcv_progs[j], lo, hi, sc_fwd);
+    status[j] = status_of(sc_fwd[xcv_progs[j].root], xcv_progs[j].rel);
   }
+  return 0;
 }
 |rt}

@@ -1,43 +1,40 @@
-/* dlopen/dlsym bridge to a per-campaign JIT-compiled contraction kernel.
+/* dlopen/dlsym bridge to a JIT-compiled contraction kernel.
  *
- * The shared object is self-contained C99 emitted by Jit.Emit: it exports
+ * The shared object is the self-contained C99 that Jit.render_source
+ * emits; it exports
  *   int32_t xcvjit_abi_version(void);
  *   void    xcvjit_init(void);
- *   void    xcvjit_contract_batch(int32_t n,
- *             const double *in_lo, const double *in_hi,
- *             double *out_lo, double *out_hi,
- *             int32_t *out_flags, int32_t *out_status,
- *             int64_t *out_revise, int64_t *out_sweeps);
+ *   int32_t xcvjit_contract(double *lo, double *hi, int32_t *status,
+ *                           int64_t *counts);
+ * where xcvjit_contract contracts one box in place and returns 1 when it
+ * is infeasible.
  *
- * Buffers are Bigarray data (outside the OCaml heap, stable under the
- * OCaml 5 GC), so the runtime lock is released for the whole batch call
- * and worker domains contract boxes in parallel; the stub roots the
- * Bigarrays for the duration of the call so none is finalised under it.
+ * xcvjit_stub_contract copies the box into C stack memory before it
+ * releases the runtime lock and writes every result back after taking the
+ * lock again, so the kernel never sees OCaml memory: worker domains
+ * contract boxes in parallel while other domains' collections move or
+ * free heap blocks at will.
  */
 
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
-#include <string.h>
 #include <dlfcn.h>
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 #include <caml/memory.h>
 #include <caml/fail.h>
-#include <caml/bigarray.h>
 #include <caml/signals.h>
 
-#define XCVJIT_ABI 1
+#define XCVJIT_ABI 2
 
-typedef void (*xcvjit_batch_fn)(int32_t n, const double *in_lo,
-                                const double *in_hi, double *out_lo,
-                                double *out_hi, int32_t *out_flags,
-                                int32_t *out_status, int64_t *out_revise,
-                                int64_t *out_sweeps);
+typedef int32_t (*xcvjit_contract_fn)(double *lo, double *hi, int32_t *status,
+                                      int64_t *counts);
 
 struct xcvjit_handle {
   void *dl;
-  xcvjit_batch_fn batch;
+  xcvjit_contract_fn contract;
 };
 
 static void fail_msgf(const char *prefix, const char *detail)
@@ -59,9 +56,9 @@ CAMLprim value xcvjit_stub_open(value vpath)
     caml_failwith("xcvjit: ABI version mismatch");
   }
   void (*init)(void) = (void (*)(void))dlsym(dl, "xcvjit_init");
-  xcvjit_batch_fn batch =
-      (xcvjit_batch_fn)dlsym(dl, "xcvjit_contract_batch");
-  if (init == NULL || batch == NULL) {
+  xcvjit_contract_fn contract =
+      (xcvjit_contract_fn)dlsym(dl, "xcvjit_contract");
+  if (init == NULL || contract == NULL) {
     dlclose(dl);
     caml_failwith("xcvjit: missing kernel entry points");
   }
@@ -72,7 +69,7 @@ CAMLprim value xcvjit_stub_open(value vpath)
     caml_failwith("xcvjit: out of memory");
   }
   h->dl = dl;
-  h->batch = batch;
+  h->contract = contract;
   CAMLreturn(caml_copy_nativeint((intnat)h));
 }
 
@@ -86,36 +83,29 @@ CAMLprim value xcvjit_stub_close(value vh)
   return Val_unit;
 }
 
-CAMLprim value xcvjit_stub_batch(value vh, value vn, value vin_lo,
-                                 value vin_hi, value vout_lo, value vout_hi,
-                                 value vflags, value vstatus, value vrevise,
-                                 value vsweeps)
+/* [vbounds]: floatarray of the box's dim lower then dim upper bounds,
+   contracted in place. [vout]: int array of 2 + natoms, receives the
+   revise and sweep counts, then (for a feasible box) the per-atom
+   statuses. Returns true when the box is infeasible. */
+CAMLprim value xcvjit_stub_contract(value vh, value vbounds, value vout)
 {
-  /* Root every Bigarray: a caller may hold no other live reference to the
-     inputs once the call is made, and while this domain is blocked another
-     domain's minor GC can finalise an unrooted small Bigarray and free the
-     data the kernel is still reading. */
-  CAMLparam5(vh, vn, vin_lo, vin_hi, vout_lo);
-  CAMLxparam5(vout_hi, vflags, vstatus, vrevise, vsweeps);
+  CAMLparam2(vbounds, vout);
   struct xcvjit_handle *h = (struct xcvjit_handle *)Nativeint_val(vh);
-  int32_t n = Int_val(vn);
-  const double *in_lo = (const double *)Caml_ba_data_val(vin_lo);
-  const double *in_hi = (const double *)Caml_ba_data_val(vin_hi);
-  double *out_lo = (double *)Caml_ba_data_val(vout_lo);
-  double *out_hi = (double *)Caml_ba_data_val(vout_hi);
-  int32_t *flags = (int32_t *)Caml_ba_data_val(vflags);
-  int32_t *status = (int32_t *)Caml_ba_data_val(vstatus);
-  int64_t *revise = (int64_t *)Caml_ba_data_val(vrevise);
-  int64_t *sweeps = (int64_t *)Caml_ba_data_val(vsweeps);
+  mlsize_t n = Wosize_val(vbounds) / Double_wosize;
+  mlsize_t natoms = Wosize_val(vout) - 2;
+  mlsize_t i;
+  double bounds[n];
+  int32_t status[natoms];
+  int64_t counts[2];
+  int32_t infeasible;
+  for (i = 0; i < n; i++) bounds[i] = Double_flat_field(vbounds, i);
   caml_enter_blocking_section();
-  h->batch(n, in_lo, in_hi, out_lo, out_hi, flags, status, revise, sweeps);
+  infeasible = h->contract(bounds, bounds + n / 2, status, counts);
   caml_leave_blocking_section();
-  CAMLreturn(Val_unit);
-}
-
-CAMLprim value xcvjit_stub_batch_bytecode(value *argv, int argn)
-{
-  (void)argn;
-  return xcvjit_stub_batch(argv[0], argv[1], argv[2], argv[3], argv[4],
-                           argv[5], argv[6], argv[7], argv[8], argv[9]);
+  for (i = 0; i < n; i++) Store_double_flat_field(vbounds, i, bounds[i]);
+  Store_field(vout, 0, Val_long(counts[0]));
+  Store_field(vout, 1, Val_long(counts[1]));
+  if (!infeasible)
+    for (i = 0; i < natoms; i++) Store_field(vout, i + 2, Val_int(status[i]));
+  CAMLreturn(Val_bool(infeasible));
 }

@@ -70,6 +70,8 @@ module Heap = struct
     List.rev (go [])
 end
 
+let default_workers () = Stdlib.max 1 (Domain.recommended_domain_count ())
+
 type ('task, 'result) outcome = {
   results : 'result list;
   dropped : 'task list;

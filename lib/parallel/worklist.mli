@@ -1,21 +1,25 @@
 (** Deadline-aware priority worklist over OCaml 5 domains.
 
-    {!Pool.map} distributes a {e fixed} list of independent items; this
-    module schedules a {e growing} frontier: handling one task may spawn
-    subtasks (Algorithm 1's box splitting), and the scheduler always runs
-    the highest-priority pending task next, across all workers. The
+    This module schedules a {e growing} frontier: handling one task may
+    spawn subtasks (Algorithm 1's box splitting), and the scheduler always
+    runs the highest-priority pending task next, across all workers. The
     verifier uses it at sub-box granularity with widest-box-first ordering,
     so large unresolved subdomains are attacked before small ones and the
     frontier shrinks roughly breadth-first.
 
-    Same hash-consing caveat as {!Pool}: [handle] runs on secondary domains
-    and must not build new expressions — callers encode formulas up front
+    Expression hash-consing ({!Expr}) uses an unsynchronized global table,
+    so [handle] runs on secondary domains and must not {e build} new
+    expressions — callers encode formulas up front (on the main domain)
     and pass construction-free closures.
 
     The work-deque is bounded ([capacity]): tasks beyond the bound are not
     lost but processed immediately by the worker that produced them (LIFO,
     outside the priority order), which bounds memory without sacrificing
     completeness. *)
+
+(** Recommended worker count: [Domain.recommended_domain_count ()], at
+    least 1. *)
+val default_workers : unit -> int
 
 type ('task, 'result) outcome = {
   results : 'result list;

@@ -6,11 +6,12 @@ open Testutil
    compiled C kernel must reproduce the interpreted tape pipeline — HC4
    dirty-agenda contraction, the optional mean-value-form stage, and the
    per-atom statuses — bit for bit, for any formula, box and round budget,
-   called on one box or on an array of boxes. On top of that sit the
-   operational guarantees: the solver makes one single-box native call
-   per expansion, a missing/broken C compiler degrades to [Error] (never
-   an exception), and the content-addressed cache serves a second plan
-   without invoking the compiler. *)
+   called on one box or on an array of boxes, from one domain or from
+   four at once. On top of that sit the operational guarantees: the
+   solver makes one single-box native call per expansion, a missing/broken
+   C compiler degrades to [Error] (never an exception), and the
+   content-addressed cache serves a second plan without invoking the
+   compiler. *)
 
 (* ------------------------------------------------------------------ *)
 (* Harness *)
@@ -160,7 +161,7 @@ let check_outcome label (outcome : Icp.native_outcome) reference =
 (* Bit-identity: JIT pipeline = interpreted pipeline *)
 
 (* One compiled plan checked on many boxes, both one box at a time and as
-   one batch: 25 formulas x 20 boxes = 500 box-level identity checks per
+   one array: 25 formulas x 20 boxes = 500 box-level identity checks per
    run. Skipped (vacuously true) when no C compiler is present — the
    degradation test below still runs. *)
 let prop_jit_identity =
@@ -189,30 +190,31 @@ let prop_jit_identity =
               let o = (Jit.contract_batch plan [| box |]).(0) in
               ignore (check_outcome (Printf.sprintf "box %d" i) o refs.(i)))
             boxes;
-          (* one batched call must equal the single-box calls *)
-          let batched = Jit.contract_batch plan boxes in
+          (* the array form must equal the single-box calls *)
           Array.iteri
             (fun i o ->
               ignore
-                (check_outcome (Printf.sprintf "batched box %d" i) o refs.(i)))
-            batched;
+                (check_outcome (Printf.sprintf "array box %d" i) o refs.(i)))
+            (Jit.contract_batch plan boxes);
           true)
 
-(* A fixed case crossing the certified exp, rational-pow and Lambert W
-   kernels in one plan, on a box that straddles W's zero. *)
+(* A fixed formula crossing the certified exp, rational-pow and Lambert W
+   kernels in one plan. *)
+let exp_pow_w_compiled () =
+  Hc4.compile ~vars:[ "x"; "y" ]
+    [
+      Form.atom
+        (Expr.sub
+           (Expr.exp (Expr.mul (Expr.const 0.5) (Expr.var "x")))
+           (Expr.powr (Expr.abs (Expr.var "y")) (Rat.make 3 2)))
+        Form.Le0;
+      Form.atom (Expr.lambert_w (Expr.var "x")) Form.Ge0;
+    ]
+
+(* The fixed formula on a box that straddles W's zero. *)
 let test_identity_fixed_case () =
   if Jit.available () then begin
-    let formula =
-      [
-        Form.atom
-          (Expr.sub
-             (Expr.exp (Expr.mul (Expr.const 0.5) (Expr.var "x")))
-             (Expr.powr (Expr.abs (Expr.var "y")) (Rat.make 3 2)))
-          Form.Le0;
-        Form.atom (Expr.lambert_w (Expr.var "x")) Form.Ge0;
-      ]
-    in
-    let compiled = Hc4.compile ~vars:[ "x"; "y" ] formula in
+    let compiled = exp_pow_w_compiled () in
     match
       Jit.plan ~cache_dir:(Lazy.force cache_dir) ~mvf:true ~rounds:3 compiled
     with
@@ -467,11 +469,66 @@ let test_one_box_per_call () =
     let expansions = counter "icp.expansions" in
     check_true "the pair expands boxes" (expansions > 0);
     Alcotest.(check int)
-      "one native call per expansion" expansions (counter "jit.batches");
-    Alcotest.(check (list (pair int int)))
-      "every call carries one box (log2 bucket 1)"
-      [ (1, expansions) ]
-      (List.assoc "jit.boxes_per_batch" snap.Obs.Metrics.histograms)
+      "one native call per expansion" expansions (counter "jit.batches")
+  end
+
+(* ------------------------------------------------------------------ *)
+(* One plan, four domains at once: each contracts its own boxes while the
+   others run theirs and collect, with full major collections between
+   rounds. The stub copies a box into C memory before it releases the
+   runtime lock and writes the results back after retaking it, and the
+   plan stays loaded for the whole call, so every outcome must equal the
+   interpreted pipeline bit for bit. *)
+
+let test_concurrent_domains () =
+  if Jit.available () then begin
+    let compiled = exp_pow_w_compiled () in
+    match
+      Jit.plan ~cache_dir:(Lazy.force cache_dir) ~mvf:true ~rounds:3 compiled
+    with
+    | Error e -> Alcotest.failf "plan failed: %s" e
+    | Ok plan ->
+        let rng = Random.State.make [| 20 |] in
+        let bounds lo hi =
+          let a = lo +. Random.State.float rng (hi -. lo)
+          and b = lo +. Random.State.float rng (hi -. lo) in
+          Interval.make (Float.min a b) (Float.max a b)
+        in
+        let boxes =
+          Array.init 4 (fun _ ->
+              Array.init 500 (fun _ ->
+                  Box.make
+                    [ ("x", bounds (-0.5) 2.0); ("y", bounds (-1.5) 1.5) ]))
+        in
+        let refs =
+          Array.map (Array.map (interpreted ~mvf:true ~rounds:3 compiled)) boxes
+        in
+        for round = 1 to 3 do
+          (* a start barrier, so the four domains' calls overlap *)
+          let waiting = Atomic.make (Array.length boxes) in
+          let domains =
+            Array.map
+              (fun mine ->
+                Domain.spawn (fun () ->
+                    Atomic.decr waiting;
+                    while Atomic.get waiting > 0 do
+                      Domain.cpu_relax ()
+                    done;
+                    Array.map (Jit.native_batch plan) mine))
+              boxes
+          in
+          Array.iteri
+            (fun w d ->
+              Array.iteri
+                (fun i o ->
+                  ignore
+                    (check_outcome
+                       (Printf.sprintf "round %d, domain %d, box %d" round w i)
+                       o refs.(w).(i)))
+                (Domain.join d))
+            domains;
+          Gc.full_major ()
+        done
   end
 
 let suite =
@@ -489,4 +546,6 @@ let suite =
       test_paint_log_identity;
     case "a solve makes one single-box native call per expansion"
       test_one_box_per_call;
+    case "one plan on four domains at once matches the tape"
+      test_concurrent_domains;
   ]

@@ -1,87 +1,35 @@
 open Testutil
 
-let test_sequential_fallback () =
-  let xs = List.init 100 Fun.id in
-  Alcotest.(check (list int)) "workers=1 maps in order"
-    (List.map (fun x -> x * 2) xs)
-    (Pool.map ~workers:1 (fun x -> x * 2) xs)
-
-let test_parallel_map_order () =
-  let xs = List.init 500 Fun.id in
-  Alcotest.(check (list int)) "workers=4 preserves order"
-    (List.map (fun x -> x * x) xs)
-    (Pool.map ~workers:4 (fun x -> x * x) xs)
-
-let test_empty_and_singleton () =
-  Alcotest.(check (list int)) "empty" [] (Pool.map ~workers:8 (fun x -> x) []);
-  Alcotest.(check (list int)) "singleton" [ 7 ]
-    (Pool.map ~workers:8 (fun x -> x) [ 7 ])
-
-let test_more_workers_than_items () =
-  Alcotest.(check (list int)) "3 items, 16 workers" [ 2; 4; 6 ]
-    (Pool.map ~workers:16 (fun x -> 2 * x) [ 1; 2; 3 ])
-
-exception Boom
-
-let test_exception_propagation () =
-  Alcotest.check_raises "first failure re-raised" Boom (fun () ->
-      ignore
-        (Pool.map ~workers:4
-           (fun x -> if x = 37 then raise Boom else x)
-           (List.init 100 Fun.id)))
-
-let test_map_stops_claiming_after_failure () =
-  (* After one worker fails, workers that observe the flag must not claim
-     further items. With a failure on the first item and a barrier-free
-     counter we can only assert an upper bound sanity check: strictly fewer
-     than all items ran. *)
-  let ran = Atomic.make 0 in
-  (try
-     ignore
-       (Pool.map ~workers:2
-          (fun x ->
-            ignore (Atomic.fetch_and_add ran 1);
-            if x = 0 then raise Boom;
-            Domain.cpu_relax ();
-            x)
-          (List.init 10_000 Fun.id))
-   with Boom -> ());
-  check_true
-    (Printf.sprintf "fail-fast skipped most of the list (ran %d)"
-       (Atomic.get ran))
-    (Atomic.get ran < 10_000)
-
-let test_iter_effects () =
-  let total = Atomic.make 0 in
-  Pool.iter ~workers:4 (fun x -> ignore (Atomic.fetch_and_add total x))
-    (List.init 101 Fun.id);
-  Alcotest.(check int) "sum via iter" 5050 (Atomic.get total)
-
 let test_default_workers () =
-  check_true "at least one worker" (Pool.default_workers () >= 1)
+  check_true "at least one worker" (Worklist.default_workers () >= 1)
 
 let test_solver_calls_in_parallel () =
   (* Solver calls on prebuilt formulas are construction-free and safe to
-     fan out; verify results match the sequential run. *)
+     fan out over worker domains; verify results match the sequential run. *)
   let x = Expr.var "x" in
   let atom = Form.le (Expr.sub (Expr.sqr x) (Expr.int 2)) in
   let boxes =
     List.init 8 (fun i ->
         let lo = float_of_int i in
-        Box.make [ ("x", Interval.make lo (lo +. 1.0)) ])
+        (i, Box.make [ ("x", Interval.make lo (lo +. 1.0)) ]))
   in
-  let solve b = fst (Icp.solve Icp.default_config b [ atom ]) in
-  let seq = List.map solve boxes in
-  let par = Pool.map ~workers:4 solve boxes in
-  List.iter2
-    (fun a b ->
-      let tag = function
-        | Icp.Unsat -> 0
-        | Icp.Sat _ -> 1
-        | Icp.Timeout -> 2
-      in
-      Alcotest.(check int) "same verdict" (tag a) (tag b))
-    seq par
+  let verdict b =
+    match fst (Icp.solve Icp.default_config b [ atom ]) with
+    | Icp.Unsat -> 0
+    | Icp.Sat _ -> 1
+    | Icp.Timeout -> 2
+  in
+  let seq = List.map (fun (i, b) -> (i, verdict b)) boxes in
+  let { Worklist.results; dropped } =
+    Worklist.process ~workers:4
+      ~compare:(fun (i, _) (j, _) -> Int.compare i j)
+      ~handle:(fun (i, b) -> ((i, verdict b), []))
+      boxes
+  in
+  check_true "nothing dropped" (dropped = []);
+  Alcotest.(check (list (pair int int)))
+    "same verdicts" seq
+    (List.sort compare results)
 
 (* ---- worklist scheduler -------------------------------------------- *)
 
@@ -253,13 +201,6 @@ let worklist_equivalence =
 
 let suite =
   [
-    case "sequential fallback" test_sequential_fallback;
-    case "parallel map preserves order" test_parallel_map_order;
-    case "empty and singleton" test_empty_and_singleton;
-    case "more workers than items" test_more_workers_than_items;
-    case "exception propagation" test_exception_propagation;
-    case "map stops claiming after failure" test_map_stops_claiming_after_failure;
-    case "iter side effects" test_iter_effects;
     case "default workers" test_default_workers;
     case "parallel solver calls" test_solver_calls_in_parallel;
     case "worklist priority order" test_worklist_priority_order;
