@@ -135,6 +135,166 @@ let test_worklist_recover_raising_aborts () =
            ~handle:(fun x -> if x = 5 then raise Kaboom else (x, []))
            (List.init 16 Fun.id)))
 
+let test_worklist_sequential_fallback () =
+  (* workers=1 spawns no domain: every task runs on the calling domain. *)
+  let caller = (Domain.self () :> int) in
+  let { Worklist.results; dropped } =
+    Worklist.process ~workers:1 ~compare:Int.compare
+      ~handle:(fun x -> (((Domain.self () :> int), x * 2), []))
+      (List.init 100 Fun.id)
+  in
+  check_true "every task ran on the caller"
+    (List.for_all (fun (d, _) -> d = caller) results);
+  Alcotest.(check (list int)) "results in comparator order"
+    (List.init 100 (fun x -> x * 2))
+    (List.map snd results);
+  Alcotest.(check (list int)) "nothing dropped" [] dropped
+
+let test_worklist_empty_frontier () =
+  List.iter
+    (fun workers ->
+      let calls = Atomic.make 0 in
+      let { Worklist.results; dropped } =
+        Worklist.process ~workers ~compare:Int.compare
+          ~handle:(fun x ->
+            Atomic.incr calls;
+            (x, []))
+          []
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "no results at workers=%d" workers)
+        [] results;
+      Alcotest.(check (list int)) "nothing dropped" [] dropped;
+      Alcotest.(check int) "handle never called" 0 (Atomic.get calls))
+    [ 1; 8 ]
+
+let test_worklist_more_workers_than_tasks () =
+  let { Worklist.results; dropped } =
+    Worklist.process ~workers:8 ~compare:Int.compare
+      ~handle:(fun x -> (2 * x, []))
+      [ 1; 2; 3 ]
+  in
+  Alcotest.(check (list int)) "3 tasks, 8 workers" [ 2; 4; 6 ]
+    (List.sort Int.compare results);
+  Alcotest.(check (list int)) "nothing dropped" [] dropped
+
+let test_worklist_each_task_once () =
+  (* At four workers every task is handled exactly once. *)
+  let { Worklist.results; dropped } =
+    Worklist.process ~workers:4 ~compare:Int.compare
+      ~handle:(fun x -> (x * x, []))
+      (List.init 500 Fun.id)
+  in
+  Alcotest.(check (list int)) "one result per task"
+    (List.init 500 (fun x -> x * x))
+    (List.sort Int.compare results);
+  Alcotest.(check (list int)) "nothing dropped" [] dropped
+
+let test_worklist_stops_claiming_after_failure () =
+  (* After a failure no worker claims further tasks: at one worker the
+     failing first task is the only one run; at two, strictly fewer than
+     all of them run. *)
+  let ran workers =
+    let ran = Atomic.make 0 in
+    (try
+       ignore
+         (Worklist.process ~workers ~compare:Int.compare
+            ~handle:(fun x ->
+              Atomic.incr ran;
+              if x = 0 then raise Kaboom;
+              Domain.cpu_relax ();
+              (x, []))
+            (List.init 10_000 Fun.id))
+     with Kaboom -> ());
+    Atomic.get ran
+  in
+  Alcotest.(check int) "workers=1 stops at the failing task" 1 (ran 1);
+  let n = ran 2 in
+  check_true
+    (Printf.sprintf "workers=2 skipped most of the frontier (ran %d)" n)
+    (n < 10_000)
+
+let test_worklist_capacity_overflow () =
+  (* A heap bound of 4 under a 127-node binary tree seeded with ten roots:
+     the initial tasks and children past the bound run locally, and none
+     is lost or run twice. *)
+  let handle (depth, id) =
+    (id, if depth >= 6 then [] else [ (depth + 1, (2 * id) + 1); (depth + 1, (2 * id) + 2) ])
+  in
+  List.iter
+    (fun workers ->
+      let { Worklist.results; dropped } =
+        Worklist.process ~workers ~capacity:4 ~compare:compare ~handle
+          ((0, 0) :: List.init 9 (fun i -> (6, 1000 + i)))
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "every node once at workers=%d" workers)
+        (List.init 127 Fun.id @ List.init 9 (fun i -> 1000 + i))
+        (List.sort Int.compare results);
+      Alcotest.(check int) "nothing dropped" 0 (List.length dropped))
+    [ 1; 4 ]
+
+let test_worklist_stop_drains_overflow () =
+  (* With a heap bound of 2 the last four initial tasks run locally first;
+     a stop after three executions drops the fourth of them and both heap
+     entries, so results and drops partition the tasks. *)
+  let executed = Atomic.make 0 in
+  let { Worklist.results; dropped } =
+    Worklist.process ~workers:1 ~capacity:2 ~compare:Int.compare
+      ~stop:(fun () -> Atomic.get executed >= 3)
+      ~handle:(fun x ->
+        Atomic.incr executed;
+        (x, []))
+      [ 1; 2; 3; 4; 5; 6 ]
+  in
+  Alcotest.(check (list int)) "overflow tasks ran" [ 3; 4; 5 ]
+    (List.sort Int.compare results);
+  Alcotest.(check (list int)) "the rest dropped" [ 1; 2; 6 ]
+    (List.sort Int.compare dropped)
+
+let test_worklist_stop_partitions_parallel () =
+  (* At four workers a stop mid-run may land anywhere, but every task is
+     either handled or dropped, exactly once. *)
+  let executed = Atomic.make 0 in
+  let { Worklist.results; dropped } =
+    Worklist.process ~workers:4 ~compare:Int.compare
+      ~stop:(fun () -> Atomic.get executed >= 10)
+      ~handle:(fun x ->
+        Atomic.incr executed;
+        (x, []))
+      (List.init 100 Fun.id)
+  in
+  check_true "stopped early" (List.length results < 100);
+  Alcotest.(check (list int)) "results and drops partition the tasks"
+    (List.init 100 Fun.id)
+    (List.sort Int.compare (results @ dropped))
+
+let test_worklist_task_counter () =
+  (* [worklist.tasks] counts heap and overflow tasks alike, plus each
+     [external_task], at any worker count. *)
+  let handle (depth, id) =
+    ((), if depth >= 6 then [] else [ (depth + 1, (2 * id) + 1); (depth + 1, (2 * id) + 2) ])
+  in
+  List.iter
+    (fun workers ->
+      let prev = Obs.Metrics.install (Obs.Metrics.fresh ()) in
+      let snap =
+        Fun.protect
+          ~finally:(fun () -> ignore (Obs.Metrics.install prev))
+          (fun () ->
+            ignore
+              (Worklist.process ~workers ~capacity:4 ~compare ~handle
+                 [ (0, 0) ]);
+            Worklist.external_task ();
+            Worklist.external_task ();
+            Obs.Metrics.snapshot ())
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "127 tasks + 2 external at workers=%d" workers)
+        129
+        (List.assoc "worklist.tasks" snap.Obs.Metrics.counters))
+    [ 1; 4 ]
+
 (* ---- worker-count equivalence (QCheck) ------------------------------ *)
 
 (* The scheduler's contract: the outcome is a pure function of the problem,
@@ -210,5 +370,18 @@ let suite =
     case "worklist recover isolates failures" test_worklist_recover_isolates;
     case "worklist recover spawns children" test_worklist_recover_spawns_children;
     case "worklist raising recover aborts" test_worklist_recover_raising_aborts;
+    case "worklist sequential fallback" test_worklist_sequential_fallback;
+    case "worklist empty frontier" test_worklist_empty_frontier;
+    case "worklist more workers than tasks"
+      test_worklist_more_workers_than_tasks;
+    case "worklist handles each task once" test_worklist_each_task_once;
+    case "worklist stops claiming after failure"
+      test_worklist_stops_claiming_after_failure;
+    case "worklist capacity overflow loses nothing"
+      test_worklist_capacity_overflow;
+    case "worklist stop drains overflow" test_worklist_stop_drains_overflow;
+    case "worklist stop partitions tasks at four workers"
+      test_worklist_stop_partitions_parallel;
+    case "worklist task counter" test_worklist_task_counter;
     worklist_equivalence;
   ]
