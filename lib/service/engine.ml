@@ -22,6 +22,9 @@ let m_journal_faults =
 let m_cache_faults =
   Obs.Metrics.counter ~clas:Obs.Metrics.Wall "service.cache_faults"
 
+let m_pairs_encoded =
+  Obs.Metrics.counter ~clas:Obs.Metrics.Wall "service.pairs_encoded"
+
 let m_query_boxes = Obs.Metrics.histogram "service.query.boxes"
 
 (* aliases of counters registered by the verifier (registration is
@@ -73,24 +76,35 @@ type t = {
   mutable closing : bool;
   mutable next_seq : int;
   mutable next_client : int;
+  pairs : (string * string, (Encoder.problem * string) option) Hashtbl.t;
+      (** the memo of [encoded]: (dfa name, condition name) -> problem
+          and formula hash, [None] where the condition does not apply.
+          Only the thread that executes queries touches it. *)
 }
 
 (* ---- journal --------------------------------------------------------- *)
 
-let journal_append t line =
-  try Serialize.append_line ?io_faults:t.config.io_faults ~fsync:true t.journal line
+let journal_append t ~fsync line =
+  try Serialize.append_line ?io_faults:t.config.io_faults ~fsync t.journal line
   with Fault.Io_injected _ ->
     (* durability of the journal is best-effort: a lost entry only means a
        lost replay after a crash, never a lost or wrong verdict *)
     Obs.Metrics.incr m_journal_faults 1
 
 let journal_inflight t ~seq req =
-  journal_append t
+  journal_append t ~fsync:true
     (Printf.sprintf "(inflight (seq %d) %s)" seq
        (Protocol.request_to_string req))
 
+(* The done line is not fsynced: one fsync per query, not two. Losing it
+   only makes the next daemon replay a query that had finished, and a
+   replay answers nobody. It is a cache hit when the verdict was committed
+   (the commit is fsynced before this line); otherwise it re-solves the
+   query, as the replay of an unfinished one would. A SIGKILL loses no
+   page-cache write, so only a machine crash can drop the line, and the
+   next query's fsynced inflight line flushes it in passing. *)
 let journal_done t ~seq =
-  journal_append t (Printf.sprintf "(done (seq %d))" seq)
+  journal_append t ~fsync:false (Printf.sprintf "(done (seq %d))" seq)
 
 (* valid lines of the journal file, torn tail (and any malformed line)
    skipped — the loader mirrors the checkpoint torn-tail discipline *)
@@ -212,9 +226,27 @@ let maybe_kill t ~group_file =
 
 (* ---- query execution ------------------------------------------------- *)
 
+(* The encoded problem of (dfa, condition) and its formula hash, computed
+   once per engine: neither depends on the query, and together they cost
+   about a millisecond (PBE/ec3's fingerprint prints a 71 KB tree), some
+   thousand times a cache lookup. *)
+let encoded t (f : Registry.t) c =
+  let key = (f.Registry.name, Conditions.name c) in
+  match Hashtbl.find_opt t.pairs key with
+  | Some e -> e
+  | None ->
+      Obs.Metrics.incr m_pairs_encoded 1;
+      let e =
+        Option.map
+          (fun p -> (p, Verify.formula_hash [ p ]))
+          (Encoder.encode f c)
+      in
+      Hashtbl.add t.pairs key e;
+      e
+
 (* Solve one encoded problem for [client], consulting the verdict cache
    first. Returns [`Refused] when the quota ladder bottomed out. *)
-let solve_problem t client ~id ~cancel ~opts ~emit problem =
+let solve_problem t client ~id ~cancel ~opts ~emit (problem, formula_hash) =
   let base = effective_config t opts in
   match rung_for t client ~fuel:base.Verify.solver.Icp.fuel with
   | None ->
@@ -225,7 +257,6 @@ let solve_problem t client ~id ~cancel ~opts ~emit problem =
       if rung > 0 then Obs.Metrics.incr m_degraded 1;
       let cfg = apply_rung base rung in
       let config_hash = Verify.config_hash cfg in
-      let formula_hash = Verify.formula_hash [ problem ] in
       let box = problem.Encoder.domain in
       match Verdict_cache.find t.cache ~config_hash ~formula_hash ~box with
       | Some (Verdict_cache.Exact o | Verdict_cache.Subsumed o) ->
@@ -284,7 +315,7 @@ let exec_request t client ~cancel ~emit req =
                      message = Printf.sprintf "unknown condition %S" condition;
                    })
           | c -> (
-              match Encoder.encode f c with
+              match encoded t f c with
               | None ->
                   emit
                     (Protocol.Failed
@@ -294,8 +325,8 @@ let exec_request t client ~cancel ~emit req =
                            Printf.sprintf "condition %s does not apply to %s"
                              condition dfa;
                        })
-              | Some problem ->
-                  ignore (solve_problem t client ~id ~cancel ~opts ~emit problem)
+              | Some pair ->
+                  ignore (solve_problem t client ~id ~cancel ~opts ~emit pair)
               )))
   | Protocol.Campaign { id; dfa; opts } -> (
       match Registry.find_opt dfa with
@@ -304,16 +335,17 @@ let exec_request t client ~cancel ~emit req =
             (Protocol.Failed
                { id; message = Printf.sprintf "unknown functional %S" dfa })
       | Some f ->
-          let problems = Encoder.encode_all [ f ] in
+          (* the pairs of [Encoder.encode_all [ f ]], in its order *)
+          let pairs = List.filter_map (encoded t f) Conditions.all in
           let count = ref 0 in
           let refused = ref false in
           List.iter
-            (fun problem ->
+            (fun pair ->
               if not !refused then
-                match solve_problem t client ~id ~cancel ~opts ~emit problem with
+                match solve_problem t client ~id ~cancel ~opts ~emit pair with
                 | `Ok -> incr count
                 | `Refused -> refused := true)
-            problems;
+            pairs;
           (* a refusal is already the stream's terminal response *)
           if not !refused then emit (Protocol.Done { id; count = !count }))
 
@@ -342,6 +374,7 @@ let create config =
       closing = false;
       next_seq = 0;
       next_client = 0;
+      pairs = Hashtbl.create 32;
     }
   in
   (* replay queries that were admitted but not finished when the previous

@@ -12,6 +12,14 @@
     concurrently). Shared state is guarded by one mutex; [step ~block:true]
     sleeps on a condition variable until work arrives or {!shutdown}.
 
+    {b Encoded pairs.} Each (dfa, condition) pair is encoded and its
+    formula hash computed once per engine, on first use (by a query or by
+    the journal replay in {!create}), and kept for the engine's lifetime;
+    the wall counter [service.pairs_encoded] counts these encodings. Only
+    the thread running queries touches that memo. A cache hit then costs
+    the configuration hash, one {!Verdict_cache.find}, the reply and the
+    journal lines.
+
     {b Admission control.} At most [max_inflight] queries may be queued or
     running; a submit beyond that is rejected immediately with
     [Overloaded] — callers retry, the daemon never buffers unboundedly.
@@ -25,10 +33,10 @@
     verdicts never shadow full-fidelity ones.
 
     {b Journal.} Admitted queries are appended to [cache_dir/journal]
-    before execution and marked done after; {!create} replays unfinished
-    queries from the journal (warming the verdict cache) and truncates it.
-    A daemon SIGKILLed mid-solve thus re-solves exactly the queries whose
-    results were lost. *)
+    (fsynced) before execution and marked done (not fsynced) after;
+    {!create} replays unfinished queries from the journal (warming the
+    verdict cache) and truncates it. A daemon SIGKILLed mid-solve thus
+    re-solves exactly the queries whose results were lost. *)
 
 type config = {
   cache_dir : string;

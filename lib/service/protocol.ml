@@ -174,9 +174,10 @@ let response_to_sexp = function
         [
           S.Atom "result"; int_field "id" id; bool_field "cached" cached;
           int_field "degraded" degraded; bool_field "partial" partial;
-          (* splice the Serialize v3 outcome sexp: a cached reply is
-             byte-identical to the freshly solved one *)
-          S.parse (Serialize.to_string outcome);
+          (* splice the Serialize v3 outcome tree: the frame carries the
+             archive bytes, so a cached reply is byte-identical to the
+             freshly solved one *)
+          Serialize.sexp_of_outcome outcome;
         ]
   | Done { id; count } ->
       S.List [ S.Atom "done"; int_field "id" id; int_field "count" count ]
@@ -228,7 +229,7 @@ let response_of_sexp = function
           cached = get_int "result" kvs "cached" <> 0;
           degraded = get_int "result" kvs "degraded";
           partial = get_int "result" kvs "partial" <> 0;
-          outcome = Serialize.of_string (sexp_to_string outcome_sexp);
+          outcome = Serialize.outcome_of_sexp outcome_sexp;
         }
   | S.List (S.Atom "done" :: fields) ->
       let kvs = assoc fields in

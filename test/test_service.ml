@@ -31,6 +31,9 @@ let c_misses = Obs.Metrics.counter "service.cache.misses"
 let c_replays =
   Obs.Metrics.counter ~clas:Obs.Metrics.Wall "service.journal_replays"
 
+let c_pairs_encoded =
+  Obs.Metrics.counter ~clas:Obs.Metrics.Wall "service.pairs_encoded"
+
 let box2 ?(x = Interval.make 0.0 1.0) ?(y = Interval.make 0.0 1.0) () =
   Box.make [ ("x", x); ("y", y) ]
 
@@ -415,6 +418,118 @@ let test_result_roundtrip () =
         (bytes_of got.outcome)
   | _ -> Alcotest.fail "expected Result"
 
+(* The Result frame as it was built before the outcome tree was spliced in
+   directly: the outcome printed, parsed back and printed again inside the
+   frame. It is the oracle the splice must match byte for byte. *)
+let result_frame_by_reparse ~id ~cached ~degraded ~partial o =
+  let module S = Parser.Sexp in
+  let field name v = S.List [ S.Atom name; v ] in
+  let int n = S.Atom (string_of_int n) in
+  let bool b = S.Atom (if b then "1" else "0") in
+  let buf = Buffer.create 256 in
+  S.print buf
+    (S.List
+       [
+         S.Atom "result"; field "id" (int id); field "cached" (bool cached);
+         field "degraded" (int degraded); field "partial" (bool partial);
+         S.parse (Serialize.to_string o);
+       ]);
+  Buffer.contents buf
+
+(* Free text for labels and error messages: quotes, parentheses, blanks,
+   newlines, '%', backslashes and multi-byte UTF-8. Never empty: Serialize
+   writes an empty label or message as an empty atom, which neither its
+   own reader nor the re-parse above keeps. *)
+let text_gen =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_range 1 8)
+         (oneofl
+            [ "a"; "Z"; "0"; "_"; "\""; "'"; "("; ")"; " "; "\n"; "\t"; "%";
+              "%2"; "\\"; "\xc3\xa9"; "\xce\xbb"; "\xe2\x88\x9e" ])))
+
+(* finite floats and the bounds a paint log can hold: infinities, signed
+   zeros, subnormals *)
+let coord_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun f -> if Float.is_nan f then 0.5 else f) float;
+        oneofl
+          [ 0.0; -0.0; infinity; neg_infinity; 5e-324; -5e-324;
+            Float.max_float; 1e-300 ];
+      ])
+
+let grid_vars = [ "rs"; "s"; "zeta" ]
+
+let model_gen =
+  QCheck2.Gen.(
+    map (List.combine grid_vars) (list_repeat (List.length grid_vars) coord_gen))
+
+let region_box_gen =
+  QCheck2.Gen.(
+    map
+      (fun bounds ->
+        Box.make
+          (List.map2
+             (fun v (a, b) -> (v, Interval.make (Float.min a b) (Float.max a b)))
+             grid_vars bounds))
+      (list_repeat (List.length grid_vars) (pair coord_gen coord_gen)))
+
+let status_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Outcome.Verified;
+        return Outcome.Timeout;
+        map (fun m -> Outcome.Counterexample m) model_gen;
+        map (fun m -> Outcome.Inconclusive m) model_gen;
+        map (fun msg -> Outcome.Error msg) text_gen;
+      ])
+
+let outcome_gen =
+  QCheck2.Gen.(
+    let region =
+      map3
+        (fun box status depth -> { Outcome.box; status; depth })
+        region_box_gen status_gen (int_range 0 40)
+    in
+    let stats =
+      map3
+        (fun (solver_calls, total_expansions) (total_prunes, total_revise_calls)
+             (retries, elapsed) ->
+          { Outcome.solver_calls; total_expansions; total_prunes;
+            total_revise_calls; retries; elapsed })
+        (pair nat_gen nat_gen) (pair nat_gen nat_gen)
+        (pair nat_gen (float_range 0.0 100.0))
+    in
+    map3
+      (fun (dfa, condition) (domain, regions) stats ->
+        { Outcome.dfa; condition; domain; regions; stats })
+      (pair text_gen text_gen)
+      (* zero regions included *)
+      (pair region_box_gen (list_size (int_range 0 4) region))
+      stats)
+
+let qcheck_result_splice =
+  qcheck ~count:300 "result frame: splice matches print-parse-print"
+    QCheck2.Gen.(
+      pair (pair nat_gen (int_range 0 2)) (pair (pair bool bool) outcome_gen))
+    (fun ((id, degraded), ((cached, partial), o)) ->
+      let frame =
+        Protocol.response_to_string
+          (Protocol.Result { id; cached; degraded; partial; outcome = o })
+      in
+      String.equal frame
+        (result_frame_by_reparse ~id ~cached ~degraded ~partial o)
+      &&
+      match Protocol.response_of_string frame with
+      | Protocol.Result got ->
+          got.id = id && got.cached = cached && got.degraded = degraded
+          && got.partial = partial
+          && String.equal (bytes_of got.outcome) (bytes_of o)
+      | _ -> false)
+
 let test_frame_roundtrip () =
   let r, w = Unix.pipe () in
   Fun.protect
@@ -629,6 +744,66 @@ let test_engine_campaign_stream () =
          | Protocol.Done _ -> true
          | _ -> false)
        rs2)
+
+(* every regular file of [src], copied into a fresh directory *)
+let copy_dir src =
+  let dst = temp_dir () in
+  Array.iter
+    (fun f ->
+      let path = Filename.concat src f in
+      if not (Sys.is_directory path) then begin
+        let oc = open_out_bin (Filename.concat dst f) in
+        output_string oc (read_file path);
+        close_out oc
+      end)
+    (Sys.readdir src);
+  dst
+
+(* a reply's frame bytes, with wall time zeroed in a freshly solved
+   outcome (a cached one carries the elapsed time it was stored with) *)
+let frame_bytes = function
+  | Protocol.Result r when not r.cached ->
+      Protocol.response_to_string
+        (Protocol.Result { r with outcome = strip_elapsed r.outcome })
+  | r -> Protocol.response_to_string r
+
+(* An engine encodes each pair once, however often it is queried, and its
+   replies are those of an engine that has encoded nothing yet. *)
+let test_engine_encodes_each_pair_once () =
+  with_fresh_instance @@ fun () ->
+  let dir = temp_dir () in
+  let t = Engine.create (engine_config dir) in
+  let client = Engine.new_client t in
+  let campaign id = Protocol.Campaign { id; dfa = "pbe"; opts = Protocol.no_opts } in
+  let reqs =
+    List.init 10 (fun i -> verify_req ~id:(i + 1) ~condition:"ec3" ())
+    @ [ campaign 11 ]
+  in
+  let encodings = ref 0 in
+  let run req =
+    let before = Obs.Metrics.read c_pairs_encoded in
+    let rs = run_one t client req in
+    encodings := !encodings + Obs.Metrics.read c_pairs_encoded - before;
+    rs
+  in
+  List.iter
+    (fun req ->
+      (* a fresh engine over the cache as it stands before [req] *)
+      let fresh = Engine.create (engine_config (copy_dir dir)) in
+      let want = run_one fresh (Engine.new_client fresh) req in
+      let got = run req in
+      Alcotest.(check (list string))
+        "reply equals a fresh engine's" (List.map frame_bytes want)
+        (List.map frame_bytes got))
+    reqs;
+  Alcotest.(check int) "each PBE pair encoded once"
+    (List.length Conditions.all) !encodings;
+  (match run (verify_req ~id:1 ~condition:"ec3" ()) with
+  | [ Protocol.Result r ] -> check_true "ec3 served from cache" r.cached
+  | _ -> Alcotest.fail "expected one Result");
+  ignore (run (campaign 12));
+  Alcotest.(check int) "repeats encode nothing" (List.length Conditions.all)
+    !encodings
 
 let test_engine_unknown_names () =
   with_fresh_instance @@ fun () ->
@@ -963,6 +1138,7 @@ let suite =
     qcheck_request_roundtrip;
     qcheck_response_roundtrip;
     case "result response roundtrip" test_result_roundtrip;
+    qcheck_result_splice;
     case "frame roundtrip" test_frame_roundtrip;
     case "torn frame detected" test_frame_torn_write;
     slow_case "cache hit: zero solver calls, identical bytes"
@@ -978,6 +1154,8 @@ let suite =
     slow_case "cancellation yields a partial verdict map"
       test_engine_cancellation_partial;
     slow_case "campaign streams results then done" test_engine_campaign_stream;
+    slow_case "each pair encoded once per engine"
+      test_engine_encodes_each_pair_once;
     case "unknown names fail cleanly" test_engine_unknown_names;
     slow_case "journal replay after crash" test_engine_journal_replay;
     case "ping and stats" test_engine_ping_stats;
