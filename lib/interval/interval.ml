@@ -390,6 +390,17 @@ module Regs = struct
     same_finite_bound (lo a i) (lo b j) && same_finite_bound (hi a i) (hi b j)
 
   let lo_above r i x = lo r i > x && lo r i <= hi r i
+  let straddles_zero r i = lo r i < 0.0 && 0.0 < hi r i
+  let is_bounded r i =
+    Float.abs (lo r i) < pos_inf && Float.abs (hi r i) < pos_inf
+
+  let lo_point dst d a i =
+    let l = lo a i in
+    store dst d l l
+
+  let hi_point dst d a i =
+    let h = hi a i in
+    store dst d h h
 
   (* Each kernel reads its operands before it writes, so [dst.(d)] may be
      one of them: accumulators update in place. *)

@@ -210,6 +210,19 @@ module Regs : sig
       for an empty register). *)
   val lo_above : t -> int -> float -> bool
 
+  (** [straddles_zero r i]: [lo < 0 < hi], strictly. *)
+  val straddles_zero : t -> int -> bool
+
+  (** [is_bounded r i]: both bounds are finite (false for an empty
+      register). *)
+  val is_bounded : t -> int -> bool
+
+  (** [lo_point dst d a i] sets [dst.(d)] to the point at [a.(i)]'s lower
+      bound, [hi_point] to the one at its upper bound. *)
+  val lo_point : t -> int -> t -> int -> unit
+
+  val hi_point : t -> int -> t -> int -> unit
+
   (** [add dst d a i b j] sets [dst.(d)] to [add a.(i) b.(j)]; likewise
       the others. *)
   val add : t -> int -> t -> int -> t -> int -> unit

@@ -940,6 +940,90 @@ let eval_gradient prog box =
     prog.var_regs;
   { value = R.get s.fwd prog.root; partials; decided }
 
+let m_mvf_replays_skipped = Obs.Metrics.counter "itape.mvf_replays_skipped"
+
+(* prefix.(j + 1) <- prefix.(j) + terms.(j) for j < k: the mean-value sum
+   from the start value in prefix.(0), one association for every start. *)
+let mean_value_sum s k =
+  let prefix = s.prefix and terms = s.terms in
+  for j = 0 to k - 1 do
+    R.add prefix (j + 1) prefix j terms j
+  done
+
+(* Does the mean-value sum meet the target when it starts from the point
+   [endpoint] ([R.lo_point] or [R.hi_point]) takes from the box sweep's
+   root? *)
+let endpoint_sum_meets s prog k endpoint =
+  endpoint s.prefix 0 s.fwd prog.root;
+  mean_value_sum s k;
+  R.meet s.tmp t_res s.prefix k s.tmp t_target;
+  not (R.is_empty s.tmp t_res)
+
+(* With every partial strictly straddling 0, the midpoint replay cannot
+   change the stage's answer when the root F of the box sweep is bounded
+   and the sum still meets the target from F's inner endpoint (F.lo
+   against a lower target bound, F.hi against an upper one; both for =).
+   A straddling partial makes every per-dimension quotient top, so the
+   replay could only prove Infeasible, which needs the sum from f(m) to
+   miss the target. Both sweeps enclose f at the midpoint, so
+   f(m).hi >= F.lo and f(m).lo <= F.hi, and the outward-rounded sum is
+   monotone in its start: the sum from f(m) reaches at least as far. F
+   must be bounded for the answers to stay bit-identical: a root that
+   overflows to [inf, inf] meets the target from its endpoint, while the
+   replay's per-dimension solve computes inf - inf and answers
+   Infeasible. *)
+let replay_cannot_decide s prog k =
+  R.is_bounded s.fwd prog.root
+  &&
+  match prog.rel with
+  | Form.Ge0 | Form.Gt0 -> endpoint_sum_meets s prog k R.lo_point
+  | Form.Le0 | Form.Lt0 -> endpoint_sum_meets s prog k R.hi_point
+  | Form.Eq0 ->
+      endpoint_sum_meets s prog k R.lo_point
+      && endpoint_sum_meets s prog k R.hi_point
+
+(* The mean-value stage from f(m), with the terms already in [s.terms]
+   and the target in [t_target]: replay f at the midpoint into the point
+   file, test the sum against the target, then solve the linear form for
+   each variable in turn. *)
+let solve_from_midpoint s prog box k =
+  ignore (sweep s.pt s.pt_tag prog (Box.midpoint_box box));
+  if R.is_empty s.pt prog.root then Contracted box
+  else begin
+    let adj = s.adj and terms = s.terms and prefix = s.prefix in
+    let suffix = s.suffix and tmp = s.tmp in
+    R.copy prefix 0 s.pt prog.root;
+    mean_value_sum s k;
+    R.set suffix k Interval.zero;
+    for j = k - 1 downto 0 do
+      R.add suffix j terms j suffix (j + 1)
+    done;
+    R.meet tmp t_res prefix k tmp t_target;
+    if R.is_empty tmp t_res then Infeasible
+    else begin
+      (* g_j (x_j - m_j) in target - f(m) - sum_{i<>j} terms_i *)
+      let ivs = Box.intervals box in
+      let infeasible = ref false and j = ref 0 in
+      while (not !infeasible) && !j < k do
+        let reg, slot = prog.var_regs.(!j) in
+        R.add tmp t_rest prefix !j suffix (!j + 1);
+        R.sub tmp t_res tmp t_target tmp t_rest;
+        R.div_rel tmp t_res tmp t_res adj reg;
+        let m = Float.Array.get s.mids !j in
+        R.store_bounds tmp t_acc m m;
+        R.add tmp t_res tmp t_res tmp t_acc;
+        R.set tmp t_acc ivs.(slot);
+        R.meet tmp t_res tmp t_acc tmp t_res;
+        if R.is_empty tmp t_res then infeasible := true
+        else if not (R.equal tmp t_res tmp t_acc) then
+          ivs.(slot) <- R.get tmp t_res;
+        incr j
+      done;
+      if !infeasible then Infeasible
+      else Contracted (Box.with_intervals box ivs)
+    end
+  end
+
 (* Tape-native mean-value-form contraction:
      f(X) ⊆ f(m) + Σ_i G_i (X_i − m_i)
    with G the adjoint partials from one reverse sweep, instead of one
@@ -953,7 +1037,8 @@ let eval_gradient prog box =
    midpoint outside the expression's domain, or an empty partial. The
    box sweep stays in [fwd] and the partials in the adjoint registers:
    f at the midpoint is replayed into the separate point file, so a
-   status test of the same box afterwards reuses the box sweep. *)
+   status test of the same box afterwards reuses the box sweep. The
+   replay is skipped where [replay_cannot_decide]. *)
 let contract_mvf prog box =
   let s = Domain.DLS.get scratch_key in
   let n = Array.length prog.instrs in
@@ -965,11 +1050,12 @@ let contract_mvf prog box =
     let k = Array.length prog.var_regs in
     ensure_vars s k;
     let adj = s.adj and dx = s.dx and mids = s.mids in
-    let degenerate = ref false in
+    let degenerate = ref false and straddle = ref true in
     Array.iteri
       (fun j (reg, slot) ->
         if R.is_empty adj reg then degenerate := true
         else begin
+          if not (R.straddles_zero adj reg) then straddle := false;
           let xi = Box.get_idx box slot in
           let mi = Interval.midpoint xi in
           Float.Array.set mids j mi;
@@ -980,48 +1066,14 @@ let contract_mvf prog box =
       prog.var_regs;
     if !degenerate then Contracted box
     else begin
-      (* f at the midpoint: one more forward replay, on the degenerate
-         midpoint box, into the point file. *)
-      ignore (sweep s.pt s.pt_tag prog (Box.midpoint_box box));
-      if R.is_empty s.pt prog.root then Contracted box
-      else begin
-        let terms = s.terms and prefix = s.prefix and suffix = s.suffix in
-        let tmp = s.tmp in
-        Array.iteri (fun j (reg, _) -> R.mul terms j adj reg dx j) prog.var_regs;
-        R.copy prefix 0 s.pt prog.root;
-        for j = 0 to k - 1 do
-          R.add prefix (j + 1) prefix j terms j
-        done;
-        R.set suffix k Interval.zero;
-        for j = k - 1 downto 0 do
-          R.add suffix j terms j suffix (j + 1)
-        done;
-        R.set tmp t_target prog.target;
-        R.meet tmp t_res prefix k tmp t_target;
-        if R.is_empty tmp t_res then Infeasible
-        else begin
-          (* Solve the linear form for each variable in turn:
-             g_j (x_j - m_j) in target - f(m) - sum_{i<>j} terms_i. *)
-          let ivs = Box.intervals box in
-          let infeasible = ref false and j = ref 0 in
-          while (not !infeasible) && !j < k do
-            let reg, slot = prog.var_regs.(!j) in
-            R.add tmp t_rest prefix !j suffix (!j + 1);
-            R.sub tmp t_res tmp t_target tmp t_rest;
-            R.div_rel tmp t_res tmp t_res adj reg;
-            let m = Float.Array.get mids !j in
-            R.store_bounds tmp t_acc m m;
-            R.add tmp t_res tmp t_res tmp t_acc;
-            R.set tmp t_acc ivs.(slot);
-            R.meet tmp t_res tmp t_acc tmp t_res;
-            if R.is_empty tmp t_res then infeasible := true
-            else if not (R.equal tmp t_res tmp t_acc) then
-              ivs.(slot) <- R.get tmp t_res;
-            incr j
-          done;
-          if !infeasible then Infeasible
-          else Contracted (Box.with_intervals box ivs)
-        end
+      Array.iteri
+        (fun j (reg, _) -> R.mul s.terms j adj reg dx j)
+        prog.var_regs;
+      R.set s.tmp t_target prog.target;
+      if !straddle && replay_cannot_decide s prog k then begin
+        Obs.Metrics.incr m_mvf_replays_skipped 1;
+        Contracted box
       end
+      else solve_from_midpoint s prog box k
     end
   end

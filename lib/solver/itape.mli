@@ -145,7 +145,19 @@ val eval_gradient : t -> Box.t -> gradient
     enclose 0 still contract soundly instead of being skipped). Degrades to
     an identity contraction when the mean value form is invalid on the box:
     undecided piecewise guard, midpoint outside the expression's domain, or
-    an empty partial. *)
+    an empty partial.
+
+    The replay of [f(m)] is skipped, and [box] returned, when every partial
+    strictly straddles 0, the box sweep's root [F] is finite at both ends,
+    and the mean-value sum still meets the target with [F]'s inner endpoint
+    in place of [f(m)]: [F.lo] for [≥]/[>], [F.hi] for [≤]/[<], both for
+    [=] ([itape.mvf_replays_skipped] counts the skips). A straddling
+    partial leaves every quotient top, so the replay could only prove
+    [Infeasible]. Both sweeps enclose [f] at [m], so [f(m).hi ≥ F.lo] and
+    [f(m).lo ≤ F.hi], and the outward-rounded sum is monotone in its start:
+    the answer is the one the replay would give. The assumption that both
+    sweeps enclose [f(m)] is the one every [Unsat] answer already rests on.
+    The JIT's C kernel keeps the full replay. *)
 val contract_mvf : t -> Box.t -> result
 
 (** {1 Shared backward machinery}

@@ -164,6 +164,85 @@ let prop_mvf_soundness =
       else true)
 
 (* ------------------------------------------------------------------ *)
+(* The mean-value stage's midpoint replay skip *)
+
+(* [contract_mvf] on [box], checked bit for bit against the reference that
+   always replays f(m), and whether it skipped the replay. *)
+let mvf_skip label atom box =
+  let prog = Itape.compile ~vars:(Box.vars box) atom in
+  let before = Test_itape.replays_skipped () in
+  let got = Itape.contract_mvf prog box in
+  let skipped = Test_itape.replays_skipped () - before in
+  check_true (label ^ ": same answer as the replay-always reference")
+    (Test_itape.same_bits (Tree_oracle.Mvf_replay.contract prog atom box) got);
+  (got, skipped = 1)
+
+let check_kept label box = function
+  | Itape.Contracted b -> check_true (label ^ ": box kept") (Box.equal b box)
+  | Itape.Infeasible -> Alcotest.failf "%s: must stay feasible" label
+
+let test_mvf_skip_eq () =
+  (* x^2 + y^2 - 1 = 0 on [-2, 2]^2: the partials 2x, 2y straddle 0,
+     F = [-1, 7] is bounded, and with terms of [-8, 8] each the sum from
+     F.lo reaches 0 from below while the one from F.hi reaches it from
+     above: skipped. *)
+  let b = box2 (-2.0, 2.0) (-2.0, 2.0) in
+  let got, skipped =
+    mvf_skip "x^2 + y^2 = 1" (Form.eq (sub (add (sqr x) (sqr y)) one)) b
+  in
+  check_true "x^2 + y^2 = 1: replay skipped" skipped;
+  check_kept "x^2 + y^2 = 1" b got;
+  (* x^2 + y^2 + 1 = 0 on [-0.1, 0.1]^2: F = [1, 1.02]; the sum from F.lo
+     reaches 0 but the one from F.hi does not, so the replay runs and
+     proves the atom infeasible from f(m) = 1. *)
+  let got, skipped =
+    mvf_skip "x^2 + y^2 + 1 = 0"
+      (Form.eq (add (add (sqr x) (sqr y)) one))
+      (box2 (-0.1, 0.1) (-0.1, 0.1))
+  in
+  check_false "x^2 + y^2 + 1 = 0: replayed" skipped;
+  check_true "x^2 + y^2 + 1 = 0: infeasible" (got = Itape.Infeasible)
+
+let test_mvf_skip_unbounded_root () =
+  (* exp(x^2 + y^2) - 2 >= 0 on [-30, 30]^2: the partials straddle 0 and
+     the sum from F.lo = -1 meets the target, but F's upper bound is +inf:
+     the replay must run. *)
+  let b = box2 (-30.0, 30.0) (-30.0, 30.0) in
+  let got, skipped =
+    mvf_skip "exp(x^2 + y^2) >= 2"
+      (Form.ge (sub (exp (add (sqr x) (sqr y))) two))
+      b
+  in
+  check_false "unbounded F: replayed" skipped;
+  check_kept "unbounded F" b got
+
+let test_mvf_skip_replay_proves_infeasible () =
+  (* x^2 + y^2 + 1 <= 0 on [-0.1, 0.1]^2: both partials straddle 0, but the
+     sum from F.hi = 1.02 stays above 0, so the replay runs and proves
+     Infeasible from f(m) = 1. *)
+  let got, skipped =
+    mvf_skip "x^2 + y^2 + 1 <= 0"
+      (Form.le (add (add (sqr x) (sqr y)) one))
+      (box2 (-0.1, 0.1) (-0.1, 0.1))
+  in
+  check_false "all straddle, sum misses: replayed" skipped;
+  check_true "all straddle, sum misses: infeasible" (got = Itape.Infeasible)
+
+let test_mvf_skip_midpoint_outside_domain () =
+  (* sqrt(x^2 - 1) >= 1/2 on [-2, 2]: the midpoint 0 is outside the
+     domain, so f(m) is empty and a replay keeps the box; the partial
+     straddles 0 and F = [-1/2, sqrt 3 - 1/2] is bounded, so the skip
+     fires and keeps it too. *)
+  let b = Box.make [ ("x", iv (-2.0) 2.0) ] in
+  let got, skipped =
+    mvf_skip "sqrt(x^2 - 1) >= 1/2"
+      (Form.ge (sub (sqrt (sub (sqr x) one)) (const 0.5)))
+      b
+  in
+  check_true "midpoint outside the domain: replay skipped" skipped;
+  check_kept "midpoint outside the domain" b got
+
+(* ------------------------------------------------------------------ *)
 (* Smear splitting primitives *)
 
 let test_smear_dim_follows_gradient () =
@@ -271,6 +350,12 @@ let suite =
     case "mvf proves infeasibility" test_mvf_infeasible;
     case "straddling gradient still contracts" test_straddling_gradient_contracts;
     prop_mvf_soundness;
+    case "mvf replay skip on an = atom" test_mvf_skip_eq;
+    case "mvf replay runs when F is unbounded" test_mvf_skip_unbounded_root;
+    case "mvf replay still proves infeasibility"
+      test_mvf_skip_replay_proves_infeasible;
+    case "mvf replay skip with the midpoint outside the domain"
+      test_mvf_skip_midpoint_outside_domain;
     case "smear_dim follows the gradient" test_smear_dim_follows_gradient;
     case "smear_dim fallback to widest" test_smear_dim_fallback;
     case "midpoint_box" test_midpoint_box;

@@ -375,6 +375,138 @@ let prop_registry_differential_oracle =
          | `Fails -> not (Form.holds_at env atom)))
 
 (* ------------------------------------------------------------------ *)
+(* Mean-value stage: skipping the midpoint replay changes no answer *)
+
+(* Itape.contract_mvf skips its midpoint replay where every partial
+   strictly straddles 0, the box sweep's root is bounded and the mean-value
+   sum from the root's inner endpoint still meets the target. It must
+   answer bit for bit as Tree_oracle.Mvf_replay, which always replays. *)
+
+let replays_skipped () =
+  match
+    List.assoc_opt "itape.mvf_replays_skipped"
+      (Obs.Metrics.snapshot ()).Obs.Metrics.counters
+  with
+  | Some n -> n
+  | None -> 0
+
+let mvf_matches_replay (atom : Form.atom) box =
+  let prog = Itape.compile ~vars:(Box.vars box) atom in
+  same_bits (Tree_oracle.Mvf_replay.contract prog atom box)
+    (Itape.contract_mvf prog box)
+
+(* interval_gen plus infinite bounds and zero bounds of either sign *)
+let edge_interval_gen =
+  QCheck2.Gen.(
+    let bound =
+      oneof
+        [
+          oneofl [ Float.neg_infinity; -0.0; 0.0; Float.infinity ];
+          float_range (-3.0) 3.0;
+        ]
+    in
+    oneof
+      [
+        interval_gen;
+        map2
+          (fun a b -> Interval.make (Float.min a b) (Float.max a b))
+          bound bound;
+      ])
+
+let edge_box_gen =
+  QCheck2.Gen.(
+    map2
+      (fun ix iy -> Box.make [ ("x", ix); ("y", iy) ])
+      edge_interval_gen edge_interval_gen)
+
+(* atom_gen's roots, and the same roots pushed past overflow: a root whose
+   box sweep is [inf, inf] or [-inf, -inf] over finite partials. exp 800
+   folds to the constant inf, so a shift that folds to a NaN constant
+   (inf - inf) is left out. *)
+let mvf_atom_gen =
+  QCheck2.Gen.(
+    let huge = Expr.exp (Expr.int 800) in
+    let no_nan_const e =
+      Expr.fold_dag
+        (fun n ok ->
+          ok
+          &&
+          match Expr.as_const n with
+          | Some c -> not (Float.is_nan c)
+          | None -> true)
+        e true
+    in
+    map2
+      (fun (e, k) rel ->
+        let shifted =
+          match k with
+          | 0 -> Expr.add e huge
+          | 1 -> Expr.sub e huge
+          | _ -> e
+        in
+        Form.atom (if no_nan_const shifted then shifted else e) rel)
+      (pair atom_expr_gen (int_range 0 5))
+      rel_gen)
+
+(* Bowls s ((x - a)^2 + (y - b)^2) + t w^2 on the box of half-width w
+   around (a, b): every partial strictly straddles 0, the natural
+   enclosure is wider than f(m) on one side, and the mean-value sum meets
+   or misses the target near t = -4 and t = -6 (and their negatives), so
+   both the skip and a replay that proves Infeasible are common. *)
+let bowl_gen =
+  QCheck2.Gen.(
+    map3
+      (fun (a, b, w) (s, t) rel ->
+        let sq v c = Expr.sqr (Expr.sub (Expr.var v) (Expr.const c)) in
+        let e =
+          Expr.add
+            (Expr.mul (Expr.const s) (Expr.add (sq "x" a) (sq "y" b)))
+            (Expr.const (t *. w *. w))
+        in
+        let side c = Interval.make (c -. w) (c +. w) in
+        (Form.atom e rel, Box.make [ ("x", side a); ("y", side b) ]))
+      (triple (float_range (-2.0) 2.0) (float_range (-2.0) 2.0)
+         (float_range 1e-3 1.0))
+      (pair (oneofl [ 1.0; -1.0 ]) (float_range (-8.0) 8.0))
+      rel_gen)
+
+let prop_mvf_skip_equiv =
+  qcheck ~count:1000 "contract_mvf = replay-always reference, bit for bit"
+    QCheck2.Gen.(oneof [ pair mvf_atom_gen edge_box_gen; bowl_gen ])
+    (fun (atom, box) ->
+      mvf_matches_replay atom box
+      && mvf_matches_replay atom (flip_zero_signs box))
+
+let table1_subbox_gen =
+  QCheck2.Gen.(
+    oneofl table1_problems >>= fun p ->
+    map (fun b -> (p.Encoder.psi, b)) (subbox_gen p.Encoder.domain))
+
+let prop_mvf_skip_equiv_table1 =
+  qcheck ~count:300
+    "contract_mvf = replay-always reference on Table I sub-boxes"
+    table1_subbox_gen
+    (fun (atom, box) -> mvf_matches_replay atom box)
+
+(* The two properties above hold vacuously if the skip never fires, or if
+   it always does: on a fixed sample of Table I sub-boxes it must do both. *)
+let test_mvf_skip_exercised () =
+  let sample =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 22 |]) ~n:200
+      table1_subbox_gen
+  in
+  let before = replays_skipped () in
+  List.iter
+    (fun (atom, box) ->
+      check_true "contract_mvf = replay-always reference"
+        (mvf_matches_replay atom box))
+    sample;
+  let skipped = replays_skipped () - before in
+  if skipped = 0 || skipped >= List.length sample then
+    Alcotest.failf "the replay was skipped on %d of %d sub-boxes" skipped
+      (List.length sample)
+
+(* ------------------------------------------------------------------ *)
 (* Paint-log identity on a real campaign pair.
 
    The fixture is the normalized PBE/EC1 paint log of the tree-walking
@@ -721,6 +853,9 @@ let suite =
     case "sparse revise on every Table I domain" test_skip_table1_domains;
     case "sparse revise keeps the rules it cannot skip" test_skip_targeted;
     prop_registry_differential_oracle;
+    prop_mvf_skip_equiv;
+    prop_mvf_skip_equiv_table1;
+    case "mean-value replay skip exercised" test_mvf_skip_exercised;
     case "paint log matches tree-walk fixture"
       test_paint_log_matches_tree_fixture;
     case "tree-walk config refused" test_tree_walk_config_refused;

@@ -310,19 +310,19 @@ module Taylor = struct
         | `Unknown -> false)
       prepared.guards
 
+  (* X_i - m_i, outward rounded *)
+  let centred xi =
+    let mi = Interval.midpoint xi in
+    Interval.of_bounds
+      (Interval.lo_down (Interval.inf xi -. mi))
+      (Interval.hi_up (Interval.sup xi -. mi))
+
   let deviations prepared box =
     (* (box dimension, gradient enclosure, X_i - m_i) per dimension. *)
     let env = Box.to_env box in
     List.map
       (fun (slot, grad) ->
-        let xi = Box.get_idx box slot in
-        let mi = Interval.midpoint xi in
-        let centred =
-          Interval.of_bounds
-            (Interval.lo_down (Interval.inf xi -. mi))
-            (Interval.hi_up (Interval.sup xi -. mi))
-        in
-        (slot, Ieval.eval env grad, centred))
+        (slot, Ieval.eval env grad, centred (Box.get_idx box slot)))
       prepared.grads
 
   let midpoint_env box =
@@ -345,9 +345,52 @@ module Taylor = struct
       end
     end
 
+  (* The mean-value form f(m) + sum_i g_i (X_i - m_i) over [devs]:
+     infeasible when it misses [target], else solved for each dimension
+     in turn. *)
+  let solve target fm devs box =
+    let terms = List.map (fun (_, g, dx) -> Interval.mul g dx) devs in
+    let total = List.fold_left Interval.add fm terms in
+    if Interval.is_empty (Interval.meet total target) then Hc4.Infeasible
+    else begin
+      (* Solve the linear form for each variable in turn:
+         g_i (x_i - m_i) in target - f(m) - sum_{j<>i} terms_j. *)
+      let arr = Array.of_list terms in
+      let n = Array.length arr in
+      let prefix = Array.make (n + 1) fm in
+      for i = 0 to n - 1 do
+        prefix.(i + 1) <- Interval.add prefix.(i) arr.(i)
+      done;
+      let suffix = Array.make (n + 1) Interval.zero in
+      for i = n - 1 downto 0 do
+        suffix.(i) <- Interval.add arr.(i) suffix.(i + 1)
+      done;
+      let box' = ref box in
+      let infeasible = ref false in
+      List.iteri
+        (fun i (slot, g, _) ->
+          if not !infeasible then begin
+            let others = Interval.add prefix.(i) suffix.(i + 1) in
+            (* Relational division: a gradient enclosing 0 no longer
+               skips the dimension. Strictly straddling gradients give
+               top (a sound no-op), half-open ones ([0, k]) genuine
+               contraction, and g = {0} with 0 outside the numerator a
+               correct infeasibility proof. *)
+            let rhs = Interval.div_rel (Interval.sub target others) g in
+            let xi = Box.get_idx !box' slot in
+            let mi = Interval.midpoint xi in
+            let shifted = Interval.add rhs (Interval.point mi) in
+            let narrowed = Interval.meet xi shifted in
+            if Interval.is_empty narrowed then infeasible := true
+            else if not (Interval.equal narrowed xi) then
+              box' := Box.set_idx !box' slot narrowed
+          end)
+        devs;
+      if !infeasible then Hc4.Infeasible else Hc4.Contracted !box'
+    end
+
   let contract prepared box =
     let env = Box.to_env box in
-    let target = Itape.target_of_relation prepared.atom.Form.rel in
     if not (differentiable prepared env) then Hc4.Contracted box
     else begin
       let fm = Ieval.eval (midpoint_env box) prepared.atom.Form.expr in
@@ -355,51 +398,60 @@ module Taylor = struct
         (* Midpoint outside the expression's domain (possible on boxes that
            straddle a domain boundary): no sound linearization point. *)
         Hc4.Contracted box
-      else begin
-        let devs = deviations prepared box in
-        let terms = List.map (fun (_, g, dx) -> Interval.mul g dx) devs in
-        let total =
-          List.fold_left Interval.add fm terms
-        in
-        if Interval.is_empty (Interval.meet total target) then Hc4.Infeasible
-        else begin
-          (* Solve the linear form for each variable in turn:
-             g_i (x_i - m_i) in target - f(m) - sum_{j<>i} terms_j. *)
-          let arr = Array.of_list terms in
-          let n = Array.length arr in
-          let prefix = Array.make (n + 1) fm in
-          for i = 0 to n - 1 do
-            prefix.(i + 1) <- Interval.add prefix.(i) arr.(i)
-          done;
-          let suffix = Array.make (n + 1) Interval.zero in
-          for i = n - 1 downto 0 do
-            suffix.(i) <- Interval.add arr.(i) suffix.(i + 1)
-          done;
-          let box' = ref box in
-          let infeasible = ref false in
-          List.iteri
-            (fun i (slot, g, _) ->
-              if not !infeasible then begin
-                let others = Interval.add prefix.(i) suffix.(i + 1) in
-                (* Relational division: a gradient enclosing 0 no longer
-                   skips the dimension. Strictly straddling gradients give
-                   top (a sound no-op), half-open ones ([0, k]) genuine
-                   contraction, and g = {0} with 0 outside the numerator a
-                   correct infeasibility proof. *)
-                let rhs = Interval.div_rel (Interval.sub target others) g in
-                let xi = Box.get_idx !box' slot in
-                let mi = Interval.midpoint xi in
-                let shifted = Interval.add rhs (Interval.point mi) in
-                let narrowed = Interval.meet xi shifted in
-                if Interval.is_empty narrowed then infeasible := true
-                else if not (Interval.equal narrowed xi) then
-                  box' := Box.set_idx !box' slot narrowed
-              end)
-            devs;
-          if !infeasible then Hc4.Infeasible else Hc4.Contracted !box'
-        end
-      end
+      else
+        solve
+          (Itape.target_of_relation prepared.atom.Form.rel)
+          fm (deviations prepared box) box
     end
 
   let contractor prepared box = contract prepared box
+end
+
+(* Itape.contract_mvf as it was before it learned to skip the midpoint
+   replay: the same mean-value stage with the replay always run, built from
+   the tape's public sweeps (Itape.eval_gradient for F and the partials,
+   Itape.eval on the midpoint box for f(m)) and Taylor.solve, which runs
+   contract_mvf's Interval operations in its order, so the two must agree
+   bit for bit. *)
+module Mvf_replay = struct
+  (* contract_mvf's guard pre-scan: some select, reachable or not, has an
+     undecided guard before its first certainly-true one. *)
+  let undecided_select env e =
+    let rec walk = function
+      | [] -> false
+      | (g, _) :: rest -> (
+          match Ieval.guard_status env g with
+          | `True -> false
+          | `False -> walk rest
+          | `Unknown -> true)
+    in
+    fold_dag
+      (fun e acc ->
+        acc
+        ||
+        match e.node with
+        | Piecewise (branches, _) -> walk branches
+        | _ -> false)
+      e false
+
+  let contract prog (atom : Form.atom) box =
+    let g = Itape.eval_gradient prog box in
+    let partial slot = g.Itape.partials.(slot) in
+    let slots = Array.to_list (Array.map snd (Itape.var_regs prog)) in
+    if undecided_select (Box.to_env box) atom.expr || not g.Itape.decided then
+      Itape.Contracted box
+    else if List.exists (fun slot -> Interval.is_empty (partial slot)) slots
+    then Itape.Contracted box
+    else
+      let fm = Itape.eval prog (Box.midpoint_box box) in
+      if Interval.is_empty fm then Itape.Contracted box
+      else
+        Taylor.solve
+          (Itape.target_of_relation atom.rel)
+          fm
+          (List.map
+             (fun slot ->
+               (slot, partial slot, Taylor.centred (Box.get_idx box slot)))
+             slots)
+          box
 end
