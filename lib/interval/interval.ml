@@ -156,9 +156,35 @@ let sub a b = add a (neg b)
 let[@inline] xmul x y = if x = 0.0 || y = 0.0 then 0.0 else x *. y
 
 (* Outward hull of four corner values, one bound each: the shared tail of
-   {!mul} and {!div} and of their register kernels below. *)
+   {!div} and of its register kernel below. *)
 let[@inline] hull4_lo c1 c2 c3 c4 = lo_down (fmin (fmin c1 c2) (fmin c3 c4))
 let[@inline] hull4_hi c1 c2 c3 c4 = hi_up (fmax (fmax c1 c2) (fmax c3 c4))
+
+(* The least and the greatest of the four corner products of non-empty
+   [al, ah] * [bl, bh], neither of them [0, 0], chosen by the operands'
+   signs (each nonnegative, nonpositive or straddling 0) instead of
+   computed and compared: the two products a four-corner hull would keep.
+   Over the reals the extremes of x * y sit at these corners. In floats
+   the argument still holds, because [xmul] is monotone in each argument
+   (round-to-nearest is monotone, and the 0 * inf = 0 rule keeps
+   x -> xmul x y nondecreasing for y >= 0 and nonincreasing for y <= 0,
+   infinities included). So the selected corner compares equal to the
+   hull's, and where the two differ only in the sign of a zero,
+   [lo_down] and [hi_up] round both to the same bound (-eta, eta). Only
+   when both operands straddle 0 do two candidates remain. *)
+let[@inline] mul_lo al ah bl bh =
+  if al >= 0.0 then if bl >= 0.0 then xmul al bl else xmul ah bl
+  else if ah <= 0.0 then if bh <= 0.0 then xmul ah bh else xmul al bh
+  else if bl >= 0.0 then xmul al bh
+  else if bh <= 0.0 then xmul ah bl
+  else fmin (xmul al bh) (xmul ah bl)
+
+let[@inline] mul_hi al ah bl bh =
+  if al >= 0.0 then if bh <= 0.0 then xmul al bh else xmul ah bh
+  else if ah <= 0.0 then if bl >= 0.0 then xmul ah bl else xmul al bl
+  else if bl >= 0.0 then xmul ah bh
+  else if bh <= 0.0 then xmul al bl
+  else fmax (xmul al bl) (xmul ah bh)
 
 let mul a b =
   if is_empty a || is_empty b then empty
@@ -166,13 +192,10 @@ let mul a b =
     (* {0} * Y = {0} exactly; skipping the outward widening here keeps
        identities like 0 * top = 0 crisp. *)
     { lo = 0.0; hi = 0.0 }
-  else begin
-    let p1 = xmul a.lo b.lo in
-    let p2 = xmul a.lo b.hi in
-    let p3 = xmul a.hi b.lo in
-    let p4 = xmul a.hi b.hi in
-    of_bounds (hull4_lo p1 p2 p3 p4) (hull4_hi p1 p2 p3 p4)
-  end
+  else
+    of_bounds
+      (lo_down (mul_lo a.lo a.hi b.lo b.hi))
+      (hi_up (mul_hi a.lo a.hi b.lo b.hi))
 
 (* Endpoint quotient for a divisor of constant sign. A zero endpoint [y]
    is approached from the divisor's own side — from below when the divisor
@@ -421,13 +444,10 @@ module Regs = struct
     if not (alo <= ahi) || not (blo <= bhi) then store dst d pos_inf neg_inf
     else if (alo = 0.0 && ahi = 0.0) || (blo = 0.0 && bhi = 0.0) then
       store dst d 0.0 0.0
-    else begin
-      let p1 = xmul alo blo in
-      let p2 = xmul alo bhi in
-      let p3 = xmul ahi blo in
-      let p4 = xmul ahi bhi in
-      store_bounds dst d (hull4_lo p1 p2 p3 p4) (hull4_hi p1 p2 p3 p4)
-    end
+    else
+      store_bounds dst d
+        (lo_down (mul_lo alo ahi blo bhi))
+        (hi_up (mul_hi alo ahi blo bhi))
 
   let[@inline] div_bounds dst d alo ahi blo bhi =
     if not (alo <= ahi) || not (blo <= bhi) then store dst d pos_inf neg_inf

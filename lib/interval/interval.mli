@@ -88,6 +88,15 @@ val split : t -> t * t
 val neg : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
+
+(** [mul a b] is the outward-rounded product: [{0}] times anything is
+    exactly [{0}], and otherwise each bound is the corner product the
+    operands' signs name (two candidates, compared, only when both
+    straddle 0), rounded one ulp outward. Corner products take
+    0 * inf = 0. The result is bit for bit the outward hull of all four
+    corner products: the endpoint product is monotone in each argument, so
+    the selected corner equals the hull's up to the sign of a zero, which
+    the outward step maps to the same bound. *)
 val mul : t -> t -> t
 
 (** [div a b] is the interval hull of [{ x/y | x in a, y in b, y <> 0 }].
@@ -228,6 +237,10 @@ module Regs : sig
   val add : t -> int -> t -> int -> t -> int -> unit
 
   val sub : t -> int -> t -> int -> t -> int -> unit
+
+  (** [mul dst d a i b j] is {!mul} on registers: the two sign-selected
+      corner products, bit for bit the four-corner hull. Malformed operands
+      ([lo > hi] or NaN) give the empty register. *)
   val mul : t -> int -> t -> int -> t -> int -> unit
   val div : t -> int -> t -> int -> t -> int -> unit
   val div_rel : t -> int -> t -> int -> t -> int -> unit

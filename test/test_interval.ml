@@ -195,6 +195,112 @@ let prop_rounding_bits =
       check_rounding (Int64.float_of_bits b);
       true)
 
+(* The multiply keeps two of the four corner products, chosen by the
+   operands' signs. The four-corner hull it replaced is the oracle: both
+   must give the same bounds bit for bit, on the boxed operation and on
+   the register kernel, with the destination register aliasing either
+   operand or both. *)
+let xmul x y = if x = 0.0 || y = 0.0 then 0.0 else x *. y
+
+(* The four-corner rule as [Regs.mul] computed it, on raw bounds:
+   malformed (lo > hi) or NaN operands are empty. *)
+let hull_mul alo ahi blo bhi =
+  if not (alo <= ahi) || not (blo <= bhi) then
+    (Float.infinity, Float.neg_infinity)
+  else if (alo = 0.0 && ahi = 0.0) || (blo = 0.0 && bhi = 0.0) then (0.0, 0.0)
+  else begin
+    let p1 = xmul alo blo and p2 = xmul alo bhi in
+    let p3 = xmul ahi blo and p4 = xmul ahi bhi in
+    let lo = Interval.lo_down (Float.min (Float.min p1 p2) (Float.min p3 p4)) in
+    let hi = Interval.hi_up (Float.max (Float.max p1 p2) (Float.max p3 p4)) in
+    if Float.is_nan lo || Float.is_nan hi || lo > hi then
+      (Float.infinity, Float.neg_infinity)
+    else (lo, hi)
+  end
+
+let mul_mismatch label (alo, ahi) (blo, bhi) (wlo, whi) (glo, ghi) =
+  if bits wlo <> bits glo || bits whi <> bits ghi then
+    Alcotest.failf "%s [%h, %h] * [%h, %h]: got [%h, %h], want [%h, %h]" label
+      alo ahi blo bhi glo ghi wlo whi
+
+(* Raw bounds into a register, malformed ones included. *)
+let store_raw r i (lo, hi) =
+  Float.Array.set r.Interval.Regs.lo i lo;
+  Float.Array.set r.Interval.Regs.hi i hi
+
+let read_raw r i =
+  (Float.Array.get r.Interval.Regs.lo i, Float.Array.get r.Interval.Regs.hi i)
+
+let check_mul_bits a b =
+  let want = hull_mul (fst a) (snd a) (fst b) (snd b) in
+  (* the boxed operation, on the operands [of_bounds] makes of the pairs:
+     a malformed pair becomes the empty interval, (+inf, -inf) *)
+  let boxed (lo, hi) = Interval.of_bounds lo hi in
+  let ia = boxed a and ib = boxed b in
+  let p = Interval.mul ia ib in
+  mul_mismatch "Interval.mul" a b
+    (hull_mul (Interval.inf ia) (Interval.sup ia) (Interval.inf ib)
+       (Interval.sup ib))
+    (Interval.inf p, Interval.sup p);
+  let r = Interval.Regs.create 3 in
+  let load () =
+    store_raw r 0 a;
+    store_raw r 1 b
+  in
+  load ();
+  Interval.Regs.mul r 2 r 0 r 1;
+  mul_mismatch "Regs.mul" a b want (read_raw r 2);
+  load ();
+  Interval.Regs.mul r 0 r 0 r 1;
+  mul_mismatch "Regs.mul into a" a b want (read_raw r 0);
+  load ();
+  Interval.Regs.mul r 1 r 0 r 1;
+  mul_mismatch "Regs.mul into b" a b want (read_raw r 1);
+  load ();
+  Interval.Regs.mul r 0 r 0 r 0;
+  mul_mismatch "Regs.mul a * a into a" a a
+    (hull_mul (fst a) (snd a) (fst a) (snd a))
+    (read_raw r 0)
+
+let mul_special_values =
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  let base =
+    [ 0.0; eta; 0x1p-1022; 0x1p-600; 0x1p600; Float.max_float;
+      Float.infinity ]
+    @ around 1.0
+  in
+  base @ List.map Float.neg base
+
+(* Every interval with endpoints from the table, malformed ones (lo > hi)
+   included, times every other. *)
+let test_mul_bits_special () =
+  let ivs =
+    List.concat_map
+      (fun lo -> List.map (fun hi -> (lo, hi)) mul_special_values)
+      mul_special_values
+  in
+  List.iter (fun a -> List.iter (fun b -> check_mul_bits a b) ivs) ivs
+
+let prop_mul_bits =
+  let endpoint =
+    QCheck2.Gen.(
+      frequency
+        [
+          (2, map Int64.float_of_bits int64);
+          (1, oneofl mul_special_values);
+          (1, float_range (-4.0) 4.0);
+        ])
+  in
+  qcheck ~count:200_000 "mul bit-identical to the four-corner hull"
+    QCheck2.Gen.(tup4 endpoint endpoint endpoint endpoint)
+    ~print:(fun (a, b, c, d) -> Printf.sprintf "[%h, %h] * [%h, %h]" a b c d)
+    (fun (alo, ahi, blo, bhi) ->
+      check_mul_bits (alo, ahi) (blo, bhi);
+      (* the same operands sorted, so most cases are well-formed *)
+      check_mul_bits (Float.min alo ahi, Float.max alo ahi)
+        (Float.min blo bhi, Float.max blo bhi);
+      true)
+
 (* Containment property: f([a,b]) contains f(x) for sampled x. *)
 let containment_qcheck name ixf ff =
   qcheck name
@@ -224,6 +330,9 @@ let suite =
     case "division by a nonpositive divisor with a zero end"
       test_div_nonpositive_zero_end;
     prop_rounding_bits;
+    case "mul bit-identical to the four-corner hull on special values"
+      test_mul_bits_special;
+    prop_mul_bits;
     containment_qcheck "exp containment" Transcend.exp Stdlib.exp;
     containment_qcheck "log containment" Transcend.log Stdlib.log;
     containment_qcheck "atan containment" Transcend.atan Stdlib.atan;

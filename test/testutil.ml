@@ -90,9 +90,9 @@ let expr_gen =
               ])
         n)
 
-let qcheck ?(count = 200) name gen prop =
+let qcheck ?(count = 200) ?print name gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name gen prop)
+    (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* Environments for the two grid variables. *)
 let env2_gen =
