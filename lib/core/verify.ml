@@ -114,6 +114,17 @@ let schedule_order_smear a b =
   | 0 -> schedule_order a b
   | c -> c
 
+(* Siblings below the threshold are neither solved nor painted, so when
+   the whole set is, its margins would only order no-op tasks: it keeps
+   split order with margin 0 and no margin is evaluated. *)
+let order_children ~threshold ~margin boxes =
+  if List.for_all (fun b -> Box.max_width b < threshold) boxes then
+    List.map (fun b -> (b, 0.0)) boxes
+  else
+    List.stable_sort
+      (fun (_, m1) (_, m2) -> Float.compare m1 m2)
+      (List.map (fun b -> (b, margin b)) boxes)
+
 (* Multi-process sharding: a campaign pair's box tree is partitioned by
    box-path prefix. Every shard deterministically replays the {e trunk} —
    the nodes shallower than [trunk_depth] — because the frontier below a
@@ -261,11 +272,7 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
           [ b1; b2 ]
       | `Widest -> Box.split_all t.box
     in
-    let boxes =
-      List.stable_sort
-        (fun (_, m1) (_, m2) -> Float.compare m1 m2)
-        (List.map (fun b -> (b, margin b)) boxes)
-    in
+    let boxes = order_children ~threshold:config.threshold ~margin boxes in
     record t.path t.depth t.box 3 (Trace.Split (List.length boxes));
     List.mapi
       (fun i (b, m) ->

@@ -160,6 +160,17 @@ val run_sharded :
   ?config:config -> ?shard:shard_spec -> Encoder.problem ->
   Outcome.t * int list list
 
+(** [order_children ~threshold ~margin boxes] is the order in which a
+    split's children become tasks, child [i] taking box path
+    [parent @ [i]], each with the margin its task is scheduled by: sorted
+    by [margin] (most violating first, stably), unless every child's
+    {!Box.max_width} is below [threshold]. Such children are neither
+    solved nor painted, so they keep split order with margin 0 and
+    [margin] is not called. *)
+val order_children :
+  threshold:float -> margin:(Box.t -> float) -> Box.t list ->
+  (Box.t * float) list
+
 (** [config_hash config] — {!Serialize.digest} of the verdict-relevant
     configuration: threshold, solver fuel/delta/rounds/sample-check, fault
     plan, contractor choice, [use_tape] (always true, kept so hashes stay

@@ -320,11 +320,9 @@ let pp_c ~name ~vars ppf e =
             Printf.sprintf "xcv_pow_int(%s, %d)" (ref_of b) r.Rat.num
         | Some r when Rat.equal r Rat.half ->
             Printf.sprintf "sqrt(%s)" (ref_of b)
-        | Some r when Rat.equal r Rat.third ->
-            Printf.sprintf "cbrt(%s)" (ref_of b)
-        | Some r when r.Rat.num = -1 && r.Rat.den = 2 ->
-            Printf.sprintf "(1.0 / sqrt(%s))" (ref_of b)
         | Some r ->
+            (* the evaluator's pow b fl(r): cbrt, or 1 / sqrt for r = -1/2,
+               would round differently, and cbrt is finite on negative b *)
             Printf.sprintf "pow(%s, (%d.0 / %d.0))" (ref_of b) r.Rat.num
               r.Rat.den
         | None -> Printf.sprintf "pow(%s, %s)" (ref_of b) (ref_of x'))

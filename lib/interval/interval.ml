@@ -449,6 +449,16 @@ module Regs = struct
         (lo_down (mul_lo alo ahi blo bhi))
         (hi_up (mul_hi alo ahi blo bhi))
 
+  (* [mul dst d a i one], without the corner selection: against [1, 1]
+     each selected corner is the bound itself (a zero bound comes back as
+     +0, which the outward step maps to the same -eta or eta as -0), and
+     rounding a non-empty operand outward keeps lo <= hi. *)
+  let mul_one dst d a i =
+    let alo = lo a i and ahi = hi a i in
+    if not (alo <= ahi) then store dst d pos_inf neg_inf
+    else if alo = 0.0 && ahi = 0.0 then store dst d 0.0 0.0
+    else store dst d (lo_down alo) (hi_up ahi)
+
   let[@inline] div_bounds dst d alo ahi blo bhi =
     if not (alo <= ahi) || not (blo <= bhi) then store dst d pos_inf neg_inf
     else if blo = 0.0 && bhi = 0.0 then store dst d pos_inf neg_inf

@@ -242,6 +242,14 @@ module Regs : sig
       corner products, bit for bit the four-corner hull. Malformed operands
       ([lo > hi] or NaN) give the empty register. *)
   val mul : t -> int -> t -> int -> t -> int -> unit
+
+  (** [mul_one dst d a i] is [mul dst d a i r k] for a register [r.(k)]
+      holding [[1, 1]], bit for bit (and [mul] is symmetric, so it is also
+      [[1, 1]] times [a.(i)]): each bound rounded one ulp outward, [{0}]
+      kept exactly, malformed operands empty. The first and the last
+      product of a tape's product chain are by [[1, 1]]. *)
+  val mul_one : t -> int -> t -> int -> unit
+
   val div : t -> int -> t -> int -> t -> int -> unit
   val div_rel : t -> int -> t -> int -> t -> int -> unit
   val meet : t -> int -> t -> int -> t -> int -> unit

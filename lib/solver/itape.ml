@@ -53,7 +53,25 @@ type t = {
       (* [skip.(i)]: when register [i]'s backward rule cannot tighten a
          child from the register's own bounded forward value (see
          [skippable]) *)
+  plan : plan array;  (* [plan.(i)]: register [i]'s chain plan, see [plan] *)
+  pre : Interval.Regs.t;
+      (* the constant partial combinations and cofactors the plans name *)
+  parts : int;
+      (* registers of the partial-product buffer a sweep of this program
+         writes: one per product's non-constant partial product *)
 }
+
+(* The chain of an n-ary register over operands x_0 .. x_{m-1}, as the
+   forward rule folds it: P_0 = [0, 0] or [1, 1], P_(j+1) = P_j + x_j or
+   P_j * x_j, and the register is P_m. Its first [lead] operands are
+   constants, so P_0 .. P_lead are computed once, at compile time, into
+   [pre.(at)] .. [pre.(at + lead)] with the kernels the sweep uses. For a
+   product whose operands are all constant but the last (c x), the last
+   operand's cofactor P_(m-1) * [1, 1] follows, in [pre.(at + lead + 1)].
+   A sweep that writes a product's register also writes its partial
+   products P_(lead+1) .. P_(m-1), into the register file's partial-product
+   buffer from register [buf] on (see [tag]). *)
+and plan = { lead : int; at : int; buf : int }
 
 (* When a backward rule may be skipped: never, always, or [Above (c, x)]
    when child register [c]'s forward lower bound is above [x], inside the
@@ -186,6 +204,56 @@ let skippable = function
           if m > 0 && m land (m - 1) = 0 then Always else Never)
   | Ipow _ -> Never
 
+let no_plan = { lead = 0; at = 0; buf = 0 }
+
+(* The plan of every register, the [pre] file they name and the length of
+   the partial-product buffer (see [plan]). *)
+let plans instrs const =
+  let npre = ref 0 and nparts = ref 0 in
+  let plan =
+    Array.map
+      (fun ins ->
+        match ins with
+        | Iadd regs | Imul regs ->
+            let m = Array.length regs in
+            let lead = ref 0 in
+            while !lead < m && const.(regs.(!lead)) do
+              incr lead
+            done;
+            let p = { lead = !lead; at = !npre; buf = !nparts } in
+            (match ins with
+            | Imul _ ->
+                npre := !npre + !lead + 2;
+                nparts := !nparts + Stdlib.max 0 (m - !lead - 1)
+            | _ -> npre := !npre + !lead + 1);
+            p
+        | _ -> no_plan)
+      instrs
+  in
+  let pre = Interval.Regs.create !npre in
+  let cv = Interval.Regs.create (Array.length instrs) in
+  Array.iteri
+    (fun i ins ->
+      match ins with
+      | Iconst c -> Interval.Regs.set cv i c
+      | Iadd regs ->
+          let p = plan.(i) in
+          Interval.Regs.set pre p.at Interval.zero;
+          for j = 0 to p.lead - 1 do
+            Interval.Regs.add pre (p.at + j + 1) pre (p.at + j) cv regs.(j)
+          done
+      | Imul regs ->
+          let p = plan.(i) and m = Array.length regs in
+          Interval.Regs.set pre p.at Interval.one;
+          for j = 0 to p.lead - 1 do
+            Interval.Regs.mul pre (p.at + j + 1) pre (p.at + j) cv regs.(j)
+          done;
+          if p.lead >= m - 1 then
+            Interval.Regs.mul_one pre (p.at + p.lead + 1) pre (p.at + m - 1)
+      | _ -> ())
+    instrs;
+  (plan, pre, !nparts)
+
 let compile ~vars (atom : Form.atom) =
   let slot_of v =
     let rec find i = function
@@ -256,6 +324,8 @@ let compile ~vars (atom : Form.atom) =
       | Iselect _ -> has_select := true
       | _ -> ())
     instrs;
+  let const = Array.map (function Iconst _ -> true | _ -> false) instrs in
+  let plan, pre, parts = plans instrs const in
   {
     instrs;
     root;
@@ -264,9 +334,12 @@ let compile ~vars (atom : Form.atom) =
     slots = Array.of_list (List.sort_uniq Stdlib.compare !slots);
     var_regs = Array.of_list (List.rev !var_regs);
     has_select = !has_select;
-    const = Array.map (function Iconst _ -> true | _ -> false) instrs;
+    const;
     deps = deps_of instrs;
     skip = Array.map skippable instrs;
+    plan;
+    pre;
+    parts;
   }
 
 let length prog = Array.length prog.instrs
@@ -304,11 +377,20 @@ let has_select prog = prog.has_select
    revise, the mean-value stage and the status test of one expansion
    usually see the same box, and a split or a contraction changes only
    some of its slots. Bits, not [Interval.equal]: -0 and +0 bounds are
-   equal yet can sweep to different registers. *)
+   equal yet can sweep to different registers.
+
+   The tag also owns the file's partial-product buffer. A product's
+   partial products are written in the same loop iteration as its
+   register, from the same operands, so they are a pure function of the
+   same slots: they hold [prog]'s partial products over the swept bounds
+   exactly when the registers do. The buffer only grows on a full sweep
+   (a program the tag does not hold), which rewrites all of it. *)
 type tag = {
   mutable prog : t;  (* the program the file holds a sweep of, or [nothing] *)
   mutable bounds : Interval.Regs.t;
       (* the bounds of [prog]'s slots it was swept on, in [slots] order *)
+  mutable part : Interval.Regs.t;
+      (* [prog]'s partial products, at the registers its plans name *)
 }
 
 type scratch = {
@@ -353,6 +435,9 @@ let nothing =
     const = [||];
     deps = [||];
     skip = [||];
+    plan = [||];
+    pre = Interval.Regs.create 0;
+    parts = 0;
   }
 
 let scratch_key =
@@ -362,9 +447,9 @@ let scratch_key =
       let none = Interval.Regs.create 0 in
       {
         fwd = none;
-        fwd_tag = { prog = nothing; bounds = none };
+        fwd_tag = { prog = nothing; bounds = none; part = none };
         pt = none;
-        pt_tag = { prog = nothing; bounds = none };
+        pt_tag = { prog = nothing; bounds = none; part = none };
         req = none;
         adj = none;
         visited = [||];
@@ -418,9 +503,11 @@ module R = Interval.Regs
 
 (* The backward pass of an n-ary node needs, for every operand, the
    combination of all *other* operands. As in the tree walker this is the
-   O(n) prefix/suffix trick — here fused into one suffix buffer (reused
-   from scratch) and a running prefix register, associating the combines
-   exactly as the tree's [others] does so the values stay float-identical. *)
+   O(n) prefix/suffix trick, associating the combines exactly as the
+   tree's [others] does so the values stay float-identical: the suffixes
+   go into one buffer reused from scratch, and the prefixes are a running
+   register for a sum and, for a product, the plan's constant prefixes and
+   the forward sweep's partial products. *)
 
 (* Mark the registers the tree walker would actually visit: all reachable
    children, except that a certainly-True piecewise guard cuts off the
@@ -469,24 +556,43 @@ let rec select_forward fwd i branches default idx =
 
 (* Forward evaluation, bottom-up, of the registers whose [deps] meet
    [changed]: every register for [all_regs], else those that read a changed
-   slot. Writes into [fwd] and returns nothing; the caller reads the
-   registers it needs. *)
-let forward_pass instrs deps fwd box n changed =
-  for i = 0 to n - 1 do
+   slot. Writes into [fwd], and a product's partial products into [part],
+   and returns nothing; the caller reads the registers it needs. An n-ary
+   chain starts from its plan's constant prefix P_lead; a product's
+   P_(lead+1) .. P_(m-1) go to [part], P_m to the register. *)
+let forward_pass prog fwd part box changed =
+  let instrs = prog.instrs and deps = prog.deps in
+  let plan = prog.plan and pre = prog.pre in
+  for i = 0 to Array.length instrs - 1 do
     if deps.(i) land changed <> 0 then
       match instrs.(i) with
       | Iconst c -> R.set fwd i c
       | Ivar slot -> R.set fwd i (Box.get_idx box slot)
       | Iadd regs ->
-          R.set fwd i Interval.zero;
-          for j = 0 to Array.length regs - 1 do
-            R.add fwd i fwd i fwd regs.(j)
-          done
+          let p = plan.(i) and m = Array.length regs in
+          if p.lead = m then R.copy fwd i pre (p.at + m)
+          else begin
+            R.add fwd i pre (p.at + p.lead) fwd regs.(p.lead);
+            for j = p.lead + 1 to m - 1 do
+              R.add fwd i fwd i fwd regs.(j)
+            done
+          end
       | Imul regs ->
-          R.set fwd i Interval.one;
-          for j = 0 to Array.length regs - 1 do
-            R.mul fwd i fwd i fwd regs.(j)
-          done
+          let p = plan.(i) and m = Array.length regs in
+          let lead = p.lead in
+          if lead = m then R.copy fwd i pre (p.at + m)
+          else if lead = m - 1 then
+            if lead = 0 then R.mul_one fwd i fwd regs.(0)
+            else R.mul fwd i pre (p.at + lead) fwd regs.(lead)
+          else begin
+            let b = p.buf in
+            if lead = 0 then R.mul_one part b fwd regs.(0)
+            else R.mul part b pre (p.at + lead) fwd regs.(lead);
+            for j = lead + 1 to m - 2 do
+              R.mul part (b + j - lead) part (b + j - lead - 1) fwd regs.(j)
+            done;
+            R.mul fwd i part (b + m - lead - 2) fwd regs.(m - 1)
+          end
       | Ipow { base; const_rat = Some r; _ } when Rat.den r = 1 ->
           (* an integer exponent: Ieval.pow_node's rule, unboxed *)
           R.pow_int fwd i fwd base (Rat.num r)
@@ -524,14 +630,14 @@ let changed_slots tag prog box =
    otherwise. The tag is cleared before the sweep and set after it, so a
    sweep that raises leaves no stale hit. *)
 let sweep regs tag prog box =
-  let n = Array.length prog.instrs in
   let changed =
     if tag.prog == prog then changed_slots tag prog box else all_regs
   in
   if changed = 0 then `Reused
   else begin
     tag.prog <- nothing;
-    forward_pass prog.instrs prog.deps regs box n changed;
+    if R.length tag.part < prog.parts then tag.part <- grown tag.part prog.parts;
+    forward_pass prog regs tag.part box changed;
     let slots = prog.slots in
     let k = Array.length slots in
     if R.length tag.bounds < k then tag.bounds <- grown tag.bounds k;
@@ -576,11 +682,25 @@ let rec select_backward fwd req i branches default idx =
     | `Unknown -> ()
   end
 
+(* [nary_buffer] filled with the suffix products S_j = x_j * S_(j+1) of a
+   product's operands for j = m - 1 down to [first], from S_m = [1, 1]
+   (which is not stored). *)
+let suffix_products s fwd regs first =
+  let m = Array.length regs in
+  let suffix = nary_buffer s m in
+  if first < m then begin
+    R.mul_one suffix (m - 1) fwd regs.(m - 1);
+    for j = m - 2 downto first do
+      R.mul suffix j fwd regs.(j) suffix (j + 1)
+    done
+  end;
+  suffix
+
 (* Tighten the children of register [i] from its requirement [req.(i)]
    (non-empty). *)
-let propagate s instrs i =
+let propagate s prog i =
   let fwd = s.fwd and req = s.req and tmp = s.tmp in
-  match instrs.(i) with
+  match prog.instrs.(i) with
   | Iconst _ | Ivar _ -> ()
   | Iadd regs ->
       let m = Array.length regs in
@@ -598,24 +718,28 @@ let propagate s instrs i =
         if j < m - 1 then R.add tmp t_acc tmp t_acc fwd c
       done
   | Imul regs ->
-      let m = Array.length regs in
-      let suffix = nary_buffer s (m + 1) in
-      R.set suffix m Interval.one;
-      for j = m - 1 downto 1 do
-        R.mul suffix j fwd regs.(j) suffix (j + 1)
-      done;
-      R.set tmp t_acc Interval.one;
+      (* Operand j's cofactor P_j * S_(j+1), with the prefixes P_j of the
+         plan and the forward sweep. Every operand keeps its quotient and
+         meet, constants too: a constant's requirement can still empty and
+         prove the box Infeasible. *)
+      let m = Array.length regs and p = prog.plan.(i) in
+      let lead = p.lead and pre = prog.pre and part = s.fwd_tag.part in
+      let suffix = suffix_products s fwd regs 1 in
       for j = 0 to m - 1 do
         (* x * rest = r => x in the relational quotient r / rest: top when
            0 is in both (x * 0 = 0 constrains nothing), empty when
            rest = {0} but 0 is not in r. *)
         let c = regs.(j) in
-        R.mul tmp t_rest tmp t_acc suffix (j + 1);
+        if j = m - 1 then
+          if lead >= j then R.copy tmp t_rest pre (p.at + lead + 1)
+          else R.mul_one tmp t_rest part (p.buf + j - lead - 1)
+        else if j = 0 then R.mul_one tmp t_rest suffix 1
+        else if j <= lead then R.mul tmp t_rest pre (p.at + j) suffix (j + 1)
+        else R.mul tmp t_rest part (p.buf + j - lead - 1) suffix (j + 1);
         if not (R.is_empty tmp t_rest) then begin
           R.div_rel tmp t_res req i tmp t_rest;
           R.meet req c req c tmp t_res
-        end;
-        if j < m - 1 then R.mul tmp t_acc tmp t_acc fwd c
+        end
       done
   | Ipow { base; expo; const_expo; const_rat; rat_inv; _ } -> (
       let r = R.get req i in
@@ -703,7 +827,7 @@ let revise prog box =
       if (not prog.has_select) || visited.(!i) then begin
         if R.is_empty req !i then infeasible := true
         else if skips prog.skip.(!i) fwd req !i then incr skipped
-        else propagate s prog.instrs !i
+        else propagate s prog !i
       end;
       decr i
     done;
@@ -818,6 +942,7 @@ let rec select_adjoint s const i branches default certain idx =
    skipped. *)
 let adjoint_pass s prog =
   let instrs = prog.instrs and const = prog.const in
+  let plan = prog.plan and pre = prog.pre and part = s.fwd_tag.part in
   let n = Array.length instrs in
   let fwd = s.fwd and adj = s.adj and tmp = s.tmp in
   R.fill adj n Interval.zero;
@@ -833,22 +958,34 @@ let adjoint_pass s prog =
             if not const.(c) then R.add adj c adj c adj i
           done
       | Imul regs ->
-          let m = Array.length regs in
-          let suffix = nary_buffer s (m + 1) in
-          R.set suffix m Interval.one;
-          for j = m - 1 downto 1 do
-            R.mul suffix j fwd regs.(j) suffix (j + 1)
-          done;
-          R.set tmp t_acc Interval.one;
-          for j = 0 to m - 1 do
-            let c = regs.(j) in
+          (* Operand j's cofactor P_j * S_(j+1), as in [propagate], for the
+             non-constant operands only: the constant ones lead, so only
+             the suffixes from S_(lead+1) on are read. *)
+          let m = Array.length regs and p = plan.(i) in
+          let lead = p.lead in
+          if lead >= m - 1 then begin
+            let c = regs.(m - 1) in
             if not const.(c) then begin
-              R.mul tmp t_rest tmp t_acc suffix (j + 1);
-              R.mul tmp t_res adj i tmp t_rest;
+              R.mul tmp t_res adj i pre (p.at + lead + 1);
               R.add adj c adj c tmp t_res
-            end;
-            if j < m - 1 then R.mul tmp t_acc tmp t_acc fwd c
-          done
+            end
+          end
+          else begin
+            let suffix = suffix_products s fwd regs (lead + 1) in
+            for j = lead to m - 1 do
+              let c = regs.(j) in
+              if not const.(c) then begin
+                if j = m - 1 then
+                  R.mul_one tmp t_rest part (p.buf + j - lead - 1)
+                else if j > lead then
+                  R.mul tmp t_rest part (p.buf + j - lead - 1) suffix (j + 1)
+                else if lead = 0 then R.mul_one tmp t_rest suffix 1
+                else R.mul tmp t_rest pre (p.at + lead) suffix (j + 1);
+                R.mul tmp t_res adj i tmp t_rest;
+                R.add adj c adj c tmp t_res
+              end
+            done
+          end
       | Ipow { base; expo; const_expo; rat_deriv; _ } -> (
           match (rat_deriv, const_expo) with
           | Some (rm1, r), _ ->

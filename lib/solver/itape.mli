@@ -92,7 +92,19 @@ val slots : t -> int array
     sweeps, [itape.forward_partial] the partial ones among them). The
     mean-value midpoint replay keeps its own file, remembered the same
     way. The answers are the same either way: a register is a pure
-    function of the program and the bounds of the slots it reads. *)
+    function of the program and the bounds of the slots it reads.
+
+    {!compile} plans each sum and product chain: the combination of its
+    leading constant operands is computed once, and so is the cofactor of
+    the last operand of a product whose other operands are all constant
+    ([c x]). A sweep starts each chain from that prefix and keeps a
+    product's running partial products next to its register, written and
+    dropped with it, so they are valid exactly when the register is. The
+    backward rule of {!revise} and the adjoint sweep of {!eval_gradient}
+    and {!contract_mvf} read those prefixes instead of re-multiplying, and
+    the adjoint builds only the suffix products a non-constant operand
+    reads. Every stored value is the float the unplanned rules computed:
+    the same kernel on the same operands in the same order. *)
 
 (** [forget ()] drops the calling domain's remembered sweeps, of both
     files, so its next calls sweep afresh. {!Icp.solve} calls it on entry: reuse then depends

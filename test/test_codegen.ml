@@ -115,11 +115,10 @@ let coverage_cases =
     piecewise [ (guard_le (sub x y), exp x) ] (cos y);
   ]
 
-(* Random expressions reaching every constructor. Domains are restricted
-   only where the C emission is deliberately defined more widely than the
-   float evaluator (cbrt of a negative is finite in C, NaN through
-   [Float.pow]) — everywhere else a one-sided NaN must count as a real
-   mismatch. *)
+(* Random expressions reaching every constructor. A one-sided NaN counts
+   as a real mismatch: the emitted C raises to a non-integer rational
+   power through [pow] as the float evaluator does, so a negative base
+   gives NaN on both sides. *)
 let full_expr_gen =
   let open QCheck2.Gen in
   let rat_g = map2 Rat.make (int_range (-9) 9) (int_range 1 5) in
@@ -146,7 +145,7 @@ let full_expr_gen =
                map2 (fun e r -> Expr.powr (Expr.abs e) r) sub rat_g;
                map2 (fun a b -> Expr.pow (Expr.abs a) b) sub sub;
                map (fun e -> Expr.sqrt (Expr.abs e)) sub;
-               map (fun e -> Expr.cbrt (Expr.abs e)) sub;
+               map Expr.cbrt sub;
                map (fun e -> Expr.exp (Expr.mul (Expr.const 0.25) e)) sub;
                map (fun e -> Expr.log (Expr.add (Expr.abs e) (Expr.const 0.5))) sub;
                map Expr.sin sub;
@@ -165,7 +164,7 @@ let full_expr_gen =
 
 (* Agreement modulo rounding noise: the emitted C replays the evaluator's
    operation sequence, so the only legitimate divergences are ulp-level
-   (cbrt vs pow 1/3, the Lambert iteration) — a hybrid tolerance absorbs
+   (sqrt vs pow 1/2, the Lambert iteration) — a hybrid tolerance absorbs
    them. Values past 1e15 of the same sign count as agreeing: a single-ulp
    divergence can land one side on the far slope of an overflow. *)
 let agree expected actual =

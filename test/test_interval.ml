@@ -301,6 +301,40 @@ let prop_mul_bits =
         (Float.min blo bhi, Float.max blo bhi);
       true)
 
+(* [Regs.mul_one a] is [Regs.mul a one], bit for bit, into another
+   register and into the operand's own; and, [Regs.mul] being symmetric,
+   [Regs.mul one a] too, the order of the product chains' first step. *)
+let check_mul_one_bits a =
+  let one = (1.0, 1.0) in
+  let r = Interval.Regs.create 3 in
+  store_raw r 0 a;
+  store_raw r 1 one;
+  Interval.Regs.mul r 2 r 0 r 1;
+  let want = read_raw r 2 in
+  Interval.Regs.mul r 2 r 1 r 0;
+  mul_mismatch "Regs.mul one * a" one a want (read_raw r 2);
+  store_raw r 2 (Float.nan, Float.nan);
+  Interval.Regs.mul_one r 2 r 0;
+  mul_mismatch "Regs.mul_one" a one want (read_raw r 2);
+  Interval.Regs.mul_one r 0 r 0;
+  mul_mismatch "Regs.mul_one into a" a one want (read_raw r 0)
+
+let test_mul_one_special () =
+  List.iter
+    (fun lo -> List.iter (fun hi -> check_mul_one_bits (lo, hi)) mul_special_values)
+    mul_special_values
+
+let prop_mul_one_bits =
+  qcheck ~count:100_000 "Regs.mul_one bit-identical to Regs.mul by [1, 1]"
+    QCheck2.Gen.(pair int64 int64)
+    ~print:(fun (a, b) ->
+      Printf.sprintf "[%h, %h]" (Int64.float_of_bits a) (Int64.float_of_bits b))
+    (fun (a, b) ->
+      let lo = Int64.float_of_bits a and hi = Int64.float_of_bits b in
+      check_mul_one_bits (lo, hi);
+      check_mul_one_bits (Float.min lo hi, Float.max lo hi);
+      true)
+
 (* Containment property: f([a,b]) contains f(x) for sampled x. *)
 let containment_qcheck name ixf ff =
   qcheck name
@@ -333,6 +367,9 @@ let suite =
     case "mul bit-identical to the four-corner hull on special values"
       test_mul_bits_special;
     prop_mul_bits;
+    case "Regs.mul_one bit-identical to Regs.mul by [1, 1] on special values"
+      test_mul_one_special;
+    prop_mul_one_bits;
     containment_qcheck "exp containment" Transcend.exp Stdlib.exp;
     containment_qcheck "log containment" Transcend.log Stdlib.log;
     containment_qcheck "atan containment" Transcend.atan Stdlib.atan;

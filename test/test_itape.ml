@@ -36,9 +36,42 @@ let box_gen =
 let rel_gen =
   QCheck2.Gen.oneofl [ Form.Le0; Form.Lt0; Form.Ge0; Form.Gt0; Form.Eq0 ]
 
+(* Products of the shapes the tape plans differently (Itape's [plan]): 3
+   to 5 factors, with and without a leading constant; c x; c k x and a
+   constant-valued factor between two variable ones, k = W(a) for a
+   constant a; and a single factor. Expr folds numeric constants into one
+   leading factor and unwraps a single factor, so a tape constant only
+   ever leads a product, and k — constant-valued but not a tape constant,
+   as W does not fold — stands in for the second constant and for the one
+   in a middle position. Expr orders the other factors by creation, so a
+   factor made after k follows it. *)
+let product_gen =
+  QCheck2.Gen.(
+    let factor =
+      oneof [ expr_gen; return (Expr.var "x"); return (Expr.var "y") ]
+    in
+    let c = map Expr.const (float_range (-4.0) 4.0) in
+    let k = map (fun a -> Expr.lambert_w (Expr.const a)) (float_range 0.0 2.0) in
+    oneof
+      [
+        map Expr.mul_n (list_size (int_range 3 5) factor);
+        map2 (fun c fs -> Expr.mul_n (c :: fs)) c
+          (list_size (int_range 2 4) factor);
+        map2 Expr.mul c factor;
+        map3 (fun c k x -> Expr.mul_n [ c; k; x ]) c k factor;
+        map3
+          (fun k a c ->
+            Expr.mul_n
+              [ c; Expr.var "x"; k; Expr.exp (Expr.mul (Expr.const a) (Expr.var "y")) ])
+          k (float_range 0.5 1.5)
+          (oneof [ c; return Expr.one ]);
+        map (fun e -> Expr.mul_n [ e ]) factor;
+      ])
+
 (* expr_gen plus piecewise roots, so the tape's guard-pruned branch walk is
-   exercised (the plain generator never emits Piecewise), and roots that
-   clip their argument to a domain: non-integer powers and W. *)
+   exercised (the plain generator never emits Piecewise), roots that
+   clip their argument to a domain: non-integer powers and W, and the
+   products of product_gen, alone and inside a sum. *)
 let atom_expr_gen =
   QCheck2.Gen.(
     let pw =
@@ -67,7 +100,15 @@ let atom_expr_gen =
           | _ -> Expr.lambert_w e)
         expr_gen (int_range 0 3)
     in
-    frequency [ (4, expr_gen); (1, pw); (1, pw2); (1, clipped) ])
+    frequency
+      [
+        (4, expr_gen);
+        (1, pw);
+        (1, pw2);
+        (1, clipped);
+        (1, product_gen);
+        (1, map2 Expr.add product_gen expr_gen);
+      ])
 
 let atom_gen =
   QCheck2.Gen.map2 (fun e rel -> Form.atom e rel) atom_expr_gen rel_gen
@@ -507,6 +548,39 @@ let test_mvf_skip_exercised () =
       (List.length sample)
 
 (* ------------------------------------------------------------------ *)
+(* Adjoint sweep: eval_gradient = the unplanned reference, bit for bit *)
+
+(* Itape.eval_gradient reads a product's prefixes from the forward sweep
+   and its plan and builds only the suffixes its non-constant operands
+   read; Tree_oracle.Adjoint forms every cofactor from [1, 1] by the
+   generic prefix/suffix folds. Values, partials and the decided flag
+   must agree bit for bit, signed zeros included. *)
+
+let same_gradient (g : Itape.gradient) (h : Itape.gradient) =
+  bits_equal_iv g.value h.value
+  && g.decided = h.decided
+  && List.for_all2 bits_equal_iv (Array.to_list g.partials)
+       (Array.to_list h.partials)
+
+let gradient_matches_oracle (atom : Form.atom) box =
+  let prog = Itape.compile ~vars:(Box.vars box) atom in
+  same_gradient
+    (Tree_oracle.Adjoint.eval_gradient prog box)
+    (Itape.eval_gradient prog box)
+
+let prop_gradient_oracle =
+  qcheck ~count:500 "eval_gradient = adjoint oracle, bit for bit"
+    QCheck2.Gen.(pair atom_gen (oneof [ box_gen; edge_box_gen ]))
+    (fun (atom, box) ->
+      gradient_matches_oracle atom box
+      && gradient_matches_oracle atom (flip_zero_signs box))
+
+let prop_gradient_oracle_table1 =
+  qcheck ~count:200 "eval_gradient = adjoint oracle on Table I sub-boxes"
+    table1_subbox_gen
+    (fun (atom, box) -> gradient_matches_oracle atom box)
+
+(* ------------------------------------------------------------------ *)
 (* Paint-log identity on a real campaign pair.
 
    The fixture is the normalized PBE/EC1 paint log of the tree-walking
@@ -662,6 +736,60 @@ let same_answer a b =
            (Array.to_list h.partials)
   | _ -> false
 
+(* Two call pairs the random sequences below reach only by chance. First,
+   a call after a call on [box] on a neighbour of it, which sweeps the box
+   file (and, for [`Mvf], the midpoint file) partially: the products that
+   read the changed slot rewrite their partial products, the others keep
+   theirs. *)
+let partial_then_reverse prog box =
+  let nbs = neighbours box @ neighbours (flip_zero_signs box) in
+  let calls = [ `Gradient; `Revise; `Mvf ] in
+  let run () =
+    List.concat_map
+      (fun nb ->
+        List.map
+          (fun call ->
+            ignore (Itape.eval prog box);
+            run_call prog nb call)
+          calls)
+      nbs
+  in
+  let fresh =
+    Domain.join
+      (Domain.spawn (fun () ->
+           List.concat_map
+             (fun nb ->
+               List.map
+                 (fun call ->
+                   Itape.forget ();
+                   run_call prog nb call)
+                 calls)
+             nbs))
+  in
+  List.for_all2 same_answer (run ()) fresh
+
+(* Second, a program with more partial products than the one before it
+   in a fresh domain, which grows the partial-product buffers. *)
+let lengthened (atom : Form.atom) =
+  let x = Expr.var "x" and y = Expr.var "y" in
+  Form.atom
+    (Expr.add atom.expr
+       (Expr.mul_n
+          [ Expr.const 0.5; x; y; Expr.sin x; Expr.cos y; Expr.tanh x; Expr.atan y ]))
+    atom.rel
+
+let grown_buffer short long box =
+  List.for_all
+    (fun call ->
+      let after_short () =
+        ignore (run_call short box call);
+        run_call long box call
+      in
+      same_answer
+        (Domain.join (Domain.spawn after_short))
+        (Domain.join (Domain.spawn (fun () -> run_call long box call))))
+    [ `Eval; `Revise; `Gradient; `Mvf ]
+
 let prop_forward_reuse =
   qcheck ~count:100 "reused forward sweeps = fresh-domain calls, bit for bit"
     QCheck2.Gen.(
@@ -686,7 +814,10 @@ let prop_forward_reuse =
           let got = run_call prog box call in
           let fresh = Domain.join (Domain.spawn (fun () -> run_call prog box call)) in
           same_answer got fresh)
-        calls)
+        calls
+      && partial_then_reverse progs.(0) (List.hd boxes)
+      && grown_buffer progs.(0) (Itape.compile ~vars (lengthened a1))
+           (List.nth boxes 1))
 
 (* ------------------------------------------------------------------ *)
 (* Sparse backward: skipped rules change no register *)
@@ -855,6 +986,8 @@ let suite =
     prop_registry_differential_oracle;
     prop_mvf_skip_equiv;
     prop_mvf_skip_equiv_table1;
+    prop_gradient_oracle;
+    prop_gradient_oracle_table1;
     case "mean-value replay skip exercised" test_mvf_skip_exercised;
     case "paint log matches tree-walk fixture"
       test_paint_log_matches_tree_fixture;

@@ -132,6 +132,58 @@ let test_classification_symbols () =
   Alcotest.(check string) "refuted" "X"
     (Outcome.classification_symbol Outcome.Refuted)
 
+(* Verify.order_children: child i of a split takes path parent @ [i], so
+   the order it returns is the children's paths. [margin] below counts its
+   calls and would reverse split order. *)
+let ordered_children ~threshold boxes =
+  let calls = ref 0 in
+  let margin b =
+    incr calls;
+    -.Interval.inf (Box.get b "x")
+  in
+  let ordered = Verify.order_children ~threshold ~margin boxes in
+  (ordered, !calls)
+
+let check_children label want got =
+  Alcotest.(check int) (label ^ ": children") (List.length want)
+    (List.length got);
+  List.iteri
+    (fun i ((wb, wm), (gb, gm)) ->
+      check_true (Printf.sprintf "%s: child %d box" label i) (Box.equal wb gb);
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s: child %d margin" label i)
+        wm gm)
+    (List.combine want got)
+
+(* Every child below the threshold: split order, margin 0, no margin
+   evaluated. *)
+let test_children_below_threshold () =
+  let parent =
+    Box.make [ ("x", Interval.make 0.0 1.0); ("y", Interval.make 0.0 1.0) ]
+  in
+  let boxes = Box.split_all parent in
+  let ordered, calls = ordered_children ~threshold:0.6 boxes in
+  Alcotest.(check int) "no margin evaluated" 0 calls;
+  check_children "below" (List.map (fun b -> (b, 0.0)) boxes) ordered;
+  (* the same split at the threshold of its children's width is sorted *)
+  let ordered, calls = ordered_children ~threshold:0.5 boxes in
+  Alcotest.(check int) "every margin evaluated" 4 calls;
+  check_true "sorted, most violating first"
+    (List.map (fun (b, _) -> Interval.inf (Box.get b "x")) ordered
+    = [ 0.5; 0.5; 0.0; 0.0 ])
+
+(* A sibling set that straddles the threshold keeps its full margin sort,
+   the children below the threshold included. *)
+let test_children_straddle_threshold () =
+  let box lo hi = Box.make [ ("x", Interval.make lo hi) ] in
+  let b1 = box 0.0 1.0 and b2 = box 1.0 1.25 in
+  let b3 = box 1.25 1.5 and b4 = box 1.5 3.0 in
+  let ordered, calls = ordered_children ~threshold:0.5 [ b1; b2; b3; b4 ] in
+  Alcotest.(check int) "every margin evaluated" 4 calls;
+  check_children "straddle"
+    [ (b4, -1.5); (b3, -1.25); (b2, -1.0); (b1, -0.0) ]
+    ordered
+
 let suite =
   [
     case "VWN RPA EC1 fully verifies" test_vwn_ec1_verifies;
@@ -144,4 +196,8 @@ let suite =
     case "rasterization" test_rasterize;
     case "render smoke" test_render_smoke;
     case "classification symbols" test_classification_symbols;
+    case "children below the threshold keep split order"
+      test_children_below_threshold;
+    case "children straddling the threshold sort by margin"
+      test_children_straddle_threshold;
   ]

@@ -5,7 +5,8 @@
    and serve as independent oracles: the equivalence properties in
    test_itape.ml and test_adjoint.ml check the tape against them bit for
    bit. They share only the backward branch inverses (the Itape.backward_
-   functions) and the relation targets with the tape. *)
+   functions) and the relation targets with the tape; the adjoint
+   reference at the end reads the tape's public instruction view. *)
 
 open Expr
 
@@ -454,4 +455,157 @@ module Mvf_replay = struct
                (slot, partial slot, Taylor.centred (Box.get_idx box slot)))
              slots)
           box
+end
+
+(* Itape.eval_gradient as it was before the tape planned its products: a
+   forward sweep and a reverse adjoint sweep over the tape's public
+   instruction view, in boxed Interval operations, with every product's
+   cofactors built by the generic prefix/suffix folds from [1, 1] and no
+   sweep reused. The tape now starts its chains from compile-time
+   constant prefixes, reads the forward sweep's partial products and
+   builds only the suffixes its non-constant operands read; the reference
+   for Itape.eval_gradient, bit for bit. *)
+module Adjoint = struct
+  let guard fwd rel c = Ieval.guard_status_of_interval rel fwd.(c)
+
+  let forward prog box =
+    let instrs = Itape.instrs prog in
+    let fwd = Array.make (Array.length instrs) Interval.empty in
+    Array.iteri
+      (fun i ins ->
+        fwd.(i) <-
+          (match ins with
+          | Itape.Iconst c -> c
+          | Itape.Ivar slot -> Box.get_idx box slot
+          | Itape.Iadd regs ->
+              Array.fold_left
+                (fun acc r -> Interval.add acc fwd.(r))
+                Interval.zero regs
+          | Itape.Imul regs ->
+              Array.fold_left
+                (fun acc r -> Interval.mul acc fwd.(r))
+                Interval.one regs
+          | Itape.Ipow { base; expo; const_rat; _ } ->
+              Ieval.pow_node const_rat fwd.(base) fwd.(expo)
+          | Itape.Iunop (op, a) -> Ieval.apply_unop op fwd.(a)
+          | Itape.Iselect { branches; default } ->
+              let rec walk acc idx =
+                if idx >= Array.length branches then
+                  Interval.join acc fwd.(default)
+                else
+                  let c, rel, b = branches.(idx) in
+                  match guard fwd rel c with
+                  | `True -> Interval.join acc fwd.(b)
+                  | `False -> walk acc (idx + 1)
+                  | `Unknown -> walk (Interval.join acc fwd.(b)) (idx + 1)
+              in
+              walk Interval.empty 0))
+      instrs;
+    fwd
+
+  (* the tape's local derivative rules *)
+  let d_unop op fa fi =
+    match op with
+    | Exp -> fi
+    | Log -> Interval.inv fa
+    | Sin -> Ieval.apply_unop Cos fa
+    | Cos -> Interval.neg (Ieval.apply_unop Sin fa)
+    | Tanh -> Interval.sub Interval.one (Interval.pow_int fi 2)
+    | Atan -> Interval.inv (Interval.add Interval.one (Interval.pow_int fa 2))
+    | Abs ->
+        if Interval.certainly_ge fa 0.0 then Interval.one
+        else if Interval.certainly_lt fa 0.0 then Interval.point (-1.0)
+        else Interval.make (-1.0) 1.0
+    | Lambert_w ->
+        Interval.inv
+          (Interval.mul (Interval.add Interval.one fi) (Ieval.apply_unop Exp fi))
+
+  let eval_gradient prog box =
+    let instrs = Itape.instrs prog in
+    let n = Array.length instrs in
+    let fwd = forward prog box in
+    let const c = match instrs.(c) with Itape.Iconst _ -> true | _ -> false in
+    let adj = Array.make n Interval.zero in
+    adj.(Itape.root prog) <- Interval.one;
+    let accum c v = adj.(c) <- Interval.add adj.(c) v in
+    let weight = Interval.make 0.0 1.0 in
+    let accum_scaled c i ~weighted =
+      if not (const c) then
+        accum c (if weighted then Interval.mul adj.(i) weight else adj.(i))
+    in
+    let rec select i branches default certain idx =
+      if idx >= Array.length branches then begin
+        accum_scaled default i ~weighted:(not certain);
+        certain
+      end
+      else
+        let c, rel, b = branches.(idx) in
+        match guard fwd rel c with
+        | `True ->
+            accum_scaled b i ~weighted:(not certain);
+            certain
+        | `False -> select i branches default certain (idx + 1)
+        | `Unknown ->
+            accum_scaled b i ~weighted:true;
+            ignore (select i branches default false (idx + 1) : bool);
+            false
+    in
+    let decided = ref true in
+    for i = n - 1 downto 0 do
+      let a = adj.(i) in
+      if not (Interval.inf a = 0.0 && Interval.sup a = 0.0) then
+        match instrs.(i) with
+        | Itape.Iconst _ | Itape.Ivar _ -> ()
+        | Itape.Iadd regs ->
+            Array.iter (fun c -> if not (const c) then accum c a) regs
+        | Itape.Imul regs ->
+            let m = Array.length regs in
+            let suffix = Array.make (m + 1) Interval.one in
+            for j = m - 1 downto 1 do
+              suffix.(j) <- Interval.mul fwd.(regs.(j)) suffix.(j + 1)
+            done;
+            let acc = ref Interval.one in
+            for j = 0 to m - 1 do
+              let c = regs.(j) in
+              if not (const c) then
+                accum c (Interval.mul a (Interval.mul !acc suffix.(j + 1)));
+              if j < m - 1 then acc := Interval.mul !acc fwd.(c)
+            done
+        | Itape.Ipow { base; expo; const_expo; rat_deriv; _ } -> (
+            match (rat_deriv, const_expo) with
+            | Some (rm1, r), _ ->
+                if not (const base) then
+                  accum base
+                    (Interval.mul a
+                       (Interval.mul r (Transcend.pow_rat fwd.(base) rm1)))
+            | None, Some p ->
+                if p <> 0.0 && not (const base) then begin
+                  let q = p -. 1.0 in
+                  let bq =
+                    if Float.is_integer q && Float.abs q <= 1073741823.0 then
+                      Interval.pow_int fwd.(base) (int_of_float q)
+                    else Interval.pow fwd.(base) q
+                  in
+                  accum base (Interval.mul a (Interval.mul (Interval.point p) bq))
+                end
+            | None, None ->
+                let fb = fwd.(base) and fx = fwd.(expo) and fi = fwd.(i) in
+                if not (const base) then
+                  accum base
+                    (Interval.mul a
+                       (Interval.mul fi (Interval.mul fx (Interval.inv fb))));
+                if not (const expo) then
+                  accum expo
+                    (Interval.mul a (Interval.mul fi (Ieval.apply_unop Log fb))))
+        | Itape.Iunop (op, c) ->
+            if not (const c) then
+              accum c (Interval.mul a (d_unop op fwd.(c) fwd.(i)))
+        | Itape.Iselect { branches; default } ->
+            if not (select i branches default true 0) then decided := false
+    done;
+    let partials = Array.make (Box.dim box) Interval.zero in
+    Array.iter
+      (fun (reg, slot) -> partials.(slot) <- adj.(reg))
+      (Itape.var_regs prog);
+    { Itape.value = fwd.(Itape.root prog); partials; decided = !decided }
 end
