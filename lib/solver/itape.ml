@@ -53,24 +53,25 @@ type t = {
       (* [skip.(i)]: when register [i]'s backward rule cannot tighten a
          child from the register's own bounded forward value (see
          [skippable]) *)
-  plan : plan array;  (* [plan.(i)]: register [i]'s chain plan, see [plan] *)
+  plan : plan array;  (* [plan.(i)]: product register [i]'s plan, see [plan] *)
   pre : Interval.Regs.t;
-      (* the constant partial combinations and cofactors the plans name *)
+      (* the constant partial products and cofactors the plans name *)
   parts : int;
       (* registers of the partial-product buffer a sweep of this program
          writes: one per product's non-constant partial product *)
 }
 
-(* The chain of an n-ary register over operands x_0 .. x_{m-1}, as the
-   forward rule folds it: P_0 = [0, 0] or [1, 1], P_(j+1) = P_j + x_j or
-   P_j * x_j, and the register is P_m. Its first [lead] operands are
-   constants, so P_0 .. P_lead are computed once, at compile time, into
-   [pre.(at)] .. [pre.(at + lead)] with the kernels the sweep uses. For a
-   product whose operands are all constant but the last (c x), the last
-   operand's cofactor P_(m-1) * [1, 1] follows, in [pre.(at + lead + 1)].
-   A sweep that writes a product's register also writes its partial
-   products P_(lead+1) .. P_(m-1), into the register file's partial-product
-   buffer from register [buf] on (see [tag]). *)
+(* The chain of a product register over operands x_0 .. x_{m-1}, m >= 2
+   (Expr unwraps a single factor), as the forward rule folds it:
+   P_0 = [1, 1], P_(j+1) = P_j * x_j, and the register is P_m. [lead] is 1
+   when x_0 is a constant, and P_1 is then computed once, at compile time,
+   into [pre.(at)] with the kernel the sweep uses; for a c x product
+   (m = 2) x_1's cofactor P_1 * [1, 1] follows, in [pre.(at + 1)]. Expr
+   folds a product's numeric factors into one leading constant, so no
+   other operand of a compiled product is constant. A sweep that writes
+   the register also writes its partial products P_(lead+1) .. P_(m-1)
+   into the register file's partial-product buffer, P_j at [part_slot p j]
+   (see [tag]). [cofactor] is the one reader of this layout. *)
 and plan = { lead : int; at : int; buf : int }
 
 (* When a backward rule may be skipped: never, always, or [Above (c, x)]
@@ -206,50 +207,39 @@ let skippable = function
 
 let no_plan = { lead = 0; at = 0; buf = 0 }
 
-(* The plan of every register, the [pre] file they name and the length of
-   the partial-product buffer (see [plan]). *)
+(* The register of the partial-product buffer holding P_j, lead < j < m. *)
+let part_slot p j = p.buf + j - p.lead - 1
+
+(* The plan of every product register, the [pre] file they name and the
+   length of the partial-product buffer (see [plan]). *)
 let plans instrs const =
   let npre = ref 0 and nparts = ref 0 in
   let plan =
     Array.map
-      (fun ins ->
-        match ins with
-        | Iadd regs | Imul regs ->
+      (function
+        | Imul regs ->
             let m = Array.length regs in
-            let lead = ref 0 in
-            while !lead < m && const.(regs.(!lead)) do
-              incr lead
-            done;
-            let p = { lead = !lead; at = !npre; buf = !nparts } in
-            (match ins with
-            | Imul _ ->
-                npre := !npre + !lead + 2;
-                nparts := !nparts + Stdlib.max 0 (m - !lead - 1)
-            | _ -> npre := !npre + !lead + 1);
+            assert (m >= 2);
+            let lead = if const.(regs.(0)) then 1 else 0 in
+            let p = { lead; at = !npre; buf = !nparts } in
+            if lead = 1 then npre := !npre + if m = 2 then 2 else 1;
+            nparts := !nparts + m - lead - 1;
             p
         | _ -> no_plan)
       instrs
   in
   let pre = Interval.Regs.create !npre in
-  let cv = Interval.Regs.create (Array.length instrs) in
+  let c0 = Interval.Regs.create 2 in
+  Interval.Regs.set c0 0 Interval.one;
   Array.iteri
     (fun i ins ->
-      match ins with
-      | Iconst c -> Interval.Regs.set cv i c
-      | Iadd regs ->
-          let p = plan.(i) in
-          Interval.Regs.set pre p.at Interval.zero;
-          for j = 0 to p.lead - 1 do
-            Interval.Regs.add pre (p.at + j + 1) pre (p.at + j) cv regs.(j)
-          done
-      | Imul regs ->
-          let p = plan.(i) and m = Array.length regs in
-          Interval.Regs.set pre p.at Interval.one;
-          for j = 0 to p.lead - 1 do
-            Interval.Regs.mul pre (p.at + j + 1) pre (p.at + j) cv regs.(j)
-          done;
-          if p.lead >= m - 1 then
-            Interval.Regs.mul_one pre (p.at + p.lead + 1) pre (p.at + m - 1)
+      match (ins, plan.(i)) with
+      | Imul regs, { lead = 1; at; _ } ->
+          (match instrs.(regs.(0)) with
+          | Iconst c -> Interval.Regs.set c0 1 c
+          | _ -> assert false);
+          Interval.Regs.mul pre at c0 0 c0 1;
+          if Array.length regs = 2 then Interval.Regs.mul_one pre (at + 1) pre at
       | _ -> ())
     instrs;
   (plan, pre, !nparts)
@@ -557,9 +547,9 @@ let rec select_forward fwd i branches default idx =
 (* Forward evaluation, bottom-up, of the registers whose [deps] meet
    [changed]: every register for [all_regs], else those that read a changed
    slot. Writes into [fwd], and a product's partial products into [part],
-   and returns nothing; the caller reads the registers it needs. An n-ary
-   chain starts from its plan's constant prefix P_lead; a product's
-   P_(lead+1) .. P_(m-1) go to [part], P_m to the register. *)
+   and returns nothing; the caller reads the registers it needs. A product
+   starts from its plan's constant prefix P_lead; its P_(lead+1) ..
+   P_(m-1) go to [part], P_m to the register. *)
 let forward_pass prog fwd part box changed =
   let instrs = prog.instrs and deps = prog.deps in
   let plan = prog.plan and pre = prog.pre in
@@ -569,29 +559,21 @@ let forward_pass prog fwd part box changed =
       | Iconst c -> R.set fwd i c
       | Ivar slot -> R.set fwd i (Box.get_idx box slot)
       | Iadd regs ->
-          let p = plan.(i) and m = Array.length regs in
-          if p.lead = m then R.copy fwd i pre (p.at + m)
-          else begin
-            R.add fwd i pre (p.at + p.lead) fwd regs.(p.lead);
-            for j = p.lead + 1 to m - 1 do
-              R.add fwd i fwd i fwd regs.(j)
-            done
-          end
+          R.set fwd i Interval.zero;
+          for j = 0 to Array.length regs - 1 do
+            R.add fwd i fwd i fwd regs.(j)
+          done
       | Imul regs ->
           let p = plan.(i) and m = Array.length regs in
-          let lead = p.lead in
-          if lead = m then R.copy fwd i pre (p.at + m)
-          else if lead = m - 1 then
-            if lead = 0 then R.mul_one fwd i fwd regs.(0)
-            else R.mul fwd i pre (p.at + lead) fwd regs.(lead)
+          if p.lead = 1 && m = 2 then R.mul fwd i pre p.at fwd regs.(1)
           else begin
-            let b = p.buf in
-            if lead = 0 then R.mul_one part b fwd regs.(0)
-            else R.mul part b pre (p.at + lead) fwd regs.(lead);
-            for j = lead + 1 to m - 2 do
-              R.mul part (b + j - lead) part (b + j - lead - 1) fwd regs.(j)
+            let first = part_slot p (p.lead + 1) in
+            if p.lead = 0 then R.mul_one part first fwd regs.(0)
+            else R.mul part first pre p.at fwd regs.(1);
+            for j = p.lead + 2 to m - 1 do
+              R.mul part (part_slot p j) part (part_slot p (j - 1)) fwd regs.(j - 1)
             done;
-            R.mul fwd i part (b + m - lead - 2) fwd regs.(m - 1)
+            R.mul fwd i part (part_slot p (m - 1)) fwd regs.(m - 1)
           end
       | Ipow { base; const_rat = Some r; _ } when Rat.den r = 1 ->
           (* an integer exponent: Ieval.pow_node's rule, unboxed *)
@@ -696,6 +678,20 @@ let suffix_products s fwd regs first =
   end;
   suffix
 
+(* Into [tmp.(t_rest)], operand j's cofactor P_j * S_(j+1) in a product
+   with plan [p] over [m] operands: P_0 = [1, 1], P_lead from [pre], the
+   later prefixes from the forward sweep's partial products [part], and
+   the suffixes from [suffix] (S_m = [1, 1] is not stored). Each product
+   associates as the tree's [others] does, so the value is the float the
+   unplanned prefix/suffix fold computes. *)
+let cofactor tmp p pre part suffix m j =
+  if j = 0 then R.mul_one tmp t_rest suffix 1
+  else if j = p.lead then
+    if m = 2 then R.copy tmp t_rest pre (p.at + 1)
+    else R.mul tmp t_rest pre p.at suffix 2
+  else if j = m - 1 then R.mul_one tmp t_rest part (part_slot p j)
+  else R.mul tmp t_rest part (part_slot p j) suffix (j + 1)
+
 (* Tighten the children of register [i] from its requirement [req.(i)]
    (non-empty). *)
 let propagate s prog i =
@@ -718,24 +714,17 @@ let propagate s prog i =
         if j < m - 1 then R.add tmp t_acc tmp t_acc fwd c
       done
   | Imul regs ->
-      (* Operand j's cofactor P_j * S_(j+1), with the prefixes P_j of the
-         plan and the forward sweep. Every operand keeps its quotient and
-         meet, constants too: a constant's requirement can still empty and
-         prove the box Infeasible. *)
-      let m = Array.length regs and p = prog.plan.(i) in
-      let lead = p.lead and pre = prog.pre and part = s.fwd_tag.part in
+      (* Every operand keeps its quotient and meet, constants too: a
+         constant's requirement can still empty and prove the box
+         Infeasible. *)
+      let m = Array.length regs in
       let suffix = suffix_products s fwd regs 1 in
       for j = 0 to m - 1 do
         (* x * rest = r => x in the relational quotient r / rest: top when
            0 is in both (x * 0 = 0 constrains nothing), empty when
            rest = {0} but 0 is not in r. *)
         let c = regs.(j) in
-        if j = m - 1 then
-          if lead >= j then R.copy tmp t_rest pre (p.at + lead + 1)
-          else R.mul_one tmp t_rest part (p.buf + j - lead - 1)
-        else if j = 0 then R.mul_one tmp t_rest suffix 1
-        else if j <= lead then R.mul tmp t_rest pre (p.at + j) suffix (j + 1)
-        else R.mul tmp t_rest part (p.buf + j - lead - 1) suffix (j + 1);
+        cofactor tmp prog.plan.(i) prog.pre s.fwd_tag.part suffix m j;
         if not (R.is_empty tmp t_rest) then begin
           R.div_rel tmp t_res req i tmp t_rest;
           R.meet req c req c tmp t_res
@@ -958,34 +947,19 @@ let adjoint_pass s prog =
             if not const.(c) then R.add adj c adj c adj i
           done
       | Imul regs ->
-          (* Operand j's cofactor P_j * S_(j+1), as in [propagate], for the
-             non-constant operands only: the constant ones lead, so only
-             the suffixes from S_(lead+1) on are read. *)
+          (* As in [propagate], for the non-constant operands only: a
+             constant one leads, so only the suffixes from S_(lead+1) on
+             are read. *)
           let m = Array.length regs and p = plan.(i) in
-          let lead = p.lead in
-          if lead >= m - 1 then begin
-            let c = regs.(m - 1) in
+          let suffix = suffix_products s fwd regs (p.lead + 1) in
+          for j = p.lead to m - 1 do
+            let c = regs.(j) in
             if not const.(c) then begin
-              R.mul tmp t_res adj i pre (p.at + lead + 1);
+              cofactor tmp p pre part suffix m j;
+              R.mul tmp t_res adj i tmp t_rest;
               R.add adj c adj c tmp t_res
             end
-          end
-          else begin
-            let suffix = suffix_products s fwd regs (lead + 1) in
-            for j = lead to m - 1 do
-              let c = regs.(j) in
-              if not const.(c) then begin
-                if j = m - 1 then
-                  R.mul_one tmp t_rest part (p.buf + j - lead - 1)
-                else if j > lead then
-                  R.mul tmp t_rest part (p.buf + j - lead - 1) suffix (j + 1)
-                else if lead = 0 then R.mul_one tmp t_rest suffix 1
-                else R.mul tmp t_rest pre (p.at + lead) suffix (j + 1);
-                R.mul tmp t_res adj i tmp t_rest;
-                R.add adj c adj c tmp t_res
-              end
-            done
-          end
+          done
       | Ipow { base; expo; const_expo; rat_deriv; _ } -> (
           match (rat_deriv, const_expo) with
           | Some (rm1, r), _ ->

@@ -94,11 +94,10 @@ val slots : t -> int array
     way. The answers are the same either way: a register is a pure
     function of the program and the bounds of the slots it reads.
 
-    {!compile} plans each sum and product chain: the combination of its
-    leading constant operands is computed once, and so is the cofactor of
-    the last operand of a product whose other operands are all constant
-    ([c x]). A sweep starts each chain from that prefix and keeps a
-    product's running partial products next to its register, written and
+    {!compile} plans each product chain: a leading constant factor's
+    product with [[1, 1]] is computed once, and so is the cofactor of [x]
+    in a product [c x]. A sweep starts each product from that prefix and
+    keeps its running partial products next to its register, written and
     dropped with it, so they are valid exactly when the register is. The
     backward rule of {!revise} and the adjoint sweep of {!eval_gradient}
     and {!contract_mvf} read those prefixes instead of re-multiplying, and
