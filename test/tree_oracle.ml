@@ -461,7 +461,7 @@ end
    forward sweep and a reverse adjoint sweep over the tape's public
    instruction view, in boxed Interval operations, with every product's
    cofactors built by the generic prefix/suffix folds from [1, 1] and no
-   sweep reused. The tape now starts its chains from compile-time
+   sweep reused. The tape now starts its products from compile-time
    constant prefixes, reads the forward sweep's partial products and
    builds only the suffixes its non-constant operands read; the reference
    for Itape.eval_gradient, bit for bit. *)
