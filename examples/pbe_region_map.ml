@@ -15,7 +15,8 @@ let config =
   if fast then Verify.quick_config
   else
     {
-      Verify.threshold = 0.15625;
+      Verify.default_config with
+      threshold = 0.15625;
       solver =
         {
           Icp.default_config with
@@ -24,13 +25,7 @@ let config =
           contractor_rounds = 3;
         };
       deadline_seconds = Some 45.0;
-      workers = 1;
       use_taylor = false;
-      use_tape = true;
-      split_heuristic = `Widest;
-      retry = Verify.no_retry;
-      jit = false;
-      jit_cache = None;
     }
 
 let () =

@@ -59,16 +59,11 @@ let () =
   let pz = Registry.find "pz81" in
   let config =
     {
-      Verify.threshold = 0.15625;
+      Verify.default_config with
+      threshold = 0.15625;
       solver = { Icp.default_config with fuel = 500; contractor_rounds = 3 };
       deadline_seconds = Some 10.0;
-      workers = 1;
       use_taylor = false;
-      use_tape = true;
-      split_heuristic = `Widest;
-      retry = Verify.no_retry;
-      jit = false;
-      jit_cache = None;
     }
   in
   List.iter

@@ -72,16 +72,11 @@ let () =
   print_endline "=== With Algorithm 1 (domain splitting), small budget ===";
   let config =
     {
-      Verify.threshold = 0.7;
+      Verify.default_config with
+      threshold = 0.7;
       solver = { Icp.default_config with fuel = 150; contractor_rounds = 2 };
       deadline_seconds = Some 25.0;
-      workers = 1;
       use_taylor = false;
-      use_tape = true;
-      split_heuristic = `Widest;
-      retry = Verify.no_retry;
-      jit = false;
-      jit_cache = None;
     }
   in
   List.iter

@@ -42,17 +42,12 @@ let () =
   in
   let config =
     {
-      Verify.threshold = 0.4;
+      Verify.default_config with
+      threshold = 0.4;
       solver =
         { Icp.default_config with fuel = 400; delta = 1e-3; contractor_rounds = 2 };
       deadline_seconds = Some 60.0;
-      workers = 1;
       use_taylor = false;
-      use_tape = true;
-      split_heuristic = `Widest;
-      retry = Verify.no_retry;
-      jit = false;
-      jit_cache = None;
     }
   in
 

@@ -139,11 +139,6 @@ let has_error t =
     (fun r -> match r.status with Error _ -> true | _ -> false)
     t.regions
 
-let first_error t =
-  List.find_map
-    (fun r -> match r.status with Error m -> Some m | _ -> None)
-    t.regions
-
 let pp_summary ppf t =
   let c = coverage t in
   Format.fprintf ppf

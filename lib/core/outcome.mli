@@ -86,9 +86,6 @@ val first_counterexample : t -> (string * float) list option
 (** Whether any region of the log carries an {!Error} paint. *)
 val has_error : t -> bool
 
-(** First error message of the log, if any. *)
-val first_error : t -> string option
-
 val classification_symbol : classification -> string
 val status_name : status -> string
 val pp_summary : Format.formatter -> t -> unit

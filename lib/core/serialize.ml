@@ -439,8 +439,6 @@ let entry_to_string e =
   S.print buf (sexp_of_entry e);
   Buffer.contents buf
 
-let entry_of_string s = entry_of_sexp (S.parse s)
-
 type line = Header of header | Entry of entry
 
 let line_of_string s =

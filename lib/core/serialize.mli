@@ -120,9 +120,6 @@ type entry = {
 
 val entry_to_string : entry -> string
 
-(** @raise Parser.Parse_error on malformed input. *)
-val entry_of_string : string -> entry
-
 (** The structured view of a checkpoint file: optional leading header, the
     valid entry prefix, whether a torn/malformed tail was skipped, and the
     byte offset where the valid prefix ends (the truncation point for

@@ -52,13 +52,11 @@ exception Merge_error of string
     merges. The result is independent of the order of [runs]. *)
 val merge_runs : shard_run list -> (merged, string) result
 
-(** [read_shards ~base] loads [base.shard0 .. base.shard<N-1>] where [N]
-    comes from shard 0's header. Errors (as [Error msg]) name the failing
-    shard: missing file, absent or unsharded header, filename/header shard
-    index disagreement (overlap), torn tail (with the byte offset and the
-    [--resume] remedy), config-hash or formula-hash mismatch against shard
-    0, and entries missing paths or metrics. *)
-val read_shards : base:string -> (shard_run list, string) result
-
-(** [merge_files ~base] = {!read_shards} then {!merge_runs}. *)
+(** [merge_files ~base] loads [base.shard0 .. base.shard<N-1>] where [N]
+    comes from shard 0's header, then {!merge_runs}. Errors (as
+    [Error msg]) name the failing shard: missing file, absent or unsharded
+    header, filename/header shard index disagreement (overlap), torn tail
+    (with the byte offset and the [--resume] remedy), config-hash or
+    formula-hash mismatch against shard 0, and entries missing paths or
+    metrics. *)
 val merge_files : base:string -> (merged, string) result

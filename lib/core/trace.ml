@@ -49,16 +49,3 @@ let kind_name = function
   | Verdict _ -> "verdict"
   | Split _ -> "split"
   | Retry _ -> "retry"
-
-let pp_event ppf ev =
-  Format.fprintf ppf "[%s] depth %d %s"
-    (String.concat "." (List.map string_of_int ev.path))
-    ev.depth (kind_name ev.kind);
-  match ev.kind with
-  | Contract { revise_calls; sweeps } ->
-      Format.fprintf ppf " revise=%d sweeps=%d" revise_calls sweeps
-  | Solve { fuel; prunes } -> Format.fprintf ppf " fuel=%d prunes=%d" fuel prunes
-  | Verdict s -> Format.fprintf ppf " %s" s
-  | Split n -> Format.fprintf ppf " children=%d" n
-  | Retry { attempt; reason; fuel } ->
-      Format.fprintf ppf " attempt=%d reason=%s fuel=%d" attempt reason fuel

@@ -57,4 +57,3 @@ val compare_path : int list -> int list -> int
 val total_fuel : event list -> int
 
 val kind_name : kind -> string
-val pp_event : Format.formatter -> event -> unit

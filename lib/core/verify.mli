@@ -154,12 +154,6 @@ val run_custom_sharded :
   ?stop:(unit -> bool) -> dfa_label:string -> condition_label:string ->
   domain:Box.t -> psi:Form.atom -> unit -> Outcome.t * int list list
 
-(** [run_sharded ~shard problem] — {!run} for one shard; as
-    {!run_custom_sharded} for an encoded problem. *)
-val run_sharded :
-  ?config:config -> ?shard:shard_spec -> Encoder.problem ->
-  Outcome.t * int list list
-
 (** [order_children ~threshold ~margin boxes] is the order in which a
     split's children become tasks, child [i] taking box path
     [parent @ [i]], each with the margin its task is scheduled by: sorted

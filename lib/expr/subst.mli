@@ -22,5 +22,6 @@ val rename : string -> string -> Expr.t -> Expr.t
 
 (** [replace_map_constants f e] rewrites every numeric leaf whose float
     value [c] has [f c = Some c'] into the constant [c']. Used by
-    {!Mutate} to inject wrong-constant bugs for CI-style testing. *)
+    the [Mutate] extension to inject wrong-constant bugs for CI-style
+    testing. *)
 val replace_map_constants : (float -> float option) -> Expr.t -> Expr.t

@@ -349,7 +349,6 @@ let certainly_lt i c = is_empty i || i.hi < c
 let certainly_ge i c = is_empty i || i.lo >= c
 let certainly_gt i c = is_empty i || i.lo > c
 let possibly_le i c = (not (is_empty i)) && i.lo <= c
-let possibly_lt i c = (not (is_empty i)) && i.lo < c
 
 let pp ppf i =
   if is_empty i then Format.pp_print_string ppf "[empty]"

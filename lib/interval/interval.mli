@@ -140,8 +140,6 @@ val certainly_gt : t -> float -> bool
 (** [possibly_le i c]: some element of [i] is [<= c]. *)
 val possibly_le : t -> float -> bool
 
-val possibly_lt : t -> float -> bool
-
 (** {1 Rounding helpers (shared with {!Transcend})} *)
 
 (** [succ x] and [pred x] are [Float.succ x] and [Float.pred x] bit for

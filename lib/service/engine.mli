@@ -107,5 +107,3 @@ val cancel_client : t -> client -> unit
 
 (** Wake a blocked {!step} and make all future steps return [false]. *)
 val shutdown : t -> unit
-
-val stats : t -> client -> Protocol.stats_payload

@@ -146,5 +146,3 @@ let pp ppf b =
       Format.fprintf ppf "%s in %a" n Interval.pp b.ivs.(i))
     b.names;
   Format.fprintf ppf "}"
-
-let to_string b = Format.asprintf "%a" pp b

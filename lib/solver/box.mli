@@ -55,9 +55,6 @@ val widest_dim : t -> int
 (** [split box] bisects along {!widest_dim}. *)
 val split : t -> t * t
 
-(** [split_dim box i] bisects along dimension [i]. *)
-val split_dim : t -> int -> t * t
-
 (** [smear_dim box ~scores] is the dimension of maximal smear — Kearfott's
     [|df/dx_i| * width(x_i)], with [scores.(i)] the caller's smear value for
     dimension [i] (e.g. from {!Itape.eval_gradient}). Point dimensions and
@@ -95,4 +92,3 @@ val volume : t -> float
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

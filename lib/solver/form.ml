@@ -6,11 +6,9 @@ type t = atom list
 
 let atom expr rel = { expr; rel }
 let le expr = { expr; rel = Le0 }
-let lt expr = { expr; rel = Lt0 }
 let ge expr = { expr; rel = Ge0 }
 let gt expr = { expr; rel = Gt0 }
 let eq expr = { expr; rel = Eq0 }
-let conj atoms = atoms
 
 let negate_atom a =
   match a.rel with
@@ -64,8 +62,6 @@ let status_of_interval i rel =
 
 let vars f =
   List.concat_map (fun a -> Expr.vars a.expr) f |> List.sort_uniq String.compare
-
-let map_atoms g f = List.map (fun a -> { a with expr = g a.expr }) f
 
 let rel_string = function
   | Le0 -> "<= 0"

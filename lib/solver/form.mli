@@ -18,13 +18,9 @@ val atom : Expr.t -> relation -> atom
 (** [le e] is the atom [e <= 0], etc. *)
 val le : Expr.t -> atom
 
-val lt : Expr.t -> atom
 val ge : Expr.t -> atom
 val gt : Expr.t -> atom
 val eq : Expr.t -> atom
-
-(** [conj atoms] is the conjunction. *)
-val conj : atom list -> t
 
 (** [negate_atom a] is the complement ([<=] flips to [>], [=] is not
     supported).
@@ -51,9 +47,6 @@ val status_of_interval :
 
 (** [vars f] is the union of variables of all atoms. *)
 val vars : t -> string list
-
-(** [map_atoms g f] applies [g] to each atom's expression. *)
-val map_atoms : (Expr.t -> Expr.t) -> t -> t
 
 val pp_atom : Format.formatter -> atom -> unit
 val pp : Format.formatter -> t -> unit

@@ -48,7 +48,6 @@ let compile ~vars formula =
     points;
   }
 
-let atoms compiled = Array.length compiled.progs
 let progs compiled = compiled.progs
 let incidence compiled = compiled.incidence
 

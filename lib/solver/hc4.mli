@@ -44,9 +44,6 @@ type compiled
     Boxes given to {!contract_tape} must use the variable order [vars]. *)
 val compile : vars:string list -> Form.t -> compiled
 
-(** Number of compiled atoms. *)
-val atoms : compiled -> int
-
 (** The compiled tapes, in formula order. Read-only: exposed for external
     code generators ({!Jit}) that render the same programs the interpreted
     agenda replays. *)

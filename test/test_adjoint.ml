@@ -312,7 +312,8 @@ let test_midpoint_box () =
 
 let pair_config ~split_heuristic ~workers =
   {
-    Verify.threshold = 0.4;
+    Verify.default_config with
+    threshold = 0.4;
     solver =
       {
         Icp.default_config with
@@ -320,14 +321,8 @@ let pair_config ~split_heuristic ~workers =
         delta = 1e-2;
         contractor_rounds = 2;
       };
-    deadline_seconds = None;
     workers;
-    use_taylor = true;
-    use_tape = true;
     split_heuristic;
-    retry = Verify.no_retry;
-    jit = false;
-    jit_cache = None;
   }
 
 let test_verdict_class_equivalence () =

@@ -194,17 +194,12 @@ let test_extra_conditions () =
 let test_extra_verification () =
   let config =
     {
-      Verify.threshold = 0.5;
+      Verify.default_config with
+      threshold = 0.5;
       solver =
         { Icp.default_config with fuel = 200; delta = 1e-3; contractor_rounds = 2 };
       deadline_seconds = Some 10.0;
-      workers = 1;
       use_taylor = false;
-      use_tape = true;
-      split_heuristic = `Widest;
-      retry = Verify.no_retry;
-      jit = false;
-      jit_cache = None;
     }
   in
   let run dfa cond =

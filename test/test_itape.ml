@@ -592,7 +592,8 @@ let paint_fixture = "fixtures/pbe_ec1_tree_paint.sexp"
 
 let campaign_config ~workers =
   {
-    Verify.threshold = 0.4;
+    Verify.default_config with
+    threshold = 0.4;
     solver =
       {
         Icp.default_config with
@@ -601,14 +602,8 @@ let campaign_config ~workers =
         contractor_rounds = 2;
         faults = None;
       };
-    deadline_seconds = None;
     workers;
     use_taylor = false;
-    use_tape = true;
-    split_heuristic = `Widest;
-    retry = Verify.no_retry;
-    jit = false;
-    jit_cache = None;
   }
 
 let normalized o = Serialize.to_string { o with Outcome.stats = Outcome.zero_stats }

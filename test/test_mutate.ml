@@ -9,17 +9,14 @@ open Testutil
 
 let config =
   {
-    Verify.threshold = 0.3;
+    Verify.default_config with
+    threshold = 0.3;
     solver =
       { Icp.default_config with fuel = 400; delta = 1e-3; contractor_rounds = 2 };
     deadline_seconds = Some 30.0;
     workers = test_workers;
     use_taylor = false;
-    use_tape = true;
-    split_heuristic = `Widest;
     retry = { Verify.max_retries = 2; fuel_growth = 2 };
-    jit = false;
-    jit_cache = None;
   }
 
 let refuted o = Outcome.classify o = Outcome.Refuted

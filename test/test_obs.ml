@@ -74,7 +74,8 @@ let prop_merge_identity =
 
 let det_config ?(retry = Verify.no_retry) workers =
   {
-    Verify.threshold = 0.3;
+    Verify.default_config with
+    threshold = 0.3;
     solver =
       {
         Icp.default_config with
@@ -85,14 +86,9 @@ let det_config ?(retry = Verify.no_retry) workers =
            tests compare byte for byte *)
         faults = None;
       };
-    deadline_seconds = None;
     workers;
     use_taylor = false;
-    use_tape = true;
-    split_heuristic = `Widest;
     retry;
-    jit = false;
-    jit_cache = None;
   }
 
 (* Run pz81/EC1 under a private instance and hand back its snapshots. *)

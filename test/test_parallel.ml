@@ -309,17 +309,12 @@ let circle_atom =
 
 let equiv_config workers =
   {
-    Verify.threshold = 0.4;
+    Verify.default_config with
+    threshold = 0.4;
     solver =
       { Icp.default_config with fuel = 60; delta = 1e-2; contractor_rounds = 2 };
-    deadline_seconds = None;
     workers;
     use_taylor = false;
-    use_tape = true;
-    split_heuristic = `Widest;
-    retry = Verify.no_retry;
-    jit = false;
-    jit_cache = None;
   }
 
 let region_fingerprint (r : Outcome.region) =

@@ -18,7 +18,8 @@ let domain =
 
 let config ?faults ?(retry = Verify.no_retry) ?(workers = test_workers) () =
   {
-    Verify.threshold = 0.4;
+    Verify.default_config with
+    threshold = 0.4;
     solver =
       {
         Icp.default_config with
@@ -27,14 +28,9 @@ let config ?faults ?(retry = Verify.no_retry) ?(workers = test_workers) () =
         contractor_rounds = 2;
         faults;
       };
-    deadline_seconds = None;
     workers;
     use_taylor = false;
-    use_tape = true;
-    split_heuristic = `Widest;
     retry;
-    jit = false;
-    jit_cache = None;
   }
 
 let run ?faults ?retry ?workers () =
@@ -266,18 +262,13 @@ let test_escalated_fuel_in_trace () =
 
 let campaign_config =
   {
-    Verify.threshold = 0.7;
+    Verify.default_config with
+    threshold = 0.7;
     solver =
       { Icp.default_config with fuel = 80; delta = 1e-3; contractor_rounds = 2;
         faults = None };
     deadline_seconds = Some 10.0;
-    workers = 1;
     use_taylor = false;
-    use_tape = true;
-    split_heuristic = `Widest;
-    retry = Verify.no_retry;
-    jit = false;
-    jit_cache = None;
   }
 
 let lyp = [ Registry.find "lyp" ]

@@ -57,7 +57,8 @@ let strip_elapsed o =
    fuel, ambient faults inherited (decisions are deterministic) *)
 let quick_verify ?(threshold = 0.3) ?(fuel = 25) () =
   {
-    Verify.threshold;
+    Verify.default_config with
+    threshold;
     solver =
       {
         Icp.default_config with
@@ -66,14 +67,8 @@ let quick_verify ?(threshold = 0.3) ?(fuel = 25) () =
         contractor_rounds = 2;
         faults = Fault.of_env ();
       };
-    deadline_seconds = None;
     workers = test_workers;
     use_taylor = false;
-    use_tape = true;
-    split_heuristic = `Widest;
-    retry = Verify.no_retry;
-    jit = false;
-    jit_cache = None;
   }
 
 let engine_config ?(max_inflight = 8) ?fuel_quota ?default_deadline_ms

@@ -25,7 +25,8 @@ let domain =
    and therefore partition across shards like any other verdict). *)
 let config ?(workers = 1) () =
   {
-    Verify.threshold = 0.4;
+    Verify.default_config with
+    threshold = 0.4;
     solver =
       {
         Icp.default_config with
@@ -34,14 +35,8 @@ let config ?(workers = 1) () =
         contractor_rounds = 2;
         faults = None;
       };
-    deadline_seconds = None;
     workers;
     use_taylor = false;
-    use_tape = true;
-    split_heuristic = `Widest;
-    retry = Verify.no_retry;
-    jit = false;
-    jit_cache = None;
   }
 
 let with_fresh_instance f =
@@ -195,7 +190,8 @@ let test_merge_rejects_bad_partitions () =
    verdicts, so byte-identity must survive a 5% fault rate. *)
 let campaign_cfg =
   {
-    Verify.threshold = 0.7;
+    Verify.default_config with
+    threshold = 0.7;
     solver =
       {
         Icp.default_config with
@@ -204,14 +200,8 @@ let campaign_cfg =
         contractor_rounds = 2;
         faults = Fault.of_env ();
       };
-    deadline_seconds = None;
     workers = test_workers;
     use_taylor = false;
-    use_tape = true;
-    split_heuristic = `Widest;
-    retry = Verify.no_retry;
-    jit = false;
-    jit_cache = None;
   }
 
 let lyp = [ Registry.find "lyp" ]

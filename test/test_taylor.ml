@@ -160,17 +160,11 @@ let test_verify_integration () =
   (* End to end through Algorithm 1 on a real pair. *)
   let config =
     {
-      Verify.threshold = 0.7;
+      Verify.default_config with
+      threshold = 0.7;
       solver =
         { Icp.default_config with fuel = 200; delta = 1e-3; contractor_rounds = 2 };
       deadline_seconds = Some 20.0;
-      workers = 1;
-      use_taylor = true;
-      use_tape = true;
-      split_heuristic = `Widest;
-      retry = Verify.no_retry;
-      jit = false;
-      jit_cache = None;
     }
   in
   match Xcverifier.verify ~config ~dfa:"pbe" ~condition:"ec1" () with

@@ -20,17 +20,12 @@ let domain =
 
 let config workers =
   {
-    Verify.threshold = 1.0;
+    Verify.default_config with
+    threshold = 1.0;
     solver =
       { Icp.default_config with fuel = 40; delta = 1e-2; contractor_rounds = 2 };
-    deadline_seconds = None;
     workers;
     use_taylor = false;
-    use_tape = true;
-    split_heuristic = `Widest;
-    retry = Verify.no_retry;
-    jit = false;
-    jit_cache = None;
   }
 
 let traced_run workers =

@@ -694,6 +694,37 @@ let test_single_path_fixed_table () =
     (fun a b -> check_true "same enclosure in another domain" (Interval.equal a b))
     here there
 
+(* The solver at the escape points: conditions that the libm-only
+   enclosures cannot refute (sin and cos beyond the old 2^20 cutoff
+   collapse to [-1, 1]; W at the branch point escaped to +inf), so a
+   solver on them would spend its fuel splitting a box that no split
+   narrows. The certified enclosures refute each on the root box. The
+   W box hugs the branch point with delta finer than the box, so an
+   escaping enclosure would force splits. *)
+let test_solve_at_escape_points () =
+  let cfg =
+    { Icp.default_config with fuel = 400; delta = 1e-9; faults = None }
+  in
+  let x = Expr.var "x" in
+  let refute atom = [ Form.negate_atom atom ] in
+  let sin_at = 0x1p21 and cos_at = 3.0 *. 0x1p20 in
+  let bp = -.Stdlib.exp (-1.0) in
+  List.iter
+    (fun (label, cfg, dom, formula) ->
+      let verdict, stats = Icp.solve cfg (Box.make [ ("x", dom) ]) formula in
+      check_true (label ^ " is unsat") (verdict = Icp.Unsat);
+      check_true
+        (Printf.sprintf "%s: %d expansions <= 1" label stats.Icp.expansions)
+        (stats.Icp.expansions <= 1))
+    [
+      ( "sin_escape", cfg, iv sin_at (sin_at +. 0.125),
+        refute (Form.le (Expr.sub (Expr.sin x) (Expr.const 0.9))) );
+      ( "cos_escape", cfg, iv cos_at (cos_at +. 0.125),
+        refute (Form.le (Expr.sub (Expr.cos x) (Expr.const 0.9))) );
+      ( "w_branch", { cfg with delta = 1e-13 }, iv bp (bp +. 1e-10),
+        refute (Form.le (Expr.lambert_w x)) );
+    ]
+
 let suite =
   [
     case "exp kernel tighter than legacy" test_exp_kernel_tighter;
@@ -707,6 +738,7 @@ let suite =
     case "lambert stride fix at x = 0" test_w_zero_regression;
     case "lambert branch point repair" test_w_branch_point;
     case "lambert NaN policy" test_w_nan_policy;
+    case "solver at the escape points" test_solve_at_escape_points;
     case "atanh edge oracle" test_atanh_edges;
     case "w_inverse edge oracle" test_w_inverse_edges;
     case "pow_rat integer parity" test_pow_rat_integer_parity;

@@ -2,17 +2,12 @@ open Testutil
 
 let config =
   {
-    Verify.threshold = 0.3;
+    Verify.default_config with
+    threshold = 0.3;
     solver =
       { Icp.default_config with fuel = 300; delta = 1e-3; contractor_rounds = 2 };
     deadline_seconds = Some 15.0;
-    workers = 1;
     use_taylor = false;
-    use_tape = true;
-    split_heuristic = `Widest;
-    retry = Verify.no_retry;
-    jit = false;
-    jit_cache = None;
   }
 
 let lyp_ec1 () =

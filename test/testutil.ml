@@ -59,36 +59,119 @@ let finite_float_gen =
 let pos_float_gen = QCheck2.Gen.float_range 1e-6 1e3
 
 (* Random closed expressions over the variables [x] and [y], biased toward
-   total functions so random evaluation rarely NaNs. *)
+   total functions so random evaluation rarely NaNs.
+
+   The generator draws exactly the random values of the combinator form
+   [sized (fix (fun self n -> if n <= 0 then oneof leaves else oneof
+   nodes))] with [nodes] built by [map]/[map2] over [self (n / 2)], so each
+   seed yields the same expressions as that form. It is a primitive so that
+   shrinking can replace a node by a leaf or by one of its direct subterms
+   before it shrinks inside a subterm: a combinator form can only shrink
+   subterms in place, which walks deep [sin]/[exp] nests one node at a
+   time. *)
 let expr_gen =
-  let open QCheck2.Gen in
-  sized (fun n ->
-      fix
-        (fun self n ->
-          if n <= 0 then
-            oneof
-              [
-                map Expr.const (float_range (-4.0) 4.0);
-                return (Expr.var "x");
-                return (Expr.var "y");
-                map Expr.int (int_range (-3) 3);
-              ]
-          else
-            let sub = self (n / 2) in
-            oneof
-              [
-                map2 Expr.add sub sub;
-                map2 Expr.sub sub sub;
-                map2 Expr.mul sub sub;
-                map (fun e -> Expr.sin e) sub;
-                map (fun e -> Expr.cos e) sub;
-                map (fun e -> Expr.tanh e) sub;
-                map (fun e -> Expr.atan e) sub;
-                map (fun e -> Expr.abs e) sub;
-                map (fun e -> Expr.exp (Expr.mul (Expr.const 0.25) e)) sub;
-                map2 (fun e k -> Expr.powi e k) sub (int_range 0 3);
-              ])
-        n)
+  let module RS = Random.State in
+  (* [QCheck2.Gen.int_range (-3) 3] *)
+  let small_int st =
+    let ratio = 3.0 /. (1.0 +. 3.0 -. -3.0) in
+    if RS.float st 1.0 <= ratio then -RS.int st 3 - 1 else RS.int st 4
+  in
+  (* [QCheck2.Gen.oneof]: split, draw the index, run the branch on a copy
+     of the split-off state *)
+  let choose st n =
+    let st' = RS.split st in
+    let k = RS.int st n in
+    (k, RS.copy st')
+  in
+  (* [QCheck2.Gen.map2 f a b]: [a] on [st], [b] on a state split off first *)
+  let pair st a b =
+    let st' = RS.split st in
+    let x = a st in
+    (x, b st')
+  in
+  let rec node n st =
+    if n <= 0 then begin
+      (* the combinator form builds its leaf list, [y] first, before each
+         draw; hash-consing ids, and with them the order of sum operands,
+         follow creation order *)
+      let y = Expr.var "y" in
+      let x = Expr.var "x" in
+      match choose st 4 with
+      | 0, st -> Expr.const (-4.0 +. RS.float st 8.0)
+      | 1, _ -> x
+      | 2, _ -> y
+      | _, st -> Expr.int (small_int st)
+    end
+    else
+      let sub = node (n / 2) in
+      match choose st 10 with
+      | 0, st -> let a, b = pair st sub sub in Expr.add a b
+      | 1, st -> let a, b = pair st sub sub in Expr.sub a b
+      | 2, st -> let a, b = pair st sub sub in Expr.mul a b
+      | 3, st -> Expr.sin (sub st)
+      | 4, st -> Expr.cos (sub st)
+      | 5, st -> Expr.tanh (sub st)
+      | 6, st -> Expr.atan (sub st)
+      | 7, st -> Expr.abs (sub st)
+      | 8, st ->
+          let e = sub st in
+          Expr.exp (Expr.mul (Expr.const 0.25) e)
+      | _, st ->
+          let e, k = pair st sub (fun st -> RS.int st 4) in
+          Expr.powi e k
+  in
+  (* [QCheck2.Gen.sized]: [nat] bound to the size *)
+  let gen st =
+    let st' = RS.split st in
+    let p = RS.float st 1.0 in
+    let n =
+      if p < 0.5 then RS.int st 10
+      else if p < 0.75 then RS.int st 100
+      else if p < 0.95 then RS.int st 1_000
+      else RS.int st 10_000
+    in
+    node n (RS.copy st')
+  in
+  let unop : Expr.unop -> Expr.t -> Expr.t = function
+    | Exp -> Expr.exp
+    | Log -> Expr.log
+    | Sin -> Expr.sin
+    | Cos -> Expr.cos
+    | Tanh -> Expr.tanh
+    | Atan -> Expr.atan
+    | Abs -> Expr.abs
+    | Lambert_w -> Expr.lambert_w
+  in
+  (* the lists obtained by shrinking one element of [l] *)
+  let rec shrink_one shrink = function
+    | [] -> Seq.empty
+    | x :: rest ->
+        Seq.append
+          (Seq.map (fun x' -> x' :: rest) (shrink x))
+          (Seq.map (fun rest' -> x :: rest') (shrink_one shrink rest))
+  in
+  (* a leaf, then the direct subterms, then one subterm shrunk in place *)
+  let rec shrink (e : Expr.t) =
+    let rebuilt =
+      match e.node with
+      | Num _ | Flt _ -> Seq.empty
+      | Var v -> if v = "x" then Seq.empty else Seq.return (Expr.var "x")
+      | Add l ->
+          Seq.append (List.to_seq l) (Seq.map Expr.add_n (shrink_one shrink l))
+      | Mul l ->
+          Seq.append (List.to_seq l) (Seq.map Expr.mul_n (shrink_one shrink l))
+      | Pow (a, b) ->
+          Seq.append (List.to_seq [ a; b ])
+            (Seq.append
+               (Seq.map (fun a -> Expr.pow a b) (shrink a))
+               (Seq.map (Expr.pow a) (shrink b)))
+      | Apply (op, a) -> Seq.cons a (Seq.map (unop op) (shrink a))
+      | Piecewise (branches, default) ->
+          Seq.cons default (List.to_seq (List.map snd branches))
+    in
+    if Expr.is_zero e then Seq.empty else Seq.cons Expr.zero rebuilt
+  in
+  QCheck2.Gen.make_primitive ~gen ~shrink
 
 let qcheck ?(count = 200) ?print name gen prop =
   QCheck_alcotest.to_alcotest
