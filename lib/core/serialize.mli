@@ -18,12 +18,10 @@ val to_string : Outcome.t -> string
     @raise Parser.Parse_error on malformed input or version mismatch. *)
 val of_string : string -> Outcome.t
 
-(** [sexp_of_outcome o] is the tree {!to_string} prints, for embedding an
-    outcome in a larger s-expression without printing and re-parsing it
-    (the service's [Result] frames). [outcome_of_sexp] inverts it.
+(** [outcome_of_sexp sexp] reads an outcome tree embedded in a larger
+    s-expression (the service's [Result] frames) — {!of_string} without
+    the parse.
     @raise Parser.Parse_error on malformed input or version mismatch. *)
-val sexp_of_outcome : Outcome.t -> Parser.Sexp.t
-
 val outcome_of_sexp : Parser.Sexp.t -> Outcome.t
 
 (** [save path outcomes] / [load path] — a campaign archive (one

@@ -1,6 +1,8 @@
 (* Socket front-end: the main thread owns every descriptor (select loop,
-   all frame writes); the runner thread only executes engine queries and
-   drops responses into the outbox, waking the select via a self-pipe. *)
+   all frame writes) and sends the replies [Engine.submit] answers at
+   admission (cache hits among them); the runner thread only executes
+   queued queries and drops their replies into the outbox, waking the
+   select via a self-pipe. *)
 
 let m_boxes = Obs.Metrics.counter "verify.boxes"
 let m_solver_calls = Obs.Metrics.counter "verify.solver_calls"
@@ -24,7 +26,7 @@ type state = {
   engine : Engine.t;
   conns : (int, conn) Hashtbl.t;  (* keyed by Engine.client_id *)
   outbox_mutex : Mutex.t;
-  mutable outbox : (Engine.client * Protocol.response) list;  (* reversed *)
+  mutable outbox : (Engine.client * Protocol.reply) list;  (* reversed *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
 }
@@ -51,8 +53,8 @@ let drop_conn st conn =
   Engine.cancel_client st.engine conn.client;
   try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
-let send st conn resp =
-  try Protocol.write_frame conn.fd (Protocol.response_to_string resp)
+let send st conn (reply : Protocol.reply) =
+  try Protocol.write_frame conn.fd reply.Protocol.payload
   with Unix.Unix_error _ | Fault.Io_injected _ -> drop_conn st conn
 
 let flush_outbox st =
@@ -78,7 +80,7 @@ let flush_outbox st =
 let handle_frame st conn payload =
   match Protocol.request_of_string payload with
   | exception Parser.Parse_error msg ->
-      send st conn (Protocol.Failed { id = 0; message = msg })
+      send st conn (Protocol.reply (Protocol.Failed { id = 0; message = msg }))
   | req -> (
       match Engine.submit st.engine conn.client req with
       | Some resp -> send st conn resp
@@ -98,13 +100,14 @@ let emit_progress st =
       | None -> ()
       | Some conn ->
           send st conn
-            (Protocol.Progress
-               {
-                 id;
-                 label = Printf.sprintf "query %d" id;
-                 boxes = Obs.Metrics.read m_boxes;
-                 solver_calls = Obs.Metrics.read m_solver_calls;
-               }))
+            (Protocol.reply
+               (Protocol.Progress
+                  {
+                    id;
+                    label = Printf.sprintf "query %d" id;
+                    boxes = Obs.Metrics.read m_boxes;
+                    solver_calls = Obs.Metrics.read m_solver_calls;
+                  })))
 
 let terminating = Atomic.make false
 

@@ -4,9 +4,10 @@
     socket and every client connection with [select] (reading request
     frames, writing response frames, emitting throttled [Progress] frames
     for the query being solved); a single runner thread executes queries
-    via {!Engine.step ~block:true}. Runner-to-main handoff is a
-    mutex-guarded outbox drained through a self-pipe, so the select loop
-    wakes the moment a result is ready.
+    via {!Engine.step ~block:true}. A verdict-cache hit is answered by
+    {!Engine.submit} on the main thread, written as soon as its request is
+    read. Runner-to-main handoff is a mutex-guarded outbox drained through
+    a self-pipe, so the select loop wakes the moment a result is ready.
 
     Robustness properties, all engine-inherited: admission control
     ([Overloaded] instead of unbounded buffering), per-client quotas with

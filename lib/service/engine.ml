@@ -55,7 +55,14 @@ let default_config =
     kill_after = None;
   }
 
-type client = { c_id : int; mutable c_quota : int option }
+(* [c_quota] and [c_queued] are read and written under the engine mutex:
+   the runner charges the quota while the socket thread reads it for
+   admission and stats. *)
+type client = {
+  c_id : int;
+  mutable c_quota : int option;
+  mutable c_queued : int;  (** this client's queries queued or running *)
+}
 
 type job = {
   j_seq : int;  (** journal key, unique within one daemon lifetime *)
@@ -70,6 +77,7 @@ type t = {
   cache : Verdict_cache.t;
   journal : string;
   mutex : Mutex.t;
+      (** guards the queue, the memo [pairs], the cache and client quotas *)
   cond : Condition.t;
   queue : job Queue.t;
   mutable current : job option;
@@ -79,8 +87,10 @@ type t = {
   pairs : (string * string, (Encoder.problem * string) option) Hashtbl.t;
       (** the memo of [encoded]: (dfa name, condition name) -> problem
           and formula hash, [None] where the condition does not apply.
-          Only the thread that executes queries touches it. *)
+          Only the thread that executes queries adds to it. *)
 }
+
+let locked t f = Mutex.protect t.mutex f
 
 (* ---- journal --------------------------------------------------------- *)
 
@@ -201,6 +211,7 @@ let apply_rung cfg rung =
         { cfg.Verify.solver with Icp.fuel = max 1 (cfg.Verify.solver.Icp.fuel / k) };
     }
 
+(* caller holds the engine mutex *)
 let charge client spent =
   match client.c_quota with
   | None -> ()
@@ -232,68 +243,86 @@ let maybe_kill t ~group_file =
    thousand times a cache lookup. *)
 let encoded t (f : Registry.t) c =
   let key = (f.Registry.name, Conditions.name c) in
-  match Hashtbl.find_opt t.pairs key with
+  match locked t (fun () -> Hashtbl.find_opt t.pairs key) with
   | Some e -> e
   | None ->
+      (* encoded outside the lock: admission never waits for it *)
       Obs.Metrics.incr m_pairs_encoded 1;
       let e =
         Option.map
           (fun p -> (p, Verify.formula_hash [ p ]))
           (Encoder.encode f c)
       in
-      Hashtbl.add t.pairs key e;
+      locked t (fun () -> Hashtbl.replace t.pairs key e);
       e
+
+(* What the cache says to a verify of an encoded pair for [client]: the
+   quota ladder refuses it, or gives a rung at which the cache answers it
+   or misses. The one lookup of both the admission check and the runner.
+   Caller holds the engine mutex. *)
+let lookup t client ~id ~opts ~count_miss (problem, formula_hash) =
+  let base = effective_config t opts in
+  match rung_for t client ~fuel:base.Verify.solver.Icp.fuel with
+  | None -> `Refused
+  | Some rung -> (
+      let cfg = apply_rung base rung in
+      let config_hash = Verify.config_hash cfg in
+      match
+        Verdict_cache.find_printed ~count_miss t.cache ~config_hash
+          ~formula_hash ~box:problem.Encoder.domain
+      with
+      | Some ((Verdict_cache.Exact o | Verdict_cache.Subsumed o), bytes) ->
+          `Hit
+            (rung, Protocol.result ~id ~cached:true ~degraded:rung
+                     ~partial:false o bytes)
+      | None -> `Miss (rung, cfg, config_hash))
+
+(* the reply of a hit, counted as a result *)
+let hit_reply (rung, reply) =
+  if rung > 0 then Obs.Metrics.incr m_degraded 1;
+  Obs.Metrics.incr m_results 1;
+  reply
 
 (* Solve one encoded problem for [client], consulting the verdict cache
    first. Returns [`Refused] when the quota ladder bottomed out. *)
-let solve_problem t client ~id ~cancel ~opts ~emit (problem, formula_hash) =
-  let base = effective_config t opts in
-  match rung_for t client ~fuel:base.Verify.solver.Icp.fuel with
-  | None ->
+let solve_problem t client ~id ~cancel ~opts ~emit ((problem, formula_hash) as pair) =
+  match locked t (fun () -> lookup t client ~id ~opts ~count_miss:true pair) with
+  | `Refused ->
       Obs.Metrics.incr m_refused 1;
-      emit (Protocol.Refused { id; reason = "fuel quota exhausted" });
+      emit (Protocol.reply (Protocol.Refused { id; reason = "fuel quota exhausted" }));
       `Refused
-  | Some rung ->
+  | `Hit hit ->
+      emit (hit_reply hit);
+      `Ok
+  | `Miss (rung, cfg, config_hash) ->
       if rung > 0 then Obs.Metrics.incr m_degraded 1;
-      let cfg = apply_rung base rung in
-      let config_hash = Verify.config_hash cfg in
-      let box = problem.Encoder.domain in
-      match Verdict_cache.find t.cache ~config_hash ~formula_hash ~box with
-      | Some (Verdict_cache.Exact o | Verdict_cache.Subsumed o) ->
-          emit
-            (Protocol.Result
-               { id; cached = true; degraded = rung; partial = false;
-                 outcome = o });
-          Obs.Metrics.incr m_results 1;
-          `Ok
-      | None ->
-          Obs.Progress.relabel (Printf.sprintf "query %d" id);
-          let drained0 = Obs.Metrics.read m_drained in
-          let stop () = Atomic.get cancel in
-          let outcome = Verify.run ~config:cfg ~stop problem in
-          let drained = Obs.Metrics.read m_drained - drained0 in
-          let cancelled = Atomic.get cancel in
-          let partial = drained > 0 || cancelled in
-          if cancelled then Obs.Metrics.incr m_cancelled 1;
+      Obs.Progress.relabel (Printf.sprintf "query %d" id);
+      let drained0 = Obs.Metrics.read m_drained in
+      let stop () = Atomic.get cancel in
+      let outcome = Verify.run ~config:cfg ~stop problem in
+      let drained = Obs.Metrics.read m_drained - drained0 in
+      let cancelled = Atomic.get cancel in
+      let partial = drained > 0 || cancelled in
+      if cancelled then Obs.Metrics.incr m_cancelled 1;
+      Obs.Metrics.observe m_query_boxes (List.length outcome.Outcome.regions);
+      (* printed once: the cache entry and the reply share the bytes *)
+      let bytes = Serialize.to_string outcome in
+      locked t (fun () ->
           charge client outcome.Outcome.stats.Outcome.total_expansions;
-          Obs.Metrics.observe m_query_boxes
-            (List.length outcome.Outcome.regions);
-          if not partial then begin
-            (* a partial map is deadline-shaped, and the cache key excludes
-               the deadline — caching it would poison full-budget queries *)
-            (try
-               Verdict_cache.put t.cache ~config_hash ~formula_hash outcome;
-               maybe_kill t
-                 ~group_file:
-                   (Verdict_cache.group_file t.cache ~config_hash
-                      ~formula_hash)
-             with Fault.Io_injected _ -> Obs.Metrics.incr m_cache_faults 1)
-          end;
-          emit
-            (Protocol.Result
-               { id; cached = false; degraded = rung; partial; outcome });
-          Obs.Metrics.incr m_results 1;
-          `Ok
+          (* a partial map is deadline-shaped, and the cache key excludes
+             the deadline — caching it would poison full-budget queries *)
+          if not partial then
+            try
+              Verdict_cache.put_printed t.cache ~config_hash ~formula_hash
+                outcome bytes;
+              maybe_kill t
+                ~group_file:
+                  (Verdict_cache.group_file t.cache ~config_hash ~formula_hash)
+            with Fault.Io_injected _ -> Obs.Metrics.incr m_cache_faults 1);
+      emit
+        (Protocol.result ~id ~cached:false ~degraded:rung ~partial outcome bytes);
+      Obs.Metrics.incr m_results 1;
+      `Ok
 
 let exec_request t client ~cancel ~emit req =
   match req with
@@ -303,28 +332,31 @@ let exec_request t client ~cancel ~emit req =
       match Registry.find_opt dfa with
       | None ->
           emit
-            (Protocol.Failed
-               { id; message = Printf.sprintf "unknown functional %S" dfa })
+            (Protocol.reply
+               (Protocol.Failed
+                  { id; message = Printf.sprintf "unknown functional %S" dfa }))
       | Some f -> (
           match Conditions.of_name condition with
           | exception Not_found ->
               emit
-                (Protocol.Failed
-                   {
-                     id;
-                     message = Printf.sprintf "unknown condition %S" condition;
-                   })
+                (Protocol.reply
+                   (Protocol.Failed
+                      {
+                        id;
+                        message = Printf.sprintf "unknown condition %S" condition;
+                      }))
           | c -> (
               match encoded t f c with
               | None ->
                   emit
-                    (Protocol.Failed
-                       {
-                         id;
-                         message =
-                           Printf.sprintf "condition %s does not apply to %s"
-                             condition dfa;
-                       })
+                    (Protocol.reply
+                       (Protocol.Failed
+                          {
+                            id;
+                            message =
+                              Printf.sprintf "condition %s does not apply to %s"
+                                condition dfa;
+                          }))
               | Some pair ->
                   ignore (solve_problem t client ~id ~cancel ~opts ~emit pair)
               )))
@@ -332,8 +364,9 @@ let exec_request t client ~cancel ~emit req =
       match Registry.find_opt dfa with
       | None ->
           emit
-            (Protocol.Failed
-               { id; message = Printf.sprintf "unknown functional %S" dfa })
+            (Protocol.reply
+               (Protocol.Failed
+                  { id; message = Printf.sprintf "unknown functional %S" dfa }))
       | Some f ->
           (* the pairs of [Encoder.encode_all [ f ]], in its order *)
           let pairs = List.filter_map (encoded t f) Conditions.all in
@@ -347,13 +380,14 @@ let exec_request t client ~cancel ~emit req =
                 | `Refused -> refused := true)
             pairs;
           (* a refusal is already the stream's terminal response *)
-          if not !refused then emit (Protocol.Done { id; count = !count }))
+          if not !refused then
+            emit (Protocol.reply (Protocol.Done { id; count = !count })))
 
 let exec t job ~emit =
   (try exec_request t job.j_client ~cancel:job.j_cancel ~emit job.j_req
    with e ->
      let id = Option.value ~default:0 (Protocol.request_id job.j_req) in
-     emit (Protocol.Failed { id; message = Printexc.to_string e }));
+     emit (Protocol.reply (Protocol.Failed { id; message = Printexc.to_string e })));
   journal_done t ~seq:job.j_seq
 
 (* ---- lifecycle ------------------------------------------------------- *)
@@ -381,7 +415,9 @@ let create config =
      daemon died; their verdicts land in the cache, then the journal resets *)
   let pending = journal_pending t.journal in
   if pending <> [] then begin
-    let replay_client = { c_id = -1; c_quota = None } in
+    let replay_client =
+      { c_id = -1; c_quota = None; c_queued = 0 }
+    in
     List.iter
       (fun req ->
         Obs.Metrics.incr m_replays 1;
@@ -400,19 +436,20 @@ let create config =
 
 let new_client t =
   Mutex.lock t.mutex;
-  let c = { c_id = t.next_client; c_quota = t.config.fuel_quota } in
+  let c =
+    { c_id = t.next_client; c_quota = t.config.fuel_quota; c_queued = 0 }
+  in
   t.next_client <- t.next_client + 1;
   Mutex.unlock t.mutex;
   c
 
 let client_id client = client.c_id
-let quota_remaining client = client.c_quota
+let quota_remaining t client = locked t (fun () -> client.c_quota)
 
-let pending t =
-  Mutex.lock t.mutex;
-  let n = Queue.length t.queue + match t.current with Some _ -> 1 | None -> 0 in
-  Mutex.unlock t.mutex;
-  n
+(* caller holds the engine mutex *)
+let inflight t = Queue.length t.queue + match t.current with Some _ -> 1 | None -> 0
+
+let pending t = locked t (fun () -> inflight t)
 
 let running t =
   Mutex.lock t.mutex;
@@ -425,14 +462,15 @@ let running t =
   r
 
 let stats t client =
-  Protocol.
-    {
-      cache_hits = Obs.Metrics.read m_hits;
-      cache_misses = Obs.Metrics.read m_misses;
-      solver_calls = Obs.Metrics.read m_solver_calls;
-      pending = pending t;
-      quota_remaining = client.c_quota;
-    }
+  locked t (fun () ->
+      Protocol.
+        {
+          cache_hits = Obs.Metrics.read m_hits;
+          cache_misses = Obs.Metrics.read m_misses;
+          solver_calls = Obs.Metrics.read m_solver_calls;
+          pending = inflight t;
+          quota_remaining = client.c_quota;
+        })
 
 let cancel_matching t pred =
   Mutex.lock t.mutex;
@@ -448,48 +486,82 @@ let cancel t client ~id =
 
 let cancel_client t client = cancel_matching t (fun j -> j.j_client == client)
 
+(* The cached reply to a verify, answered at admission exactly when the
+   runner would answer it from the cache without solving: the pair is
+   encoded already, the rung cannot change before the runner would reach
+   the query (no quota, or none of this client's queries ahead of it that
+   could charge one), and the cache hits. Otherwise [None], and the query
+   is queued; so is one whose lookup raises (an unreadable group file),
+   for the runner to answer [Failed] as it always has. Caller holds the
+   engine mutex. *)
+let admission_hit t client ~id ~dfa ~condition ~opts =
+  if client.c_queued > 0 && client.c_quota <> None then None
+  else
+    (* [Registry.find_opt] and [Conditions.of_name] match lowercased names,
+       so for a known pair this is the key [encoded] memoizes under *)
+    let key = (String.lowercase_ascii dfa, String.lowercase_ascii condition) in
+    match Hashtbl.find_opt t.pairs key with
+    | Some (Some pair) -> (
+        match lookup t client ~id ~opts ~count_miss:false pair with
+        | `Hit hit -> Some hit
+        | `Refused | `Miss _ -> None
+        | exception _ -> None)
+    | Some None | None -> None
+
+(* Admission of a verify or campaign query: answered now if it is a hit,
+   refused if the service is closing or the queue is full, else journaled
+   and queued. Caller holds the engine mutex. *)
+let admit t client ~id req =
+  let hit =
+    match req with
+    | Protocol.Verify { dfa; condition; opts; _ } when not t.closing ->
+        admission_hit t client ~id ~dfa ~condition ~opts
+    | _ -> None
+  in
+  match hit with
+  | Some hit ->
+      (* no journal line: a replayed hit would answer nobody *)
+      Some (hit_reply hit)
+  | None when t.closing ->
+      Some
+        (Protocol.reply
+           (Protocol.Failed { id; message = "service shutting down" }))
+  | None ->
+      let inflight = inflight t in
+      if inflight >= t.config.max_inflight then begin
+        Obs.Metrics.incr m_overloaded 1;
+        Some
+          (Protocol.reply
+             (Protocol.Overloaded
+                { id; inflight; max_inflight = t.config.max_inflight }))
+      end
+      else begin
+        let seq = t.next_seq in
+        t.next_seq <- seq + 1;
+        let job =
+          { j_seq = seq; j_id = id; j_client = client; j_req = req;
+            j_cancel = Atomic.make false }
+        in
+        (* journaled before it can run: a crash between here and the
+           matching done line makes the query replayable *)
+        journal_inflight t ~seq req;
+        Queue.add job t.queue;
+        client.c_queued <- client.c_queued + 1;
+        Condition.signal t.cond;
+        None
+      end
+
 let submit t client req =
   match req with
-  | Protocol.Ping -> Some Protocol.Pong
-  | Protocol.Stats id -> Some (Protocol.Stats_reply { id; stats = stats t client })
+  | Protocol.Ping -> Some (Protocol.reply Protocol.Pong)
+  | Protocol.Stats id ->
+      Some (Protocol.reply (Protocol.Stats_reply { id; stats = stats t client }))
   | Protocol.Cancel id ->
       cancel t client ~id;
       None
   | Protocol.Verify { id; _ } | Protocol.Campaign { id; _ } ->
       Obs.Metrics.incr m_queries 1;
-      Mutex.lock t.mutex;
-      if t.closing then begin
-        Mutex.unlock t.mutex;
-        Some (Protocol.Failed { id; message = "service shutting down" })
-      end
-      else begin
-        let inflight =
-          Queue.length t.queue
-          + match t.current with Some _ -> 1 | None -> 0
-        in
-        if inflight >= t.config.max_inflight then begin
-          Mutex.unlock t.mutex;
-          Obs.Metrics.incr m_overloaded 1;
-          Some
-            (Protocol.Overloaded
-               { id; inflight; max_inflight = t.config.max_inflight })
-        end
-        else begin
-          let seq = t.next_seq in
-          t.next_seq <- seq + 1;
-          let job =
-            { j_seq = seq; j_id = id; j_client = client; j_req = req;
-              j_cancel = Atomic.make false }
-          in
-          (* journaled before it can run: a crash between here and the
-             matching done line makes the query replayable *)
-          journal_inflight t ~seq req;
-          Queue.add job t.queue;
-          Condition.signal t.cond;
-          Mutex.unlock t.mutex;
-          None
-        end
-      end
+      locked t (fun () -> admit t client ~id req)
 
 let step ?(block = false) t ~on_response () =
   Mutex.lock t.mutex;
@@ -512,9 +584,9 @@ let step ?(block = false) t ~on_response () =
       Mutex.unlock t.mutex;
       Fun.protect
         ~finally:(fun () ->
-          Mutex.lock t.mutex;
-          t.current <- None;
-          Mutex.unlock t.mutex)
+          locked t (fun () ->
+              t.current <- None;
+              job.j_client.c_queued <- job.j_client.c_queued - 1))
         (fun () -> exec t job ~emit:(fun r -> on_response job.j_client r));
       true
 

@@ -9,16 +9,29 @@
     daemon's socket thread; [step] runs on a single runner thread (solver
     fan-out happens {e inside} a query via [config.verify.workers] domains
     — expression encoding is not thread-safe, so queries never encode
-    concurrently). Shared state is guarded by one mutex; [step ~block:true]
-    sleeps on a condition variable until work arrives or {!shutdown}.
+    concurrently). One mutex guards the queue, the memo of encoded pairs,
+    the verdict cache's [find]/[put] and every client's quota; the runner
+    holds it only around those, never while encoding or solving.
+    [step ~block:true] sleeps on a condition variable until work arrives
+    or {!shutdown}.
 
     {b Encoded pairs.} Each (dfa, condition) pair is encoded and its
     formula hash computed once per engine, on first use (by a query or by
     the journal replay in {!create}), and kept for the engine's lifetime;
     the wall counter [service.pairs_encoded] counts these encodings. Only
-    the thread running queries touches that memo. A cache hit then costs
-    the configuration hash, one {!Verdict_cache.find}, the reply and the
-    journal lines.
+    the runner thread encodes.
+
+    {b Hits at admission.} [submit] answers a [verify] query on the spot —
+    no journal line, no queueing, never [Overloaded] — exactly when the
+    runner would answer it from the cache without solving: the pair is in
+    the memo already, the quota ladder gives the rung the runner would
+    give (the client has no quota, or no query of its own queued or
+    running), and {!Verdict_cache.find_printed} hits. The hit then costs
+    the configuration hash, one lookup and a reply spliced from the
+    cache entry's stored bytes ({!Protocol.result}). Every other query is
+    queued, and the runner looks again with the same function, since a
+    queued miss may have become a hit by the time it runs. Replies of
+    both paths carry their frame payload ({!Protocol.reply}).
 
     {b Admission control.} At most [max_inflight] queries may be queued or
     running; a submit beyond that is rejected immediately with
@@ -32,11 +45,13 @@
     [Refused]. Degraded configurations hash differently, so cached coarse
     verdicts never shadow full-fidelity ones.
 
-    {b Journal.} Admitted queries are appended to [cache_dir/journal]
+    {b Journal.} Queued queries are appended to [cache_dir/journal]
     (fsynced) before execution and marked done (not fsynced) after;
     {!create} replays unfinished queries from the journal (warming the
     verdict cache) and truncates it. A daemon SIGKILLed mid-solve thus
-    re-solves exactly the queries whose results were lost. *)
+    re-solves exactly the queries whose results were lost. Hits answered
+    at admission write no line: their replay would answer nobody and warm
+    nothing. *)
 
 type config = {
   cache_dir : string;
@@ -68,13 +83,13 @@ val new_client : t -> client
 val client_id : client -> int
 
 (** This client's remaining fuel quota ([None] = unlimited). *)
-val quota_remaining : client -> int option
+val quota_remaining : t -> client -> int option
 
-(** [submit t client req] — admission. Returns an immediate response
-    ([Pong], [Stats_reply], [Overloaded]...) or [None] when the query was
-    enqueued (its responses arrive via {!step}'s callback). [Cancel]
-    returns [None] after flagging the target query. *)
-val submit : t -> client -> Protocol.request -> Protocol.response option
+(** [submit t client req] — admission. Returns an immediate reply
+    ([Pong], [Stats_reply], a cache hit's [Result], [Overloaded]...) or
+    [None] when the query was enqueued (its replies arrive via {!step}'s
+    callback). [Cancel] returns [None] after flagging the target query. *)
+val submit : t -> client -> Protocol.request -> Protocol.reply option
 
 (** [step t ~on_response ()] executes the next queued query, emitting its
     responses (including the terminal one) to [on_response]. Returns
@@ -82,13 +97,13 @@ val submit : t -> client -> Protocol.request -> Protocol.response option
     work arrived or {!shutdown} was called). Never raises on query
     failure — errors become [Failed] responses. *)
 val step :
-  ?block:bool -> t -> on_response:(client -> Protocol.response -> unit) ->
+  ?block:bool -> t -> on_response:(client -> Protocol.reply -> unit) ->
   unit -> bool
 
 (** [drain t ~on_response ()] steps until the queue is empty — the
     in-process test loop. *)
 val drain :
-  t -> on_response:(client -> Protocol.response -> unit) -> unit -> unit
+  t -> on_response:(client -> Protocol.reply -> unit) -> unit -> unit
 
 (** Queued + running query count. *)
 val pending : t -> int

@@ -51,7 +51,6 @@ let atom_str s = S.Atom (if s = "" then "%" else Serialize.percent_encode s)
 let field name v = S.List [ S.Atom name; v ]
 let int_field name n = field name (atom_int n)
 let str_field name s = field name (atom_str s)
-let bool_field name b = field name (S.Atom (if b then "1" else "0"))
 
 let int_of_atom what = function
   | S.Atom a -> (
@@ -161,36 +160,42 @@ let request_of_string s = request_of_sexp (S.parse s)
 
 (* ---- responses ------------------------------------------------------- *)
 
-let response_to_sexp = function
-  | Pong -> S.List [ S.Atom "pong" ]
+(* The one printer of result frames: the outcome is spliced in as the bytes
+   Serialize printed for it, so a reply built from a cache entry's stored
+   bytes is byte-identical to one printed from the outcome. *)
+let result_payload ~id ~cached ~degraded ~partial outcome_bytes =
+  let flag b = if b then "1" else "0" in
+  String.concat ""
+    [
+      "(result (id "; string_of_int id; ") (cached "; flag cached;
+      ") (degraded "; string_of_int degraded; ") (partial "; flag partial;
+      ") "; outcome_bytes; ")";
+    ]
+
+let response_to_string resp =
+  let print items = sexp_to_string (S.List items) in
+  match resp with
+  | Pong -> print [ S.Atom "pong" ]
   | Progress { id; label; boxes; solver_calls } ->
-      S.List
+      print
         [
           S.Atom "progress"; int_field "id" id; str_field "label" label;
           int_field "boxes" boxes; int_field "solver-calls" solver_calls;
         ]
   | Result { id; cached; degraded; partial; outcome } ->
-      S.List
-        [
-          S.Atom "result"; int_field "id" id; bool_field "cached" cached;
-          int_field "degraded" degraded; bool_field "partial" partial;
-          (* splice the Serialize v3 outcome tree: the frame carries the
-             archive bytes, so a cached reply is byte-identical to the
-             freshly solved one *)
-          Serialize.sexp_of_outcome outcome;
-        ]
+      result_payload ~id ~cached ~degraded ~partial (Serialize.to_string outcome)
   | Done { id; count } ->
-      S.List [ S.Atom "done"; int_field "id" id; int_field "count" count ]
+      print [ S.Atom "done"; int_field "id" id; int_field "count" count ]
   | Overloaded { id; inflight; max_inflight } ->
-      S.List
+      print
         [
           S.Atom "overloaded"; int_field "id" id; int_field "inflight" inflight;
           int_field "max" max_inflight;
         ]
   | Refused { id; reason } ->
-      S.List [ S.Atom "refused"; int_field "id" id; str_field "reason" reason ]
+      print [ S.Atom "refused"; int_field "id" id; str_field "reason" reason ]
   | Stats_reply { id; stats } ->
-      S.List
+      print
         [
           S.Atom "stats"; int_field "id" id;
           int_field "cache-hits" stats.cache_hits;
@@ -203,7 +208,17 @@ let response_to_sexp = function
             | None -> S.Atom "none");
         ]
   | Failed { id; message } ->
-      S.List [ S.Atom "failed"; int_field "id" id; str_field "message" message ]
+      print [ S.Atom "failed"; int_field "id" id; str_field "message" message ]
+
+type reply = { response : response; payload : string }
+
+let reply response = { response; payload = response_to_string response }
+
+let result ~id ~cached ~degraded ~partial outcome outcome_bytes =
+  {
+    response = Result { id; cached; degraded; partial; outcome };
+    payload = result_payload ~id ~cached ~degraded ~partial outcome_bytes;
+  }
 
 let response_of_sexp = function
   | S.List [ S.Atom "pong" ] -> Pong
@@ -275,7 +290,6 @@ let response_of_sexp = function
         }
   | _ -> fail "service: unknown response"
 
-let response_to_string r = sexp_to_string (response_to_sexp r)
 let response_of_string s = response_of_sexp (S.parse s)
 
 let request_id = function

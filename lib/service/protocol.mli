@@ -9,8 +9,10 @@
     trailing newline keeps captures readable with [cat]. Payloads are
     single s-expressions in the {!Parser.Sexp} syntax; free-form strings
     (labels, error messages) ride as {!Serialize.percent_encode}d atoms,
-    and outcomes embed in the {!Serialize} v3 format, so a cached reply is
-    byte-identical to the freshly solved one.
+    and outcomes embed as the bytes {!Serialize.to_string} prints. One
+    function, {!result_payload}, renders every [Result] frame around those
+    bytes, so a cached reply spliced from the verdict cache's stored bytes
+    is byte-identical to the freshly solved one.
 
     One request yields one or more responses tagged with the request's
     [id] (client-chosen, echoed verbatim): zero or more [Progress] frames,
@@ -70,6 +72,26 @@ val request_to_string : request -> string
 val request_of_string : string -> request
 
 val response_to_string : response -> string
+
+(** [result_payload ~id ~cached ~degraded ~partial bytes] is the payload of
+    a [Result] frame whose outcome {!Serialize.to_string} prints as
+    [bytes]. It is the only printer of result frames:
+    [response_to_string (Result r)] calls it with [r]'s outcome printed. *)
+val result_payload :
+  id:int -> cached:bool -> degraded:int -> partial:bool -> string -> string
+
+(** A response together with the payload it is sent as. *)
+type reply = { response : response; payload : string }
+
+(** [reply r] — [r] with the payload {!response_to_string} prints. *)
+val reply : response -> reply
+
+(** [result ~id ~cached ~degraded ~partial outcome bytes] — a [Result]
+    reply whose payload is spliced around [bytes], which must be
+    [Serialize.to_string outcome]; the outcome is not printed again. *)
+val result :
+  id:int -> cached:bool -> degraded:int -> partial:bool -> Outcome.t ->
+  string -> reply
 
 (** @raise Parser.Parse_error on malformed input. *)
 val response_of_string : string -> response

@@ -7,12 +7,16 @@ let m_misses = Obs.Metrics.counter "service.cache.misses"
 let m_commits = Obs.Metrics.counter ~clas:Obs.Metrics.Wall "service.cache.commits"
 let m_repairs = Obs.Metrics.counter ~clas:Obs.Metrics.Wall "service.cache.repairs"
 
+(* an outcome with the bytes Serialize.to_string printed for it once, when
+   it was committed or its group was loaded; hits reply with these bytes *)
+type entry = { outcome : Outcome.t; bytes : string }
+
 type group = {
   g_file : string;
   g_header : Serialize.header;
   (* oldest first; lookups scan in file order so the choice of subsuming
      entry is stable across restarts *)
-  mutable g_entries : Outcome.t list;
+  mutable g_entries : entry list;
   mutable g_exists : bool;
 }
 
@@ -68,7 +72,11 @@ let load_group t ~config_hash ~formula_hash =
               failwith
                 (Printf.sprintf "cache file %s has no header — not a cache \
                                  group file" file));
-          List.map (fun e -> e.Serialize.outcome) cp.Serialize.entries
+          List.map
+            (fun e ->
+              let outcome = e.Serialize.outcome in
+              { outcome; bytes = Serialize.to_string outcome })
+            cp.Serialize.entries
         end
       in
       let g = { g_file = file; g_header = header; g_entries = entries;
@@ -99,7 +107,9 @@ let ensure_file g =
   end
 
 let entries t ~config_hash ~formula_hash =
-  (load_group t ~config_hash ~formula_hash).g_entries
+  List.map
+    (fun e -> e.outcome)
+    (load_group t ~config_hash ~formula_hash).g_entries
 
 let box_contains ~outer ~inner =
   Box.vars outer = Box.vars inner
@@ -124,53 +134,56 @@ let synthesize ~src ~box =
       stats = zero_stats;
     }
 
-let find t ~config_hash ~formula_hash ~box =
+let find_printed ?(count_miss = true) t ~config_hash ~formula_hash ~box =
   let g = load_group t ~config_hash ~formula_hash in
-  let exact =
-    List.find_opt (fun o -> Box.equal o.Outcome.domain box) g.g_entries
-  in
-  match exact with
-  | Some o ->
+  match List.find_opt (fun e -> Box.equal e.outcome.Outcome.domain box) g.g_entries with
+  | Some e ->
       Obs.Metrics.incr m_hits 1;
-      Some (Exact o)
+      Some (Exact e.outcome, e.bytes)
   | None -> (
       let subsuming =
         List.find_opt
-          (fun o ->
+          (fun e ->
             List.exists
               (fun r ->
                 r.Outcome.status = Outcome.Verified
                 && box_contains ~outer:r.Outcome.box ~inner:box)
-              o.Outcome.regions)
+              e.outcome.Outcome.regions)
           g.g_entries
       in
       match subsuming with
       | Some src ->
           Obs.Metrics.incr m_subbox 1;
-          Some (Subsumed (synthesize ~src ~box))
+          (* one region over the query box: a few hundred bytes to print *)
+          let o = synthesize ~src:src.outcome ~box in
+          Some (Subsumed o, Serialize.to_string o)
       | None ->
-          Obs.Metrics.incr m_misses 1;
+          if count_miss then Obs.Metrics.incr m_misses 1;
           None)
 
-let put t ~config_hash ~formula_hash outcome =
+let find t ~config_hash ~formula_hash ~box =
+  Option.map fst (find_printed t ~config_hash ~formula_hash ~box)
+
+(* The line [Serialize.entry_to_string] writes for an entry without paths
+   or metrics, built around the outcome's printed bytes. *)
+let entry_line bytes = "(entry " ^ bytes ^ ")"
+
+let put_printed t ~config_hash ~formula_hash outcome bytes =
   let key = group_key ~config_hash ~formula_hash in
   let g = load_group t ~config_hash ~formula_hash in
   if
     List.exists
-      (fun o -> Box.equal o.Outcome.domain outcome.Outcome.domain)
+      (fun e -> Box.equal e.outcome.Outcome.domain outcome.Outcome.domain)
       g.g_entries
   then () (* first commit wins; a duplicate would shadow nothing *)
   else begin
     ensure_file g;
-    let line =
-      Serialize.entry_to_string
-        Serialize.{ outcome; paths = None; metrics_json = None }
-    in
     match
-      Serialize.append_line ?io_faults:t.io_faults ~fsync:true g.g_file line
+      Serialize.append_line ?io_faults:t.io_faults ~fsync:true g.g_file
+        (entry_line bytes)
     with
     | () ->
-        g.g_entries <- g.g_entries @ [ outcome ];
+        g.g_entries <- g.g_entries @ [ { outcome; bytes } ];
         t.commits <- t.commits + 1;
         Obs.Metrics.incr m_commits 1
     | exception e ->
@@ -179,3 +192,6 @@ let put t ~config_hash ~formula_hash outcome =
         Hashtbl.remove t.groups key;
         raise e
   end
+
+let put t ~config_hash ~formula_hash outcome =
+  put_printed t ~config_hash ~formula_hash outcome (Serialize.to_string outcome)

@@ -17,6 +17,12 @@
     a torn tail first ({!Serialize.repair_checkpoint}), so a SIGKILL or an
     injected I/O fault mid-commit costs at most the entry being written.
 
+    {b Printed once.} Each entry keeps the bytes {!Serialize.to_string}
+    printed for its outcome, printed when the entry is committed (the
+    group-file line is built around the same bytes) or when its group is
+    loaded. A hit hands those bytes out, so a reply spliced from them
+    ({!Protocol.result}) is never printed again.
+
     {b Sub-box reuse.} A box proved [Verified] is verified forever for the
     same key: a lookup whose query box is contained in a cached verified
     region synthesizes the verdict without a solver call. *)
@@ -51,6 +57,15 @@ val group_file : t -> config_hash:string -> formula_hash:string -> string
 val find :
   t -> config_hash:string -> formula_hash:string -> box:Box.t -> hit option
 
+(** [find_printed ?count_miss t ~config_hash ~formula_hash ~box] is {!find}
+    with the hit outcome's {!Serialize.to_string} bytes: an exact hit's
+    stored bytes, or the small synthesized outcome of a sub-box hit printed
+    now. [count_miss] (default true) set to false leaves a miss uncounted,
+    for a lookup that a later one repeats (the engine's admission check). *)
+val find_printed :
+  ?count_miss:bool -> t -> config_hash:string -> formula_hash:string ->
+  box:Box.t -> (hit * string) option
+
 (** [put t ~config_hash ~formula_hash outcome] commits one verdict:
     ensures the group file exists (with a matching header), appends the
     entry with a single fsynced write, then updates the in-memory view.
@@ -59,6 +74,14 @@ val find :
     group is invalidated so the next access re-reads (and repairs) the
     file, and the exception propagates. *)
 val put : t -> config_hash:string -> formula_hash:string -> Outcome.t -> unit
+
+(** [put_printed t ~config_hash ~formula_hash outcome bytes] is {!put} for a
+    caller that has printed the outcome already: [bytes] must be
+    [Serialize.to_string outcome], and the entry line is built around them
+    without printing again. *)
+val put_printed :
+  t -> config_hash:string -> formula_hash:string -> Outcome.t -> string ->
+  unit
 
 (** All cached outcomes for a key, oldest first (file order). *)
 val entries : t -> config_hash:string -> formula_hash:string -> Outcome.t list

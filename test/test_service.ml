@@ -83,17 +83,27 @@ let engine_config ?(max_inflight = 8) ?fuel_quota ?default_deadline_ms
     kill_after;
   }
 
+(* what [Engine.submit] answered at admission, as a response *)
+let submitted t client req =
+  Option.map (fun r -> r.Protocol.response) (Engine.submit t client req)
+
 (* submit one request and drain the engine, returning the non-progress
-   responses in emission order *)
-let run_one t client req =
+   replies in emission order *)
+let run_one_replies t client req =
   let acc = ref [] in
   (match Engine.submit t client req with
   | Some r -> acc := [ r ]
   | None ->
       Engine.drain t () ~on_response:(fun _ r ->
-          match r with Protocol.Progress _ -> () | r -> acc := r :: !acc);
+          match r.Protocol.response with
+          | Protocol.Progress _ -> ()
+          | _ -> acc := r :: !acc);
       acc := List.rev !acc);
   !acc
+
+(* the same, as responses *)
+let run_one t client req =
+  List.map (fun r -> r.Protocol.response) (run_one_replies t client req)
 
 let verify_req ?(id = 1) ?(opts = Protocol.no_opts) ?(dfa = "pbe")
     ?(condition = "ec1") () =
@@ -517,12 +527,35 @@ let qcheck_result_splice =
       in
       String.equal frame
         (result_frame_by_reparse ~id ~cached ~degraded ~partial o)
+      (* the reply spliced from stored bytes is that same frame *)
+      && String.equal frame
+           (Protocol.result ~id ~cached ~degraded ~partial o (bytes_of o))
+             .Protocol.payload
       &&
       match Protocol.response_of_string frame with
       | Protocol.Result got ->
           got.id = id && got.cached = cached && got.degraded = degraded
           && got.partial = partial
           && String.equal (bytes_of got.outcome) (bytes_of o)
+      | _ -> false)
+
+(* The cache writes each entry line around the outcome's printed bytes; the
+   line must be the one Serialize writes for the entry, so every checkpoint
+   loader reads cache files unchanged. *)
+let qcheck_cache_entry_line =
+  let dir = temp_dir () and n = ref 0 in
+  let cache = Verdict_cache.open_dir dir in
+  qcheck ~count:100 "cache entry line is Serialize's entry line" outcome_gen
+    (fun o ->
+      incr n;
+      let formula_hash = string_of_int !n in
+      Verdict_cache.put cache ~config_hash:"c" ~formula_hash o;
+      let file = Verdict_cache.group_file cache ~config_hash:"c" ~formula_hash in
+      match String.split_on_char '\n' (read_file file) with
+      | [ _header; line; "" ] ->
+          String.equal line
+            (Serialize.entry_to_string
+               Serialize.{ outcome = o; paths = None; metrics_json = None })
       | _ -> false)
 
 let test_frame_roundtrip () =
@@ -631,7 +664,7 @@ let test_engine_overload () =
   let client = Engine.new_client t in
   check_true "first query admitted"
     (Engine.submit t client (verify_req ()) = None);
-  (match Engine.submit t client (verify_req ~id:2 ()) with
+  (match submitted t client (verify_req ~id:2 ()) with
   | Some (Protocol.Overloaded { id; inflight; max_inflight }) ->
       Alcotest.(check int) "rejected id" 2 id;
       Alcotest.(check int) "inflight" 1 inflight;
@@ -640,8 +673,11 @@ let test_engine_overload () =
   (* the queue drains and frees the slot again *)
   Engine.drain t () ~on_response:(fun _ _ -> ());
   Alcotest.(check int) "idle again" 0 (Engine.pending t);
+  (* a query that misses (a fresh threshold): the identical one is now a
+     hit, answered without taking a slot *)
+  let fresh = Protocol.{ no_opts with threshold = Some 0.31 } in
   check_true "admitted after drain"
-    (Engine.submit t client (verify_req ~id:3 ()) = None);
+    (Engine.submit t client (verify_req ~id:3 ~opts:fresh ()) = None);
   Engine.drain t () ~on_response:(fun _ _ -> ())
 
 let test_engine_quota_degrades_then_refuses () =
@@ -661,7 +697,7 @@ let test_engine_quota_degrades_then_refuses () =
         r.degraded
   | _ -> Alcotest.fail "expected a Result");
   check_true "quota was charged"
-    (match Engine.quota_remaining client with Some q -> q < 40 | None -> false);
+    (match Engine.quota_remaining t client with Some q -> q < 40 | None -> false);
   (* the run above burns far more than the quota; the next query falls
      below the last rung and is refused *)
   (match run_one t client (verify_req ~id:2 ~condition:"ec2" ()) with
@@ -699,7 +735,7 @@ let test_engine_cancellation_partial () =
      whole-domain timeout paint — the partial verdict map *)
   Engine.cancel t client ~id:9;
   let acc = ref [] in
-  Engine.drain t () ~on_response:(fun _ r -> acc := r :: !acc);
+  Engine.drain t () ~on_response:(fun _ r -> acc := r.Protocol.response :: !acc);
   match !acc with
   | [ Protocol.Result r ] ->
       check_true "cancelled query is partial" r.partial;
@@ -842,13 +878,174 @@ let test_engine_ping_stats () =
   with_fresh_instance @@ fun () ->
   let t = Engine.create (engine_config ~fuel_quota:100 (temp_dir ())) in
   let client = Engine.new_client t in
-  check_true "pong" (Engine.submit t client Protocol.Ping = Some Protocol.Pong);
-  match Engine.submit t client (Protocol.Stats 3) with
+  check_true "pong" (submitted t client Protocol.Ping = Some Protocol.Pong);
+  match submitted t client (Protocol.Stats 3) with
   | Some (Protocol.Stats_reply { id; stats }) ->
       Alcotest.(check int) "stats id" 3 id;
       Alcotest.(check int) "pending" 0 stats.pending;
       check_true "quota reported" (stats.quota_remaining = Some 100)
   | _ -> Alcotest.fail "expected Stats_reply"
+
+(* ---- engine: hits answered at admission ------------------------------ *)
+
+(* a verify of pbe/ec1 at a threshold no other query uses: a miss *)
+let miss_req ?(threshold = 0.31) id =
+  verify_req ~id ~opts:Protocol.{ no_opts with threshold = Some threshold } ()
+
+let journal_of dir =
+  let path = Filename.concat dir "journal" in
+  if Sys.file_exists path then read_file path else ""
+
+(* A hit takes no slot and overtakes a queued miss: with the only slot held
+   by a queued miss, the hit is answered by [submit] while the next miss is
+   refused, and the queued miss answers after it. The miss is looked up at
+   admission and again on the runner, but counted once. *)
+let test_engine_hit_at_admission () =
+  with_fresh_instance @@ fun () ->
+  let t = Engine.create (engine_config ~max_inflight:1 (temp_dir ())) in
+  let client = Engine.new_client t in
+  ignore (run_one t client (verify_req ()));
+  let misses = Obs.Metrics.read c_misses in
+  check_true "miss queued" (Engine.submit t client (miss_req 2) = None);
+  (match submitted t client (verify_req ~id:3 ()) with
+  | Some (Protocol.Result r) ->
+      Alcotest.(check int) "hit id" 3 r.id;
+      check_true "served from the cache" r.cached
+  | _ -> Alcotest.fail "expected the hit answered at admission");
+  Alcotest.(check int) "the hit took no slot" 1 (Engine.pending t);
+  (match submitted t client (miss_req ~threshold:0.32 4) with
+  | Some (Protocol.Overloaded _) -> ()
+  | _ -> Alcotest.fail "expected the second miss Overloaded");
+  let acc = ref [] in
+  Engine.drain t () ~on_response:(fun _ r -> acc := r.Protocol.response :: !acc);
+  (match !acc with
+  | [ Protocol.Result r ] ->
+      Alcotest.(check int) "then the queued miss" 2 r.id;
+      check_false "solved" r.cached
+  | _ -> Alcotest.fail "expected the miss's Result");
+  Alcotest.(check int) "the miss counted once" (misses + 1)
+    (Obs.Metrics.read c_misses)
+
+(* Only queued queries are journaled: a hit leaves the journal as it was. *)
+let test_engine_hit_not_journaled () =
+  with_fresh_instance @@ fun () ->
+  let dir = temp_dir () in
+  let t = Engine.create (engine_config dir) in
+  let client = Engine.new_client t in
+  ignore (run_one t client (verify_req ()));
+  let before = journal_of dir in
+  check_true "the miss was journaled" (contains_sub before "inflight");
+  (match submitted t client (verify_req ~id:2 ()) with
+  | Some (Protocol.Result r) -> check_true "hit" r.cached
+  | _ -> Alcotest.fail "expected the hit answered at admission");
+  Alcotest.(check string) "journal unchanged by the hit" before (journal_of dir);
+  ignore (run_one t client (miss_req 3));
+  check_true "a miss still writes its lines" (journal_of dir <> before)
+
+(* With a fuel quota, a client's hit does not overtake its own queued
+   query: that query's charge may move the rung the hit is served at. *)
+let test_engine_quota_hit_waits_for_own_queue () =
+  with_fresh_instance @@ fun () ->
+  let t = Engine.create (engine_config ~fuel_quota:1_000_000 (temp_dir ())) in
+  let client = Engine.new_client t in
+  ignore (run_one t client (verify_req ()));
+  check_true "miss queued" (Engine.submit t client (miss_req 2) = None);
+  check_true "own hit queued behind it"
+    (Engine.submit t client (verify_req ~id:3 ()) = None);
+  (* another client has nothing queued: its hit is answered now *)
+  (match submitted t (Engine.new_client t) (verify_req ~id:4 ()) with
+  | Some (Protocol.Result r) -> check_true "other client's hit" r.cached
+  | _ -> Alcotest.fail "expected the other client's hit at admission");
+  let acc = ref [] in
+  Engine.drain t () ~on_response:(fun _ r -> acc := r.Protocol.response :: !acc);
+  match List.rev !acc with
+  | [ Protocol.Result a; Protocol.Result b ] ->
+      Alcotest.(check (list int)) "in submission order" [ 2; 3 ] [ a.id; b.id ];
+      check_true "the queued hit is still a hit" b.cached
+  | _ -> Alcotest.fail "expected two Results"
+
+(* A cached reply's frame is the fresh reply's frame with the cached flag
+   set, for an exact hit; for a sub-box hit it is the synthesized outcome's
+   frame. Either way the payload is what printing the response gives. *)
+let test_engine_cached_frame_bytes () =
+  with_fresh_instance @@ fun () ->
+  let same_frame (r : Protocol.reply) =
+    Alcotest.(check string) "payload is the printed response"
+      (Protocol.response_to_string r.response) r.payload
+  in
+  let dir = temp_dir () in
+  let t = Engine.create (engine_config dir) in
+  let client = Engine.new_client t in
+  (match
+     ( run_one_replies t client (verify_req ()),
+       run_one_replies t client (verify_req ~id:2 ()) )
+   with
+  | ( [ ({ response = Protocol.Result fresh; _ } as r1) ],
+      [ ({ response = Protocol.Result hit; _ } as r2) ] ) ->
+      check_true "exact hit" hit.cached;
+      same_frame r1;
+      same_frame r2;
+      Alcotest.(check string) "exact hit: the fresh frame, cached"
+        (Protocol.response_to_string
+           (Protocol.Result { fresh with id = 2; cached = true }))
+        r2.payload
+  | _ -> Alcotest.fail "expected two Results");
+  (* a verified entry over a box around pbe/ec1's domain, planted under the
+     engine's key: the pair's query box is a sub-box of it *)
+  let problem = Option.get (Encoder.encode (Registry.find "pbe") Conditions.Ec1) in
+  let wide =
+    Box.make
+      (List.map
+         (fun v ->
+           let i = Box.get problem.Encoder.domain v in
+           (v, Interval.make (Interval.inf i -. 1.) (Interval.sup i +. 1.)))
+         (Box.vars problem.Encoder.domain))
+  in
+  let dir = temp_dir () in
+  Verdict_cache.put (Verdict_cache.open_dir dir)
+    ~config_hash:(Verify.config_hash (quick_verify ()))
+    ~formula_hash:(Verify.formula_hash [ problem ])
+    (outcome ~box:wide ());
+  let t = Engine.create (engine_config dir) in
+  let client = Engine.new_client t in
+  (* the first query encodes the pair on the runner, the second is
+     answered at admission *)
+  match
+    ( run_one_replies t client (verify_req ()),
+      Engine.submit t client (verify_req ~id:2 ()) )
+  with
+  | ( [ ({ response = Protocol.Result a; _ } as r1) ],
+      Some ({ response = Protocol.Result b; _ } as r2) ) ->
+      check_true "sub-box hits" (a.cached && b.cached);
+      check_true "over the query box"
+        (Box.equal b.outcome.Outcome.domain problem.Encoder.domain);
+      same_frame r1;
+      same_frame r2;
+      Alcotest.(check string) "runner and admission frames agree"
+        (Protocol.response_to_string (Protocol.Result { a with id = 2 }))
+        r2.payload
+  | _ -> Alcotest.fail "expected two sub-box Results"
+
+(* A crash replays the queued misses and only them: the hit answered at
+   admission left no journal line. *)
+let test_engine_replay_skips_hits () =
+  with_fresh_instance @@ fun () ->
+  let dir = temp_dir () in
+  let t1 = Engine.create (engine_config dir) in
+  let c1 = Engine.new_client t1 in
+  ignore (run_one t1 c1 (verify_req ()));
+  check_true "hit answered" (submitted t1 c1 (verify_req ~id:2 ()) <> None);
+  check_true "miss queued" (Engine.submit t1 c1 (miss_req 3) = None);
+  (* the engine "crashes" with the miss unfinished *)
+  let replays = Obs.Metrics.read c_replays in
+  let calls = Obs.Metrics.read c_solver_calls in
+  let t2 = Engine.create (engine_config dir) in
+  Alcotest.(check int) "only the miss replayed" (replays + 1)
+    (Obs.Metrics.read c_replays);
+  check_true "the replay solved it" (Obs.Metrics.read c_solver_calls > calls);
+  match submitted t2 (Engine.new_client t2) (miss_req 4) with
+  | Some (Protocol.Result r) -> check_true "its verdict is cached" r.cached
+  | _ -> Alcotest.fail "expected the replayed miss answered at admission"
 
 (* ---- daemon over a real socket --------------------------------------- *)
 
@@ -900,7 +1097,23 @@ let test_daemon_in_process () =
               Alcotest.(check string) "byte-identical across connections"
                 (bytes_of r1)
                 (bytes_of r.outcome)
-          | _ -> Alcotest.fail "expected a Result on the second connection"))
+          | _ -> Alcotest.fail "expected a Result on the second connection");
+      (* a hit sent behind a slow miss on the same connection comes back
+         first, and [call] picks it out by id; the miss's reply follows. A
+         receive timeout turns a lost reply into a failure, not a hang. *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 120.;
+      Protocol.write_frame fd
+        (Protocol.request_to_string (miss_req ~threshold:0.02 3));
+      (match Protocol.call fd (verify_req ~id:4 ()) with
+      | [ Protocol.Result r ] ->
+          Alcotest.(check int) "the hit's reply" 4 r.id;
+          check_true "cached" r.cached
+      | _ -> Alcotest.fail "expected the hit's Result");
+      match Option.map Protocol.response_of_string (Protocol.read_frame fd) with
+      | Some (Protocol.Result r) ->
+          Alcotest.(check int) "then the miss's reply" 3 r.id;
+          check_false "solved" r.cached
+      | _ -> Alcotest.fail "expected the miss's Result")
 
 (* ---- CLI daemon: SIGKILL, torn commit, restart ------------------------ *)
 
@@ -1134,6 +1347,7 @@ let suite =
     qcheck_response_roundtrip;
     case "result response roundtrip" test_result_roundtrip;
     qcheck_result_splice;
+    qcheck_cache_entry_line;
     case "frame roundtrip" test_frame_roundtrip;
     case "torn frame detected" test_frame_torn_write;
     slow_case "cache hit: zero solver calls, identical bytes"
@@ -1154,6 +1368,15 @@ let suite =
     case "unknown names fail cleanly" test_engine_unknown_names;
     slow_case "journal replay after crash" test_engine_journal_replay;
     case "ping and stats" test_engine_ping_stats;
+    slow_case "a hit is answered at once, past max-inflight and a queued miss"
+      test_engine_hit_at_admission;
+    slow_case "a hit leaves the journal unchanged" test_engine_hit_not_journaled;
+    slow_case "with a quota, a hit waits for its client's queue"
+      test_engine_quota_hit_waits_for_own_queue;
+    slow_case "cached frames equal fresh frames, exact and sub-box"
+      test_engine_cached_frame_bytes;
+    slow_case "replay after crash skips answered hits"
+      test_engine_replay_skips_hits;
     slow_case "daemon over a unix socket" test_daemon_in_process;
     slow_case "CLI daemon: SIGKILL, torn commit, restart byte-identity"
       test_cli_daemon_kill_restart;

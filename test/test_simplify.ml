@@ -53,15 +53,31 @@ let test_with_nonneg () =
        (nn (sqrt (mul x (exp y))))
        (mul (sqrt x) (exp (mul (rat 1 2) y))))
 
+(* A rewrite keeps the real function, not its float rounding: exp and sin
+   can amplify the rounding of a rearranged argument far past any fixed
+   tolerance (sin(exp(3.47*x*(2 - 2*y))) against its expansion near
+   x = 0.74, y = -2.87). So where the float values differ beyond the
+   tolerance, the claim checked is what equal real functions guarantee:
+   the interval enclosures of both forms at the point intersect, since both
+   contain the one real value. *)
 let random_value_preservation name f gen_env =
-  qcheck (name ^ " preserves value")
+  let print (e, env) =
+    Printf.sprintf "%s at %s" (Printer.to_string e)
+      (String.concat ", "
+         (List.map (fun (v, q) -> Printf.sprintf "%s = %h" v q) env))
+  in
+  qcheck ~print (name ^ " preserves value")
     QCheck2.Gen.(pair expr_gen gen_env)
     (fun (e, env) ->
-      let v1 = Eval.eval env e and v2 = Eval.eval env (f e) in
+      let e' = f e in
+      let v1 = Eval.eval env e and v2 = Eval.eval env e' in
       (Float.is_nan v1 && Float.is_nan v2)
       || (not (Float.is_finite v1))
       || v1 = v2
-      || Float.abs (v1 -. v2) <= 1e-6 *. (1.0 +. Float.abs v1))
+      || Float.abs (v1 -. v2) <= 1e-6 *. (1.0 +. Float.abs v1)
+      ||
+      let point = List.map (fun (v, q) -> (v, Interval.point q)) env in
+      not (Interval.is_empty (Interval.meet (Ieval.eval point e) (Ieval.eval point e'))))
 
 let nonneg_env_gen =
   QCheck2.Gen.(
