@@ -250,7 +250,9 @@ let write_metrics_json json path =
   end
 
 let write_metrics path =
-  write_metrics_json (Obs.Metrics.to_json (Obs.Metrics.snapshot ())) path
+  write_metrics_json
+    (Serialize.metrics_to_string (Obs.Metrics.snapshot ()))
+    path
 
 (* --jit asked for speed; if the toolchain can't deliver it the run still
    completes (interpreted tape), so warn once instead of failing. *)
@@ -551,7 +553,7 @@ let campaign_cmd =
     print_outcomes m.Shard_merge.outcomes;
     save_outcomes save m.Shard_merge.outcomes;
     Option.iter
-      (write_metrics_json (Obs.Metrics.to_json m.Shard_merge.metrics))
+      (write_metrics_json (Serialize.metrics_to_string m.Shard_merge.metrics))
       metrics
   in
   let total_pairs = Conditions.count_pairs Registry.paper_five in
@@ -714,24 +716,21 @@ let campaign_cmd =
           (* Crash injection for the @shard test gate (same ambient-hook
              idiom as XCV_FAULT_RATE): on a fresh — not resumed — shard
              run, die by SIGKILL right after the Nth pair's checkpoint
-             entry is written, leaving a torn tail exactly as a kill
-             mid-append would. The supervisor must then restart the shard
-             from that checkpoint without changing the merged bytes. *)
+             entry is written, leaving a torn copy of its entry line
+             exactly as a kill mid-append would. The supervisor must then
+             restart the shard from that checkpoint without changing the
+             merged bytes. *)
           let kill_after =
             match (Sys.getenv_opt "XCV_SHARD_KILL_AFTER", shard) with
             | Some s, Some _ when resume = None -> int_of_string_opt s
             | _ -> None
           in
           let pairs_done = ref 0 in
-          let on_pair _ =
+          let on_pair o =
             incr pairs_done;
             match (kill_after, checkpoint) with
             | Some k, Some ckpt when !pairs_done = k ->
-                let oc =
-                  open_out_gen [ Open_append; Open_binary ] 0o644 ckpt
-                in
-                output_string oc "(entry (outcome 3 (dfa to";
-                close_out oc;
+                Serialize.append_torn_entry ckpt (Serialize.to_string o);
                 Unix.kill (Unix.getpid ()) Sys.sigkill
             | _ -> ()
           in
@@ -743,7 +742,7 @@ let campaign_cmd =
           (* the pairs' folded metrics plus this process's own accounting
              (encode phase, checkpoint writes) *)
           let json =
-            Obs.Metrics.to_json
+            Serialize.metrics_to_string
               (Obs.Metrics.merge snap (Obs.Metrics.snapshot ()))
           in
           match (shard, checkpoint) with

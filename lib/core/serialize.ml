@@ -9,19 +9,24 @@ let readable_versions = [ 2; 3 ]
 let fail fmt = Format.kasprintf (fun s -> raise (Parser.Parse_error s)) fmt
 
 (* Labels may contain spaces ("VWN RPA") or parentheses, which would break
-   atom lexing; percent-encode everything outside a safe set. *)
-let encode s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '-' | '+' | '/' ->
-          Buffer.add_char buf c
-      | _ -> Buffer.add_string buf (Printf.sprintf "%%%02x" (Char.code c)))
-    s;
-  Buffer.contents buf
+   atom lexing; percent-encode everything outside a safe set. The lexer
+   cannot carry an empty atom, so the empty string is a bare "%", which
+   the encoding of a non-empty string never is ('%' itself is "%25"). *)
+let percent_encode s =
+  if s = "" then "%"
+  else begin
+    let buf = Buffer.create (String.length s) in
+    String.iter
+      (fun c ->
+        match c with
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '-' | '+' | '/' ->
+            Buffer.add_char buf c
+        | _ -> Buffer.add_string buf (Printf.sprintf "%%%02x" (Char.code c)))
+      s;
+    Buffer.contents buf
+  end
 
-let decode s =
+let percent_decode s =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
   let rec go i =
@@ -36,7 +41,7 @@ let decode s =
         go (i + 1)
       end
   in
-  go 0;
+  if s <> "%" then go 0;
   Buffer.contents buf
 
 (* Hex float atoms round-trip bit-exactly. *)
@@ -89,14 +94,14 @@ let sexp_of_status = function
   | Outcome.Timeout -> S.List [ S.Atom "timeout" ]
   | Outcome.Counterexample m -> S.List [ S.Atom "counterexample"; sexp_of_model m ]
   | Outcome.Inconclusive m -> S.List [ S.Atom "inconclusive"; sexp_of_model m ]
-  | Outcome.Error msg -> S.List [ S.Atom "error"; S.Atom (encode msg) ]
+  | Outcome.Error msg -> S.List [ S.Atom "error"; S.Atom (percent_encode msg) ]
 
 let status_of_sexp = function
   | S.List [ S.Atom "verified" ] -> Outcome.Verified
   | S.List [ S.Atom "timeout" ] -> Outcome.Timeout
   | S.List [ S.Atom "counterexample"; m ] -> Outcome.Counterexample (model_of_sexp m)
   | S.List [ S.Atom "inconclusive"; m ] -> Outcome.Inconclusive (model_of_sexp m)
-  | S.List [ S.Atom "error"; S.Atom msg ] -> Outcome.Error (decode msg)
+  | S.List [ S.Atom "error"; S.Atom msg ] -> Outcome.Error (percent_decode msg)
   | _ -> fail "malformed status"
 
 let sexp_of_region (r : Outcome.region) =
@@ -122,8 +127,9 @@ let sexp_of_outcome (o : Outcome.t) =
     [
       S.Atom "outcome";
       S.Atom (string_of_int format_version);
-      S.List [ S.Atom "dfa"; S.Atom (encode o.Outcome.dfa) ];
-      S.List [ S.Atom "condition"; S.Atom (encode o.Outcome.condition) ];
+      S.List [ S.Atom "dfa"; S.Atom (percent_encode o.Outcome.dfa) ];
+      S.List
+        [ S.Atom "condition"; S.Atom (percent_encode o.Outcome.condition) ];
       sexp_of_box o.Outcome.domain;
       S.List
         [
@@ -182,8 +188,8 @@ let outcome_of_sexp = function
       if not (List.mem (int_of_string version) readable_versions) then
         fail "unsupported outcome format version %s" version;
       {
-        Outcome.dfa = decode dfa;
-        condition = decode condition;
+        Outcome.dfa = percent_decode dfa;
+        condition = percent_decode condition;
         domain = box_of_sexp domain;
         regions = List.map region_of_sexp regions;
         stats = stats_of_sexp stats;
@@ -219,24 +225,25 @@ let save path outcomes =
    killed mid-write would leave behind. *)
 let faulted_write ?io_faults ~what fd bytes =
   let len = String.length bytes in
-  let write_all () =
+  (* the first [n] bytes, retrying EINTR and short counts *)
+  let write_prefix n =
     let rec go off =
-      if off < len then
-        let n =
-          try Unix.write_substring fd bytes off (len - off)
+      if off < n then
+        let k =
+          try Unix.write_substring fd bytes off (n - off)
           with Unix.Unix_error (Unix.EINTR, _, _) -> 0
         in
-        go (off + n)
+        go (off + k)
     in
     go 0
   in
   match io_faults with
-  | None -> write_all ()
+  | None -> write_prefix len
   | Some plan ->
       let key = Fault.key_of_string bytes in
       let rec attempt k =
         match Fault.io_decide plan ~attempt:k ~key with
-        | None -> write_all ()
+        | None -> write_prefix len
         | Some Fault.Eintr ->
             (* interrupted before any byte landed; retry re-rolls the dice,
                bounded so a rate-1.0 plan still terminates *)
@@ -245,16 +252,7 @@ let faulted_write ?io_faults ~what fd bytes =
         | Some Fault.Enospc ->
             raise (Fault.Io_injected (Fault.Enospc, what))
         | Some Fault.Short_write ->
-            let torn = Stdlib.max 1 (len / 2) in
-            let rec go off =
-              if off < torn then
-                let n =
-                  try Unix.write_substring fd bytes off (torn - off)
-                  with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-                in
-                go (off + n)
-            in
-            go 0;
+            write_prefix (Stdlib.max 1 (len / 2));
             raise (Fault.Io_injected (Fault.Short_write, what))
       in
       attempt 0
@@ -297,9 +295,6 @@ let write_file_atomic ?io_faults path content =
   Unix.rename tmp path;
   (* make the rename itself durable *)
   fsync_dir path
-
-let percent_encode = encode
-let percent_decode = decode
 
 (* ------------------------------------------------------------------ *)
 (* Digests — the identity of a campaign's configuration and formula set,
@@ -408,17 +403,6 @@ let path_of_sexp = function
         l
   | S.Atom _ -> fail "malformed region path"
 
-let sexp_of_entry e =
-  S.List
-    ((S.Atom "entry" :: sexp_of_outcome e.outcome :: [])
-    @ (match e.paths with
-      | None -> []
-      | Some ps -> [ S.List (S.Atom "paths" :: List.map sexp_of_path ps) ])
-    @
-    match e.metrics_json with
-    | None -> []
-    | Some j -> [ S.List [ S.Atom "metrics"; S.Atom (encode j) ] ])
-
 let entry_of_sexp = function
   | S.List (S.Atom "entry" :: outcome :: rest) ->
       let paths = ref None and metrics = ref None in
@@ -426,7 +410,8 @@ let entry_of_sexp = function
         (function
           | S.List (S.Atom "paths" :: ps) ->
               paths := Some (List.map path_of_sexp ps)
-          | S.List [ S.Atom "metrics"; S.Atom j ] -> metrics := Some (decode j)
+          | S.List [ S.Atom "metrics"; S.Atom j ] ->
+              metrics := Some (percent_decode j)
           | _ -> fail "malformed checkpoint entry field")
         rest;
       { outcome = outcome_of_sexp outcome; paths = !paths; metrics_json = !metrics }
@@ -434,10 +419,32 @@ let entry_of_sexp = function
      without paths or metrics *)
   | sexp -> { outcome = outcome_of_sexp sexp; paths = None; metrics_json = None }
 
-let entry_to_string e =
-  let buf = Buffer.create 4096 in
-  S.print buf (sexp_of_entry e);
+(* The one printer of entry lines, around outcome bytes [to_string]
+   already printed: the verdict cache commits the bytes it replies with. *)
+let entry_line ?paths ?metrics_json outcome_bytes =
+  let buf = Buffer.create (String.length outcome_bytes + 256) in
+  Buffer.add_string buf "(entry ";
+  Buffer.add_string buf outcome_bytes;
+  let field sexp =
+    Buffer.add_char buf ' ';
+    S.print buf sexp
+  in
+  Option.iter
+    (fun ps -> field (S.List (S.Atom "paths" :: List.map sexp_of_path ps)))
+    paths;
+  Option.iter
+    (fun j -> field (S.List [ S.Atom "metrics"; S.Atom (percent_encode j) ]))
+    metrics_json;
+  Buffer.add_char buf ')';
   Buffer.contents buf
+
+let entry_to_string e =
+  entry_line ?paths:e.paths ?metrics_json:e.metrics_json (to_string e.outcome)
+
+let append_torn_entry path outcome_bytes =
+  let tear = Fault.make_io ~kinds:[ Fault.Short_write ] ~seed:0 ~rate:1.0 () in
+  try append_line ~io_faults:tear path (entry_line outcome_bytes)
+  with Fault.Io_injected (Fault.Short_write, _) -> ()
 
 type line = Header of header | Entry of entry
 
@@ -505,12 +512,7 @@ let repair_checkpoint path =
   ck
 
 let write_header path header =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (header_to_string header);
-      output_char oc '\n')
+  write_file_atomic path (header_to_string header ^ "\n")
 
 (* Strict archive loading: malformed lines raise; header lines (written by
    checkpointing campaigns) are skipped and entry wrappers unwrapped, so a
@@ -562,6 +564,7 @@ module Json = struct
     | Str of string
     | Arr of t list
     | Obj of (string * t) list
+    | Int of int
 
   let escape s =
     let buf = Buffer.create (String.length s + 2) in
@@ -588,41 +591,65 @@ module Json = struct
       let short = Printf.sprintf "%.12g" f in
       if float_of_string short = f then short else Printf.sprintf "%.17g" f
 
-  let rec print buf = function
+  let add_str buf s =
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (escape s);
+    Buffer.add_char buf '"'
+
+  let newline buf = function
+    | None -> ()
+    | Some n ->
+        Buffer.add_char buf '\n';
+        Buffer.add_string buf (String.make n ' ')
+
+  (* [items] between [opening] and [closing], comma-separated; [emit]
+     prints one item at the padding of its line *)
+  let seq ?pad buf opening closing emit items =
+    Buffer.add_char buf opening;
+    if items <> [] then begin
+      let inner = Option.map (( + ) 2) pad in
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_char buf ',';
+          newline buf inner;
+          emit inner item)
+        items;
+      newline buf pad
+    end;
+    Buffer.add_char buf closing
+
+  (* The one printer. [pad] is [None] for the compact form, or [Some n]
+     for the layout of the metrics files: one member per line, indented
+     two spaces deeper than the [n] spaces of the enclosing brackets. *)
+  let rec print ?pad buf = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Int n -> Buffer.add_string buf (string_of_int n)
     | Num f ->
         if Float.is_nan f then Buffer.add_string buf "\"nan\""
         else if f = Float.infinity then Buffer.add_string buf "\"inf\""
         else if f = Float.neg_infinity then Buffer.add_string buf "\"-inf\""
         else Buffer.add_string buf (number f)
-    | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
+    | Str s -> add_str buf s
     | Arr items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            print buf item)
-          items;
-        Buffer.add_char buf ']'
+        seq ?pad buf '[' ']' (fun pad item -> print ?pad buf item) items
     | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
-            Buffer.add_string buf "\":";
-            print buf v)
-          fields;
-        Buffer.add_char buf '}'
+        seq ?pad buf '{' '}'
+          (fun pad (k, v) ->
+            add_str buf k;
+            Buffer.add_string buf (if pad = None then ":" else ": ");
+            print ?pad buf v)
+          fields
 
   let to_string j =
     let buf = Buffer.create 1024 in
     print buf j;
+    Buffer.contents buf
+
+  let to_string_indented j =
+    let buf = Buffer.create 4096 in
+    print ~pad:0 buf j;
+    Buffer.add_char buf '\n';
     Buffer.contents buf
 
   let of_string s =
@@ -917,16 +944,54 @@ let trace_report (o : Outcome.t) events =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Metrics snapshots — parse the JSON that [Obs.Metrics.to_json] emits
-   back into a snapshot, so per-shard metrics files (and the per-pair
-   snapshots embedded in shard checkpoints) can be folded with
-   [Obs.Metrics.merge] at merge time. *)
+(* Metrics snapshots — the [--metrics] files and the per-pair snapshots
+   embedded in checkpoint entries, which merge time folds back together
+   with [Obs.Metrics.merge]. Keys come in the snapshot's sorted order and
+   the layout is indented, so the files are line-diffable and the
+   deterministic section is byte-comparable across runs. *)
 
-let metrics_of_json_string s =
+let metrics_format_version = 1
+
+let json_of_ints kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs)
+
+let json_of_deterministic (s : Obs.Metrics.snapshot) =
+  Json.Obj
+    [
+      ("counters", json_of_ints s.counters);
+      ( "histograms",
+        Json.Obj
+          (List.map
+             (fun (name, sparse) ->
+               ( name,
+                 json_of_ints
+                   (List.map (fun (bk, c) -> (string_of_int bk, c)) sparse) ))
+             s.histograms) );
+    ]
+
+let deterministic_metrics_to_string s =
+  Json.to_string_indented (json_of_deterministic s)
+
+let metrics_to_string (s : Obs.Metrics.snapshot) =
+  Json.to_string_indented
+    (Json.Obj
+       [
+         ("version", Json.Int metrics_format_version);
+         ("deterministic", json_of_deterministic s);
+         ( "wall",
+           Json.Obj
+             [
+               ("counters", json_of_ints s.wall_counters);
+               ("elapsed_ns", Json.Int s.elapsed_ns);
+               ("gauges", json_of_ints s.gauges);
+               ("timers_ns", json_of_ints s.timers);
+             ] );
+       ])
+
+let metrics_of_string s =
   let j = Json.of_string s in
-  (match Json.to_int (Json.member "version" j) with
-  | 1 -> ()
-  | v -> fail "unsupported metrics snapshot version %d" v);
+  let version = Json.to_int (Json.member "version" j) in
+  if version <> metrics_format_version then
+    fail "unsupported metrics snapshot version %d" version;
   let int_assoc what = function
     | Json.Obj fields -> List.map (fun (k, v) -> (k, Json.to_int v)) fields
     | _ -> fail "JSON: expected object of integers for %s" what

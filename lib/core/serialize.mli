@@ -54,11 +54,11 @@ val append_line :
     injected faults) the tmp file is removed and [path] is untouched. *)
 val write_file_atomic : ?io_faults:Fault.io_plan -> string -> string -> unit
 
-(** [percent_encode s] maps [s] onto a single safe s-expression atom
-    (alphanumerics and [_.-+/] kept, everything else [%xx]-escaped) —
-    the same encoding outcome labels use. [percent_decode] inverts it.
-    The service protocol uses the pair for free-form strings (error
-    messages, progress labels) inside its frames. *)
+(** [percent_encode s] maps [s] onto a single safe s-expression atom:
+    alphanumerics and [_.-+/] are kept, everything else is [%xx]-escaped,
+    and the empty string is a bare [%]. Outcome labels, error messages and
+    embedded metrics use it, and so do the service protocol's free-form
+    strings. [percent_decode] inverts it. *)
 val percent_encode : string -> string
 
 val percent_decode : string -> string
@@ -92,8 +92,10 @@ val header_of_string : string -> header
     [expect]'s (the shard field is compared by callers that care). *)
 val check_header : path:string -> expect:header -> header -> unit
 
-(** [write_header path header] creates (or truncates) [path] with the
-    single header line — the start of a fresh checkpoint. *)
+(** [write_header path header] replaces [path] with the single header
+    line — the start of a fresh checkpoint — through
+    {!write_file_atomic}, so a kill mid-write leaves the old file or the
+    header, never a headerless file. *)
 val write_header : string -> header -> unit
 
 (** {1 Checkpoint entries}
@@ -113,10 +115,24 @@ type entry = {
   paths : int list list option;
       (** one box path per region of [outcome.regions], same order *)
   metrics_json : string option;
-      (** [Obs.Metrics.to_json] of the pair's own metrics instance *)
+      (** {!metrics_to_string} of the pair's own metrics instance *)
 }
 
 val entry_to_string : entry -> string
+
+(** [entry_line ?paths ?metrics_json bytes] is the entry line of an
+    outcome that {!to_string} printed as [bytes]; it is the only printer
+    of entry lines ([entry_to_string] calls it), so the verdict cache can
+    commit the bytes it replies with without printing the outcome again. *)
+val entry_line :
+  ?paths:int list list -> ?metrics_json:string -> string -> string
+
+(** [append_torn_entry path bytes] appends to [path] the prefix of the
+    entry line of [bytes] that an injected [Short_write] leaves: what a
+    kill in the middle of the append would leave behind. The crash hooks
+    of the campaign and service gates call it before they SIGKILL
+    themselves. *)
+val append_torn_entry : string -> string -> unit
 
 (** The structured view of a checkpoint file: optional leading header, the
     valid entry prefix, whether a torn/malformed tail was skipped, and the
@@ -144,10 +160,26 @@ val repair_checkpoint : string -> checkpoint
     rendering the shard-merge byte-identity contract is stated over. *)
 val paint_to_string : Outcome.t -> string
 
-(** [metrics_of_json_string s] parses [Obs.Metrics.to_json] output back
-    into a snapshot, for merge-time folding.
+(** {1 Metrics snapshots}
+
+    The [--metrics] files and the per-pair snapshots in checkpoint
+    entries: [{"version":1, "deterministic":{...}, "wall":{...}}] in the
+    snapshot's sorted key order, one member per line, so the files are
+    line-diffable and the deterministic section is byte-comparable across
+    runs. *)
+
+(** The full export, newline-terminated. *)
+val metrics_to_string : Obs.Metrics.snapshot -> string
+
+(** The deterministic section alone (counters and histograms), laid out
+    as in {!metrics_to_string} — the bytes that must not depend on the
+    worker count. *)
+val deterministic_metrics_to_string : Obs.Metrics.snapshot -> string
+
+(** [metrics_of_string s] parses {!metrics_to_string} output back into a
+    snapshot, for merge-time folding.
     @raise Parser.Parse_error on malformed input. *)
-val metrics_of_json_string : string -> Obs.Metrics.snapshot
+val metrics_of_string : string -> Obs.Metrics.snapshot
 
 (** {1 Trace JSON}
 
@@ -157,7 +189,7 @@ val metrics_of_json_string : string -> Obs.Metrics.snapshot
     trace of a deterministic run is byte-identical across runs — which is
     what the golden-file test pins down. *)
 
-(** A minimal JSON document model, sufficient for traces. *)
+(** A minimal JSON document model, sufficient for traces and metrics. *)
 module Json : sig
   type t =
     | Null
@@ -166,7 +198,12 @@ module Json : sig
     | Str of string
     | Arr of t list
     | Obj of (string * t) list
+    | Int of int
+        (** printed exactly at any magnitude; {!of_string} reads every
+            number back as [Num] *)
 
+  (** The compact form: no whitespace. The metrics files use an
+      indented form of the same printer. *)
   val to_string : t -> string
 
   (** @raise Parser.Parse_error on malformed input. *)

@@ -177,7 +177,7 @@ let run_of_checkpoint ~path ~file_index (cp : Serialize.checkpoint) =
     List.fold_left
       (fun acc (e : Serialize.entry) ->
         match e.Serialize.metrics_json with
-        | Some j -> Obs.Metrics.merge acc (Serialize.metrics_of_json_string j)
+        | Some j -> Obs.Metrics.merge acc (Serialize.metrics_of_string j)
         | None ->
             fail "shard %d checkpoint %s has an entry without a metrics \
                   snapshot"

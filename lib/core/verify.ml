@@ -761,7 +761,7 @@ let campaign ?(config = default_config) ?shard ?checkpoint ?resume
             let paths = Option.value e.Serialize.paths ~default:[] in
             let snap =
               match e.Serialize.metrics_json with
-              | Some j -> Serialize.metrics_of_json_string j
+              | Some j -> Serialize.metrics_of_string j
               | None -> Obs.Metrics.empty_snapshot
             in
             ((e.Serialize.outcome, paths), snap)
@@ -781,7 +781,7 @@ let campaign ?(config = default_config) ?shard ?checkpoint ?resume
                   {
                     Serialize.outcome = o;
                     paths = Some paths;
-                    metrics_json = Some (Obs.Metrics.to_json snap);
+                    metrics_json = Some (Serialize.metrics_to_string snap);
                   };
                 Obs.Metrics.incr m_ckpt 1)
               checkpoint;

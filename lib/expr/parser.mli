@@ -1,7 +1,7 @@
 (** Parsing of expression text.
 
-    Infix grammar (used by the CLI to accept ad-hoc conditions and by the
-    test-suite round-trip properties):
+    Infix grammar (no command-line surface parses it; the test suite's
+    print/parse round-trip properties are its only callers):
 
     {v
     expr   := term  (('+' | '-') term)*

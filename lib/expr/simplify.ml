@@ -96,68 +96,6 @@ let simplify e =
   fix e 8
 
 (* ------------------------------------------------------------------ *)
-(* Expansion                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Sum-of-products view: every expression is a list of monomial factor
-   lists; atoms that are not sums stay opaque. *)
-
-let terms_of e = match e.node with Add ts -> ts | _ -> [ e ]
-
-let cross a_terms b_terms =
-  List.concat_map (fun a -> List.map (fun b -> mul a b) b_terms) a_terms
-
-let expand e =
-  let go =
-    memo_fix (fun self e ->
-        match e.node with
-        | Num _ | Flt _ | Var _ -> e
-        | Add terms -> add_n (List.map self terms)
-        | Mul factors ->
-            let expanded = List.map self factors in
-            let products =
-              List.fold_left
-                (fun acc f -> cross acc (terms_of f))
-                [ one ] expanded
-            in
-            add_n products
-        | Pow (b, x) -> (
-            let b' = self b in
-            match as_rat x with
-            | Some r when Rat.is_int r -> (
-                match Rat.to_int r with
-                | Some n when n > 1 && n <= 8 -> (
-                    match b'.node with
-                    | Add _ ->
-                        let rec repeat acc k =
-                          if k = 0 then acc
-                          else repeat (cross acc (terms_of b')) (k - 1)
-                        in
-                        add_n (repeat [ one ] n)
-                    | _ -> pow b' x)
-                | _ -> pow b' x)
-            | _ -> pow b' (self x))
-        | Apply (op, a) -> (
-            let a' = self a in
-            match op with
-            | Exp -> exp a'
-            | Log -> log a'
-            | Sin -> sin a'
-            | Cos -> cos a'
-            | Tanh -> tanh a'
-            | Atan -> atan a'
-            | Abs -> abs a'
-            | Lambert_w -> lambert_w a')
-        | Piecewise (branches, default) ->
-            piecewise
-              (List.map
-                 (fun (g, body) -> ({ g with cond = self g.cond }, self body))
-                 branches)
-              (self default))
-  in
-  go e
-
-(* ------------------------------------------------------------------ *)
 (* Nonnegativity-assisted simplification                               *)
 (* ------------------------------------------------------------------ *)
 

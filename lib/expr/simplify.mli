@@ -16,11 +16,6 @@
 
 val simplify : Expr.t -> Expr.t
 
-(** [expand e] additionally distributes products and natural-number powers
-    over sums, producing a sum-of-products normal form. Exponential in the
-    worst case — used by tests and small canonicalization tasks only. *)
-val expand : Expr.t -> Expr.t
-
 (** [with_nonneg vars e] simplifies under the assumption that every variable
     in [vars] is nonnegative — true of all DFA inputs ([rs > 0], [s >= 0],
     [alpha >= 0]). This licenses rewrites that are unsound in general but

@@ -6,9 +6,9 @@
    fuel burned) — for a deterministic campaign (no deadline) their snapshot
    is identical at every worker count, which the test harness checks
    byte-for-byte. [Wall] metrics are everything scheduling- or
-   clock-dependent: timers, gauges, steal counts. The JSON export keeps the
-   two in separate objects so the deterministic section can be compared
-   verbatim across runs. *)
+   clock-dependent: timers, gauges, steal counts. Snapshots keep the two
+   apart, so the deterministic part can be compared verbatim across runs
+   (Serialize prints and parses the snapshot JSON). *)
 
 module Clock = struct
   external monotonic_ns : unit -> int = "xcv_obs_monotonic_ns" [@@noalloc]
@@ -389,94 +389,6 @@ module Metrics = struct
     let inst = match registry with Some r -> r | None -> current () in
     let elapsed_ns = Stdlib.max 0 (Clock.now_ns () - inst.created_ns) in
     List.fold_left merge (zeros ~elapsed_ns) (shard_snapshots ?registry ())
-
-  (* ---- JSON export -----------------------------------------------------
-     Hand-rolled writer (this library sits below the serializer): keys are
-     emitted in sorted order, two-space indentation, so exports are
-     line-diffable and the deterministic section is byte-comparable. *)
-
-  let escape b s =
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"'
-
-  let obj b ~indent fields =
-    let pad = String.make indent ' ' in
-    if fields = [] then Buffer.add_string b "{}"
-    else begin
-      Buffer.add_string b "{\n";
-      List.iteri
-        (fun i (k, emit) ->
-          if i > 0 then Buffer.add_string b ",\n";
-          Buffer.add_string b pad;
-          Buffer.add_string b "  ";
-          escape b k;
-          Buffer.add_string b ": ";
-          emit ())
-        fields;
-      Buffer.add_char b '\n';
-      Buffer.add_string b pad;
-      Buffer.add_char b '}'
-    end
-
-  let int_fields b ~indent kvs =
-    obj b ~indent
-      (List.map
-         (fun (k, v) -> (k, fun () -> Buffer.add_string b (string_of_int v)))
-         kvs)
-
-  let hist_fields b ~indent hs =
-    obj b ~indent
-      (List.map
-         (fun (name, sparse) ->
-           ( name,
-             fun () ->
-               int_fields b ~indent:(indent + 2)
-                 (List.map (fun (bk, c) -> (string_of_int bk, c)) sparse) ))
-         hs)
-
-  let emit_deterministic b ~indent s =
-    obj b ~indent
-      [
-        ("counters", fun () -> int_fields b ~indent:(indent + 2) s.counters);
-        ("histograms", fun () -> hist_fields b ~indent:(indent + 2) s.histograms);
-      ]
-
-  let deterministic_json s =
-    let b = Buffer.create 1024 in
-    emit_deterministic b ~indent:0 s;
-    Buffer.add_char b '\n';
-    Buffer.contents b
-
-  let to_json s =
-    let b = Buffer.create 4096 in
-    obj b ~indent:0
-      [
-        ("version", fun () -> Buffer.add_string b "1");
-        ("deterministic", fun () -> emit_deterministic b ~indent:2 s);
-        ( "wall",
-          fun () ->
-            obj b ~indent:2
-              [
-                ( "counters",
-                  fun () -> int_fields b ~indent:4 s.wall_counters );
-                ( "elapsed_ns",
-                  fun () -> Buffer.add_string b (string_of_int s.elapsed_ns) );
-                ("gauges", fun () -> int_fields b ~indent:4 s.gauges);
-                ("timers_ns", fun () -> int_fields b ~indent:4 s.timers);
-              ] );
-      ];
-    Buffer.add_char b '\n';
-    Buffer.contents b
 end
 
 module Progress = struct

@@ -130,14 +130,6 @@ module Metrics : sig
   val shard_snapshots : ?registry:t -> unit -> snapshot list
 
   val merge : snapshot -> snapshot -> snapshot
-
-  (** Counters + histograms only — the byte-comparable section. Keys are
-      emitted in sorted order with fixed layout. *)
-  val deterministic_json : snapshot -> string
-
-  (** Full export: [{"version":1, "deterministic":{...}, "wall":{...}}],
-      deterministic key order throughout. *)
-  val to_json : snapshot -> string
 end
 
 module Progress : sig

@@ -135,16 +135,12 @@ let journal_pending path =
                  [ S.Atom "inflight"; S.List [ S.Atom "seq"; S.Atom n ]; req ]
                -> (
                  match int_of_string_opt n with
-                 | Some seq ->
-                     let buf = Buffer.create 128 in
-                     S.print buf req;
-                     (try
-                        let r =
-                          Protocol.request_of_string (Buffer.contents buf)
-                        in
-                        Hashtbl.replace inflight seq r;
-                        order := seq :: !order
-                      with Parser.Parse_error _ -> ())
+                 | Some seq -> (
+                     match Protocol.request_of_sexp req with
+                     | r ->
+                         Hashtbl.replace inflight seq r;
+                         order := seq :: !order
+                     | exception Parser.Parse_error _ -> ())
                  | None -> ())
              | S.List [ S.Atom "done"; S.List [ S.Atom "seq"; S.Atom n ] ]
                -> (
@@ -219,19 +215,14 @@ let charge client spent =
 
 (* ---- the kill-after test hook --------------------------------------- *)
 
-(* After the Nth successful commit: tear the group file's tail exactly as
-   a kill mid-write would, then SIGKILL ourselves. The restarted daemon
-   must repair the tear and still serve every committed verdict. *)
-let maybe_kill t ~group_file =
+(* After the Nth successful commit: tear a copy of the committed entry
+   line onto the group file's tail exactly as a kill mid-write would, then
+   SIGKILL ourselves. The restarted daemon must repair the tear and still
+   serve every committed verdict. *)
+let maybe_kill t ~group_file bytes =
   match t.config.kill_after with
   | Some n when Verdict_cache.commits t.cache >= n ->
-      let fd =
-        Unix.openfile group_file [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644
-      in
-      let torn = "(entry (version 3) (outcome (dfa pbe" in
-      ignore (Unix.write_substring fd torn 0 (String.length torn));
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Unix.close fd;
+      Serialize.append_torn_entry group_file bytes;
       Unix.kill (Unix.getpid ()) Sys.sigkill
   | _ -> ()
 
@@ -318,6 +309,7 @@ let solve_problem t client ~id ~cancel ~opts ~emit ((problem, formula_hash) as p
               maybe_kill t
                 ~group_file:
                   (Verdict_cache.group_file t.cache ~config_hash ~formula_hash)
+                bytes
             with Fault.Io_injected _ -> Obs.Metrics.incr m_cache_faults 1);
       emit
         (Protocol.result ~id ~cached:false ~degraded:rung ~partial outcome bytes);

@@ -45,9 +45,7 @@ type response =
 
 let atom_int n = S.Atom (string_of_int n)
 
-(* a bare "%" marks the empty string — percent_encode never emits a '%'
-   without two hex digits, and the lexer cannot carry an empty atom *)
-let atom_str s = S.Atom (if s = "" then "%" else Serialize.percent_encode s)
+let atom_str s = S.Atom (Serialize.percent_encode s)
 let field name v = S.List [ S.Atom name; v ]
 let int_field name n = field name (atom_int n)
 let str_field name s = field name (atom_str s)
@@ -60,7 +58,6 @@ let int_of_atom what = function
   | S.List _ -> fail "service: %s: expected integer atom" what
 
 let str_of_atom what = function
-  | S.Atom "%" -> ""
   | S.Atom a -> Serialize.percent_decode a
   | S.List _ -> fail "service: %s: expected atom" what
 

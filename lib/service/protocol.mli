@@ -68,6 +68,12 @@ type response =
 
 val request_to_string : request -> string
 
+(** [request_of_sexp sexp] reads a request embedded in a larger
+    s-expression (the service journal's [inflight] lines) —
+    {!request_of_string} without the parse.
+    @raise Parser.Parse_error on malformed input. *)
+val request_of_sexp : Parser.Sexp.t -> request
+
 (** @raise Parser.Parse_error on malformed input. *)
 val request_of_string : string -> request
 

@@ -164,10 +164,6 @@ let find_printed ?(count_miss = true) t ~config_hash ~formula_hash ~box =
 let find t ~config_hash ~formula_hash ~box =
   Option.map fst (find_printed t ~config_hash ~formula_hash ~box)
 
-(* The line [Serialize.entry_to_string] writes for an entry without paths
-   or metrics, built around the outcome's printed bytes. *)
-let entry_line bytes = "(entry " ^ bytes ^ ")"
-
 let put_printed t ~config_hash ~formula_hash outcome bytes =
   let key = group_key ~config_hash ~formula_hash in
   let g = load_group t ~config_hash ~formula_hash in
@@ -180,7 +176,7 @@ let put_printed t ~config_hash ~formula_hash outcome bytes =
     ensure_file g;
     match
       Serialize.append_line ?io_faults:t.io_faults ~fsync:true g.g_file
-        (entry_line bytes)
+        (Serialize.entry_line bytes)
     with
     | () ->
         g.g_entries <- g.g_entries @ [ { outcome; bytes } ];

@@ -70,6 +70,56 @@ let prop_merge_identity =
       Obs.Metrics.(merge a empty_snapshot = a && merge empty_snapshot a = a))
 
 (* ------------------------------------------------------------------ *)
+(* The JSON codec: what Serialize prints, it reads back *)
+
+let prop_json_roundtrip =
+  qcheck ~count:300 "metrics JSON print/parse round-trip" snapshot_gen
+    (fun s ->
+      Serialize.metrics_of_string (Serialize.metrics_to_string s) = s)
+
+(* Empty sections, sparse buckets and integers beyond 1e15 (which a
+   float-valued printer would render as "1e+15"), byte for byte. *)
+let test_json_edges () =
+  let s =
+    {
+      Obs.Metrics.empty_snapshot with
+      histograms = [ ("h", [ (0, 1); (63, 7) ]); ("h.empty", []) ];
+      timers = [ ("phase.solve", (1 lsl 52) + 1) ];
+      elapsed_ns = 1_000_000_000_000_000;
+    }
+  in
+  Alcotest.(check string) "layout"
+    {|{
+  "version": 1,
+  "deterministic": {
+    "counters": {},
+    "histograms": {
+      "h": {
+        "0": 1,
+        "63": 7
+      },
+      "h.empty": {}
+    }
+  },
+  "wall": {
+    "counters": {},
+    "elapsed_ns": 1000000000000000,
+    "gauges": {},
+    "timers_ns": {
+      "phase.solve": 4503599627370497
+    }
+  }
+}
+|}
+    (Serialize.metrics_to_string s);
+  check_true "round-trip"
+    (Serialize.metrics_of_string (Serialize.metrics_to_string s) = s);
+  check_true "empty snapshot round-trip"
+    (Serialize.metrics_of_string
+       (Serialize.metrics_to_string Obs.Metrics.empty_snapshot)
+    = Obs.Metrics.empty_snapshot)
+
+(* ------------------------------------------------------------------ *)
 (* The same algebra over real shards of a real campaign *)
 
 let det_config ?(retry = Verify.no_retry) workers =
@@ -140,8 +190,8 @@ let test_campaign_deterministic_section () =
   let s1 = campaign_snapshot 1 and s4 = campaign_snapshot 4 in
   Alcotest.(check string)
     "deterministic section byte-identical at workers=1 and workers=4"
-    (Obs.Metrics.deterministic_json s1)
-    (Obs.Metrics.deterministic_json s4);
+    (Serialize.deterministic_metrics_to_string s1)
+    (Serialize.deterministic_metrics_to_string s4);
   (* sanity: the campaign actually counted work *)
   check_true "boxes were counted"
     (match List.assoc_opt "verify.boxes" s1.Obs.Metrics.counters with
@@ -182,7 +232,7 @@ let golden_run () =
   ignore
     (Verify.run_custom ~config ~dfa_label:"obs-golden" ~condition_label:"circle"
        ~domain ~psi ());
-  Obs.Metrics.to_json (Obs.Metrics.snapshot ())
+  Serialize.metrics_to_string (Obs.Metrics.snapshot ())
 
 let test_metrics_golden () =
   let json = golden_run () in
@@ -230,6 +280,8 @@ let suite =
     prop_merge_commutative;
     prop_merge_associative;
     prop_merge_identity;
+    prop_json_roundtrip;
+    case "metrics JSON edge cases" test_json_edges;
     case "shard fold order irrelevant" test_shard_fold_order_irrelevant;
     case "campaign deterministic section at 1 and 4 workers"
       test_campaign_deterministic_section;

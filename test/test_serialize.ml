@@ -172,6 +172,12 @@ let append_entry path (o : Outcome.t) =
          metrics_json = Some "{\"version\":1}";
        })
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let test_checkpoint_roundtrip () =
   let path = Filename.temp_file "xcv" ".checkpoint" in
   Fun.protect
@@ -216,6 +222,117 @@ let test_checkpoint_torn_tail () =
       | exception _ -> ()
       | _ -> Alcotest.fail "strict load should reject the torn tail")
 
+(* The lexer cannot carry an empty atom, so empty labels and an empty
+   error message must still print as atoms that read back — and a
+   checkpoint holding such an entry must not lose it, or anything after
+   it, to the torn-tail repair. *)
+let test_empty_strings_roundtrip () =
+  let empty = { (error_out "") with Outcome.dfa = ""; condition = "" } in
+  check_roundtrip empty;
+  let path = Filename.temp_file "xcv" ".checkpoint" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Sys.remove path;
+      List.iter (append_entry path)
+        [ error_out "first"; empty; error_out "last" ];
+      let ck = Serialize.repair_checkpoint path in
+      check_false "no torn tail" ck.Serialize.truncated;
+      Alcotest.(check (list string)) "all three entries read back"
+        [ "synthetic"; ""; "synthetic" ]
+        (List.map
+           (fun e -> e.Serialize.outcome.Outcome.dfa)
+           ck.Serialize.entries);
+      check_true "empty error message survives"
+        (same_status (Outcome.Error "")
+           (List.hd (List.nth ck.Serialize.entries 1).Serialize.outcome
+              .Outcome.regions)
+             .Outcome.status))
+
+(* The bytes of an entry line are a persisted format: pin one, with paths
+   and an embedded metrics snapshot, character for character. *)
+let test_entry_line_bytes () =
+  let o = { (error_out "a b") with Outcome.dfa = "VWN RPA" } in
+  Alcotest.(check string) "entry line"
+    "(entry (outcome 3 (dfa VWN%20RPA) (condition ec1) (box (x 0x0p+0 \
+     0x1p+0)) (stats 0 0 0 0 3 0x0p+0) (regions (region 0 (error a%20b) \
+     (box (x 0x0p+0 0x1p+0))) (region 1 (verified) (box (x 0x0p+0 \
+     0x1p+0))))) (paths (0) (0 1)) (metrics %7b%0a%7d))"
+    (Serialize.entry_to_string
+       {
+         Serialize.outcome = o;
+         paths = Some [ [ 0 ]; [ 0; 1 ] ];
+         metrics_json = Some "{\n}";
+       });
+  Alcotest.(check string) "bare entry line around printed bytes"
+    ("(entry " ^ Serialize.to_string o ^ ")")
+    (Serialize.entry_line (Serialize.to_string o))
+
+(* The crash hooks tear a real entry line: a proper prefix of it, which
+   the reader reports as a torn tail and the repair removes. *)
+let test_torn_entry () =
+  let path = Filename.temp_file "xcv" ".checkpoint" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let o = error_out "first" in
+      Serialize.write_header path
+        { Serialize.config_hash = "c"; formula_hash = "f"; shard = None };
+      append_entry path o;
+      let clean = read_file path in
+      Serialize.append_torn_entry path (Serialize.to_string o);
+      let torn = read_file path in
+      let tail =
+        String.sub torn (String.length clean)
+          (String.length torn - String.length clean)
+      in
+      let line = Serialize.entry_line (Serialize.to_string o) in
+      check_true "tail is a proper prefix of the entry line"
+        (String.length tail > 0
+        && String.length tail < String.length line
+        && String.equal tail (String.sub line 0 (String.length tail)));
+      let ck = Serialize.repair_checkpoint path in
+      check_true "torn tail detected" ck.Serialize.truncated;
+      Alcotest.(check int) "entry before the tear survives" 1
+        (List.length ck.Serialize.entries);
+      Alcotest.(check string) "repair restores the clean bytes" clean
+        (read_file path))
+
+(* A failed atomic write — which now also writes checkpoint headers —
+   leaves the destination byte-identical and no tmp file behind. *)
+let test_atomic_write_faults () =
+  let path = Filename.temp_file "xcv" ".checkpoint" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let header =
+        { Serialize.config_hash = "c"; formula_hash = "f"; shard = Some (0, 2) }
+      in
+      Serialize.write_header path header;
+      append_entry path (error_out "kept");
+      let before = read_file path in
+      List.iter
+        (fun kind ->
+          let io_faults = Fault.make_io ~kinds:[ kind ] ~seed:1 ~rate:1.0 () in
+          (match
+             Serialize.write_file_atomic ~io_faults path
+               (Serialize.header_to_string header ^ "\n")
+           with
+          | () ->
+              Alcotest.failf "expected injected %s" (Fault.io_kind_name kind)
+          | exception Fault.Io_injected (k, _) when k = kind -> ());
+          Alcotest.(check string)
+            (Fault.io_kind_name kind ^ " leaves the file byte-identical")
+            before (read_file path);
+          check_false "no tmp file left behind"
+            (Sys.file_exists
+               (Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()))))
+        [ Fault.Short_write; Fault.Enospc ];
+      Serialize.write_header path header;
+      let ck = Serialize.read_checkpoint path in
+      check_true "a fresh header replaces the file"
+        (ck.Serialize.cp_header = Some header && ck.Serialize.entries = []))
+
 let suite =
   [
     case "round-trip LYP EC1" test_roundtrip_lyp;
@@ -229,4 +346,8 @@ let suite =
     case "retry event round-trip" test_retry_event_roundtrip;
     case "checkpoint append + load" test_checkpoint_roundtrip;
     case "checkpoint torn tail" test_checkpoint_torn_tail;
+    case "empty labels and messages round-trip" test_empty_strings_roundtrip;
+    case "entry line bytes" test_entry_line_bytes;
+    case "torn entry hook" test_torn_entry;
+    case "atomic write faults leave the file intact" test_atomic_write_faults;
   ]

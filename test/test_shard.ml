@@ -80,7 +80,7 @@ let test_partition_independent () =
   let (base_o, _), base_snap = unsharded () in
   let base_paint = paint base_o in
   let base_table = Report.table1 [ base_o ] in
-  let base_det = Obs.Metrics.deterministic_json base_snap in
+  let base_det = Serialize.deterministic_metrics_to_string base_snap in
   check_true "the pair actually splits (so sharding is non-trivial)"
     (List.length base_o.Outcome.regions > 4);
   List.iter
@@ -104,7 +104,8 @@ let test_partition_independent () =
               Alcotest.(check string)
                 (tag "deterministic metrics")
                 base_det
-                (Obs.Metrics.deterministic_json m.Shard_merge.metrics))
+                (Serialize.deterministic_metrics_to_string
+                   m.Shard_merge.metrics))
         [ 1; 4 ])
     [ 1; 2; 4 ]
 
@@ -123,7 +124,7 @@ let merged_fp runs =
   match Shard_merge.merge_runs runs with
   | Ok m ->
       paint (List.hd m.Shard_merge.outcomes)
-      ^ Obs.Metrics.deterministic_json m.Shard_merge.metrics
+      ^ Serialize.deterministic_metrics_to_string m.Shard_merge.metrics
   | Error e -> "error: " ^ e
 
 (* merge_runs is insensitive to the order its shard runs arrive in. *)
@@ -271,8 +272,8 @@ let test_merge_files_reproduces_unsharded () =
       Alcotest.(check string) "Table I byte-identical" (Report.table1 clean)
         (Report.table1 m.Shard_merge.outcomes);
       Alcotest.(check string) "deterministic metrics byte-identical"
-        (Obs.Metrics.deterministic_json clean_snap)
-        (Obs.Metrics.deterministic_json m.Shard_merge.metrics)
+        (Serialize.deterministic_metrics_to_string clean_snap)
+        (Serialize.deterministic_metrics_to_string m.Shard_merge.metrics)
 
 let expect_files_error ~sub base =
   match Shard_merge.merge_files ~base with
@@ -453,7 +454,8 @@ let golden_json () =
                  (List.map (fun l -> Serialize.Json.Str l) paint_lines) );
              ( "deterministic",
                Serialize.Json.of_string
-                 (Obs.Metrics.deterministic_json m.Shard_merge.metrics) );
+                 (Serialize.deterministic_metrics_to_string
+                    m.Shard_merge.metrics) );
            ])
 
 let test_shard_merge_golden () =
@@ -516,8 +518,8 @@ let test_torn_resume_merges_identically () =
         clean m.Shard_merge.outcomes;
       Alcotest.(check string)
         "deterministic metrics byte-identical after torn resume"
-        (Obs.Metrics.deterministic_json clean_snap)
-        (Obs.Metrics.deterministic_json m.Shard_merge.metrics)
+        (Serialize.deterministic_metrics_to_string clean_snap)
+        (Serialize.deterministic_metrics_to_string m.Shard_merge.metrics)
 
 (* ---- one driver, one checkpoint format (unsharded) -------------------- *)
 
@@ -545,8 +547,8 @@ let test_unsharded_resume_keeps_metrics () =
     (fun a (b, _) -> Alcotest.(check string) "paint bytes" (paint a) (paint b))
     clean pairs;
   Alcotest.(check string) "deterministic metrics byte-identical after resume"
-    (Obs.Metrics.deterministic_json clean_snap)
-    (Obs.Metrics.deterministic_json snap);
+    (Serialize.deterministic_metrics_to_string clean_snap)
+    (Serialize.deterministic_metrics_to_string snap);
   Alcotest.(check int) "every pair on disk" (List.length clean)
     (List.length (Serialize.read_checkpoint ckpt).Serialize.entries)
 
@@ -719,8 +721,8 @@ let test_sigkill_under_supervisor () =
       Alcotest.(check string) "Table I byte-identical" (Report.table1 clean)
         (Report.table1 merged);
       let det p =
-        Obs.Metrics.deterministic_json
-          (Serialize.metrics_of_json_string (read_file p))
+        Serialize.deterministic_metrics_to_string
+          (Serialize.metrics_of_string (read_file p))
       in
       Alcotest.(check string) "deterministic metrics byte-identical"
         (det (path "un.json"))

@@ -32,15 +32,6 @@ let test_piecewise_flattening () =
       Alcotest.(check int) "flattened to two branches" 2 (List.length branches)
   | _ -> Alcotest.fail "expected piecewise"
 
-let test_expand () =
-  (* (x+1)^2 = x^2 + 2x + 1 *)
-  let e = Simplify.expand (sqr (add x one)) in
-  let expected = add_n [ sqr x; mul two x; one ] in
-  check_true "binomial square" (equal e expected);
-  (* (x+y)(x-y) = x^2 - y^2 *)
-  let e2 = Simplify.expand (mul (add x y) (sub x y)) in
-  check_true "difference of squares" (equal e2 (sub (sqr x) (sqr y)))
-
 let test_with_nonneg () =
   let nn = Simplify.with_nonneg [ "x" ] in
   check_true "(x^-3)^(1/3) = x^-1 for x >= 0"
@@ -110,12 +101,10 @@ let suite =
     case "abs rules" test_abs_rules;
     case "rebuild folds debris" test_recursive_rebuild;
     case "piecewise flattening" test_piecewise_flattening;
-    case "expansion" test_expand;
     case "nonneg-assisted rules" test_with_nonneg;
     case "substitution" test_subst;
     case "limit substitution" test_at_large;
     random_value_preservation "simplify" Simplify.simplify env2_gen;
-    random_value_preservation "expand" Simplify.expand env2_gen;
     random_value_preservation "with_nonneg on nonneg box"
       (Simplify.with_nonneg [ "x"; "y" ])
       nonneg_env_gen;
