@@ -538,15 +538,16 @@ let run_sharded ?config ?shard (p : Encoder.problem) =
 (* Campaign identity hashes (checkpoint headers).
 
    [config_hash] covers exactly the verdict-relevant knobs: threshold,
-   solver fuel/delta/rounds/sample-check, the fault plan, the contractor
-   choice, split heuristic and retry policy. [use_tape] is still folded in
-   (it can only be true now) so the hash, and the checkpoint headers that
-   carry it, match those of older runs. [workers] and
-   [deadline_seconds] are deliberately excluded — they change scheduling,
-   never verdicts (for deadline-free runs), and a checkpoint taken at -j4
-   must be resumable at -j1. [jit] and [jit_cache] are excluded for the
-   same reason: the native kernel is bit-identical to the interpreted
-   tape, so a checkpoint taken with --jit must be resumable without it. *)
+   solver fuel/delta/rounds, the fault plan, the contractor choice, split
+   heuristic and retry policy. [use_tape] and the retired midpoint
+   sample-check switch are still folded in (both can only be true now) so
+   the hash, and the checkpoint headers that carry it, match those of
+   older runs. [workers] and [deadline_seconds] are deliberately
+   excluded — they change scheduling, never verdicts (for deadline-free
+   runs), and a checkpoint taken at -j4 must be resumable at -j1. [jit]
+   and [jit_cache] are excluded for the same reason: the native kernel is
+   bit-identical to the interpreted tape, so a checkpoint taken with
+   --jit must be resumable without it. *)
 
 let config_hash (c : config) =
   let b = Buffer.create 128 in
@@ -561,7 +562,7 @@ let config_hash (c : config) =
   add "%d" c.solver.Icp.fuel;
   add "%h" c.solver.Icp.delta;
   add "%d" c.solver.Icp.contractor_rounds;
-  add "%b" c.solver.Icp.sample_check;
+  add "%b" true (* the retired sample-check switch *);
   (match c.solver.Icp.faults with
   | None -> add "faults:none"
   | Some p ->
@@ -618,56 +619,26 @@ let formula_hash problems =
    its deterministic section equals the uninterrupted run's byte for
    byte (merged across shards, the unsharded run's). *)
 
-(* A pair whose run failed outright (exception outside the box-level
-   isolation, retries exhausted): the whole domain is painted as a single
-   error region so the campaign table still has a cell for it. *)
-let error_outcome ~dfa ~condition ~domain ~retries msg =
-  {
-    Outcome.dfa;
-    condition;
-    domain;
-    regions = [ { Outcome.box = domain; status = Outcome.Error msg; depth = 0 } ];
-    stats = { Outcome.zero_stats with Outcome.retries };
-  }
-
-(* Pair-level supervision: retry a pair whose run raised with escalated
-   fuel, then give up with an [error_outcome]. Box-level isolation inside
-   the run already absorbs solver failures, so this is the outer belt. *)
+(* Pair-level supervision: a pair whose run raised outside the box-level
+   isolation (which already absorbs and retries every solver failure) is
+   painted as a single whole-domain error region, so the campaign table
+   still has a cell for it. What can raise there (the config check, the
+   tape compile, the shard fan-out) is deterministic, so the pair is not
+   re-run. *)
 let supervise_pair ~config ?shard (p : Encoder.problem) =
-  let rec go k =
-    let cfg =
-      {
-        config with
-        solver =
-          {
-            config.solver with
-            Icp.fuel =
-              escalated_fuel config.solver.Icp.fuel config.retry.fuel_growth k;
-          };
-      }
-    in
-    match run_sharded ~config:cfg ?shard p with
-    | o, paths when k = 0 -> (o, paths)
-    | o, paths ->
-        (* surface the pair-level attempts alongside the box-level ones *)
-        ( {
-            o with
-            Outcome.stats =
-              {
-                o.Outcome.stats with
-                Outcome.retries = o.Outcome.stats.Outcome.retries + k;
-              };
-          },
-          paths )
-    | exception e ->
-        if k < config.retry.max_retries then go (k + 1)
-        else
-          ( error_outcome ~dfa:p.Encoder.dfa.Registry.label
-              ~condition:(Conditions.name p.Encoder.condition)
-              ~domain:p.Encoder.domain ~retries:k (Printexc.to_string e),
-            [ [] ] )
-  in
-  go 0
+  match run_sharded ~config ?shard p with
+  | r -> r
+  | exception e ->
+      let domain = p.Encoder.domain in
+      let status = Outcome.Error (Printexc.to_string e) in
+      ( {
+          Outcome.dfa = p.Encoder.dfa.Registry.label;
+          condition = Conditions.name p.Encoder.condition;
+          domain;
+          regions = [ { Outcome.box = domain; status; depth = 0 } ];
+          stats = Outcome.zero_stats;
+        },
+        [ [] ] )
 
 let append_entry path e =
   Serialize.append_line path (Serialize.entry_to_string e)

@@ -166,9 +166,10 @@ val order_children :
   (Box.t * float) list
 
 (** [config_hash config] — {!Serialize.digest} of the verdict-relevant
-    configuration: threshold, solver fuel/delta/rounds/sample-check, fault
-    plan, contractor choice, [use_tape] (always true, kept so hashes stay
-    stable), split heuristic, retry policy.
+    configuration: threshold, solver fuel/delta/rounds, fault plan,
+    contractor choice, [use_tape] and the retired sample-check switch
+    (both always true, kept so hashes stay stable), split heuristic, retry
+    policy.
     [workers] and [deadline_seconds] are excluded: they change scheduling,
     never verdicts (for deadline-free runs), so a checkpoint taken at -j4
     resumes at -j1. *)
@@ -185,10 +186,11 @@ val formula_hash : Encoder.problem list -> string
     only slice [shard.shard_index] of [shard.shard_count] of every pair's
     box tree; [None] (the default) is the whole campaign.
 
-    Supervision: a pair whose run raises (outside the box-level isolation)
-    is retried per [config.retry] with escalated fuel and finally recorded
-    as a single whole-domain {!Outcome.Error} region — the campaign never
-    aborts on one pair.
+    Supervision: a pair whose run raises outside the box-level isolation
+    (which retries solver failures per [config.retry]) is recorded as a
+    single whole-domain {!Outcome.Error} region, without a re-run: what
+    can raise there is deterministic. The campaign never aborts on one
+    pair.
 
     Metrics: every freshly run pair runs under a private metrics instance.
     The returned snapshot is the fold of the per-pair snapshots, resumed

@@ -586,14 +586,3 @@ let w_hi x =
     count_w_kernel ();
     up guess (stride guess) 0
   end
-
-let branch_point = -.Stdlib.exp (-1.0)
-
-let lambert_w i =
-  let dom = Interval.make branch_point Float.infinity in
-  let i = Interval.meet i dom in
-  if Interval.is_empty i then Interval.empty
-  else
-    Interval.of_bounds
-      (w_lo (Interval.inf i))
-      (w_hi (Interval.sup i))

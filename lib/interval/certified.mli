@@ -83,17 +83,14 @@ val sin : Interval.t -> Interval.t
 
 val cos : Interval.t -> Interval.t
 
-(** [lambert_w i]: principal-branch enclosure with no NaN escapes. Each
-    bound is certified by bracketing the interval-evaluated residual
-    [w e^w - x] (using the certified {!exp}), stepping outward with a
-    mixed absolute+relative stride; near the branch point the initial
-    guess comes from the [p = sqrt(2(e x + 1))] series evaluated in
-    interval arithmetic, so [x] values where the float kernel NaNs still
-    get finite bounds. *)
-val lambert_w : Interval.t -> Interval.t
-
-(** [w_lo x] / [w_hi x]: the per-side certified bounds backing
-    {!lambert_w}, exposed for {!Transcend}'s escape-repair dispatch. *)
+(** [w_lo x] / [w_hi x]: certified lower / upper bounds of the principal
+    branch W0 at [x], for {!Transcend}'s escape-repair dispatch. Each bound
+    is certified by bracketing the interval-evaluated residual [w e^w - x]
+    (using the certified {!exp}), stepping outward with a mixed
+    absolute+relative stride; near the branch point the initial guess comes
+    from the [p = sqrt(2(e x + 1))] series evaluated in interval
+    arithmetic, so [x] values where the float kernel NaNs still get finite
+    bounds. *)
 val w_lo : float -> float
 
 val w_hi : float -> float

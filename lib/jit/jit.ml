@@ -436,7 +436,12 @@ let plan ?cache_dir ~mvf ~rounds compiled =
               let* ws = make_workspace ~base in
               let src_path = Filename.concat ws (key ^ ".c") in
               let tmp_so = Filename.concat ws (key ^ ".so") in
-              write_file src_path source;
+              let* () =
+                match write_file src_path source with
+                | () -> Ok ()
+                | exception Sys_error e ->
+                    Error (Printf.sprintf "xcvjit: write source: %s" e)
+              in
               let* () = compile_so ~cc ~src_path ~so_path:tmp_so in
               (match cached_so with
               | None -> Ok tmp_so

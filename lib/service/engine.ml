@@ -262,7 +262,7 @@ let lookup t client ~id ~opts ~count_miss (problem, formula_hash) =
         Verdict_cache.find_printed ~count_miss t.cache ~config_hash
           ~formula_hash ~box:problem.Encoder.domain
       with
-      | Some ((Verdict_cache.Exact o | Verdict_cache.Subsumed o), bytes) ->
+      | Some (o, bytes) ->
           `Hit
             (rung, Protocol.result ~id ~cached:true ~degraded:rung
                      ~partial:false o bytes)

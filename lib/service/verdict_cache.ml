@@ -2,7 +2,6 @@
    atomic creation, fsynced O_APPEND commits, repair-on-open. *)
 
 let m_hits = Obs.Metrics.counter "service.cache.hits"
-let m_subbox = Obs.Metrics.counter "service.cache.subbox_hits"
 let m_misses = Obs.Metrics.counter "service.cache.misses"
 let m_commits = Obs.Metrics.counter ~clas:Obs.Metrics.Wall "service.cache.commits"
 let m_repairs = Obs.Metrics.counter ~clas:Obs.Metrics.Wall "service.cache.repairs"
@@ -14,8 +13,7 @@ type entry = { outcome : Outcome.t; bytes : string }
 type group = {
   g_file : string;
   g_header : Serialize.header;
-  (* oldest first; lookups scan in file order so the choice of subsuming
-     entry is stable across restarts *)
+  (* oldest first (file order) *)
   mutable g_entries : entry list;
   mutable g_exists : bool;
 }
@@ -111,55 +109,15 @@ let entries t ~config_hash ~formula_hash =
     (fun e -> e.outcome)
     (load_group t ~config_hash ~formula_hash).g_entries
 
-let box_contains ~outer ~inner =
-  Box.vars outer = Box.vars inner
-  && List.for_all
-       (fun v ->
-         let o = Box.get outer v and i = Box.get inner v in
-         Interval.inf o <= Interval.inf i && Interval.sup i <= Interval.sup o)
-       (Box.vars outer)
-
-type hit = Exact of Outcome.t | Subsumed of Outcome.t
-
-(* A query box inside a cached Verified region is verified: synthesize a
-   one-region outcome over the query box. Deterministic given the file
-   (oldest subsuming entry wins), so restarts serve identical bytes. *)
-let synthesize ~src ~box =
-  Outcome.
-    {
-      dfa = src.dfa;
-      condition = src.condition;
-      domain = box;
-      regions = [ { box; status = Verified; depth = 0 } ];
-      stats = zero_stats;
-    }
-
 let find_printed ?(count_miss = true) t ~config_hash ~formula_hash ~box =
   let g = load_group t ~config_hash ~formula_hash in
   match List.find_opt (fun e -> Box.equal e.outcome.Outcome.domain box) g.g_entries with
   | Some e ->
       Obs.Metrics.incr m_hits 1;
-      Some (Exact e.outcome, e.bytes)
-  | None -> (
-      let subsuming =
-        List.find_opt
-          (fun e ->
-            List.exists
-              (fun r ->
-                r.Outcome.status = Outcome.Verified
-                && box_contains ~outer:r.Outcome.box ~inner:box)
-              e.outcome.Outcome.regions)
-          g.g_entries
-      in
-      match subsuming with
-      | Some src ->
-          Obs.Metrics.incr m_subbox 1;
-          (* one region over the query box: a few hundred bytes to print *)
-          let o = synthesize ~src:src.outcome ~box in
-          Some (Subsumed o, Serialize.to_string o)
-      | None ->
-          if count_miss then Obs.Metrics.incr m_misses 1;
-          None)
+      Some (e.outcome, e.bytes)
+  | None ->
+      if count_miss then Obs.Metrics.incr m_misses 1;
+      None
 
 let find t ~config_hash ~formula_hash ~box =
   Option.map fst (find_printed t ~config_hash ~formula_hash ~box)

@@ -23,22 +23,12 @@
     loaded. A hit hands those bytes out, so a reply spliced from them
     ({!Protocol.result}) is never printed again.
 
-    {b Sub-box reuse.} A box proved [Verified] is verified forever for the
-    same key: a lookup whose query box is contained in a cached verified
-    region synthesizes the verdict without a solver call. *)
+    {b Exact keys.} A lookup answers only from an entry whose domain equals
+    the query box. {!Verify.formula_hash} prints each problem's domain into
+    the key, so every entry under a key the engine asks for has the
+    engine's box already. *)
 
 type t
-
-(** What a lookup found. *)
-type hit =
-  | Exact of Outcome.t
-      (** a cached outcome whose domain equals the query box *)
-  | Subsumed of Outcome.t
-      (** no exact entry, but the query box lies inside a cached
-          [Verified] region of the same key — the returned outcome is
-          synthesized (single verified region over the query box, zero
-          stats) deterministically from the oldest subsuming entry, so a
-          restarted daemon serves byte-identical verdicts *)
 
 (** [open_dir ?io_faults dir] opens (creating if needed) a cache rooted at
     [dir]. Group files are loaded lazily, each repaired on first touch.
@@ -51,20 +41,20 @@ val dir : t -> string
     [dir/group-<digest(config_hash : formula_hash)>.ckpt]. *)
 val group_file : t -> config_hash:string -> formula_hash:string -> string
 
-(** [find t ~config_hash ~formula_hash ~box] — cached verdict for [box]
-    under the key, if any. Bumps the [service.cache.hits] /
-    [service.cache.subbox_hits] / [service.cache.misses] counters. *)
+(** [find t ~config_hash ~formula_hash ~box] — the cached outcome whose
+    domain is [box] under the key, if any. Bumps the [service.cache.hits] /
+    [service.cache.misses] counters. *)
 val find :
-  t -> config_hash:string -> formula_hash:string -> box:Box.t -> hit option
+  t -> config_hash:string -> formula_hash:string -> box:Box.t ->
+  Outcome.t option
 
 (** [find_printed ?count_miss t ~config_hash ~formula_hash ~box] is {!find}
-    with the hit outcome's {!Serialize.to_string} bytes: an exact hit's
-    stored bytes, or the small synthesized outcome of a sub-box hit printed
-    now. [count_miss] (default true) set to false leaves a miss uncounted,
-    for a lookup that a later one repeats (the engine's admission check). *)
+    with the hit outcome's stored {!Serialize.to_string} bytes. [count_miss]
+    (default true) set to false leaves a miss uncounted, for a lookup that a
+    later one repeats (the engine's admission check). *)
 val find_printed :
   ?count_miss:bool -> t -> config_hash:string -> formula_hash:string ->
-  box:Box.t -> (hit * string) option
+  box:Box.t -> (Outcome.t * string) option
 
 (** [put t ~config_hash ~formula_hash outcome] commits one verdict:
     ensures the group file exists (with a matching header), appends the

@@ -24,7 +24,6 @@ type config = {
   delta : float;
   fuel : int;
   contractor_rounds : int;
-  sample_check : bool;
   faults : Fault.plan option;
   tape : Hc4.compiled option;
   split_heuristic : [ `Widest | `Smear ];
@@ -36,7 +35,6 @@ let default_config =
     delta = 1e-3;
     fuel = 5_000;
     contractor_rounds = 4;
-    sample_check = true;
     faults = Fault.of_env ();
     tape = None;
     split_heuristic = `Widest;
@@ -207,7 +205,7 @@ let solve_real ~contractors cfg box formula =
               end
               else begin
                 let mid = Box.midpoint box in
-                if cfg.sample_check && Hc4.holds_at_midpoint compiled box then
+                if Hc4.holds_at_midpoint compiled box then
                   (* A float-arithmetic witness: not box-certified, but it
                      will pass the caller's valid(x) re-check. *)
                   finish (Sat { model = mid; certified = false })

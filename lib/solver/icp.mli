@@ -61,7 +61,6 @@ type config = {
   delta : float;  (** box-width threshold for the δ-SAT verdict *)
   fuel : int;  (** maximum box expansions before {!Timeout} *)
   contractor_rounds : int;  (** HC4 sweeps per expansion *)
-  sample_check : bool;  (** probe box midpoints in float arithmetic *)
   faults : Fault.plan option;
       (** deterministic fault injection ({!Fault}); [default_config] picks
           this up from the [XCV_FAULT_RATE] / [XCV_FAULT_SEED] environment

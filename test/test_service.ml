@@ -119,7 +119,7 @@ let test_cache_roundtrip () =
   (match Verdict_cache.find cache ~config_hash:"c1" ~formula_hash:"f1"
            ~box:(box2 ())
    with
-  | Some (Verdict_cache.Exact got) ->
+  | Some got ->
       Alcotest.(check string) "cache hit byte-identical" (bytes_of o)
         (bytes_of got)
   | _ -> Alcotest.fail "expected exact hit");
@@ -141,16 +141,6 @@ let interval_gen =
       (fun a w -> Interval.make a (a +. w))
       (float_range (-4.0) 4.0) (float_range 0.25 4.0))
 
-let sub_interval_gen i =
-  QCheck2.Gen.(
-    map2
-      (fun lo hi ->
-        let w = Interval.sup i -. Interval.inf i in
-        Interval.make
-          (Interval.inf i +. (lo *. 0.3 *. w))
-          (Interval.sup i -. (hi *. 0.3 *. w)))
-      (float_range 0.0 1.0) (float_range 0.0 1.0))
-
 let qcheck_cache_hit_identity =
   qcheck ~count:20 "cache hit is byte-identical to what was stored"
     QCheck2.Gen.(map2 (fun x y -> (x, y)) interval_gen interval_gen)
@@ -164,42 +154,8 @@ let qcheck_cache_hit_identity =
         Verdict_cache.find cold ~config_hash:"c" ~formula_hash:"f"
           ~box:(box2 ~x ~y ())
       with
-      | Some (Verdict_cache.Exact got) -> bytes_of got = bytes_of o
+      | Some got -> bytes_of got = bytes_of o
       | _ -> false)
-
-let qcheck_cache_subbox =
-  qcheck ~count:20 "a box inside a cached verified region is verified"
-    QCheck2.Gen.(
-      bind (map2 (fun x y -> (x, y)) interval_gen interval_gen)
-        (fun (x, y) ->
-          map2
-            (fun sx sy -> ((x, y), (sx, sy)))
-            (sub_interval_gen x) (sub_interval_gen y)))
-    (fun ((x, y), (sx, sy)) ->
-      let dir = temp_dir () in
-      let cache = Verdict_cache.open_dir dir in
-      Verdict_cache.put cache ~config_hash:"c" ~formula_hash:"f"
-        (outcome ~box:(box2 ~x ~y ()) ());
-      let inner = box2 ~x:sx ~y:sy () in
-      match
-        Verdict_cache.find cache ~config_hash:"c" ~formula_hash:"f" ~box:inner
-      with
-      | Some (Verdict_cache.Exact got) | Some (Verdict_cache.Subsumed got) ->
-          Box.equal got.Outcome.domain inner
-          && List.for_all
-               (fun r -> r.Outcome.status = Outcome.Verified)
-               got.Outcome.regions
-      | None -> false)
-
-let test_cache_no_subbox_of_unverified () =
-  let dir = temp_dir () in
-  let cache = Verdict_cache.open_dir dir in
-  Verdict_cache.put cache ~config_hash:"c" ~formula_hash:"f"
-    (outcome ~status:Outcome.Timeout ());
-  let inner = box2 ~x:(Interval.make 0.2 0.4) ~y:(Interval.make 0.2 0.4) () in
-  check_true "timeout region subsumes nothing"
-    (Verdict_cache.find cache ~config_hash:"c" ~formula_hash:"f" ~box:inner
-    = None)
 
 (* two handles on the same directory — the in-process model of two daemon
    processes sharing a cache: O_APPEND keeps whole lines intact, and both
@@ -222,7 +178,7 @@ let test_cache_concurrent_writers () =
      Verdict_cache.find cold ~config_hash:"c" ~formula_hash:"f"
        ~box:o1.Outcome.domain
    with
-  | Some (Verdict_cache.Exact got) ->
+  | Some got ->
       Alcotest.(check string) "writer A's verdict" (bytes_of o1) (bytes_of got)
   | _ -> Alcotest.fail "writer A's entry lost");
   (* re-committing an already-stored verdict is skipped, and a refresh
@@ -259,7 +215,7 @@ let test_cache_kill_mid_commit () =
      Verdict_cache.find recovered ~config_hash:"c" ~formula_hash:"f"
        ~box:o1.Outcome.domain
    with
-  | Some (Verdict_cache.Exact got) ->
+  | Some got ->
       Alcotest.(check string) "pre-crash verdict survives" (bytes_of o1)
         (bytes_of got)
   | _ -> Alcotest.fail "pre-crash verdict lost");
@@ -319,7 +275,7 @@ let test_cache_enospc_and_eintr () =
          Verdict_cache.find transient ~config_hash:"c" ~formula_hash:"f"
            ~box:o.Outcome.domain
        with
-      | Some (Verdict_cache.Exact _) -> ()
+      | Some _ -> ()
       | _ -> Alcotest.fail "retried write not committed");
       check_false "retried write is clean"
         (Serialize.read_checkpoint group).Serialize.truncated
@@ -965,8 +921,8 @@ let test_engine_quota_hit_waits_for_own_queue () =
   | _ -> Alcotest.fail "expected two Results"
 
 (* A cached reply's frame is the fresh reply's frame with the cached flag
-   set, for an exact hit; for a sub-box hit it is the synthesized outcome's
-   frame. Either way the payload is what printing the response gives. *)
+   set, whether the runner or admission answers it. Either way the payload
+   is what printing the response gives. *)
 let test_engine_cached_frame_bytes () =
   with_fresh_instance @@ fun () ->
   let same_frame (r : Protocol.reply) =
@@ -990,8 +946,49 @@ let test_engine_cached_frame_bytes () =
            (Protocol.Result { fresh with id = 2; cached = true }))
         r2.payload
   | _ -> Alcotest.fail "expected two Results");
+  (* a second engine on the same cache: the first query encodes the pair
+     on the runner and hits there, the second is answered at admission *)
+  let t = Engine.create (engine_config dir) in
+  let client = Engine.new_client t in
+  match
+    ( run_one_replies t client (verify_req ()),
+      Engine.submit t client (verify_req ~id:2 ()) )
+  with
+  | ( [ ({ response = Protocol.Result a; _ } as r1) ],
+      Some ({ response = Protocol.Result b; _ } as r2) ) ->
+      check_true "both hit" (a.cached && b.cached);
+      same_frame r1;
+      same_frame r2;
+      Alcotest.(check string) "runner and admission frames agree"
+        (Protocol.response_to_string (Protocol.Result { a with id = 2 }))
+        r2.payload
+  | _ -> Alcotest.fail "expected two cached Results"
+
+(* The cache answers only from an entry whose domain equals the query box;
+   that loses no hit because the formula hash of a pair prints its domain,
+   so every Table I pair has its own key and moving one bound by one ulp
+   changes it. *)
+let test_cache_key_carries_domain () =
+  let problems = Encoder.encode_all Registry.paper_five in
+  let hashes = List.map (fun p -> Verify.formula_hash [ p ]) problems in
+  Alcotest.(check int) "29 Table I pairs" 29 (List.length problems);
+  Alcotest.(check int) "29 distinct formula hashes" 29
+    (List.length (List.sort_uniq String.compare hashes));
+  let p = List.hd problems in
+  let v = List.hd (Box.vars p.Encoder.domain) in
+  let i = Box.get p.Encoder.domain v in
+  let moved =
+    { p with
+      Encoder.domain =
+        Box.set p.Encoder.domain v
+          (Interval.make (Interval.inf i) (Float.succ (Interval.sup i))) }
+  in
+  check_false "one ulp on one bound changes the hash"
+    (String.equal (Verify.formula_hash [ p ]) (Verify.formula_hash [ moved ]));
   (* a verified entry over a box around pbe/ec1's domain, planted under the
-     engine's key: the pair's query box is a sub-box of it *)
+     engine's key, is not an answer: the engine solves, and its hit comes
+     from the entry over the encoded domain *)
+  with_fresh_instance @@ fun () ->
   let problem = Option.get (Encoder.encode (Registry.find "pbe") Conditions.Ec1) in
   let wide =
     Box.make
@@ -1008,23 +1005,16 @@ let test_engine_cached_frame_bytes () =
     (outcome ~box:wide ());
   let t = Engine.create (engine_config dir) in
   let client = Engine.new_client t in
-  (* the first query encodes the pair on the runner, the second is
-     answered at admission *)
   match
-    ( run_one_replies t client (verify_req ()),
+    ( run_one t client (verify_req ()),
       Engine.submit t client (verify_req ~id:2 ()) )
   with
-  | ( [ ({ response = Protocol.Result a; _ } as r1) ],
-      Some ({ response = Protocol.Result b; _ } as r2) ) ->
-      check_true "sub-box hits" (a.cached && b.cached);
-      check_true "over the query box"
-        (Box.equal b.outcome.Outcome.domain problem.Encoder.domain);
-      same_frame r1;
-      same_frame r2;
-      Alcotest.(check string) "runner and admission frames agree"
-        (Protocol.response_to_string (Protocol.Result { a with id = 2 }))
-        r2.payload
-  | _ -> Alcotest.fail "expected two sub-box Results"
+  | [ Protocol.Result a ], Some { response = Protocol.Result b; _ } ->
+      check_false "the wider entry is not served" a.cached;
+      check_true "the second query hits at admission" b.cached;
+      check_true "the hit's entry is over the encoded domain"
+        (Box.equal b.outcome.Outcome.domain problem.Encoder.domain)
+  | _ -> Alcotest.fail "expected two Results"
 
 (* A crash replays the queued misses and only them: the hit answered at
    admission left no journal line. *)
@@ -1337,9 +1327,7 @@ let suite =
   [
     case "cache roundtrip" test_cache_roundtrip;
     qcheck_cache_hit_identity;
-    qcheck_cache_subbox;
-    case "no sub-box reuse of unverified regions"
-      test_cache_no_subbox_of_unverified;
+    case "cache key carries the domain" test_cache_key_carries_domain;
     case "concurrent writers" test_cache_concurrent_writers;
     case "kill mid-commit: torn tail repaired" test_cache_kill_mid_commit;
     case "ENOSPC and EINTR injection" test_cache_enospc_and_eintr;

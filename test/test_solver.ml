@@ -182,7 +182,7 @@ let test_icp_conjunction () =
 let test_icp_timeout () =
   (* Give the solver almost no fuel on an undecidable-at-this-width box. *)
   let f = Form.ge (sub (sin (mul (const 20.0) x)) (const 0.9999999)) in
-  let tiny = { Icp.default_config with fuel = 2; sample_check = false } in
+  let tiny = { Icp.default_config with fuel = 2 } in
   let b = Box.make [ ("x", iv 0.0 10.0) ] in
   match Icp.solve tiny b [ f ] with
   | Icp.Timeout, stats -> check_true "fuel consumed" (stats.Icp.expansions >= 2)

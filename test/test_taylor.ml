@@ -141,7 +141,6 @@ let test_solver_integration () =
       Icp.default_config with
       fuel = 10_000;
       delta = 1e-4;
-      sample_check = false;
       tape = Some compiled;
     }
   in

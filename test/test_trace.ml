@@ -123,6 +123,68 @@ let test_report_embeds_trace () =
         (List.length trace)
   | _ -> Alcotest.fail "report is not a JSON object"
 
+(* Metamorphic fuel doubling: fuel only cuts a solver call short, so a call
+   that decides (Unsat or Sat) at fuel f returns the same verdict after the
+   same number of expansions at fuel 2f. Compared box by box on the paths
+   both runs reach: a box that timed out at f may be decided at 2f, which
+   prunes or reshapes its subtree. *)
+let decided_calls ~fuel (dfa, cond) =
+  let config =
+    {
+      Verify.default_config with
+      threshold = 0.625;
+      solver =
+        { Icp.default_config with fuel; delta = 1e-3; contractor_rounds = 3;
+          faults = None };
+      workers = test_workers;
+    }
+  in
+  let recorder = Trace.create () in
+  ignore (Verify.run_pair ~config ~recorder (Registry.find dfa) cond);
+  let calls = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Trace.event) ->
+      match e.Trace.kind with
+      | Trace.Solve { fuel; prunes } ->
+          Hashtbl.replace calls e.Trace.path (fuel, prunes, "")
+      | Trace.Verdict v -> (
+          match Hashtbl.find_opt calls e.Trace.path with
+          | Some (fuel, prunes, _) ->
+              Hashtbl.replace calls e.Trace.path (fuel, prunes, v)
+          | None -> ())
+      | _ -> ())
+    (Trace.events recorder);
+  calls
+
+let test_fuel_doubling () =
+  let fuel = 20 in
+  List.iter
+    (fun ((dfa, cond) as pair) ->
+      let name = Printf.sprintf "%s/%s" dfa (Conditions.name cond) in
+      let at_f = decided_calls ~fuel pair
+      and at_2f = decided_calls ~fuel:(2 * fuel) pair in
+      let compared = ref 0 in
+      Hashtbl.iter
+        (fun path ((_, _, verdict) as call) ->
+          match (verdict, Hashtbl.find_opt at_2f path) with
+          | ("verified" | "counterexample" | "inconclusive"), Some call' ->
+              incr compared;
+              if call <> call' then
+                Alcotest.failf "%s: the call at path [%s] changed at fuel %d"
+                  name
+                  (String.concat ";" (List.map string_of_int path))
+                  (2 * fuel)
+          | _ -> ())
+        at_f;
+      check_true (name ^ ": some decided calls compared") (!compared > 0))
+    [
+      ("pbe", Conditions.Ec7);
+      ("pbe", Conditions.Ec1);
+      ("lyp", Conditions.Ec1);
+      ("am05", Conditions.Ec3);
+      ("scan", Conditions.Ec1);
+    ]
+
 let suite =
   [
     case "golden file" test_golden;
@@ -130,4 +192,5 @@ let suite =
     case "fuel sum equals outcome stats" test_fuel_sum_matches_stats;
     case "trace independent of worker count" test_workers_invariant;
     case "trace report structure" test_report_embeds_trace;
+    case "fuel doubling keeps decided calls" test_fuel_doubling;
   ]
