@@ -66,8 +66,7 @@ let campaign () =
   | None ->
       let t0 = Obs.Clock.now_ns () in
       let outcomes =
-        List.map fst
-          (fst (Verify.campaign ~config:campaign_config Registry.paper_five))
+        fst (Verify.campaign ~config:campaign_config Registry.paper_five)
       in
       Printf.printf "(campaign: %d pairs in %.1fs)\n\n" (List.length outcomes)
         (secs_since t0);

@@ -468,7 +468,7 @@ let campaign_cmd =
   in
   let checkpoint_arg =
     let doc =
-      "Record each completed pair (outcome, region paths, metrics) in \
+      "Record each completed pair (outcome and metrics) in \
        $(docv) as the campaign proceeds; a killed run loses at most the pair \
        in flight. A run without --resume truncates $(docv) first."
     in
@@ -492,74 +492,10 @@ let campaign_cmd =
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~doc ~docv:"FILE")
   in
-  let shard_arg =
-    let parse s =
-      match String.split_on_char '/' s with
-      | [ i; n ] -> (
-          match (int_of_string_opt i, int_of_string_opt n) with
-          | Some i, Some n when n >= 1 && i >= 0 && i < n -> Ok (i, n)
-          | _ ->
-              Error
-                (`Msg
-                   (Printf.sprintf
-                      "shard must be I/N with 0 <= I < N, got %S" s)))
-      | _ -> Error (`Msg (Printf.sprintf "shard must look like I/N, got %S" s))
-    in
-    let print ppf (i, n) = Format.fprintf ppf "%d/%d" i n in
-    let doc =
-      "Run only shard $(docv) of the campaign (box-path-prefix slice I of \
-       N). Requires --checkpoint; the checkpoint, --resume and --metrics \
-       paths are suffixed .shard<I>. Merging the N shard checkpoints \
-       reproduces the unsharded run byte-for-byte."
-    in
-    Arg.(
-      value
-      & opt (some (Arg.conv ~docv:"I/N" (parse, print))) None
-      & info [ "shard" ] ~doc ~docv:"I/N")
-  in
-  let shards_arg =
-    let doc =
-      "Supervisor mode: fork/exec $(docv) shard processes, restart any that \
-       die from their own checkpoints, then merge and print Table I. \
-       Requires --checkpoint."
-    in
-    Arg.(
-      value
-      & opt (some (bounded_int ~what:"shards" ~min:1)) None
-      & info [ "shards" ] ~doc ~docv:"N")
-  in
-  let merge_arg =
-    let doc =
-      "Merge shard checkpoints $(docv).shard0 .. $(docv).shard<N-1> (no \
-       solving); prints the merged summaries and Table I and honours --save \
-       and --metrics."
-    in
-    Arg.(value & opt (some string) None & info [ "merge" ] ~doc ~docv:"BASE")
-  in
-  let print_outcomes outcomes =
-    List.iter (fun o -> Format.printf "%a@." Outcome.pp_summary o) outcomes;
-    print_newline ();
-    print_string (Report.table1 outcomes)
-  in
-  let save_outcomes save outcomes =
-    match save with
-    | Some path ->
-        Serialize.save path outcomes;
-        Printf.printf "\nsaved %d outcomes to %s\n" (List.length outcomes)
-          path
-    | None -> ()
-  in
-  let print_merged save metrics (m : Shard_merge.merged) =
-    print_outcomes m.Shard_merge.outcomes;
-    save_outcomes save m.Shard_merge.outcomes;
-    Option.iter
-      (write_metrics_json (Serialize.metrics_to_string m.Shard_merge.metrics))
-      metrics
-  in
   let total_pairs = Conditions.count_pairs Registry.paper_five in
   let run quick fuel threshold delta deadline split workers save checkpoint
-      resume metrics progress retries fuel_growth fault_rate fault_seed shard
-      shards merge jit jit_cache =
+      resume metrics progress retries fuel_growth fault_rate fault_seed jit
+      jit_cache =
     let config =
       let q = Verify.quick_config in
       let fuel, threshold, delta, deadline =
@@ -585,179 +521,28 @@ let campaign_cmd =
         }
       else c
     in
-    (match
-       List.filter
-         (fun set -> set)
-         [
-           Option.is_some shard; Option.is_some shards; Option.is_some merge;
-         ]
-     with
-    | _ :: _ :: _ ->
-        prerr_endline
-          "--shard, --shards and --merge are mutually exclusive";
-        exit 2
-    | _ -> ());
     try
-      match (shard, shards, merge) with
-      | _, _, Some base -> (
-          (* Merge-only: no solving, just validate + join + render. *)
-          match Shard_merge.merge_files ~base with
-          | Error msg ->
-              Printf.eprintf "--merge: %s\n" msg;
-              exit 2
-          | Ok m -> print_merged save metrics m)
-      | _, Some n, _ -> (
-          (* Supervisor: fork/exec the shards, restart the dead, merge. *)
-          let base =
-            match checkpoint with
-            | Some p -> p
-            | None ->
-                prerr_endline "--shards requires --checkpoint";
-                exit 2
-          in
-          let spawn ~shard ~resume =
-            let args =
-              [ "campaign"; "--shard"; Printf.sprintf "%d/%d" shard n;
-                "--checkpoint"; base ]
-              @ (if quick then [ "--quick" ] else [])
-              @ [
-                  "--fuel"; string_of_int fuel;
-                  "--threshold"; Printf.sprintf "%.17g" threshold;
-                  "--delta"; Printf.sprintf "%.17g" delta;
-                  "--split";
-                  (match split with `Widest -> "widest" | `Smear -> "smear");
-                  "--workers"; string_of_int workers;
-                  "--retries"; string_of_int retries;
-                  "--fuel-growth"; string_of_int fuel_growth;
-                  "--fault-seed"; string_of_int fault_seed;
-                ]
-              @ (match deadline with
-                | Some d -> [ "--deadline"; Printf.sprintf "%.17g" d ]
-                | None -> [])
-              @ (match fault_rate with
-                | Some r -> [ "--fault-rate"; Printf.sprintf "%.17g" r ]
-                | None -> [])
-              @ (match metrics with
-                | Some m when m <> "-" -> [ "--metrics"; m ]
-                | _ -> [])
-              @ (if jit then [ "--jit" ] else [])
-              @ (match jit_cache with
-                | Some d -> [ "--jit-cache"; d ]
-                | None -> [])
-              @ (if progress then [ "--progress" ] else [])
-              @ (if resume then [ "--resume"; base ] else [])
-            in
-            let prog = Sys.executable_name in
-            Unix.create_process prog
-              (Array.of_list (prog :: args))
-              Unix.stdin Unix.stdout Unix.stderr
-          in
-          let on_event = function
-            | Shard_supervisor.Started { shard; pid; restart } ->
-                Printf.eprintf "[supervisor] shard %d started (pid %d%s)\n%!"
-                  shard pid
-                  (if restart = 0 then ""
-                   else Printf.sprintf ", restart %d" restart)
-            | Shard_supervisor.Died { shard; pid; status } ->
-                Printf.eprintf "[supervisor] shard %d (pid %d) %s\n%!" shard
-                  pid
-                  (Shard_supervisor.status_to_string status)
-            | Shard_supervisor.Restarting { shard; restart } ->
-                Printf.eprintf
-                  "[supervisor] restarting shard %d from its checkpoint \
-                   (attempt %d)\n%!"
-                  shard restart
-            | Shard_supervisor.Gave_up { shard } ->
-                Printf.eprintf "[supervisor] giving up on shard %d\n%!" shard
-          in
-          match Shard_supervisor.supervise ~count:n ~on_event ~spawn () with
-          | Error msg ->
-              Printf.eprintf "--shards: %s\n" msg;
-              exit 2
-          | Ok restarts -> (
-              if restarts > 0 then
-                Printf.eprintf "[supervisor] %d shard restart(s)\n%!" restarts;
-              match Shard_merge.merge_files ~base with
-              | Error msg ->
-                  Printf.eprintf "--shards: merge failed: %s\n" msg;
-                  exit 2
-              | Ok m -> print_merged save metrics m))
-      | shard, None, None -> (
-          (* One campaign process: the whole campaign, or one shard of a
-             distributed one. *)
-          let spec =
-            Option.map
-              (fun (i, n) -> { Verify.shard_index = i; shard_count = n })
-              shard
-          in
-          let suffix path =
-            match shard with
-            | Some (i, _) -> Shard_merge.shard_path path i
-            | None -> path
-          in
-          if Option.is_some shard then begin
-            if Option.is_none checkpoint then begin
-              prerr_endline "--shard requires --checkpoint";
-              exit 2
-            end;
-            if Option.is_some save then
-              prerr_endline
-                "warning: --save is ignored in shard mode (it applies to \
-                 the merged run)"
-          end;
-          let checkpoint = Option.map suffix checkpoint in
-          let resume = Option.map suffix resume in
-          if progress then
-            Obs.Progress.enable
-              ?label:
-                (Option.map (fun (i, n) -> Printf.sprintf "shard %d/%d" i n)
-                   shard)
-              ~total_pairs ();
-          (* Crash injection for the @shard test gate (same ambient-hook
-             idiom as XCV_FAULT_RATE): on a fresh — not resumed — shard
-             run, die by SIGKILL right after the Nth pair's checkpoint
-             entry is written, leaving a torn copy of its entry line
-             exactly as a kill mid-append would. The supervisor must then
-             restart the shard from that checkpoint without changing the
-             merged bytes. *)
-          let kill_after =
-            match (Sys.getenv_opt "XCV_SHARD_KILL_AFTER", shard) with
-            | Some s, Some _ when resume = None -> int_of_string_opt s
-            | _ -> None
-          in
-          let pairs_done = ref 0 in
-          let on_pair o =
-            incr pairs_done;
-            match (kill_after, checkpoint) with
-            | Some k, Some ckpt when !pairs_done = k ->
-                Serialize.append_torn_entry ckpt (Serialize.to_string o);
-                Unix.kill (Unix.getpid ()) Sys.sigkill
-            | _ -> ()
-          in
-          let pairs, snap =
-            Verify.campaign ~config ?shard:spec ?checkpoint ?resume ~on_pair
-              Registry.paper_five
-          in
-          Obs.Progress.disable ();
-          (* the pairs' folded metrics plus this process's own accounting
-             (encode phase, checkpoint writes) *)
-          let json =
-            Serialize.metrics_to_string
-              (Obs.Metrics.merge snap (Obs.Metrics.snapshot ()))
-          in
-          match (shard, checkpoint) with
-          | Some (i, n), Some ckpt ->
-              Printf.printf "shard %d/%d: %d pairs checkpointed to %s\n" i n
-                (List.length pairs) ckpt;
-              Option.iter
-                (fun m ->
-                  write_metrics_json json (if m = "-" then m else suffix m))
-                metrics
-          | _ ->
-              let outcomes = List.map fst pairs in
-              print_outcomes outcomes;
-              save_outcomes save outcomes;
-              Option.iter (write_metrics_json json) metrics)
+      if progress then Obs.Progress.enable ~total_pairs ();
+      let outcomes, snap =
+        Verify.campaign ~config ?checkpoint ?resume Registry.paper_five
+      in
+      Obs.Progress.disable ();
+      (* the pairs' folded metrics plus this process's own accounting
+         (encode phase, checkpoint writes) *)
+      let json =
+        Serialize.metrics_to_string
+          (Obs.Metrics.merge snap (Obs.Metrics.snapshot ()))
+      in
+      List.iter (fun o -> Format.printf "%a@." Outcome.pp_summary o) outcomes;
+      print_newline ();
+      print_string (Report.table1 outcomes);
+      Option.iter
+        (fun path ->
+          Serialize.save path outcomes;
+          Printf.printf "\nsaved %d outcomes to %s\n" (List.length outcomes)
+            path)
+        save;
+      Option.iter (write_metrics_json json) metrics
     with Failure msg ->
       prerr_endline msg;
       exit 2
@@ -769,8 +554,8 @@ let campaign_cmd =
       const run $ quick_arg $ fuel_arg $ threshold_arg $ delta_arg
       $ deadline_arg $ split_arg $ workers_arg $ save_arg $ checkpoint_arg
       $ resume_arg $ metrics_arg $ progress_arg $ retries_arg
-      $ fuel_growth_arg $ fault_rate_arg $ fault_seed_arg $ shard_arg
-      $ shards_arg $ merge_arg $ jit_arg $ jit_cache_arg)
+      $ fuel_growth_arg $ fault_rate_arg $ fault_seed_arg $ jit_arg
+      $ jit_cache_arg)
 
 (* ---- replay ----------------------------------------------------------- *)
 
@@ -780,7 +565,15 @@ let replay_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~doc ~docv:"FILE")
   in
   let run file map =
-    let outcomes = Serialize.load file in
+    let outcomes =
+      try Serialize.load file with
+      | Failure msg | Sys_error msg ->
+          prerr_endline msg;
+          exit 2
+      | Parser.Parse_error msg ->
+          Printf.eprintf "%s: %s\n" file msg;
+          exit 2
+    in
     List.iter (fun o -> Format.printf "%a@." Outcome.pp_summary o) outcomes;
     print_newline ();
     print_string (Report.table1 outcomes);
@@ -904,9 +697,9 @@ let serve_cmd =
     let verify =
       config_of ~workers ~jit ?jit_cache fuel threshold delta None
     in
-    (* same ambient-hook idiom as XCV_SHARD_KILL_AFTER: tear the cache
-       group file after the Nth commit and die by SIGKILL, so the restart
-       test can check repair + byte-identical replay *)
+    (* same ambient-hook idiom as XCV_FAULT_RATE: tear the cache group
+       file after the Nth commit and die by SIGKILL, so the restart test
+       can check repair + byte-identical replay *)
     let kill_after =
       match Sys.getenv_opt "XCV_SERVE_KILL_AFTER" with
       | Some s -> int_of_string_opt s

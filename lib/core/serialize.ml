@@ -298,8 +298,8 @@ let write_file_atomic ?io_faults path content =
 
 (* ------------------------------------------------------------------ *)
 (* Digests — the identity of a campaign's configuration and formula set,
-   carried in checkpoint headers so resume and shard merge can refuse
-   checkpoints from a different run. FNV-style byte fold through the
+   carried in checkpoint headers so resume can refuse checkpoints from a
+   different run. FNV-style byte fold through the
    splitmix64 finalizer; 16 hex chars, safe as an s-expression atom. *)
 
 let mix64 z =
@@ -321,57 +321,59 @@ let digest s =
   Printf.sprintf "%016Lx" !h
 
 (* ------------------------------------------------------------------ *)
-(* Campaign headers and sharded checkpoint entries *)
+(* Campaign headers and checkpoint entries *)
 
-type header = {
-  config_hash : string;
-  formula_hash : string;
-  shard : (int * int) option;
-}
+type header = { config_hash : string; formula_hash : string }
 
 let sexp_of_header h =
   S.List
-    ((S.Atom "campaign-header"
-     :: S.Atom (string_of_int format_version)
-     :: S.List [ S.Atom "config"; S.Atom h.config_hash ]
-     :: S.List [ S.Atom "formula"; S.Atom h.formula_hash ]
-     :: [])
-    @
-    match h.shard with
-    | None -> []
-    | Some (i, n) ->
-        [
-          S.List
-            [ S.Atom "shard"; S.Atom (string_of_int i); S.Atom (string_of_int n) ];
-        ])
+    [
+      S.Atom "campaign-header";
+      S.Atom (string_of_int format_version);
+      S.List [ S.Atom "config"; S.Atom h.config_hash ];
+      S.List [ S.Atom "formula"; S.Atom h.formula_hash ];
+    ]
+
+(* A header with shard coordinates is one process's slice of a campaign
+   from before sharding was removed: nothing can resume or replay it, and
+   it is refused by name instead of being read as a torn line. *)
+exception Sharded_header of string * string
 
 let header_of_sexp = function
   | S.List (S.Atom "campaign-header" :: S.Atom version :: fields) ->
       if not (List.mem (int_of_string version) readable_versions) then
         fail "unsupported campaign header version %s" version;
-      let config = ref None and formula = ref None and shard = ref None in
+      let config = ref None and formula = ref None in
       List.iter
         (function
           | S.List [ S.Atom "config"; S.Atom h ] -> config := Some h
           | S.List [ S.Atom "formula"; S.Atom h ] -> formula := Some h
           | S.List [ S.Atom "shard"; S.Atom i; S.Atom n ] ->
-              shard := Some (int_of_string i, int_of_string n)
+              raise (Sharded_header (i, n))
           | _ -> fail "malformed campaign header field")
         fields;
       (match (!config, !formula) with
-      | Some c, Some f -> { config_hash = c; formula_hash = f; shard = !shard }
+      | Some c, Some f -> { config_hash = c; formula_hash = f }
       | _ -> fail "campaign header missing config/formula hash")
   | _ -> fail "expected (campaign-header ...)"
+
+let refusing_sharded path f =
+  try f ()
+  with Sharded_header (i, n) ->
+    failwith
+      (Printf.sprintf
+         "%s: checkpoint of shard %s/%s of a sharded campaign; sharded \
+          checkpoints can no longer be resumed — rerun the campaign (-j \
+          sets its worker domains)"
+         path i n)
 
 let header_to_string h =
   let buf = Buffer.create 128 in
   S.print buf (sexp_of_header h);
   Buffer.contents buf
 
-let header_of_string s = header_of_sexp (S.parse s)
-
-(* A header mismatch is an operator error (resuming with different flags,
-   merging files from different campaigns), not a parse error. *)
+(* A header mismatch is an operator error (resuming with different flags
+   or from another campaign's file), not a parse error. *)
 let check_header ~path ~expect (h : header) =
   if not (String.equal h.config_hash expect.config_hash) then
     failwith
@@ -387,59 +389,41 @@ let check_header ~path ~expect (h : header) =
           expected %s)"
          path h.formula_hash expect.formula_hash)
 
-type entry = {
-  outcome : Outcome.t;
-  paths : int list list option;
-  metrics_json : string option;
-}
-
-let sexp_of_path p = S.List (List.map (fun i -> S.Atom (string_of_int i)) p)
-
-let path_of_sexp = function
-  | S.List l ->
-      List.map
-        (function
-          | S.Atom a -> int_of_string a | S.List _ -> fail "malformed path")
-        l
-  | S.Atom _ -> fail "malformed region path"
+type entry = { outcome : Outcome.t; metrics_json : string option }
 
 let entry_of_sexp = function
   | S.List (S.Atom "entry" :: outcome :: rest) ->
-      let paths = ref None and metrics = ref None in
+      let metrics = ref None in
       List.iter
         (function
-          | S.List (S.Atom "paths" :: ps) ->
-              paths := Some (List.map path_of_sexp ps)
+          (* the region paths older checkpoints carry for the retired shard
+             merge: skipped, so those checkpoints still resume *)
+          | S.List (S.Atom "paths" :: _) -> ()
           | S.List [ S.Atom "metrics"; S.Atom j ] ->
               metrics := Some (percent_decode j)
           | _ -> fail "malformed checkpoint entry field")
         rest;
-      { outcome = outcome_of_sexp outcome; paths = !paths; metrics_json = !metrics }
-  (* plain outcome lines (archives, pre-shard checkpoints) read as entries
-     without paths or metrics *)
-  | sexp -> { outcome = outcome_of_sexp sexp; paths = None; metrics_json = None }
+      { outcome = outcome_of_sexp outcome; metrics_json = !metrics }
+  (* plain outcome lines (archives, older checkpoints) read as entries
+     without metrics *)
+  | sexp -> { outcome = outcome_of_sexp sexp; metrics_json = None }
 
 (* The one printer of entry lines, around outcome bytes [to_string]
    already printed: the verdict cache commits the bytes it replies with. *)
-let entry_line ?paths ?metrics_json outcome_bytes =
+let entry_line ?metrics_json outcome_bytes =
   let buf = Buffer.create (String.length outcome_bytes + 256) in
   Buffer.add_string buf "(entry ";
   Buffer.add_string buf outcome_bytes;
-  let field sexp =
-    Buffer.add_char buf ' ';
-    S.print buf sexp
-  in
   Option.iter
-    (fun ps -> field (S.List (S.Atom "paths" :: List.map sexp_of_path ps)))
-    paths;
-  Option.iter
-    (fun j -> field (S.List [ S.Atom "metrics"; S.Atom (percent_encode j) ]))
+    (fun j ->
+      Buffer.add_char buf ' ';
+      S.print buf (S.List [ S.Atom "metrics"; S.Atom (percent_encode j) ]))
     metrics_json;
   Buffer.add_char buf ')';
   Buffer.contents buf
 
 let entry_to_string e =
-  entry_line ?paths:e.paths ?metrics_json:e.metrics_json (to_string e.outcome)
+  entry_line ?metrics_json:e.metrics_json (to_string e.outcome)
 
 let append_torn_entry path outcome_bytes =
   let tear = Fault.make_io ~kinds:[ Fault.Short_write ] ~seed:0 ~rate:1.0 () in
@@ -469,6 +453,7 @@ let read_checkpoint path =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
+        refusing_sharded path @@ fun () ->
         let rec go header acc valid first =
           match input_line ic with
           | exception End_of_file ->
@@ -493,6 +478,7 @@ let read_checkpoint path =
                       valid_bytes = valid;
                     }
                 | Entry e -> go header (e :: acc) (pos_in ic) false
+                | exception (Sharded_header _ as e) -> raise e
                 | exception _ ->
                     (* stop at the first malformed line — anything after a
                        torn write is untrustworthy; the valid prefix is the
@@ -522,6 +508,7 @@ let load path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
+      refusing_sharded path @@ fun () ->
       let rec go acc =
         match input_line ic with
         | line ->
@@ -539,8 +526,9 @@ let load path =
 
 (* ------------------------------------------------------------------ *)
 (* Paint log — the region lines alone, one s-expression per line: the
-   byte-comparable rendering shard-merge certification pins down (stats
-   carry wall-clock elapsed and are excluded by design). *)
+   byte-comparable rendering the worker-count and resume contracts are
+   pinned on (stats carry wall-clock elapsed and are excluded by
+   design). *)
 
 let paint_to_string (o : Outcome.t) =
   let buf = Buffer.create 1024 in

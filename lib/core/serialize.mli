@@ -66,9 +66,8 @@ val percent_decode : string -> string
 (** {1 Digests and campaign headers}
 
     Checkpoints carry a header line identifying the run that wrote them:
-    a hash of the verdict-relevant configuration, a hash of the encoded
-    formula set, and — for sharded campaigns — the shard coordinates.
-    Resume and shard merge refuse checkpoints whose hashes do not match,
+    a hash of the verdict-relevant configuration and a hash of the encoded
+    formula set. Resume refuses checkpoints whose hashes do not match,
     instead of silently mixing verdicts from different runs. *)
 
 (** [digest s] — 16 lowercase hex chars of a 64-bit byte fold (FNV-style
@@ -79,17 +78,13 @@ val digest : string -> string
 type header = {
   config_hash : string;  (** {!digest} of the verdict-relevant config *)
   formula_hash : string;  (** {!digest} of the encoded problem set *)
-  shard : (int * int) option;  (** [(index, count)] for shard checkpoints *)
 }
 
 val header_to_string : header -> string
 
-(** @raise Parser.Parse_error on malformed input. *)
-val header_of_string : string -> header
-
 (** [check_header ~path ~expect h] raises [Failure] with an operator-facing
     message naming [path] when [h]'s config or formula hash differs from
-    [expect]'s (the shard field is compared by callers that care). *)
+    [expect]'s. *)
 val check_header : path:string -> expect:header -> header -> unit
 
 (** [write_header path header] replaces [path] with the single header
@@ -103,35 +98,33 @@ val write_header : string -> header -> unit
     A campaign checkpoint is a {!header} line followed by one entry line
     per completed pair, each appended with {!append_line} (one write), so a
     killed process leaves a loadable prefix plus at most one torn tail.
-    An entry extends the outcome line with the region paths of the paint
-    log (needed to interleave shard logs back into pre-order at merge
-    time) and the pair's metrics snapshot JSON (so a resumed run, and a
-    shard merge, reproduce the uninterrupted run's metrics). Plain outcome
-    lines — archives, and older unsharded checkpoints — read back as
-    entries with both fields [None]. *)
+    An entry extends the outcome line with the pair's metrics snapshot
+    JSON, so a resumed run reproduces the uninterrupted run's metrics.
+    Plain outcome lines — archives, and older checkpoints — read back as
+    entries without metrics. The region-path field that checkpoints
+    written for the retired shard merge carry is skipped on reading, so
+    those unsharded checkpoints still resume and replay. *)
 
 type entry = {
   outcome : Outcome.t;
-  paths : int list list option;
-      (** one box path per region of [outcome.regions], same order *)
   metrics_json : string option;
       (** {!metrics_to_string} of the pair's own metrics instance *)
 }
 
 val entry_to_string : entry -> string
 
-(** [entry_line ?paths ?metrics_json bytes] is the entry line of an
-    outcome that {!to_string} printed as [bytes]; it is the only printer
-    of entry lines ([entry_to_string] calls it), so the verdict cache can
-    commit the bytes it replies with without printing the outcome again. *)
-val entry_line :
-  ?paths:int list list -> ?metrics_json:string -> string -> string
+(** [entry_line ?metrics_json bytes] is the entry line of an outcome that
+    {!to_string} printed as [bytes]; it is the only printer of entry lines
+    ([entry_to_string] calls it), so the verdict cache can commit the
+    bytes it replies with without printing the outcome again. *)
+val entry_line : ?metrics_json:string -> string -> string
 
 (** [append_torn_entry path bytes] appends to [path] the prefix of the
     entry line of [bytes] that an injected [Short_write] leaves: what a
     kill in the middle of the append would leave behind. The crash hooks
-    of the campaign and service gates call it before they SIGKILL
-    themselves. *)
+    of the service gate call it before they SIGKILL themselves, and the
+    campaign's kill-and-resume test tears a killed run's checkpoint with
+    it. *)
 val append_torn_entry : string -> string -> unit
 
 (** The structured view of a checkpoint file: optional leading header, the
@@ -139,7 +132,10 @@ val append_torn_entry : string -> string -> unit
     byte offset where the valid prefix ends (the truncation point for
     {!repair_checkpoint}). A missing file reads as the empty checkpoint;
     reading stops silently at the first malformed line (a torn write from
-    a killed campaign) — unlike {!load}, which raises. *)
+    a killed campaign) — unlike {!load}, which raises. A header with shard
+    coordinates, written by a process of the retired sharded campaigns,
+    is refused: [read_checkpoint] and {!load} raise [Failure] naming the
+    path and saying that sharded checkpoints can no longer be resumed. *)
 type checkpoint = {
   cp_header : header option;
   entries : entry list;
@@ -157,7 +153,8 @@ val repair_checkpoint : string -> checkpoint
 
 (** [paint_to_string o] — the paint log alone, one region s-expression per
     line. Stats (which carry wall-clock elapsed) are excluded: this is the
-    rendering the shard-merge byte-identity contract is stated over. *)
+    rendering the worker-count and resume byte-identity contracts are
+    stated over. *)
 val paint_to_string : Outcome.t -> string
 
 (** {1 Metrics snapshots}

@@ -1,8 +1,8 @@
 (* Telemetry: box verdict counts and retries are deterministic (they
    depend only on the work, identical at every worker count for
    deadline-free campaigns); drained-box counts exist only under a
-   deadline, and checkpoint writes depend on how the run is deployed
-   (sharded campaigns write one file per shard) — both wall-class. *)
+   deadline, and checkpoint writes only when checkpointing (a resumed run
+   writes fewer) — both wall-class. *)
 let m_boxes = Obs.Metrics.counter "verify.boxes"
 let m_verified = Obs.Metrics.counter "verify.boxes.verified"
 let m_counterexample = Obs.Metrics.counter "verify.boxes.counterexample"
@@ -125,49 +125,6 @@ let order_children ~threshold ~margin boxes =
       (fun (_, m1) (_, m2) -> Float.compare m1 m2)
       (List.map (fun b -> (b, margin b)) boxes)
 
-(* Multi-process sharding: a campaign pair's box tree is partitioned by
-   box-path prefix. Every shard deterministically replays the {e trunk} —
-   the nodes shallower than [trunk_depth] — because the frontier below a
-   node depends on solve results (verified trunk boxes have no children);
-   only shard 0 paints and counts the trunk, the others replay it silently
-   against scratch stats/metrics. Frontier nodes (depth = [trunk_depth])
-   are assigned round-robin in deterministic walk order, so the shards
-   partition the frontier exactly and the union of the per-shard paint
-   logs is the unsharded log, at any shard count. *)
-type shard_spec = { shard_index : int; shard_count : int }
-
-(* Smallest depth whose full frontier has at least two nodes per shard
-   (fan-out permitting); 0 for a single shard, which makes 1-sharding
-   exactly the unsharded run. *)
-let shard_trunk_depth ~fanout ~count =
-  if count <= 1 then 0
-  else
-    let fanout = Stdlib.max 2 fanout in
-    let rec go d cells =
-      if cells >= 2 * count then d else go (d + 1) (cells * fanout)
-    in
-    go 0 1
-
-(* Per-run solver statistics, aggregated across worker domains. The silent
-   trunk replay of non-owner shards writes to a scratch sink, so each node's
-   stats — like its metrics — are counted exactly once across the fleet. *)
-type stat_sink = {
-  sk_calls : int Atomic.t;
-  sk_expansions : int Atomic.t;
-  sk_prunes : int Atomic.t;
-  sk_revises : int Atomic.t;
-  sk_retries : int Atomic.t;
-}
-
-let fresh_sink () =
-  {
-    sk_calls = Atomic.make 0;
-    sk_expansions = Atomic.make 0;
-    sk_prunes = Atomic.make 0;
-    sk_revises = Atomic.make 0;
-    sk_retries = Atomic.make 0;
-  }
-
 (* The interval tape is the only interpreted engine; [use_tape] survives
    as a config field (and in [config_hash]) but cannot be turned off. *)
 let check_config config =
@@ -175,8 +132,8 @@ let check_config config =
     invalid_arg
       "Verify: use_tape = false is not supported (the tape is the engine)"
 
-let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
-    ~dfa_label ~condition_label ~domain ~(psi : Form.atom) () =
+let run_custom ?(config = default_config) ?recorder ?stop ~dfa_label
+    ~condition_label ~domain ~(psi : Form.atom) () =
   check_config config;
   let negated = [ Form.negate_atom psi ] in
   (* Compile the negated formula once per (DFA, condition) pair — not per
@@ -237,13 +194,17 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
     | None -> false)
     || match stop with Some f -> f () | None -> false
   in
-  let sink = fresh_sink () in
+  (* per-run solver statistics, aggregated across worker domains *)
+  let calls = Atomic.make 0
+  and expansions = Atomic.make 0
+  and prunes = Atomic.make 0
+  and revises = Atomic.make 0
+  and retries = Atomic.make 0 in
   let record path depth box step kind =
     match recorder with
     | Some r -> Trace.record r { Trace.path; depth; step; box; kind }
     | None -> ()
   in
-  let no_record _ _ _ _ _ = () in
   (* Midpoint margin towards satisfying (not psi): smaller = more violating.
      Pure search heuristic — evaluation only, no expression construction,
      so it is safe on worker domains. *)
@@ -258,7 +219,7 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
           | Form.Le0 | Form.Lt0 | Form.Eq0 -> v)
     | _ -> 0.0
   in
-  let children ~record t =
+  let children t =
     Obs.Metrics.time_phase Obs.Metrics.Split @@ fun () ->
     let boxes =
       match config.split_heuristic with
@@ -294,17 +255,17 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
      as an [Error] region; timed-out calls are retried the same way.
      Fault decisions and fuel schedules depend only on the box and the
      attempt ordinal, never on scheduling, so the paint log stays
-     identical at every worker count — and at every shard count. *)
-  let handle_with ~sink ~record t =
+     identical at every worker count. *)
+  let handle t =
     if t.width < config.threshold then begin
       Obs.Metrics.incr m_subthreshold 1;
       (None, [])
     end
     else begin
       let add_stats (stats : Icp.stats) =
-        ignore (Atomic.fetch_and_add sink.sk_expansions stats.Icp.expansions);
-        ignore (Atomic.fetch_and_add sink.sk_prunes stats.Icp.prunes);
-        ignore (Atomic.fetch_and_add sink.sk_revises stats.Icp.revise_calls)
+        ignore (Atomic.fetch_and_add expansions stats.Icp.expansions);
+        ignore (Atomic.fetch_and_add prunes stats.Icp.prunes);
+        ignore (Atomic.fetch_and_add revises stats.Icp.revise_calls)
       in
       let region status subtasks =
         record t.path t.depth t.box 2 (Trace.Verdict (Outcome.status_name status));
@@ -324,13 +285,13 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
       (* Retry events get negative steps so a box's failed attempts sort
          before its final contract/solve burst in the path-ordered log. *)
       let record_retry k reason fuel =
-        Atomic.incr sink.sk_retries;
+        Atomic.incr retries;
         Obs.Metrics.incr m_retries 1;
         record t.path t.depth t.box (k + 1 - 1000)
           (Trace.Retry { attempt = k + 1; reason; fuel })
       in
       let rec attempt_solve k =
-        Atomic.incr sink.sk_calls;
+        Atomic.incr calls;
         Obs.Metrics.incr m_solver_calls 1;
         let scfg =
           {
@@ -376,20 +337,20 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
       | `Failed msg ->
           (* error isolation: this box is painted errored and split — its
              children re-roll the dice — while the campaign continues *)
-          region (Outcome.Error msg) (children ~record t)
+          region (Outcome.Error msg) (children t)
       | `Solved Icp.Unsat -> region Outcome.Verified []
       | `Solved (Icp.Sat { model; _ }) ->
           let status =
             if valid_model negated model then Outcome.Counterexample model
             else Outcome.Inconclusive model
           in
-          region status (children ~record t)
-      | `Solved Icp.Timeout -> region Outcome.Timeout (children ~record t)
+          region status (children t)
+      | `Solved Icp.Timeout -> region Outcome.Timeout (children t)
     end
   in
   (* Supervision backstop: a failure outside the retried solver call (e.g.
      in the split heuristic) still only costs its own box. *)
-  let recover_with ~record t e =
+  let recover t e =
     let status = Outcome.Error (Printexc.to_string e) in
     record t.path t.depth t.box 2 (Trace.Verdict (Outcome.status_name status));
     Obs.Metrics.incr m_boxes 1;
@@ -397,8 +358,6 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
     Obs.Metrics.observe h_depth t.depth;
     (Some (t.path, { Outcome.box = t.box; status; depth = t.depth }), [])
   in
-  let handle = handle_with ~sink ~record in
-  let recover = recover_with ~record in
   let root =
     {
       box = domain;
@@ -414,66 +373,9 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
     | `Widest -> schedule_order
     | `Smear -> schedule_order_smear
   in
-  (* Prefix restriction: replay the trunk, keep the owned frontier slice.
-     With no shard spec (or a single shard) the worklist is seeded with the
-     root and nothing changes. *)
-  let shard =
-    match shard with Some s when s.shard_count > 1 -> Some s | _ -> None
-  in
-  let trunk_painted, init =
-    match shard with
-    | None -> ([], [ root ])
-    | Some { shard_index; shard_count } ->
-        let fanout =
-          match config.split_heuristic with
-          | `Smear -> 2
-          | `Widest -> List.length (Box.split_all domain)
-        in
-        let trunk_depth = shard_trunk_depth ~fanout ~count:shard_count in
-        let owns_trunk = shard_index = 0 in
-        let scratch_sink = fresh_sink () in
-        let scratch_metrics = Obs.Metrics.fresh () in
-        let silently f =
-          let prev = Obs.Metrics.install scratch_metrics in
-          Fun.protect
-            ~finally:(fun () -> ignore (Obs.Metrics.install prev))
-            f
-        in
-        let painted = ref [] and frontier = ref [] in
-        let rec walk t =
-          if t.depth >= trunk_depth then frontier := t :: !frontier
-          else if owns_trunk then begin
-            (* the trunk runs outside the worklist; account for it so the
-               merged deterministic task count equals the unsharded run *)
-            Worklist.external_task ();
-            let r, subs =
-              match handle t with res -> res | exception e -> recover t e
-            in
-            Option.iter (fun r -> painted := r :: !painted) r;
-            List.iter walk subs
-          end
-          else begin
-            let subs =
-              silently (fun () ->
-                  match handle_with ~sink:scratch_sink ~record:no_record t with
-                  | _, subs -> subs
-                  | exception e ->
-                      snd (recover_with ~record:no_record t e))
-            in
-            List.iter walk subs
-          end
-        in
-        walk root;
-        let mine =
-          List.filteri
-            (fun pos _ -> pos mod shard_count = shard_index)
-            (List.rev !frontier)
-        in
-        (List.rev !painted, mine)
-  in
   let { Worklist.results; dropped } =
     Worklist.process ~workers:(Stdlib.max 1 config.workers)
-      ~compare ~stop:past_deadline ~recover ~handle init
+      ~compare ~stop:past_deadline ~recover ~handle [ root ]
   in
   (* Graceful drain: boxes still pending at the deadline are painted as
      timeouts (the old recursion's behaviour for boxes it reached after the
@@ -491,35 +393,27 @@ let run_custom_sharded ?(config = default_config) ?recorder ?shard ?stop
   Obs.Metrics.incr m_drained (List.length drained);
   (* Restore the pre-order paint log: parents (shorter paths) before
      children, siblings in violation-first order — identical to the old
-     depth-first recursion's log, identical at every worker count, and
-     (unioned across shards) at every shard count. *)
+     depth-first recursion's log, and identical at every worker count. *)
   let painted =
     Obs.Metrics.time_phase Obs.Metrics.Paint (fun () ->
-        trunk_painted @ List.filter_map Fun.id results @ drained
+        List.filter_map Fun.id results @ drained
         |> List.sort (fun (p1, _) (p2, _) -> Trace.compare_path p1 p2))
   in
-  ( {
-      Outcome.dfa = dfa_label;
-      condition = condition_label;
-      domain;
-      regions = List.map snd painted;
-      stats =
-        {
-          Outcome.solver_calls = Atomic.get sink.sk_calls;
-          total_expansions = Atomic.get sink.sk_expansions;
-          total_prunes = Atomic.get sink.sk_prunes;
-          total_revise_calls = Atomic.get sink.sk_revises;
-          retries = Atomic.get sink.sk_retries;
-          elapsed = Unix.gettimeofday () -. started;
-        };
-    },
-    List.map fst painted )
-
-let run_custom ?config ?recorder ?stop ~dfa_label ~condition_label ~domain
-    ~psi () =
-  fst
-    (run_custom_sharded ?config ?recorder ?stop ~dfa_label ~condition_label
-       ~domain ~psi ())
+  {
+    Outcome.dfa = dfa_label;
+    condition = condition_label;
+    domain;
+    regions = List.map snd painted;
+    stats =
+      {
+        Outcome.solver_calls = Atomic.get calls;
+        total_expansions = Atomic.get expansions;
+        total_prunes = Atomic.get prunes;
+        total_revise_calls = Atomic.get revises;
+        retries = Atomic.get retries;
+        elapsed = Unix.gettimeofday () -. started;
+      };
+  }
 
 let run ?config ?recorder ?stop (p : Encoder.problem) =
   run_custom ?config ?recorder ?stop ~dfa_label:p.Encoder.dfa.Registry.label
@@ -528,11 +422,6 @@ let run ?config ?recorder ?stop (p : Encoder.problem) =
 
 let run_pair ?config ?recorder dfa cond =
   Option.map (run ?config ?recorder) (Encoder.encode dfa cond)
-
-let run_sharded ?config ?shard (p : Encoder.problem) =
-  run_custom_sharded ?config ?shard ~dfa_label:p.Encoder.dfa.Registry.label
-    ~condition_label:(Conditions.name p.Encoder.condition)
-    ~domain:p.Encoder.domain ~psi:p.Encoder.psi ()
 
 (* ------------------------------------------------------------------ *)
 (* Campaign identity hashes (checkpoint headers).
@@ -608,73 +497,50 @@ let formula_hash problems =
   Serialize.digest (String.concat "\n" (List.map problem_fingerprint problems))
 
 (* ------------------------------------------------------------------ *)
-(* The campaign driver. One process runs every applicable pair — or, with
-   [shard], its slice [i/N] of every pair's box tree — sequentially per
-   pair, and appends each completed pair to the checkpoint as one entry
-   line carrying the outcome, its paint paths and the pair's metrics
-   snapshot. Each pair runs under a fresh metrics instance so its snapshot
-   is self-contained: the campaign's metrics are the fold of its per-pair
-   snapshots, which makes metrics resumable — a killed and restarted run
-   recovers the metrics of its completed pairs from the checkpoint, and
-   its deterministic section equals the uninterrupted run's byte for
-   byte (merged across shards, the unsharded run's). *)
+(* The campaign driver. One process runs every applicable pair,
+   sequentially per pair, and appends each completed pair to the
+   checkpoint as one entry line carrying the outcome and the pair's
+   metrics snapshot. Each pair runs under a fresh metrics instance so its
+   snapshot is self-contained: the campaign's metrics are the fold of its
+   per-pair snapshots, which makes metrics resumable — a killed and
+   restarted run recovers the metrics of its completed pairs from the
+   checkpoint, and its deterministic section equals the uninterrupted
+   run's byte for byte. *)
 
 (* Pair-level supervision: a pair whose run raised outside the box-level
    isolation (which already absorbs and retries every solver failure) is
    painted as a single whole-domain error region, so the campaign table
    still has a cell for it. What can raise there (the config check, the
-   tape compile, the shard fan-out) is deterministic, so the pair is not
-   re-run. *)
-let supervise_pair ~config ?shard (p : Encoder.problem) =
-  match run_sharded ~config ?shard p with
-  | r -> r
+   tape compile) is deterministic, so the pair is not re-run. *)
+let supervise_pair ~config (p : Encoder.problem) =
+  match run ~config p with
+  | o -> o
   | exception e ->
       let domain = p.Encoder.domain in
       let status = Outcome.Error (Printexc.to_string e) in
-      ( {
-          Outcome.dfa = p.Encoder.dfa.Registry.label;
-          condition = Conditions.name p.Encoder.condition;
-          domain;
-          regions = [ { Outcome.box = domain; status; depth = 0 } ];
-          stats = Outcome.zero_stats;
-        },
-        [ [] ] )
+      {
+        Outcome.dfa = p.Encoder.dfa.Registry.label;
+        condition = Conditions.name p.Encoder.condition;
+        domain;
+        regions = [ { Outcome.box = domain; status; depth = 0 } ];
+        stats = Outcome.zero_stats;
+      }
 
 let append_entry path e =
   Serialize.append_line path (Serialize.entry_to_string e)
 
 (* The resume source must carry this run's header: same configuration,
-   same formula set, same shard coordinates. A headerless file is refused
-   rather than trusted. *)
+   same formula set. A headerless file is refused rather than trusted. *)
 let load_resume ~expect path =
   let ck = Serialize.read_checkpoint path in
   (match ck.Serialize.cp_header with
   | None ->
       failwith (Printf.sprintf "%s: checkpoint has no campaign header" path)
-  | Some h ->
-      Serialize.check_header ~path ~expect h;
-      if h.Serialize.shard <> expect.Serialize.shard then
-        failwith
-          (Printf.sprintf
-             "%s: checkpoint belongs to a different shard (expected %s)" path
-             (match expect.Serialize.shard with
-             | Some (i, n) -> Printf.sprintf "shard %d/%d" i n
-             | None -> "an unsharded run")));
+  | Some h -> Serialize.check_header ~path ~expect h);
   ck
 
-let campaign ?(config = default_config) ?shard ?checkpoint ?resume
-    ?(on_pair = fun (_ : Outcome.t) -> ()) dfas =
+let campaign ?(config = default_config) ?checkpoint ?resume dfas =
   check_config config;
-  Option.iter
-    (fun s ->
-      if
-        s.shard_count < 1 || s.shard_index < 0
-        || s.shard_index >= s.shard_count
-      then
-        invalid_arg
-          (Printf.sprintf "Verify.campaign: bad shard %d/%d" s.shard_index
-             s.shard_count))
-    shard;
   let problems =
     Obs.Metrics.time_phase Obs.Metrics.Encode (fun () ->
         Encoder.encode_all dfas)
@@ -683,7 +549,6 @@ let campaign ?(config = default_config) ?shard ?checkpoint ?resume
     {
       Serialize.config_hash = config_hash config;
       formula_hash = formula_hash problems;
-      shard = Option.map (fun s -> (s.shard_index, s.shard_count)) shard;
     }
   in
   let resumed =
@@ -718,40 +583,33 @@ let campaign ?(config = default_config) ?shard ?checkpoint ?resume
              (Conditions.name p.Encoder.condition))
       resumed
   in
-  (* the trunk owner also owns campaign-level accounting: merged pair
-     counts must equal the unsharded run's *)
-  let owns_trunk =
-    match shard with None -> true | Some s -> s.shard_index = 0
-  in
   let pairs =
     List.map
       (fun (p : Encoder.problem) ->
         match find_entry p with
         | Some e ->
             Obs.Progress.pair_done ~boxes:0;
-            let paths = Option.value e.Serialize.paths ~default:[] in
             let snap =
               match e.Serialize.metrics_json with
               | Some j -> Serialize.metrics_of_string j
               | None -> Obs.Metrics.empty_snapshot
             in
-            ((e.Serialize.outcome, paths), snap)
+            (e.Serialize.outcome, snap)
         | None ->
             let prev = Obs.Metrics.install (Obs.Metrics.fresh ()) in
-            let o, paths, snap =
+            let o, snap =
               Fun.protect
                 ~finally:(fun () -> ignore (Obs.Metrics.install prev))
                 (fun () ->
-                  let o, paths = supervise_pair ~config ?shard p in
-                  if owns_trunk then Obs.Metrics.incr m_pairs 1;
-                  (o, paths, Obs.Metrics.snapshot ()))
+                  let o = supervise_pair ~config p in
+                  Obs.Metrics.incr m_pairs 1;
+                  (o, Obs.Metrics.snapshot ()))
             in
             Option.iter
               (fun c ->
                 append_entry c
                   {
                     Serialize.outcome = o;
-                    paths = Some paths;
                     metrics_json = Some (Serialize.metrics_to_string snap);
                   };
                 Obs.Metrics.incr m_ckpt 1)
@@ -760,8 +618,7 @@ let campaign ?(config = default_config) ?shard ?checkpoint ?resume
               ~boxes:
                 (Option.value ~default:0
                    (List.assoc_opt "verify.boxes" snap.Obs.Metrics.counters));
-            on_pair o;
-            ((o, paths), snap))
+            (o, snap))
       problems
   in
   ( List.map fst pairs,

@@ -125,35 +125,6 @@ val run_pair :
   ?config:config -> ?recorder:Trace.t -> Registry.t -> Conditions.id ->
   Outcome.t option
 
-(** {1 Multi-process sharding}
-
-    A campaign pair's box tree is partitioned by box-path prefix across
-    [shard_count] cooperating processes. Every shard deterministically
-    replays the {e trunk} — the nodes shallower than the shard frontier
-    depth — because which frontier nodes exist depends on solve results;
-    only shard 0 paints and counts trunk nodes (the others replay them
-    silently against scratch stats and a scratch metrics instance), and
-    frontier nodes are assigned round-robin in deterministic walk order.
-    Consequences, certified by the [@shard] test gate: the per-shard paint
-    logs partition the unsharded log exactly; deterministic metrics and
-    stats merge (by summation) to the unsharded values; and all of this
-    holds at any shard count x any per-shard worker count, for
-    deadline-free runs. *)
-
-type shard_spec = {
-  shard_index : int;  (** 0-based; shard 0 owns the trunk *)
-  shard_count : int;  (** [1] behaves exactly like an unsharded run *)
-}
-
-(** [run_custom_sharded ~shard ...] is {!run_custom} restricted to the
-    shard's slice, additionally returning the box path of every region of
-    the paint log (in the same order as [regions]) — the sort key a merge
-    needs to interleave shard logs back into pre-order. *)
-val run_custom_sharded :
-  ?config:config -> ?recorder:Trace.t -> ?shard:shard_spec ->
-  ?stop:(unit -> bool) -> dfa_label:string -> condition_label:string ->
-  domain:Box.t -> psi:Form.atom -> unit -> Outcome.t * int list list
-
 (** [order_children ~threshold ~margin boxes] is the order in which a
     split's children become tasks, child [i] taking box path
     [parent @ [i]], each with the margin its task is scheduled by: sorted
@@ -182,9 +153,7 @@ val formula_hash : Encoder.problem list -> string
 
 (** [campaign ~config dfas] runs every applicable pair (Table I's rows x
     columns) in canonical pair order, sequentially per pair (each pair
-    still uses [config.workers] domains internally). With [shard] it runs
-    only slice [shard.shard_index] of [shard.shard_count] of every pair's
-    box tree; [None] (the default) is the whole campaign.
+    still uses [config.workers] domains internally).
 
     Supervision: a pair whose run raises outside the box-level isolation
     (which retries solver failures per [config.retry]) is recorded as a
@@ -200,29 +169,24 @@ val formula_hash : Encoder.problem list -> string
     (a reused pair with zero boxes).
 
     [checkpoint], when given, starts with a {!Serialize.header} (config
-    hash, formula hash, shard coordinates), followed by one
-    {!Serialize.entry} line per completed pair — outcome, region paths and
-    the pair's metrics snapshot JSON — appended with a single write as the
-    pair completes, so a kill loses at most the pair in flight. Without
-    [resume] (or when the [resume] file is absent or empty) the run is
-    fresh and [checkpoint] is truncated to its header.
+    hash, formula hash), followed by one {!Serialize.entry} line per
+    completed pair — outcome and the pair's metrics snapshot JSON —
+    appended with a single write as the pair completes, so a kill loses at
+    most the pair in flight. Without [resume] (or when the [resume] file
+    is absent or empty) the run is fresh and [checkpoint] is truncated to
+    its header.
 
     [resume], when given and present, must carry a matching header
-    ([Failure] naming the path otherwise, headerless files included); its
-    completed pairs are reused, including their metrics snapshots. Entries
-    written as plain outcome lines (older unsharded checkpoints) resume
-    with no paths and no metrics. When [resume] is [checkpoint] itself, a
-    torn tail from the kill is truncated before new entries are appended;
-    when it is another file, its header and entries are copied into
-    [checkpoint] first.
+    ([Failure] naming the path otherwise, headerless files and the
+    per-process checkpoints of the retired sharded campaigns included);
+    its completed pairs are reused, including their metrics snapshots.
+    Entries written as plain outcome lines (older checkpoints) resume with
+    no metrics. When [resume] is [checkpoint] itself, a torn tail from the
+    kill is truncated before new entries are appended; when it is another
+    file, its header and entries are copied into [checkpoint] first.
 
-    [on_pair] fires after each fresh (non-resumed) pair is checkpointed —
-    the supervisor tests use it to kill a shard at a deterministic point.
-
-    Returns the per-pair [(outcome, paths)] list in canonical pair order
-    and the folded metrics snapshot; callers that want only the outcomes
-    project with [List.map fst]. *)
+    Returns the outcomes in canonical pair order and the folded metrics
+    snapshot. *)
 val campaign :
-  ?config:config -> ?shard:shard_spec -> ?checkpoint:string ->
-  ?resume:string -> ?on_pair:(Outcome.t -> unit) -> Registry.t list ->
-  (Outcome.t * int list list) list * Obs.Metrics.snapshot
+  ?config:config -> ?checkpoint:string -> ?resume:string ->
+  Registry.t list -> Outcome.t list * Obs.Metrics.snapshot

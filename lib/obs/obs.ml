@@ -406,7 +406,7 @@ module Progress = struct
     out : out_channel;
     total_pairs : int;
     start_ns : int;
-    label : string;  (* e.g. "shard 1/4"; "" for unsharded campaigns *)
+    label : string;  (* e.g. "service"; "" for a campaign *)
   }
 
   let state : cfg option Atomic.t = Atomic.make None

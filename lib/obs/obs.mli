@@ -138,9 +138,9 @@ module Progress : sig
       [interval_ns]. [tick] is called by the worklist once per task and is
       a single atomic load when disabled (the default). *)
 
-  (** [label], when given, tags the line (e.g. ["shard 1/4"] renders as
-      ["[campaign shard 1/4] ..."]) so interleaved stderr from concurrent
-      shard processes stays attributable. *)
+  (** [label], when given, tags the line (e.g. ["service"] renders as
+      ["[campaign service] ..."]) so stderr shared with other output stays
+      attributable. *)
   val enable :
     ?interval_ns:int -> ?out:out_channel -> ?label:string ->
     total_pairs:int -> unit -> unit

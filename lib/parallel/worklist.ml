@@ -91,12 +91,6 @@ let m_steals = Obs.Metrics.counter ~clas:Obs.Metrics.Wall "worklist.steals"
 let m_drained = Obs.Metrics.counter ~clas:Obs.Metrics.Wall "worklist.drained"
 let m_overflow = Obs.Metrics.counter ~clas:Obs.Metrics.Wall "worklist.overflow"
 
-(* Trunk-replay accounting for the sharded verifier: a task handled outside
-   any worklist (the shard-owned prefix walk) still counts towards
-   [worklist.tasks], so sharded metrics merge to the unsharded totals. *)
-let external_task () =
-  Obs.Metrics.incr m_tasks 1;
-  Obs.Progress.tick ()
 let g_depth = Obs.Metrics.gauge "worklist.depth"
 
 type ('task, 'result) state = {

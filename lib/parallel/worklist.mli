@@ -31,13 +31,6 @@ type ('task, 'result) outcome = {
           timeout regions) *)
 }
 
-(** [external_task ()] accounts for one task handled outside any worklist
-    (the sharded verifier's trunk replay): increments the deterministic
-    [worklist.tasks] counter and ticks the progress line, exactly as a
-    worker would for a popped task — so a campaign sharded across processes
-    merges to the same deterministic task count as the unsharded run. *)
-val external_task : unit -> unit
-
 (** [process ~workers ~compare ~stop ~handle init] runs [handle] over the
     task frontier seeded with [init] until it is exhausted or [stop ()]
     turns true.

@@ -57,7 +57,7 @@ let load_group t ~config_hash ~formula_hash =
   | Some g -> g
   | None ->
       let file = group_file t ~config_hash ~formula_hash in
-      let header = Serialize.{ config_hash; formula_hash; shard = None } in
+      let header = Serialize.{ config_hash; formula_hash } in
       let exists = Sys.file_exists file in
       let entries =
         if not exists then []

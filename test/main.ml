@@ -30,7 +30,7 @@ let () =
       ("kohn-sham", Test_ks.suite);
       ("serialize", Test_serialize.suite);
       ("resilience", Test_resilience.suite);
-      ("shard", Test_shard.suite);
+      ("campaign", Test_campaign.suite);
       ("trace", Test_trace.suite);
       ("mutate", Test_mutate.suite);
       ("obs", Test_obs.suite);

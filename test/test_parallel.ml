@@ -270,8 +270,8 @@ let test_worklist_stop_partitions_parallel () =
     (List.sort Int.compare (results @ dropped))
 
 let test_worklist_task_counter () =
-  (* [worklist.tasks] counts heap and overflow tasks alike, plus each
-     [external_task], at any worker count. *)
+  (* [worklist.tasks] counts heap and overflow tasks alike, at any worker
+     count. *)
   let handle (depth, id) =
     ((), if depth >= 6 then [] else [ (depth + 1, (2 * id) + 1); (depth + 1, (2 * id) + 2) ])
   in
@@ -285,13 +285,11 @@ let test_worklist_task_counter () =
             ignore
               (Worklist.process ~workers ~capacity:4 ~compare ~handle
                  [ (0, 0) ]);
-            Worklist.external_task ();
-            Worklist.external_task ();
             Obs.Metrics.snapshot ())
       in
       Alcotest.(check int)
-        (Printf.sprintf "127 tasks + 2 external at workers=%d" workers)
-        129
+        (Printf.sprintf "127 tasks at workers=%d" workers)
+        127
         (List.assoc "worklist.tasks" snap.Obs.Metrics.counters))
     [ 1; 4 ]
 

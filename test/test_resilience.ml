@@ -272,7 +272,6 @@ let campaign_config =
   }
 
 let lyp = [ Registry.find "lyp" ]
-let outcomes_of (pairs, _) = List.map fst pairs
 
 let outcome_fingerprint (o : Outcome.t) =
   Printf.sprintf "%s/%s:%s" o.Outcome.dfa o.Outcome.condition
@@ -291,8 +290,8 @@ let test_faulted_campaign_completes () =
         };
     }
   in
-  let clean = outcomes_of (Verify.campaign ~config:campaign_config lyp) in
-  let outcomes = outcomes_of (Verify.campaign ~config:faulted lyp) in
+  let clean = fst (Verify.campaign ~config:campaign_config lyp) in
+  let outcomes = fst (Verify.campaign ~config:faulted lyp) in
   Alcotest.(check int) "every pair has an outcome" (List.length clean)
     (List.length outcomes);
   check_true "fault injection at 20% leaves visible error paints"
@@ -305,7 +304,7 @@ let test_checkpoint_resume_reproduces () =
     (fun () ->
       Sys.remove path;
       let full =
-        outcomes_of
+        fst
           (Verify.campaign ~config:campaign_config ~checkpoint:path lyp)
       in
       check_true "campaign produced outcomes" (List.length full >= 2);
@@ -320,7 +319,7 @@ let test_checkpoint_resume_reproduces () =
           Out_channel.output_string oc (List.nth lines 1);
           Out_channel.output_string oc "\n(outcome 3 (dfa to");
       let resumed =
-        outcomes_of (Verify.campaign ~config:campaign_config ~resume:path lyp)
+        fst (Verify.campaign ~config:campaign_config ~resume:path lyp)
       in
       Alcotest.(check (list string)) "resumed campaign repaints identically"
         (List.map outcome_fingerprint full)

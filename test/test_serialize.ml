@@ -168,7 +168,6 @@ let append_entry path (o : Outcome.t) =
     (Serialize.entry_to_string
        {
          Serialize.outcome = o;
-         paths = Some (List.mapi (fun i _ -> [ i ]) o.Outcome.regions);
          metrics_json = Some "{\"version\":1}";
        })
 
@@ -196,8 +195,6 @@ let test_checkpoint_roundtrip () =
       let second = List.nth ck.Serialize.entries 1 in
       Alcotest.(check string) "order preserved" "synthetic"
         second.Serialize.outcome.Outcome.dfa;
-      check_true "paths survive"
-        (second.Serialize.paths = Some [ [ 0 ]; [ 1 ] ]);
       check_true "metrics survive"
         (second.Serialize.metrics_json = Some "{\"version\":1}"))
 
@@ -249,19 +246,18 @@ let test_empty_strings_roundtrip () =
               .Outcome.regions)
              .Outcome.status))
 
-(* The bytes of an entry line are a persisted format: pin one, with paths
-   and an embedded metrics snapshot, character for character. *)
+(* The bytes of an entry line are a persisted format: pin one, with an
+   embedded metrics snapshot, character for character. *)
 let test_entry_line_bytes () =
   let o = { (error_out "a b") with Outcome.dfa = "VWN RPA" } in
   Alcotest.(check string) "entry line"
     "(entry (outcome 3 (dfa VWN%20RPA) (condition ec1) (box (x 0x0p+0 \
      0x1p+0)) (stats 0 0 0 0 3 0x0p+0) (regions (region 0 (error a%20b) \
      (box (x 0x0p+0 0x1p+0))) (region 1 (verified) (box (x 0x0p+0 \
-     0x1p+0))))) (paths (0) (0 1)) (metrics %7b%0a%7d))"
+     0x1p+0))))) (metrics %7b%0a%7d))"
     (Serialize.entry_to_string
        {
          Serialize.outcome = o;
-         paths = Some [ [ 0 ]; [ 0; 1 ] ];
          metrics_json = Some "{\n}";
        });
   Alcotest.(check string) "bare entry line around printed bytes"
@@ -277,7 +273,7 @@ let test_torn_entry () =
     (fun () ->
       let o = error_out "first" in
       Serialize.write_header path
-        { Serialize.config_hash = "c"; formula_hash = "f"; shard = None };
+        { Serialize.config_hash = "c"; formula_hash = "f" };
       append_entry path o;
       let clean = read_file path in
       Serialize.append_torn_entry path (Serialize.to_string o);
@@ -306,7 +302,7 @@ let test_atomic_write_faults () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let header =
-        { Serialize.config_hash = "c"; formula_hash = "f"; shard = Some (0, 2) }
+        { Serialize.config_hash = "c"; formula_hash = "f" }
       in
       Serialize.write_header path header;
       append_entry path (error_out "kept");

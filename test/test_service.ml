@@ -253,7 +253,7 @@ let test_cache_enospc_and_eintr () =
      hunt for a seed whose decisions have exactly that shape *)
   let line =
     Serialize.entry_to_string
-      Serialize.{ outcome = o; paths = None; metrics_json = None }
+      Serialize.{ outcome = o; metrics_json = None }
   in
   let key = Fault.key_of_string (line ^ "\n") in
   let rec hunt seed =
@@ -511,7 +511,7 @@ let qcheck_cache_entry_line =
       | [ _header; line; "" ] ->
           String.equal line
             (Serialize.entry_to_string
-               Serialize.{ outcome = o; paths = None; metrics_json = None })
+               Serialize.{ outcome = o; metrics_json = None })
       | _ -> false)
 
 let test_frame_roundtrip () =
@@ -1197,7 +1197,7 @@ let test_cli_daemon_kill_restart () =
           live := List.filter (fun p -> p <> pid) !live
       | _, st ->
           Alcotest.failf "expected SIGKILL, got %s"
-            (Shard_supervisor.status_to_string st));
+            (status_to_string st));
       let group =
         match
           Sys.readdir (path "cache2") |> Array.to_list
@@ -1234,7 +1234,7 @@ let test_campaign_repairs_before_append () =
   let lyp = [ Registry.find "lyp" ] in
   let p = Filename.concat (temp_dir ()) "camp.ckpt" in
   let first =
-    List.map fst (fst (Verify.campaign ~config:cfg ~checkpoint:p lyp))
+    fst (Verify.campaign ~config:cfg ~checkpoint:p lyp)
   in
   let n = List.length first in
   check_true "campaign has pairs" (n >= 1);
@@ -1246,7 +1246,7 @@ let test_campaign_repairs_before_append () =
   close_out oc;
   check_true "tail is torn" (Serialize.read_checkpoint p).Serialize.truncated;
   let second =
-    List.map fst (fst (Verify.campaign ~config:cfg ~checkpoint:p ~resume:p lyp))
+    fst (Verify.campaign ~config:cfg ~checkpoint:p ~resume:p lyp)
   in
   Alcotest.(check int) "same pair count" n (List.length second);
   let ck = Serialize.read_checkpoint p in
@@ -1261,41 +1261,6 @@ let test_campaign_repairs_before_append () =
         (bytes_of (strip_elapsed a))
         (bytes_of (strip_elapsed b)))
     first second
-
-let sh_spawn code ~shard:_ ~resume:_ =
-  Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; code |] Unix.stdin
-    Unix.stdout Unix.stderr
-
-let no_zombies () =
-  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
-  | 0, _ -> false (* a child still running: also a leak *)
-  | _ -> false
-
-let test_supervisor_names_dead_shard () =
-  (match
-     Shard_supervisor.supervise ~count:2 ~max_restarts:1
-       ~spawn:(fun ~shard ~resume ->
-         sh_spawn (if shard = 1 then "exit 3" else "sleep 30") ~shard ~resume)
-       ()
-   with
-  | Ok _ -> Alcotest.fail "expected the supervisor to give up"
-  | Error msg ->
-      check_true "the error names the dead shard"
-        (contains_sub msg "shard 1 died");
-      check_true "and points at its checkpoint"
-        (contains_sub msg "checkpoint"));
-  check_true "no zombies after give-up" (no_zombies ())
-
-let test_supervisor_success_reaps () =
-  (match
-     Shard_supervisor.supervise ~count:2
-       ~spawn:(fun ~shard:_ ~resume:_ -> sh_spawn "exit 0" ~shard:0 ~resume:false)
-       ()
-   with
-  | Ok restarts -> Alcotest.(check int) "no restarts" 0 restarts
-  | Error msg -> Alcotest.fail msg);
-  check_true "no zombies after success" (no_zombies ())
 
 let test_progress_relabel () =
   let path = Filename.temp_file "xcvprogress" ".log" in
@@ -1370,7 +1335,5 @@ let suite =
       test_cli_daemon_kill_restart;
     slow_case "campaign repairs torn checkpoint before appending"
       test_campaign_repairs_before_append;
-    case "supervisor names the dead shard" test_supervisor_names_dead_shard;
-    case "supervisor reaps on success" test_supervisor_success_reaps;
     case "progress relabel" test_progress_relabel;
   ]

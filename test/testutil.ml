@@ -196,3 +196,9 @@ let contains_sub haystack needle =
     i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
   in
   nn = 0 || go 0
+
+(* how a child process ended, for failure messages *)
+let status_to_string = function
+  | Unix.WEXITED n -> Printf.sprintf "exited with code %d" n
+  | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
+  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
