@@ -235,24 +235,22 @@ let metrics_arg =
     & opt (some (writable_path ~what:"metrics file")) None
     & info [ "metrics" ] ~doc ~docv:"FILE")
 
-let write_metrics_json json path =
-  if path = "-" then print_string json
-  else begin
-    match open_out path with
-    | exception Sys_error msg ->
-        Printf.eprintf "cannot write metrics: %s\n" msg;
+(* The --metrics and --trace files: - prints to stdout, any other path is
+   replaced atomically, so a killed run leaves the old file or the whole
+   new one. *)
+let write_output ~what path bytes =
+  if path = "-" then print_string bytes
+  else
+    match Serialize.write_file_atomic path bytes with
+    | () -> Printf.printf "%s written to %s\n" what path
+    | exception Unix.Unix_error (e, _, _) ->
+        Printf.eprintf "cannot write %s: %s: %s\n" what path
+          (Unix.error_message e);
         exit 2
-    | oc ->
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc json);
-        Printf.printf "metrics written to %s\n" path
-  end
 
 let write_metrics path =
-  write_metrics_json
+  write_output ~what:"metrics" path
     (Serialize.metrics_to_string (Obs.Metrics.snapshot ()))
-    path
 
 (* --jit asked for speed; if the toolchain can't deliver it the run still
    completes (interpreted tape), so warn once instead of failing. *)
@@ -390,21 +388,8 @@ let verify_cmd =
             | None -> ());
             (match trace, recorder with
             | Some path, Some r ->
-                let report = Serialize.trace_report o (Trace.events r) in
-                if path = "-" then print_endline report
-                else begin
-                  match open_out path with
-                  | exception Sys_error msg ->
-                      Printf.eprintf "cannot write trace: %s\n" msg;
-                      exit 2
-                  | oc ->
-                      Fun.protect
-                        ~finally:(fun () -> close_out oc)
-                        (fun () ->
-                          output_string oc report;
-                          output_char oc '\n');
-                      Printf.printf "trace written to %s\n" path
-                end
+                write_output ~what:"trace" path
+                  (Serialize.trace_report o (Trace.events r) ^ "\n")
             | _ -> ());
             if certify then begin
               let cert, dropped = Witness.extract problem o in
@@ -542,7 +527,7 @@ let campaign_cmd =
           Printf.printf "\nsaved %d outcomes to %s\n" (List.length outcomes)
             path)
         save;
-      Option.iter (write_metrics_json json) metrics
+      Option.iter (fun path -> write_output ~what:"metrics" path json) metrics
     with Failure msg ->
       prerr_endline msg;
       exit 2

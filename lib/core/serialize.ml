@@ -203,22 +203,11 @@ let to_string o =
 
 let of_string s = outcome_of_sexp (S.parse s)
 
-let save path outcomes =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun o ->
-          output_string oc (to_string o);
-          output_char oc '\n')
-        outcomes)
-
 (* ------------------------------------------------------------------ *)
-(* Crash-safe byte primitives — the substrate the verdict cache and the
-   service journal are built on. Both honour an optional I/O fault plan
-   (Fault.io_plan): every write consults the plan first, so torn entries,
-   full disks and interrupted writes are deterministically injectable. *)
+(* Crash-safe byte primitives — the one writer of every persisted or sent
+   byte, and the one reader of line files. Every write honours an optional
+   I/O fault plan (Fault.io_plan) first, so torn entries, full disks and
+   interrupted writes are deterministically injectable. *)
 
 (* One logical write. EINTR faults re-roll (bounded); a short write lands a
    prefix of the buffer and then raises — exactly the bytes a process
@@ -277,7 +266,10 @@ let fsync_dir path =
         ~finally:(fun () -> Unix.close dfd)
         (fun () -> try Unix.fsync dfd with Unix.Unix_error _ -> ())
 
-let write_file_atomic ?io_faults path content =
+(* The tmp-file write of both whole-file shapes: [content] goes to a
+   pid-suffixed tmp file through the faulted writer and is fsynced. On any
+   failure the tmp file is removed and the exception propagates. *)
+let write_tmp ?io_faults path content =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
@@ -292,9 +284,50 @@ let write_file_atomic ?io_faults path content =
      (* destination untouched on any failure — that is the whole point *)
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
+  tmp
+
+let write_file_atomic ?io_faults path content =
+  let tmp = write_tmp ?io_faults path content in
   Unix.rename tmp path;
   (* make the rename itself durable *)
   fsync_dir path
+
+(* Unlike rename, link fails with EEXIST instead of replacing, so a
+   concurrent creator's file, and whatever it appended since, survives. *)
+let create_file ?io_faults path content =
+  if not (Sys.file_exists path) then begin
+    let tmp = write_tmp ?io_faults path content in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+      (fun () ->
+        try Unix.link tmp path with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    fsync_dir path
+  end
+
+let save path outcomes =
+  write_file_atomic path
+    (String.concat "" (List.map (fun o -> to_string o ^ "\n") outcomes))
+
+(* The one reader of line files: blank lines are skipped, [f] sees the
+   others in order and may stop the fold. Returns the accumulator and the
+   offset where reading stopped — the start of the line [f] stopped at, or
+   the end of the file. *)
+let fold_lines path f init =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc =
+        let start = pos_in ic in
+        match input_line ic with
+        | exception End_of_file -> (acc, start)
+        | line when String.trim line = "" -> go acc
+        | line -> (
+            match f acc line with
+            | `Next acc -> go acc
+            | `Stop acc -> (acc, start))
+      in
+      go init)
 
 (* ------------------------------------------------------------------ *)
 (* Digests — the identity of a campaign's configuration and formula set,
@@ -449,48 +482,23 @@ let read_checkpoint path =
   if not (Sys.file_exists path) then
     { cp_header = None; entries = []; truncated = false; valid_bytes = 0 }
   else
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        refusing_sharded path @@ fun () ->
-        let rec go header acc valid first =
-          match input_line ic with
-          | exception End_of_file ->
-              {
-                cp_header = header;
-                entries = List.rev acc;
-                truncated = false;
-                valid_bytes = valid;
-              }
-          | line -> (
-              if String.trim line = "" then go header acc (pos_in ic) first
-              else
-                match line_of_string line with
-                | Header h when first -> go (Some h) acc (pos_in ic) false
-                | Header _ ->
-                    (* a header below the first line can only be torn-write
-                       debris *)
-                    {
-                      cp_header = header;
-                      entries = List.rev acc;
-                      truncated = true;
-                      valid_bytes = valid;
-                    }
-                | Entry e -> go header (e :: acc) (pos_in ic) false
-                | exception (Sharded_header _ as e) -> raise e
-                | exception _ ->
-                    (* stop at the first malformed line — anything after a
-                       torn write is untrustworthy; the valid prefix is the
-                       resume point *)
-                    {
-                      cp_header = header;
-                      entries = List.rev acc;
-                      truncated = true;
-                      valid_bytes = valid;
-                    })
-        in
-        go None [] 0 true)
+    refusing_sharded path @@ fun () ->
+    let (header, entries, _, truncated), valid_bytes =
+      fold_lines path
+        (fun (header, acc, first, _) line ->
+          (* a header below the first line can only be torn-write debris;
+             past a malformed line (a torn write) nothing is trustworthy,
+             and the valid prefix before it is the resume point *)
+          let torn = `Stop (header, acc, first, true) in
+          match line_of_string line with
+          | Header h when first -> `Next (Some h, acc, false, false)
+          | Entry e -> `Next (header, e :: acc, false, false)
+          | Header _ -> torn
+          | exception (Sharded_header _ as e) -> raise e
+          | exception _ -> torn)
+        (None, [], true, false)
+    in
+    { cp_header = header; entries = List.rev entries; truncated; valid_bytes }
 
 let repair_checkpoint path =
   let ck = read_checkpoint path in
@@ -504,25 +512,16 @@ let write_header path header =
    checkpointing campaigns) are skipped and entry wrappers unwrapped, so a
    finished checkpoint doubles as an archive for [replay]. *)
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      refusing_sharded path @@ fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line ->
-            let acc =
-              if String.trim line = "" then acc
-              else
-                match line_of_string line with
-                | Header _ -> acc
-                | Entry e -> e.outcome :: acc
-            in
-            go acc
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+  refusing_sharded path @@ fun () ->
+  let acc, _ =
+    fold_lines path
+      (fun acc line ->
+        match line_of_string line with
+        | Header _ -> `Next acc
+        | Entry e -> `Next (e.outcome :: acc))
+      []
+  in
+  List.rev acc
 
 (* ------------------------------------------------------------------ *)
 (* Paint log — the region lines alone, one s-expression per line: the

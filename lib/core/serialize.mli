@@ -25,20 +25,36 @@ val of_string : string -> Outcome.t
 val outcome_of_sexp : Parser.Sexp.t -> Outcome.t
 
 (** [save path outcomes] / [load path] — a campaign archive (one
-    s-expression per line). *)
+    s-expression per line). [save] replaces [path] through
+    {!write_file_atomic}, so a kill mid-save leaves the old file or the
+    whole archive, never a torn one. *)
 val save : string -> Outcome.t list -> unit
 
 val load : string -> Outcome.t list
 
 (** {1 Crash-safe byte primitives}
 
-    The verdict cache, the service journal and campaign checkpoints are
-    built on two durable write shapes: whole-line appends (one [write(2)] on an [O_APPEND]
-    descriptor, so concurrent writers interleave lines, never bytes) and
-    whole-file replacement (tmp file + [rename], so a reader never sees a
-    half-written file). Both consult an optional {!Fault.io_plan} before
-    touching the descriptor — torn entries, ENOSPC and EINTR are
-    deterministically injectable ([@raise Fault.Io_injected]). *)
+    Every byte the program persists or sends goes through {!faulted_write}:
+    the verdict cache, the service journal, campaign checkpoints and
+    archives, the [--metrics] and [--trace] files, and the service's
+    socket frames. Files take one of three durable write shapes:
+    whole-line appends (one [write(2)] on an [O_APPEND] descriptor, so
+    concurrent writers interleave lines, never bytes), whole-file
+    replacement (tmp file + [rename], so a reader never sees a
+    half-written file) and create-if-absent (tmp file + [link(2)]). All
+    consult an optional {!Fault.io_plan} before touching the descriptor —
+    torn entries, ENOSPC and EINTR are deterministically injectable
+    ([@raise Fault.Io_injected]). *)
+
+(** [faulted_write ?io_faults ~what fd bytes] writes all of [bytes] to
+    [fd], retrying real [EINTR]s and short counts. With a plan, each
+    attempt first draws a decision keyed on [bytes]: an injected [Eintr]
+    retries (attempts 0 to 8, then gives up), [Enospc] raises before any
+    byte lands, and [Short_write] lands the first half of [bytes] (at
+    least one byte) and raises — what a process killed mid-write leaves.
+    [what] names the target in the exception. *)
+val faulted_write :
+  ?io_faults:Fault.io_plan -> what:string -> Unix.file_descr -> string -> unit
 
 (** [append_line ?io_faults ?fsync path line] appends [line ^ "\n"] with a
     single write; [fsync] (default false) syncs the descriptor afterwards —
@@ -53,6 +69,26 @@ val append_line :
     [path], and the directory is fsynced. On any failure (including
     injected faults) the tmp file is removed and [path] is untouched. *)
 val write_file_atomic : ?io_faults:Fault.io_plan -> string -> string -> unit
+
+(** [create_file ?io_faults path content] creates [path] holding [content]
+    unless it exists already: the same fsynced tmp-file write as
+    {!write_file_atomic}, then [link(2)] into place and a directory fsync.
+    [link] fails with [EEXIST] instead of replacing (and that is ignored),
+    so a concurrent creator's file and whatever was appended to it since
+    survive. On any failure the tmp file is removed and [path] is not
+    created. The verdict cache creates its group files this way. *)
+val create_file : ?io_faults:Fault.io_plan -> string -> string -> unit
+
+(** [fold_lines path f init] is the one reader of line files — archives,
+    checkpoints, verdict-cache groups and the service journal. It folds
+    [f] over the lines of [path] in order, skipping blank ones; [f]
+    returns [`Next acc] to go on or [`Stop acc] to end the fold at that
+    line. The result pairs the last accumulator with the byte offset
+    where reading stopped: the start of the line [f] stopped at, or the
+    end of the file. What a bad line means is the caller's policy.
+    @raise Sys_error when [path] cannot be opened. *)
+val fold_lines :
+  string -> ('a -> string -> [ `Next of 'a | `Stop of 'a ]) -> 'a -> 'a * int
 
 (** [percent_encode s] maps [s] onto a single safe s-expression atom:
     alphanumerics and [_.-+/] are kept, everything else is [%xx]-escaped,

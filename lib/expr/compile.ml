@@ -13,9 +13,7 @@ type instr =
 
 type t = { instrs : instr array; nvars : int }
 
-(* The single scalar dispatch table for primitive unary functions, shared by
-   the scalar and batch interpreters (and anyone else lowering [unop]s to
-   floats) so the two cannot disagree on a primitive's meaning. *)
+(* The scalar meaning of each primitive unary function. *)
 let scalar_of_unop = function
   | Exp -> Stdlib.exp
   | Log -> Stdlib.log
@@ -86,68 +84,6 @@ let compile ~vars e =
 
 let length tape = Array.length tape.instrs
 let arity tape = tape.nvars
-
-let run_batch tape args out =
-  if Array.length args <> tape.nvars then
-    invalid_arg "Compile.run_batch: arity mismatch";
-  let n = Array.length out in
-  Array.iter
-    (fun col ->
-      if Array.length col <> n then
-        invalid_arg "Compile.run_batch: ragged argument arrays")
-    args;
-  let m = Array.length tape.instrs in
-  if m = 0 then Array.fill out 0 n 0.0
-  else begin
-    (* One row of registers per instruction, each a full column of points.
-       Memory is m*n floats; PB meshes are evaluated in row chunks upstream
-       if that ever matters (for m ~ 100, n ~ 10^4 this is ~8 MB). *)
-    let regs = Array.init m (fun _ -> Array.make n 0.0) in
-    for i = 0 to m - 1 do
-      let dst = regs.(i) in
-      match tape.instrs.(i) with
-      | Load_const c -> Array.fill dst 0 n c
-      | Load_var slot -> Array.blit args.(slot) 0 dst 0 n
-      | Add2 (a, b) ->
-          let ra = regs.(a) and rb = regs.(b) in
-          for k = 0 to n - 1 do
-            dst.(k) <- ra.(k) +. rb.(k)
-          done
-      | Mul2 (a, b) ->
-          let ra = regs.(a) and rb = regs.(b) in
-          for k = 0 to n - 1 do
-            dst.(k) <- ra.(k) *. rb.(k)
-          done
-      | Pow2 (a, b) ->
-          let ra = regs.(a) and rb = regs.(b) in
-          for k = 0 to n - 1 do
-            dst.(k) <- Eval.pow_float ra.(k) rb.(k)
-          done
-      | Powi (a, p) ->
-          let ra = regs.(a) and pf = float_of_int p in
-          for k = 0 to n - 1 do
-            dst.(k) <- Eval.pow_float ra.(k) pf
-          done
-      | Unop (op, a) ->
-          let ra = regs.(a) in
-          let f = scalar_of_unop op in
-          for k = 0 to n - 1 do
-            dst.(k) <- f ra.(k)
-          done
-      | Select (branches, default) ->
-          let rd = regs.(default) in
-          for k = 0 to n - 1 do
-            let rec pick = function
-              | [] -> rd.(k)
-              | (g, rel, body) :: rest ->
-                  if Eval.guard_holds rel regs.(g).(k) then regs.(body).(k)
-                  else pick rest
-            in
-            dst.(k) <- pick branches
-          done
-    done;
-    Array.blit regs.(m - 1) 0 out 0 n
-  end
 
 (* [run]'s registers: one file per domain, grown to the longest tape run
    there. Every instruction writes its register before any later one reads

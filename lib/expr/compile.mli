@@ -13,12 +13,6 @@
 
 type t
 
-(** The scalar meaning of a primitive unary operation — the single dispatch
-    table shared by {!run}, {!run_batch} and {!Eval.eval}-compatible
-    lowerings, so independent interpreters cannot disagree on a
-    primitive. *)
-val scalar_of_unop : Expr.unop -> float -> float
-
 (** [compile ~vars e] compiles [e]; every free variable of [e] must appear in
     [vars]. The order of [vars] fixes the argument order of {!run}.
     @raise Invalid_argument if a free variable is missing from [vars]. *)
@@ -29,18 +23,6 @@ val compile : vars:string list -> Expr.t -> t
     Agrees with {!Eval.eval} to the last ulp (same operations, same order).
     @raise Invalid_argument on arity mismatch. *)
 val run : t -> float array -> float
-
-(** [run_batch tape args out] evaluates the tape at many points at once:
-    [args.(v)] holds the values of variable [v] across all points, and the
-    results are written to [out]. Processing whole arrays per instruction
-    moves the interpreter dispatch from per-point to per-instruction; the
-    Pederson-Burke baseline evaluates its 10^4-10^5-point meshes this way.
-    (Measured on the DFA tapes the win is modest — libm [pow]/[exp] calls
-    dominate, not dispatch — but the columnwise layout is also what a
-    SIMD/GPU backend would consume.)
-    @raise Invalid_argument if array lengths disagree with the tape arity or
-    with each other. *)
-val run_batch : t -> float array array -> float array -> unit
 
 (** Number of instructions in the tape (a machine-level operation count). *)
 val length : t -> int

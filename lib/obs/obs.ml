@@ -78,14 +78,6 @@ module Metrics = struct
   let gauge name = register gauges_tbl name Wall
   let timer name = register timers_tbl name Wall
 
-  let phase_name = function
-    | Encode -> "encode"
-    | Contract -> "contract"
-    | Solve -> "solve"
-    | Split -> "split"
-    | Paint -> "paint"
-    | Retry -> "retry"
-
   let phase_encode = timer "phase.encode"
   let phase_contract = timer "phase.contract"
   let phase_solve = timer "phase.solve"
@@ -481,13 +473,19 @@ let validate_output_path path =
       Error (Printf.sprintf "directory %s does not exist" dir)
     else if not (Sys.is_directory dir) then
       Error (Printf.sprintf "%s is not a directory" dir)
-    else if Sys.file_exists path && Sys.is_directory path then
-      Error (Printf.sprintf "%s is a directory" path)
+    else if Sys.file_exists path && not (Sys.is_regular_file path) then
+      (* output files are replaced by a rename, which must not land on a
+         directory or a device such as /dev/null *)
+      Error (Printf.sprintf "%s is not a regular file" path)
     else
-      let probe = if Sys.file_exists path then path else dir in
-      match Unix.access probe [ Unix.W_OK ] with
-      | () -> Ok ()
-      | exception Unix.Unix_error (e, _, _) ->
-          Error
-            (Printf.sprintf "%s is not writable (%s)" probe
-               (Unix.error_message e))
+      let writable p =
+        match Unix.access p [ Unix.W_OK ] with
+        | () -> Ok ()
+        | exception Unix.Unix_error (e, _, _) ->
+            Error
+              (Printf.sprintf "%s is not writable (%s)" p
+                 (Unix.error_message e))
+      in
+      (* the replacement's tmp file is created next to [path] *)
+      Result.bind (writable dir) (fun () ->
+          if Sys.file_exists path then writable path else Ok ())

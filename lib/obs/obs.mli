@@ -69,10 +69,6 @@ module Metrics : sig
       and tracks the per-shard high watermark. *)
   val gauge_set : gauge -> int -> unit
 
-  val gauge_get : gauge -> int
-  val add_ns : timer -> int -> unit
-  val phase_timer : phase -> timer
-  val phase_name : phase -> string
   val add_phase : phase -> int -> unit
 
   (** [time_phase p f] runs [f], charging its wall time to phase [p] (also
@@ -164,7 +160,9 @@ module Progress : sig
 end
 
 (** [validate_output_path p] checks up front that [p] could be created or
-    overwritten: the parent directory exists and is writable, and [p] is
-    not itself a directory. ["-"] (stdout) is always accepted. Returns a
-    human-readable reason on [Error]. *)
+    replaced: the parent directory exists and is writable, and [p], if it
+    exists, is a writable regular file (output files are replaced by a
+    rename, which must not land on a directory or a device). ["-"]
+    (stdout) is always accepted. Returns a human-readable reason on
+    [Error]. *)
 val validate_output_path : string -> (unit, string) result

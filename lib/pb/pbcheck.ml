@@ -21,20 +21,9 @@ let mesh_for ?(n = 100) ?(n_alpha = 20) dfa =
   in
   Mesh.make (List.map axis (Registry.variables dfa))
 
-(* Evaluate a compiled tape over every mesh point, columnwise. *)
+(* Evaluate a compiled tape at every mesh point. *)
 let tabulate mesh tape =
-  let total = Mesh.size mesh in
-  let nvars = List.length mesh.Mesh.axes in
-  let cols = Array.init nvars (fun _ -> Array.make total 0.0) in
-  for i = 0 to total - 1 do
-    let v = Mesh.values mesh i in
-    for j = 0 to nvars - 1 do
-      cols.(j).(i) <- v.(j)
-    done
-  done;
-  let out = Array.make total 0.0 in
-  Compile.run_batch tape cols out;
-  out
+  Array.init (Mesh.size mesh) (fun i -> Compile.run tape (Mesh.values mesh i))
 
 let check ?(n = 100) ?(n_alpha = 20) (dfa : Registry.t) cond =
   if not (Conditions.applies cond dfa) then None

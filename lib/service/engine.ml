@@ -116,47 +116,34 @@ let journal_inflight t ~seq req =
 let journal_done t ~seq =
   journal_append t ~fsync:false (Printf.sprintf "(done (seq %d))" seq)
 
-(* valid lines of the journal file, torn tail (and any malformed line)
-   skipped — the loader mirrors the checkpoint torn-tail discipline *)
+(* the requests of inflight lines without a done line, each at its first
+   occurrence; a torn tail and any other malformed line are skipped *)
 let journal_pending path =
   if not (Sys.file_exists path) then []
   else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let content = really_input_string ic n in
-    close_in ic;
     let inflight = Hashtbl.create 16 in
-    let order = ref [] in
-    String.split_on_char '\n' content
-    |> List.iter (fun line ->
-           if line <> "" then
-             match S.parse line with
-             | S.List
-                 [ S.Atom "inflight"; S.List [ S.Atom "seq"; S.Atom n ]; req ]
-               -> (
-                 match int_of_string_opt n with
-                 | Some seq -> (
-                     match Protocol.request_of_sexp req with
-                     | r ->
-                         Hashtbl.replace inflight seq r;
-                         order := seq :: !order
-                     | exception Parser.Parse_error _ -> ())
-                 | None -> ())
-             | S.List [ S.Atom "done"; S.List [ S.Atom "seq"; S.Atom n ] ]
-               -> (
-                 match int_of_string_opt n with
-                 | Some seq -> Hashtbl.remove inflight seq
-                 | None -> ())
-             | _ -> ()
-             | exception Parser.Parse_error _ -> ());
-    List.rev !order
+    let order, _ =
+      Serialize.fold_lines path
+        (fun order line ->
+          match S.parse line with
+          | S.List [ S.Atom "inflight"; S.List [ S.Atom "seq"; S.Atom n ]; req ]
+            -> (
+              match (int_of_string_opt n, Protocol.request_of_sexp req) with
+              | Some seq, r ->
+                  Hashtbl.replace inflight seq r;
+                  `Next (seq :: order)
+              | None, _ | (exception Parser.Parse_error _) -> `Next order)
+          | S.List [ S.Atom "done"; S.List [ S.Atom "seq"; S.Atom n ] ] ->
+              Option.iter (Hashtbl.remove inflight) (int_of_string_opt n);
+              `Next order
+          | _ | (exception Parser.Parse_error _) -> `Next order)
+        []
+    in
+    List.rev order
     |> List.filter_map (fun seq ->
-           match Hashtbl.find_opt inflight seq with
-           | Some req ->
-               Hashtbl.remove inflight seq;
-               (* keep first occurrence only *)
-               Some req
-           | None -> None)
+           let req = Hashtbl.find_opt inflight seq in
+           Hashtbl.remove inflight seq;
+           req)
   end
 
 (* ---- configuration shaping ------------------------------------------ *)

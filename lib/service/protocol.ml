@@ -318,39 +318,11 @@ let is_terminal req resp =
 
 let max_payload = 16 * 1024 * 1024
 
-let rec write_all fd b off len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd b off len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd b (off + n) (len - n)
-  end
-
 let write_frame ?io_faults fd payload =
   if String.length payload > max_payload then
     invalid_arg "Protocol.write_frame: payload too large";
-  let s = Printf.sprintf "%08x\n%s\n" (String.length payload) payload in
-  let b = Bytes.unsafe_of_string s in
-  let len = Bytes.length b in
-  match io_faults with
-  | None -> write_all fd b 0 len
-  | Some plan ->
-      let key = Fault.key_of_string s in
-      let rec attempt k =
-        if k > 8 then
-          raise (Fault.Io_injected (Fault.Eintr, "socket write: EINTR storm"));
-        match Fault.io_decide plan ~attempt:k ~key with
-        | None -> write_all fd b 0 len
-        | Some Fault.Eintr -> attempt (k + 1)
-        | Some Fault.Enospc ->
-            raise (Fault.Io_injected (Fault.Enospc, "socket write"))
-        | Some Fault.Short_write ->
-            (* tear the frame mid-payload, as a dying peer would *)
-            write_all fd b 0 (max 1 (len / 2));
-            raise (Fault.Io_injected (Fault.Short_write, "socket write"))
-      in
-      attempt 0
+  Serialize.faulted_write ?io_faults ~what:"socket write" fd
+    (Printf.sprintf "%08x\n%s\n" (String.length payload) payload)
 
 let read_exactly fd n ~what =
   let b = Bytes.create n in

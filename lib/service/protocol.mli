@@ -110,10 +110,11 @@ val is_terminal : request -> response -> bool
 
 (** {1 Framing} *)
 
-(** [write_frame ?io_faults fd payload] writes one frame with a single
-    [write(2)] (header and payload together), retrying [EINTR]; injected
-    I/O faults tear or abort the write exactly as {!Serialize.append_line}
-    does. *)
+(** [write_frame ?io_faults fd payload] writes one frame, header and
+    payload together, through {!Serialize.faulted_write}: real [EINTR]s
+    and short counts are retried, and injected I/O faults, keyed on the
+    framed bytes, tear or abort the write exactly as they do a
+    {!Serialize.append_line}. *)
 val write_frame : ?io_faults:Fault.io_plan -> Unix.file_descr -> string -> unit
 
 (** [read_frame fd] reads exactly one frame. [None] on EOF at a frame

@@ -1,5 +1,6 @@
 (* One checkpoint-format file per (config_hash, formula_hash) key group;
-   atomic creation, fsynced O_APPEND commits, repair-on-open. *)
+   atomic creation (Serialize.create_file), fsynced O_APPEND commits,
+   repair-on-open. *)
 
 let m_hits = Obs.Metrics.counter "service.cache.hits"
 let m_misses = Obs.Metrics.counter "service.cache.misses"
@@ -83,27 +84,6 @@ let load_group t ~config_hash ~formula_hash =
       Hashtbl.replace t.groups key g;
       g
 
-(* Atomic create-if-absent: write the header to a tmp file, then [link] it
-   into place. Unlike rename, link fails with EEXIST instead of replacing,
-   so a concurrent creator's already-appended entries can never be lost. *)
-let ensure_file g =
-  if not g.g_exists then begin
-    if not (Sys.file_exists g.g_file) then begin
-      let tmp =
-        Printf.sprintf "%s.tmp.%d" g.g_file (Unix.getpid ())
-      in
-      let oc = open_out tmp in
-      output_string oc (Serialize.header_to_string g.g_header ^ "\n");
-      flush oc;
-      (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-      close_out oc;
-      (try Unix.link tmp g.g_file
-       with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      (try Sys.remove tmp with Sys_error _ -> ())
-    end;
-    g.g_exists <- true
-  end
-
 let entries t ~config_hash ~formula_hash =
   List.map
     (fun e -> e.outcome)
@@ -131,7 +111,11 @@ let put_printed t ~config_hash ~formula_hash outcome bytes =
       g.g_entries
   then () (* first commit wins; a duplicate would shadow nothing *)
   else begin
-    ensure_file g;
+    if not g.g_exists then begin
+      Serialize.create_file ?io_faults:t.io_faults g.g_file
+        (Serialize.header_to_string g.g_header ^ "\n");
+      g.g_exists <- true
+    end;
     match
       Serialize.append_line ?io_faults:t.io_faults ~fsync:true g.g_file
         (Serialize.entry_line bytes)

@@ -9,13 +9,17 @@
     ({!Serialize.read_checkpoint}, the [inspect] tooling) reads cache files
     unmodified.
 
-    {b Crash safety.} Group files are created atomically (tmp file +
-    [link(2)], which never overwrites a concurrent creator's entries) and
+    {b Crash safety.} Group files are created atomically
+    ({!Serialize.create_file}: a fsynced tmp file, [link(2)], which never
+    overwrites a concurrent creator's entries, and a directory fsync) and
     extended with single-[write(2)] [O_APPEND] appends fsynced on commit
     ({!Serialize.append_line}) — concurrent daemon processes sharing a
-    cache directory interleave whole lines, never bytes. Every open repairs
-    a torn tail first ({!Serialize.repair_checkpoint}), so a SIGKILL or an
-    injected I/O fault mid-commit costs at most the entry being written.
+    cache directory interleave whole lines, never bytes. Both writes
+    consult the handle's I/O fault plan, the header's as well as the
+    entry's. Every open repairs a torn tail first
+    ({!Serialize.repair_checkpoint}), so a SIGKILL or an injected I/O
+    fault mid-commit costs at most the entry being written; a fault while
+    creating the group leaves neither the group file nor a tmp file.
 
     {b Printed once.} Each entry keeps the bytes {!Serialize.to_string}
     printed for its outcome, printed when the entry is committed (the

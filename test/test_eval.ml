@@ -146,36 +146,9 @@ let test_sexp_roundtrip () =
       exp (div x (add (sqr y) one));
     ]
 
-let test_run_batch () =
-  let e = add (mul x (exp (neg y))) (powr (add (sqr x) one) (Rat.make 1 3)) in
-  let tape = Compile.compile ~vars:[ "x"; "y" ] e in
-  let n = 257 in
-  let xs = Array.init n (fun i -> -2.0 +. (4.0 *. float_of_int i /. float_of_int n)) in
-  let ys = Array.init n (fun i -> 3.0 *. Stdlib.sin (float_of_int i)) in
-  let out = Array.make n 0.0 in
-  Compile.run_batch tape [| xs; ys |] out;
-  for i = 0 to n - 1 do
-    check_close "batch = pointwise" (Compile.run tape [| xs.(i); ys.(i) |]) out.(i)
-  done;
-  (* piecewise select per point *)
-  let pw = if_lt x y ~then_:(int 1) ~else_:(int 2) in
-  let tp = Compile.compile ~vars:[ "x"; "y" ] pw in
-  let out2 = Array.make n 0.0 in
-  Compile.run_batch tp [| xs; ys |] out2;
-  for i = 0 to n - 1 do
-    check_close "piecewise batch" (if xs.(i) < ys.(i) then 1.0 else 2.0) out2.(i)
-  done;
-  Alcotest.check_raises "arity mismatch"
-    (Invalid_argument "Compile.run_batch: arity mismatch") (fun () ->
-      Compile.run_batch tape [| xs |] out);
-  Alcotest.check_raises "ragged input"
-    (Invalid_argument "Compile.run_batch: ragged argument arrays") (fun () ->
-      Compile.run_batch tape [| xs; Array.make 3 0.0 |] out)
-
 let suite =
   [
     case "basic evaluation" test_basic_eval;
-    case "batch tape evaluation" test_run_batch;
     case "unbound variable" test_unbound;
     case "pow_float semantics" test_pow_float;
     case "piecewise evaluation" test_piecewise_eval;

@@ -271,9 +271,14 @@ let test_validate_output_path () =
   (match Obs.validate_output_path "/nonexistent-dir-xyz/m.json" with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "missing parent directory must be rejected");
-  match Obs.validate_output_path "." with
+  (match Obs.validate_output_path "." with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "a directory must be rejected as an output file"
+  | Ok () -> Alcotest.fail "a directory must be rejected as an output file");
+  (* output files are replaced by a rename, which must never land on a
+     device *)
+  match Obs.validate_output_path "/dev/null" with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "a device must be rejected as an output file"
 
 let suite =
   [

@@ -256,12 +256,21 @@ let test_cache_enospc_and_eintr () =
       Serialize.{ outcome = o; metrics_json = None }
   in
   let key = Fault.key_of_string (line ^ "\n") in
+  (* the group file is created through the same plan: its header write
+     must get through at once *)
+  let header_key =
+    Fault.key_of_string
+      (Serialize.header_to_string
+         Serialize.{ config_hash = "c"; formula_hash = "f" }
+      ^ "\n")
+  in
   let rec hunt seed =
     if seed > 100_000 then None
     else
       let plan = io_plan ~seed ~rate:0.7 [ Fault.Eintr ] in
       if
-        Fault.io_decide plan ~attempt:0 ~key = Some Fault.Eintr
+        Fault.io_decide plan ~attempt:0 ~key:header_key = None
+        && Fault.io_decide plan ~attempt:0 ~key = Some Fault.Eintr
         && Fault.io_decide plan ~attempt:1 ~key = None
       then Some plan
       else hunt (seed + 1)
@@ -279,6 +288,24 @@ let test_cache_enospc_and_eintr () =
       | _ -> Alcotest.fail "retried write not committed");
       check_false "retried write is clean"
         (Serialize.read_checkpoint group).Serialize.truncated
+
+(* Creating a group file draws from the I/O plan like any commit: a fault
+   on the header write leaves neither the group file nor a tmp file. *)
+let test_cache_group_creation_faults () =
+  List.iter
+    (fun kind ->
+      let dir = temp_dir () in
+      let cache = Verdict_cache.open_dir ~io_faults:(io_plan [ kind ]) dir in
+      (match Verdict_cache.put cache ~config_hash:"c" ~formula_hash:"f" (outcome ()) with
+      | () -> Alcotest.failf "expected injected %s" (Fault.io_kind_name kind)
+      | exception Fault.Io_injected (k, _) when k = kind -> ());
+      let name = Fault.io_kind_name kind in
+      check_false (name ^ ": no group file")
+        (Sys.file_exists
+           (Verdict_cache.group_file cache ~config_hash:"c" ~formula_hash:"f"));
+      check_false (name ^ ": no tmp file")
+        (Array.exists (fun f -> contains_sub f ".tmp.") (Sys.readdir dir)))
+    [ Fault.Enospc; Fault.Short_write; Fault.Eintr ]
 
 (* ---- wire protocol --------------------------------------------------- *)
 
@@ -549,6 +576,22 @@ let test_frame_torn_write () =
       | exception Failure _ -> ()
       | None -> ()
       | Some _ -> Alcotest.fail "torn frame parsed as complete")
+
+(* An EINTR storm on a frame gives up before any byte reaches the peer. *)
+let test_frame_eintr_storm () =
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ r; w ])
+    (fun () ->
+      (match
+         Protocol.write_frame ~io_faults:(io_plan [ Fault.Eintr ]) w "(ping)"
+       with
+      | () -> Alcotest.fail "expected the EINTR storm to give up"
+      | exception Fault.Io_injected (Fault.Eintr, _) -> ());
+      Unix.close w;
+      Alcotest.(check int) "no byte written" 0
+        (Unix.read r (Bytes.create 1) 0 1))
 
 (* ---- engine: cache integration --------------------------------------- *)
 
@@ -1296,6 +1339,7 @@ let suite =
     case "concurrent writers" test_cache_concurrent_writers;
     case "kill mid-commit: torn tail repaired" test_cache_kill_mid_commit;
     case "ENOSPC and EINTR injection" test_cache_enospc_and_eintr;
+    case "group creation obeys the I/O plan" test_cache_group_creation_faults;
     qcheck_request_roundtrip;
     qcheck_response_roundtrip;
     case "result response roundtrip" test_result_roundtrip;
@@ -1303,6 +1347,7 @@ let suite =
     qcheck_cache_entry_line;
     case "frame roundtrip" test_frame_roundtrip;
     case "torn frame detected" test_frame_torn_write;
+    case "frame EINTR storm writes nothing" test_frame_eintr_storm;
     slow_case "cache hit: zero solver calls, identical bytes"
       test_engine_cache_hit_zero_solver_calls;
     slow_case "cache survives engine restart" test_engine_cache_survives_reopen;
