@@ -235,18 +235,21 @@ let metrics_arg =
     & opt (some (writable_path ~what:"metrics file")) None
     & info [ "metrics" ] ~doc ~docv:"FILE")
 
-(* The --metrics and --trace files: - prints to stdout, any other path is
-   replaced atomically, so a killed run leaves the old file or the whole
-   new one. *)
+(* Every output file (--save, --metrics, --trace) is replaced atomically,
+   so a killed run leaves the old file or the whole new one; a failed
+   write is reported and exits 2. *)
+let write_or_exit ~what path write =
+  try write ()
+  with Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "cannot write %s: %s: %s\n" what path (Unix.error_message e);
+    exit 2
+
+(* The --metrics and --trace files: - prints to stdout. *)
 let write_output ~what path bytes =
   if path = "-" then print_string bytes
-  else
-    match Serialize.write_file_atomic path bytes with
-    | () -> Printf.printf "%s written to %s\n" what path
-    | exception Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "cannot write %s: %s: %s\n" what path
-          (Unix.error_message e);
-        exit 2
+  else (
+    write_or_exit ~what path (fun () -> Serialize.write_file_atomic path bytes);
+    Printf.printf "%s written to %s\n" what path)
 
 let write_metrics path =
   write_output ~what:"metrics" path
@@ -523,7 +526,8 @@ let campaign_cmd =
       print_string (Report.table1 outcomes);
       Option.iter
         (fun path ->
-          Serialize.save path outcomes;
+          write_or_exit ~what:"archive" path (fun () ->
+              Serialize.save path outcomes);
           Printf.printf "\nsaved %d outcomes to %s\n" (List.length outcomes)
             path)
         save;

@@ -466,26 +466,27 @@ end
 (* Up-front writability check for CLI output paths ([--metrics],
    [--checkpoint], ...): fail at argument parsing, not mid-campaign. *)
 let validate_output_path path =
+  let writable p =
+    match Unix.access p [ Unix.W_OK ] with
+    | () -> Ok ()
+    | exception Unix.Unix_error (e, _, _) ->
+        Error
+          (Printf.sprintf "%s is not writable (%s)" p (Unix.error_message e))
+  in
+  let dir = Filename.dirname path in
   if String.equal path "-" then Ok ()
+  else if not (Sys.file_exists dir) then
+    Error (Printf.sprintf "directory %s does not exist" dir)
+  else if not (Sys.is_directory dir) then
+    Error (Printf.sprintf "%s is not a directory" dir)
   else
-    let dir = Filename.dirname path in
-    if not (Sys.file_exists dir) then
-      Error (Printf.sprintf "directory %s does not exist" dir)
-    else if not (Sys.is_directory dir) then
-      Error (Printf.sprintf "%s is not a directory" dir)
-    else if Sys.file_exists path && not (Sys.is_regular_file path) then
-      (* output files are replaced by a rename, which must not land on a
-         directory or a device such as /dev/null *)
-      Error (Printf.sprintf "%s is not a regular file" path)
-    else
-      let writable p =
-        match Unix.access p [ Unix.W_OK ] with
-        | () -> Ok ()
-        | exception Unix.Unix_error (e, _, _) ->
-            Error
-              (Printf.sprintf "%s is not writable (%s)" p
-                 (Unix.error_message e))
-      in
-      (* the replacement's tmp file is created next to [path] *)
-      Result.bind (writable dir) (fun () ->
-          if Sys.file_exists path then writable path else Ok ())
+    (* output files are replaced by a rename (its tmp file is created in
+       [dir]), which must not land on a directory or a device such as
+       /dev/null, and would replace a symbolic link, not write through it *)
+    match (Unix.lstat path).Unix.st_kind with
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> writable dir
+    | Unix.S_REG -> Result.bind (writable dir) (fun () -> writable path)
+    | Unix.S_LNK ->
+        Error
+          (Printf.sprintf "%s is a symbolic link, which would be replaced" path)
+    | _ -> Error (Printf.sprintf "%s is not a regular file" path)

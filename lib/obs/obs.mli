@@ -161,8 +161,9 @@ end
 
 (** [validate_output_path p] checks up front that [p] could be created or
     replaced: the parent directory exists and is writable, and [p], if it
-    exists, is a writable regular file (output files are replaced by a
-    rename, which must not land on a directory or a device). ["-"]
+    exists, is a writable regular file and not a symbolic link (output
+    files are replaced by a rename, which must not land on a directory or
+    a device, and would replace a link rather than write through it). ["-"]
     (stdout) is always accepted. Returns a human-readable reason on
     [Error]. *)
 val validate_output_path : string -> (unit, string) result

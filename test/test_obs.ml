@@ -276,9 +276,22 @@ let test_validate_output_path () =
   | Ok () -> Alcotest.fail "a directory must be rejected as an output file");
   (* output files are replaced by a rename, which must never land on a
      device *)
-  match Obs.validate_output_path "/dev/null" with
+  (match Obs.validate_output_path "/dev/null" with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "a device must be rejected as an output file"
+  | Ok () -> Alcotest.fail "a device must be rejected as an output file");
+  (* nor on a symbolic link: the rename would replace the link itself, not
+     write through it to its target *)
+  let target = Filename.temp_file "xcv_target" ".json" in
+  let link = target ^ ".link" in
+  Unix.symlink target link;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove link; Sys.remove target)
+    (fun () ->
+      check_true "the link's regular target accepted"
+        (Obs.validate_output_path target = Ok ());
+      match Obs.validate_output_path link with
+      | Error _ -> ()
+      | Ok () -> Alcotest.fail "a symbolic link must be rejected as an output file")
 
 let suite =
   [
