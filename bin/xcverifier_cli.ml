@@ -47,12 +47,16 @@ let probability ~what =
 (* Output paths ([--metrics], [--checkpoint], ...) are validated when the
    arguments are parsed: an unwritable directory fails with a Cmdliner
    error up front instead of an exception mid-campaign (or, for the
-   checkpoint, after the first completed pair). "-" means stdout. *)
-let writable_path ~what =
+   checkpoint, after the first completed pair). "-" means stdout for the
+   outputs that can be printed ([stdout]); the others are files only. *)
+let writable_path ~stdout ~what =
   let parse s =
-    match Obs.validate_output_path s with
-    | Ok () -> Ok s
-    | Error msg -> Error (`Msg (Printf.sprintf "%s: %s" what msg))
+    if String.equal s "-" && not stdout then
+      Error (`Msg (Printf.sprintf "%s: - (stdout) is not accepted, name a file" what))
+    else
+      match Obs.validate_output_path s with
+      | Ok () -> Ok s
+      | Error msg -> Error (`Msg (Printf.sprintf "%s: %s" what msg))
   in
   Arg.conv ~docv:"FILE" (parse, Format.pp_print_string)
 
@@ -220,7 +224,7 @@ let trace_arg =
   in
   Arg.(
     value
-    & opt (some (writable_path ~what:"trace file")) None
+    & opt (some (writable_path ~stdout:true ~what:"trace file")) None
     & info [ "trace" ] ~doc ~docv:"FILE")
 
 let metrics_arg =
@@ -232,7 +236,7 @@ let metrics_arg =
   in
   Arg.(
     value
-    & opt (some (writable_path ~what:"metrics file")) None
+    & opt (some (writable_path ~stdout:true ~what:"metrics file")) None
     & info [ "metrics" ] ~doc ~docv:"FILE")
 
 (* Every output file (--save, --metrics, --trace) is replaced atomically,
@@ -451,7 +455,7 @@ let campaign_cmd =
     let doc = "Archive the outcomes (one s-expression per line)." in
     Arg.(
       value
-      & opt (some (writable_path ~what:"save file")) None
+      & opt (some (writable_path ~stdout:false ~what:"save file")) None
       & info [ "save" ] ~doc ~docv:"FILE")
   in
   let checkpoint_arg =
@@ -462,7 +466,7 @@ let campaign_cmd =
     in
     Arg.(
       value
-      & opt (some (writable_path ~what:"checkpoint file")) None
+      & opt (some (writable_path ~stdout:false ~what:"checkpoint file")) None
       & info [ "checkpoint" ] ~doc ~docv:"FILE")
   in
   let progress_arg =

@@ -796,15 +796,9 @@ module Json = struct
     let f = to_float j in
     if Float.is_integer f then int_of_float f
     else fail "JSON: expected integer, got %g" f
-
-  let to_str = function Str s -> s | _ -> fail "JSON: expected string"
-  let to_list = function Arr l -> l | _ -> fail "JSON: expected array"
 end
 
 let trace_format_version = 2
-
-(* v1 traces (no [retry] events) are still loadable. *)
-let readable_trace_versions = [ 1; 2 ]
 
 let json_of_box box =
   Json.Obj
@@ -813,18 +807,6 @@ let json_of_box box =
          let iv = Box.get box v in
          (v, Json.Arr [ Json.Num (Interval.inf iv); Json.Num (Interval.sup iv) ]))
        (Box.vars box))
-
-let box_of_json = function
-  | Json.Obj dims ->
-      Box.make
-        (List.map
-           (fun (v, bounds) ->
-             match bounds with
-             | Json.Arr [ lo; hi ] ->
-                 (v, Interval.make (Json.to_float lo) (Json.to_float hi))
-             | _ -> fail "JSON: malformed box dimension %S" v)
-           dims)
-  | _ -> fail "JSON: expected box object"
 
 let json_of_event (ev : Trace.event) =
   let base =
@@ -859,40 +841,6 @@ let json_of_event (ev : Trace.event) =
   in
   Json.Obj (base @ payload)
 
-let event_of_json j =
-  let kind =
-    match Json.to_str (Json.member "kind" j) with
-    | "contract" ->
-        Trace.Contract
-          {
-            revise_calls = Json.to_int (Json.member "revise_calls" j);
-            sweeps = Json.to_int (Json.member "sweeps" j);
-          }
-    | "solve" ->
-        Trace.Solve
-          {
-            fuel = Json.to_int (Json.member "fuel" j);
-            prunes = Json.to_int (Json.member "prunes" j);
-          }
-    | "verdict" -> Trace.Verdict (Json.to_str (Json.member "status" j))
-    | "split" -> Trace.Split (Json.to_int (Json.member "children" j))
-    | "retry" ->
-        Trace.Retry
-          {
-            attempt = Json.to_int (Json.member "attempt" j);
-            reason = Json.to_str (Json.member "reason" j);
-            fuel = Json.to_int (Json.member "fuel" j);
-          }
-    | k -> fail "JSON: unknown event kind %S" k
-  in
-  {
-    Trace.path = List.map Json.to_int (Json.to_list (Json.member "path" j));
-    depth = Json.to_int (Json.member "depth" j);
-    step = Json.to_int (Json.member "step" j);
-    box = box_of_json (Json.member "box" j);
-    kind;
-  }
-
 let json_of_trace events =
   Json.Obj
     [
@@ -900,14 +848,7 @@ let json_of_trace events =
       ("events", Json.Arr (List.map json_of_event events));
     ]
 
-let trace_of_json j =
-  let version = Json.to_int (Json.member "version" j) in
-  if not (List.mem version readable_trace_versions) then
-    fail "unsupported trace format version %d" version;
-  List.map event_of_json (Json.to_list (Json.member "events" j))
-
 let trace_to_string events = Json.to_string (json_of_trace events)
-let trace_of_string s = trace_of_json (Json.of_string s)
 
 let trace_report (o : Outcome.t) events =
   Json.to_string

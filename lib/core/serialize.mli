@@ -241,18 +241,17 @@ module Json : sig
 
   (** @raise Parser.Parse_error on malformed input. *)
   val of_string : string -> t
+
+  (** [member key obj] is the field [key] of the object [obj].
+      @raise Parser.Parse_error when [obj] is not an object or lacks
+      [key]. *)
+  val member : string -> t -> t
 end
 
-val trace_format_version : int
-
-val json_of_trace : Trace.event list -> Json.t
-val trace_of_json : Json.t -> Trace.event list
-
-(** [trace_to_string events] / [trace_of_string s] — the versioned JSON
-    round-trip of an event log. *)
+(** [trace_to_string events] — the versioned JSON of an event log, the
+    [trace] member of {!trace_report}. Write-only: no command reads a
+    trace back. *)
 val trace_to_string : Trace.event list -> string
-
-val trace_of_string : string -> Trace.event list
 
 (** [trace_report outcome events] — the [--trace] payload: the pair's
     labels and aggregated {!Outcome.stats} alongside the full event log.

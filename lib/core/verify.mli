@@ -108,8 +108,9 @@ val run :
 (** [run_custom ~dfa_label ~condition_label ~domain ~psi ()] runs
     Algorithm 1 on an arbitrary local condition [psi] (an [expr >= 0]-style
     atom) over an arbitrary box — the entry point for conditions outside the
-    registry pipeline, e.g. spin-resolved slices or user-supplied
-    inequalities from the CLI. Labels are only used in the outcome record.
+    registry pipeline: the extension conditions of the CLI's [extra]
+    command and the spin-resolved slices of [examples/]. Labels are only
+    used in the outcome record.
     [stop] as in {!run}.
 
     All run entry points raise [Invalid_argument] when

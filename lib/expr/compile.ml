@@ -17,9 +17,6 @@ type t = { instrs : instr array; nvars : int }
 let scalar_of_unop = function
   | Exp -> Stdlib.exp
   | Log -> Stdlib.log
-  | Sin -> Stdlib.sin
-  | Cos -> Stdlib.cos
-  | Tanh -> Stdlib.tanh
   | Atan -> Stdlib.atan
   | Abs -> Float.abs
   | Lambert_w -> Lambert.w0

@@ -41,9 +41,6 @@ let diff ~wrt e =
                 match op with
                 | Exp -> exp a
                 | Log -> inv a
-                | Sin -> cos a
-                | Cos -> neg (sin a)
-                | Tanh -> sub one (sqr (tanh a))
                 | Atan -> inv (add one (sqr a))
                 | Abs -> piecewise [ (guard_lt a, int (-1)) ] one
                 | Lambert_w ->

@@ -22,9 +22,6 @@ let apply_unop op v =
   match op with
   | Exp -> Stdlib.exp v
   | Log -> Stdlib.log v
-  | Sin -> Stdlib.sin v
-  | Cos -> Stdlib.cos v
-  | Tanh -> Stdlib.tanh v
   | Atan -> Stdlib.atan v
   | Abs -> Float.abs v
   | Lambert_w -> Lambert.w0 v
@@ -58,4 +55,3 @@ let eval env e =
   go e
 
 let eval1 name value e = eval [ (name, value) ] e
-let eval2 b1 b2 e = eval [ b1; b2 ] e

@@ -18,9 +18,6 @@ val eval : env -> Expr.t -> float
     [name]. *)
 val eval1 : string -> float -> Expr.t -> float
 
-(** [eval2 (n1, v1) (n2, v2) e] evaluates a two-variable expression. *)
-val eval2 : string * float -> string * float -> Expr.t -> float
-
 (** [pow_float b x] is the power semantics used throughout the library:
     exact integer powers by repeated multiplication, [Float.pow] otherwise. *)
 val pow_float : float -> float -> float

@@ -1,4 +1,4 @@
-type unop = Exp | Log | Sin | Cos | Tanh | Atan | Abs | Lambert_w
+type unop = Exp | Log | Atan | Abs | Lambert_w
 
 type rel = Le | Lt
 
@@ -25,12 +25,12 @@ let id e = e.id
 (* Hash-consing                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Tags 3-5 belonged to operators since removed; the remaining tags keep
+   their numbers so that node hashes, and every key printed from them, stay
+   put. *)
 let unop_tag = function
   | Exp -> 1
   | Log -> 2
-  | Sin -> 3
-  | Cos -> 4
-  | Tanh -> 5
   | Atan -> 6
   | Abs -> 7
   | Lambert_w -> 8
@@ -352,18 +352,12 @@ let apply_unop op arg =
   match op with
   | Exp -> fold Stdlib.exp
   | Log -> fold (fun c -> if c > 0.0 then Stdlib.log c else Float.nan)
-  | Sin -> fold Stdlib.sin
-  | Cos -> fold Stdlib.cos
-  | Tanh -> fold Stdlib.tanh
   | Atan -> fold Stdlib.atan
   | Abs -> fold Float.abs
   | Lambert_w -> mk (Apply (Lambert_w, arg))
 
 let exp e = apply_unop Exp e
 let log e = apply_unop Log e
-let sin e = apply_unop Sin e
-let cos e = apply_unop Cos e
-let tanh e = apply_unop Tanh e
 let atan e = apply_unop Atan e
 
 let abs e =

@@ -21,9 +21,6 @@
 type unop =
   | Exp
   | Log  (** natural logarithm *)
-  | Sin
-  | Cos
-  | Tanh
   | Atan
   | Abs
   | Lambert_w  (** principal branch [W0] of the Lambert W function *)
@@ -96,9 +93,6 @@ val sqrt : t -> t
 val cbrt : t -> t
 val exp : t -> t
 val log : t -> t
-val sin : t -> t
-val cos : t -> t
-val tanh : t -> t
 val atan : t -> t
 val abs : t -> t
 val lambert_w : t -> t

@@ -1,254 +1,42 @@
 exception Parse_error of string
 
-let fail fmt = Format.kasprintf (fun s -> raise (Parse_error s)) fmt
-
-(* ------------------------------------------------------------------ *)
-(* Lexer                                                               *)
-(* ------------------------------------------------------------------ *)
-
-type token =
-  | Tnum of float
-  | Tident of string
-  | Tplus
-  | Tminus
-  | Tstar
-  | Tslash
-  | Tcaret
-  | Tlparen
-  | Trparen
-  | Tcomma
-
-let is_digit c = c >= '0' && c <= '9'
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_ident_char c = is_ident_start c || is_digit c || c = '\''
-
-let tokenize s =
-  let n = String.length s in
-  let tokens = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let c = s.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if is_digit c || c = '.' then begin
-      let start = !i in
-      while
-        !i < n
-        && (is_digit s.[!i] || s.[!i] = '.' || s.[!i] = 'e' || s.[!i] = 'E'
-           || ((s.[!i] = '+' || s.[!i] = '-')
-              && !i > start
-              && (s.[!i - 1] = 'e' || s.[!i - 1] = 'E')))
-      do
-        incr i
-      done;
-      let text = String.sub s start (!i - start) in
-      match float_of_string_opt text with
-      | Some f -> tokens := Tnum f :: !tokens
-      | None -> fail "invalid number %S" text
-    end
-    else if is_ident_start c then begin
-      let start = !i in
-      while !i < n && is_ident_char s.[!i] do
-        incr i
-      done;
-      tokens := Tident (String.sub s start (!i - start)) :: !tokens
-    end
-    else begin
-      (match c with
-      | '+' -> tokens := Tplus :: !tokens
-      | '-' -> tokens := Tminus :: !tokens
-      | '*' -> tokens := Tstar :: !tokens
-      | '/' -> tokens := Tslash :: !tokens
-      | '^' -> tokens := Tcaret :: !tokens
-      | '(' -> tokens := Tlparen :: !tokens
-      | ')' -> tokens := Trparen :: !tokens
-      | ',' -> tokens := Tcomma :: !tokens
-      | _ -> fail "unexpected character %C" c);
-      incr i
-    end
-  done;
-  List.rev !tokens
-
-(* ------------------------------------------------------------------ *)
-(* Infix parser                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let functions =
-  [
-    ("exp", Expr.exp);
-    ("log", Expr.log);
-    ("ln", Expr.log);
-    ("sqrt", Expr.sqrt);
-    ("cbrt", Expr.cbrt);
-    ("sin", Expr.sin);
-    ("cos", Expr.cos);
-    ("tanh", Expr.tanh);
-    ("atan", Expr.atan);
-    ("arctan", Expr.atan);
-    ("abs", Expr.abs);
-    ("lambertw", Expr.lambert_w);
-  ]
-
-type state = { mutable tokens : token list }
-
-let peek st = match st.tokens with [] -> None | t :: _ -> Some t
-
-let advance st =
-  match st.tokens with
-  | [] -> fail "unexpected end of input"
-  | t :: rest ->
-      st.tokens <- rest;
-      t
-
-let expect st tok name =
-  match advance st with t when t = tok -> () | _ -> fail "expected %s" name
-
-let rec parse_expr st =
-  let lhs = parse_term st in
-  let rec loop acc =
-    match peek st with
-    | Some Tplus ->
-        ignore (advance st);
-        loop (Expr.add acc (parse_term st))
-    | Some Tminus ->
-        ignore (advance st);
-        loop (Expr.sub acc (parse_term st))
-    | _ -> acc
-  in
-  loop lhs
-
-and parse_term st =
-  let lhs = parse_power st in
-  let rec loop acc =
-    match peek st with
-    | Some Tstar ->
-        ignore (advance st);
-        loop (Expr.mul acc (parse_power st))
-    | Some Tslash ->
-        ignore (advance st);
-        loop (Expr.div acc (parse_power st))
-    | _ -> acc
-  in
-  loop lhs
-
-and parse_power st =
-  (* Unary minus binds looser than '^': -y^2 is -(y^2); the exponent itself
-     may carry a sign (x^-2). *)
-  match peek st with
-  | Some Tminus ->
-      ignore (advance st);
-      Expr.neg (parse_power st)
-  | _ -> (
-      let base = parse_atom st in
-      match peek st with
-      | Some Tcaret ->
-          ignore (advance st);
-          Expr.pow base (parse_power st)
-      | _ -> base)
-
-and parse_atom st =
-  match advance st with
-  | Tnum f -> Expr.const f
-  | Tident "pi" -> Expr.pi
-  | Tident "inf" -> Expr.const Float.infinity
-  | Tident "nan" -> Expr.const Float.nan
-  | Tident name -> (
-      match peek st with
-      | Some Tlparen -> (
-          ignore (advance st);
-          let arg = parse_expr st in
-          expect st Trparen "')'";
-          match List.assoc_opt name functions with
-          | Some f -> f arg
-          | None -> fail "unknown function %S" name)
-      | _ -> Expr.var name)
-  | Tlparen ->
-      let e = parse_expr st in
-      expect st Trparen "')'";
-      e
-  | Tplus | Tminus | Tstar | Tslash | Tcaret | Trparen | Tcomma ->
-      fail "unexpected operator token"
-
-let of_string s =
-  let st = { tokens = tokenize s } in
-  let e = parse_expr st in
-  match st.tokens with
-  | [] -> e
-  | _ -> fail "trailing tokens after expression"
-
-(* ------------------------------------------------------------------ *)
-(* S-expression parser                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type sexp = Atom of string | List of sexp list
-
-let parse_sexp_text s =
-  let n = String.length s in
-  let rec skip i = if i < n && (s.[i] = ' ' || s.[i] = '\n' || s.[i] = '\t') then skip (i + 1) else i in
-  let rec parse i =
-    let i = skip i in
-    if i >= n then fail "unexpected end of s-expression"
-    else if s.[i] = '(' then begin
-      let rec items acc i =
-        let i = skip i in
-        if i >= n then fail "unterminated s-expression"
-        else if s.[i] = ')' then (List (List.rev acc), i + 1)
-        else
-          let item, i = parse i in
-          items (item :: acc) i
-      in
-      items [] (i + 1)
-    end
-    else begin
-      let start = i in
-      let rec stop i =
-        if i < n && s.[i] <> ' ' && s.[i] <> '(' && s.[i] <> ')' && s.[i] <> '\n' && s.[i] <> '\t'
-        then stop (i + 1)
-        else i
-      in
-      let j = stop i in
-      (Atom (String.sub s start (j - start)), j)
-    end
-  in
-  let e, i = parse 0 in
-  let i = skip i in
-  if i <> n then fail "trailing characters after s-expression";
-  e
-
-let rec expr_of_sexp = function
-  | Atom a -> (
-      match float_of_string_opt a with
-      | Some f -> Expr.const f
-      | None -> Expr.var a)
-  | List (Atom "+" :: args) -> Expr.add_n (List.map expr_of_sexp args)
-  | List (Atom "*" :: args) -> Expr.mul_n (List.map expr_of_sexp args)
-  | List [ Atom "/"; a; b ] -> Expr.div (expr_of_sexp a) (expr_of_sexp b)
-  | List [ Atom "^"; a; b ] -> Expr.pow (expr_of_sexp a) (expr_of_sexp b)
-  | List [ Atom name; arg ] -> (
-      match List.assoc_opt name functions with
-      | Some f -> f (expr_of_sexp arg)
-      | None -> fail "unknown s-expression operator %S" name)
-  | List (Atom "piecewise" :: rest) -> (
-      match List.rev rest with
-      | default :: rev_branches ->
-          let branch = function
-            | List [ Atom "le"; c; b ] ->
-                (Expr.guard_le (expr_of_sexp c), expr_of_sexp b)
-            | List [ Atom "lt"; c; b ] ->
-                (Expr.guard_lt (expr_of_sexp c), expr_of_sexp b)
-            | _ -> fail "malformed piecewise branch"
-          in
-          Expr.piecewise
-            (List.rev_map branch rev_branches)
-            (expr_of_sexp default)
-      | [] -> fail "empty piecewise")
-  | List _ -> fail "malformed s-expression"
-
-let sexp_of_string s = expr_of_sexp (parse_sexp_text s)
+let fail msg = raise (Parse_error msg)
 
 module Sexp = struct
-  type t = sexp = Atom of string | List of t list
+  type t = Atom of string | List of t list
 
-  let parse = parse_sexp_text
+  let parse s =
+    let n = String.length s in
+    let rec skip i = if i < n && (s.[i] = ' ' || s.[i] = '\n' || s.[i] = '\t') then skip (i + 1) else i in
+    let rec parse i =
+      let i = skip i in
+      if i >= n then fail "unexpected end of s-expression"
+      else if s.[i] = '(' then begin
+        let rec items acc i =
+          let i = skip i in
+          if i >= n then fail "unterminated s-expression"
+          else if s.[i] = ')' then (List (List.rev acc), i + 1)
+          else
+            let item, i = parse i in
+            items (item :: acc) i
+        in
+        items [] (i + 1)
+      end
+      else begin
+        let start = i in
+        let rec stop i =
+          if i < n && s.[i] <> ' ' && s.[i] <> '(' && s.[i] <> ')' && s.[i] <> '\n' && s.[i] <> '\t'
+          then stop (i + 1)
+          else i
+        in
+        let j = stop i in
+        (Atom (String.sub s start (j - start)), j)
+      end
+    in
+    let e, i = parse 0 in
+    let i = skip i in
+    if i <> n then fail "trailing characters after s-expression";
+    e
 
   let rec print buf = function
     | Atom a -> Buffer.add_string buf a

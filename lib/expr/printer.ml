@@ -3,9 +3,6 @@ open Expr
 let unop_name = function
   | Exp -> "exp"
   | Log -> "log"
-  | Sin -> "sin"
-  | Cos -> "cos"
-  | Tanh -> "tanh"
   | Atan -> "atan"
   | Abs -> "abs"
   | Lambert_w -> "lambertw"
@@ -147,9 +144,6 @@ let sexp_to_string e = Format.asprintf "%a" pp_sexp e
 let python_unop = function
   | Exp -> "np.exp"
   | Log -> "np.log"
-  | Sin -> "np.sin"
-  | Cos -> "np.cos"
-  | Tanh -> "np.tanh"
   | Atan -> "np.arctan"
   | Abs -> "np.abs"
   | Lambert_w -> "scipy.special.lambertw"
@@ -199,9 +193,6 @@ let python_to_string e = Format.asprintf "%a" pp_python e
 let c_unop = function
   | Exp -> "exp"
   | Log -> "log"
-  | Sin -> "sin"
-  | Cos -> "cos"
-  | Tanh -> "tanh"
   | Atan -> "atan"
   | Abs -> "fabs"
   | Lambert_w -> "xcv_lambert_w"

@@ -3,8 +3,9 @@
     Three formats are provided:
     - {!pp} / {!to_string}: human-readable infix notation with minimal
       parentheses,
-    - {!pp_sexp}: fully parenthesized s-expressions (stable, parseable by
-      {!Parser.sexp_of_string}),
+    - {!pp_sexp}: fully parenthesized s-expressions with exact
+      rationals and hex floats, the stable text that {!Verify.formula_hash}
+      digests,
     - {!pp_python}: Python/NumPy syntax, mirroring the paper's
       Maple-[CodeGeneration]-to-Python step so encoded functionals can be
       compared against reference implementations. *)

@@ -70,9 +70,6 @@ let simplify e =
           | Pow (b, x) -> pow (self b) (self x)
           | Apply (Exp, a) -> exp (self a)
           | Apply (Log, a) -> log (self a)
-          | Apply (Sin, a) -> sin (self a)
-          | Apply (Cos, a) -> cos (self a)
-          | Apply (Tanh, a) -> tanh (self a)
           | Apply (Atan, a) -> atan (self a)
           | Apply (Abs, a) -> abs (self a)
           | Apply (Lambert_w, a) -> lambert_w (self a)
@@ -121,7 +118,7 @@ let with_nonneg vars e =
                 | None -> false)
             | None -> false)
         | Apply ((Exp | Abs), _) -> true
-        | Apply ((Log | Sin | Cos | Tanh | Atan | Lambert_w), _) -> false
+        | Apply ((Log | Atan | Lambert_w), _) -> false
         | Piecewise (branches, default) ->
             self default && List.for_all (fun (_, body) -> self body) branches)
   in
@@ -152,9 +149,6 @@ let with_nonneg vars e =
           | Pow (b, x) -> pow (self b) (self x)
           | Apply (Exp, a) -> exp (self a)
           | Apply (Log, a) -> log (self a)
-          | Apply (Sin, a) -> sin (self a)
-          | Apply (Cos, a) -> cos (self a)
-          | Apply (Tanh, a) -> tanh (self a)
           | Apply (Atan, a) -> atan (self a)
           | Apply (Abs, a) -> abs (self a)
           | Apply (Lambert_w, a) -> lambert_w (self a)

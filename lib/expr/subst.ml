@@ -13,9 +13,6 @@ let replace_map lookup e =
             | Pow (b, x) -> pow (self b) (self x)
             | Apply (Exp, a) -> exp (self a)
             | Apply (Log, a) -> log (self a)
-            | Apply (Sin, a) -> sin (self a)
-            | Apply (Cos, a) -> cos (self a)
-            | Apply (Tanh, a) -> tanh (self a)
             | Apply (Atan, a) -> atan (self a)
             | Apply (Abs, a) -> abs (self a)
             | Apply (Lambert_w, a) -> lambert_w (self a)

@@ -42,6 +42,4 @@ val variables : t -> string list
     correlation. *)
 val eps_xc : t -> Expr.t option
 
-val family_name : family -> string
-val design_name : design -> string
 val pp : Format.formatter -> t -> unit

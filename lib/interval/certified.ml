@@ -15,9 +15,9 @@
    carries it and re-checked by the differential oracle in
    test/test_transcend.ml. The kernels rely only on IEEE-754 double
    arithmetic with correctly rounded + - * / and fma (the same trust base as
-   Interval's directed rounding via pred/succ); libm enters only inside a
-   certified argument window (trig endpoint values, already covered by the
-   repo-wide faithful-rounding assumption stated in transcend.mli). *)
+   Interval's directed rounding via pred/succ); no certified bound rests on
+   libm (the W kernel takes only its starting guess from the float kernel
+   Lambert.w0, and brackets it). *)
 
 (* ------------------------------------------------------------------ *)
 (* Error-free transforms and double-double arithmetic                  *)
@@ -111,10 +111,6 @@ let enclose_dd vh vl err =
   let hi = Interval.hi_up (vh +. (vl +. e)) in
   Interval.of_bounds lo hi
 
-let ulp_of v =
-  let a = Float.abs v in
-  Interval.succ a -. a
-
 (* ------------------------------------------------------------------ *)
 (* Dispatch counters                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -125,8 +121,6 @@ let m_log_kernel = Obs.Metrics.counter "transcend.log.kernel"
 let m_log_fallback = Obs.Metrics.counter "transcend.log.fallback"
 let m_pow_rat_kernel = Obs.Metrics.counter "transcend.pow_rat.kernel"
 let m_pow_rat_int = Obs.Metrics.counter "transcend.pow_rat.int"
-let m_trig_reduced = Obs.Metrics.counter "transcend.trig.reduced"
-let m_trig_fallback = Obs.Metrics.counter "transcend.trig.fallback"
 let m_w_kernel = Obs.Metrics.counter "transcend.w.kernel"
 let m_w_fallback = Obs.Metrics.counter "transcend.w.fallback"
 let count_exp_kernel () = Obs.Metrics.incr m_exp_kernel 1
@@ -135,8 +129,6 @@ let count_log_kernel () = Obs.Metrics.incr m_log_kernel 1
 let count_log_fallback () = Obs.Metrics.incr m_log_fallback 1
 let count_pow_rat_kernel () = Obs.Metrics.incr m_pow_rat_kernel 1
 let count_pow_rat_int () = Obs.Metrics.incr m_pow_rat_int 1
-let count_trig_reduced () = Obs.Metrics.incr m_trig_reduced 1
-let count_trig_fallback () = Obs.Metrics.incr m_trig_fallback 1
 let count_w_kernel () = Obs.Metrics.incr m_w_kernel 1
 let count_w_fallback () = Obs.Metrics.incr m_w_fallback 1
 
@@ -149,14 +141,6 @@ let count_w_fallback () = Obs.Metrics.incr m_w_fallback 1
 let ln2_hi = 0x1.62e42fefa39efp-1
 let ln2_lo = 0x1.abc9e3b39803fp-56
 let inv_ln2 = 0x1.71547652b82fep+0
-
-(* 2*pi as a dd, same construction: both components are exactly twice the
-   canonical (pi_hi, pi_lo) pair, so |2pi - (hi + lo)| <= ulp(lo) < 6e-32.
-   two_pi_defect leaves a x2 margin on top. *)
-let two_pi_hi = 0x1.921fb54442d18p+2
-let two_pi_lo = 0x1.1a62633145c07p-52
-let two_pi_defect = 1e-31
-let inv_two_pi = 0x1.45f306dc9c883p-3
 
 (* ------------------------------------------------------------------ *)
 (* exp                                                                 *)
@@ -257,10 +241,10 @@ let exp i =
 (* log                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* x = 2^e m with m in [sqrt(1/2), sqrt 2): ln x = e ln2 + 2 atanh(u),
+(* x = 2^e m with m in [sqrt(1/2), sqrt 2): ln x = e ln2 + 2 artanh(u),
    u = (m-1)/(m+1), |u| <= 0.1716, s = u^2 <= 0.02945.
 
-   atanh(u)/u = sum s^j/(2j+1), truncated after j = 11: the tail is
+   artanh(u)/u = sum s^j/(2j+1), truncated after j = 11: the tail is
    <= s^12 / (25 (1 - s)) < 1.8e-20 on a series value >= 1, i.e.
    < 1.8e-20 relative on the 2u * P(s) part — and when e = 0 that part IS
    the result, so the bound stays relative to the result; when e <> 0,
@@ -404,107 +388,6 @@ let pow_rat i rat =
             (Interval.fmax 0.0 (Interval.inf ib))
             (Interval.sup ia)
       end
-
-(* ------------------------------------------------------------------ *)
-(* Certified argument reduction and trig                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Up to 2^52 the nearest-integer quotient k is exactly representable and
-   two_prod keeps every partial product exact. *)
-let trig_reduce_max = 0x1p52
-
-(* r = x - k * (two_pi_hi + two_pi_lo) assembled in dd from exact partial
-   products; the only approximation is the constant's defect (|k| *
-   two_pi_defect) plus two dd_add compressions on magnitudes <= 5:
-   < 2e-31. *)
-let reduce_shifted r k x =
-  if k = 0.0 then begin
-    set r x 0.0;
-    0.0
-  end
-  else begin
-    let p = dd () and q = dd () in
-    two_prod p k two_pi_hi;
-    two_prod q k two_pi_lo;
-    two_sum r x (-.p.hi);
-    dd_add r r.hi r.lo (-.p.lo) 0.0;
-    dd_sub r r.hi r.lo q.hi q.lo;
-    (Float.abs k *. two_pi_defect) +. 1e-30
-  end
-
-let reduce_two_pi x =
-  let k = Float.round (x *. inv_two_pi) in
-  let r = dd () in
-  let err = reduce_shifted r k x in
-  (r.hi, r.lo, err)
-
-(* Containment slack for the critical-point test on the *reduced*
-   argument: the reduced interval lives in [-16, 16], where reconstructing
-   phase + k * two_pi (|k| <= 3) costs at most 3 ulp(16) for the float
-   products plus 3 * two_pi_lo's own defect — under 6e-15. 2e-14 keeps a
-   x3 margin and is seven orders of magnitude tighter than the old
-   absolute 1e-9, so extrema sitting ~1e-10 outside the interval are no
-   longer hulled in (regression-tested). *)
-let crit_slack = 2e-14
-
-let trig_certified f phase_of_max i =
-  if Interval.is_empty i then Interval.empty
-  else begin
-    let a = Interval.inf i and b = Interval.sup i in
-    if
-      (not (Interval.is_bounded i))
-      || Interval.mag i > trig_reduce_max
-    then begin
-      count_trig_fallback ();
-      Interval.make (-1.0) 1.0
-    end
-    else if Interval.width i >= two_pi_hi then begin
-      (* spans (at least within an ulp) a full period: [-1,1] is exact *)
-      count_trig_reduced ();
-      Interval.make (-1.0) 1.0
-    end
-    else begin
-      count_trig_reduced ();
-      (* One shift k for both endpoints, so the reduced interval is the
-         original translated by exactly k * 2pi. *)
-      let k = Float.round (Interval.midpoint i *. inv_two_pi) in
-      let ra = dd () and rb = dd () in
-      let ea = reduce_shifted ra k a and eb = reduce_shifted rb k b in
-      let rah = ra.hi and ral = ra.lo and rbh = rb.hi and rbl = rb.lo in
-      let arg_a = rah +. ral and arg_b = rbh +. rbl in
-      (* Endpoint argument uncertainty: reduction error + the rounding of
-         collapsing the dd to one double (zero on the k = 0 path). *)
-      let da = ea +. (if ral = 0.0 then 0.0 else ulp_of arg_a) in
-      let db = eb +. (if rbl = 0.0 then 0.0 else ulp_of arg_b) in
-      let fa = f arg_a and fb = f arg_b in
-      (* f is 1-Lipschitz: argument slack widens the value directly; two
-         pred/succ steps cover libm's faithful rounding as before. *)
-      let lo = ref (Interval.fmin (fa -. da) (fb -. db)) in
-      let hi = ref (Interval.fmax (fa +. da) (fb +. db)) in
-      let r_lo = arg_a -. da and r_hi = arg_b +. db in
-      let check_extremum phase value =
-        let k0 = Float.floor ((r_lo -. crit_slack -. phase) /. two_pi_hi) in
-        let hit = ref false in
-        for j = 0 to 3 do
-          let x = phase +. ((k0 +. float_of_int j) *. two_pi_hi) in
-          if x >= r_lo -. crit_slack && x <= r_hi +. crit_slack then
-            hit := true
-        done;
-        if !hit then begin
-          lo := Interval.fmin !lo value;
-          hi := Interval.fmax !hi value
-        end
-      in
-      check_extremum phase_of_max 1.0;
-      check_extremum (phase_of_max +. (two_pi_hi /. 2.0)) (-1.0);
-      Interval.of_bounds
-        (Interval.fmax (-1.0) (Interval.lo_down (Interval.lo_down !lo)))
-        (Interval.fmin 1.0 (Interval.hi_up (Interval.hi_up !hi)))
-    end
-  end
-
-let sin i = trig_certified Stdlib.sin (two_pi_hi /. 4.0) i
-let cos i = trig_certified Stdlib.cos 0.0 i
 
 (* ------------------------------------------------------------------ *)
 (* Lambert W                                                           *)

@@ -12,15 +12,14 @@
       error of a few units of [2^-104]),
     - the {e reduction} error of the argument reduction, bounded
       dynamically from the actual intermediates (e.g. [|k|] times the
-      defect of the two-term [2*pi] constant),
+      defect of the two-term [ln 2] constant),
 
     outward-rounded by one ulp per endpoint. The per-kernel bound is
     exposed as a constant so callers (and the differential oracle in
     [test/test_transcend.ml]) can reason about it. The kernels never
     consult libm for the value they certify, so their enclosures are sound
     under the same trust model as {!Interval} itself (IEEE-754 arithmetic
-    with correctly rounded [+ - * /] and [Float.fma]); trig additionally
-    evaluates libm {e inside} a certified argument window.
+    with correctly rounded [+ - * /] and [Float.fma]).
 
     Kernels return sound enclosures on their stated domains and fall back
     to a conservative hull outside them; dispatch policy (when to run a
@@ -39,14 +38,6 @@ val exp_rel_err : float
 val log_rel_err : float
 
 val log_abs_err : float
-
-(** Defect bound of the two-term [2*pi] used by {!reduce_two_pi}:
-    [|2*pi - (hi + lo)| <= two_pi_defect]. *)
-val two_pi_defect : float
-
-(** Arguments beyond this magnitude (2^52) are not reduced — the integer
-    quotient [k] would no longer be exactly representable. *)
-val trig_reduce_max : float
 
 (** {1 Kernels} *)
 
@@ -68,20 +59,6 @@ val log : Interval.t -> Interval.t
     delegated to {!Interval.pow_int} (bit-identical to the existing
     integer path). *)
 val pow_rat : Interval.t -> Rat.t -> Interval.t
-
-(** [reduce_two_pi x]: certified Cody–Waite argument reduction. Returns
-    [(r_hi, r_lo, err)] with [x - k * 2 * pi ∈ [r - err, r + err]] for the
-    integer [k] chosen nearest [x / (2*pi)], where [r = r_hi + r_lo] in dd.
-    Requires [|x| <= trig_reduce_max]. *)
-val reduce_two_pi : float -> float * float * float
-
-(** [sin i], [cos i]: quadrant analysis on the certified-reduced argument.
-    Valid for any magnitude up to {!trig_reduce_max} — this is what
-    retires the old [2^20] cutoff — and [[-1, 1]] beyond (or when the
-    width spans a full period, where [[-1, 1]] is exact). *)
-val sin : Interval.t -> Interval.t
-
-val cos : Interval.t -> Interval.t
 
 (** [w_lo x] / [w_hi x]: certified lower / upper bounds of the principal
     branch W0 at [x], for {!Transcend}'s escape-repair dispatch. Each bound
@@ -106,7 +83,5 @@ val count_log_kernel : unit -> unit
 val count_log_fallback : unit -> unit
 val count_pow_rat_kernel : unit -> unit
 val count_pow_rat_int : unit -> unit
-val count_trig_reduced : unit -> unit
-val count_trig_fallback : unit -> unit
 val count_w_kernel : unit -> unit
 val count_w_fallback : unit -> unit

@@ -6,9 +6,6 @@ let apply_unop op i =
   match op with
   | Exp -> Transcend.exp i
   | Log -> Transcend.log i
-  | Sin -> Transcend.sin i
-  | Cos -> Transcend.cos i
-  | Tanh -> Transcend.tanh i
   | Atan -> Transcend.atan i
   | Abs -> Interval.abs i
   | Lambert_w -> Transcend.lambert_w i

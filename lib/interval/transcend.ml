@@ -1,11 +1,6 @@
 let[@inline] down2 x = Interval.lo_down (Interval.lo_down x)
 let[@inline] up2 x = Interval.hi_up (Interval.hi_up x)
 
-(* Monotone increasing function on the whole real line. *)
-let mono_inc f i =
-  if Interval.is_empty i then Interval.empty
-  else Interval.of_bounds (down2 (f (Interval.inf i))) (up2 (f (Interval.sup i)))
-
 (* Certified point kernels engage on narrow intervals only — midpoint
    (mean-value form) and endpoint evaluations are where sub-libm-width
    enclosures change contraction; on wide intervals the enclosure width is
@@ -25,14 +20,6 @@ let narrow i =
 (* ------------------------------------------------------------------ *)
 
 let half_pi_hi = up2 (2.0 *. Stdlib.atan 1.0)
-
-(* Strictly-inside lower bounds on pi/2 and pi: two ulps below the
-   round-to-nearest values, so [[-half_pi_lo, half_pi_lo]] is certainly
-   contained in the principal monotone branch of sin whatever way libm's
-   atan rounded. The HC4 backward guards for Sin/Cos use these. *)
-let half_pi_lo = down2 (2.0 *. Stdlib.atan 1.0)
-let pi_lo = down2 (4.0 *. Stdlib.atan 1.0)
-let two_pi = 8.0 *. Stdlib.atan 1.0
 let branch_point = -.Stdlib.exp (-1.0)
 
 (* The NaN-robust bound policy for a failed certification, exposed for
@@ -48,11 +35,11 @@ let certified_w_bounds ~lo ~hi =
   Interval.of_bounds lo hi
 
 module Legacy = struct
-  (* The libm endpoint enclosures. Every exported exp/log/sin/cos/W result
-     is the meet of one of these with a certified kernel, and the
-     differential oracle (test_transcend) compares against them. They are
-     sound but lossy on their own: trig collapses to [-1, 1] past 2^20 and
-     Lambert upper bounds escape to +inf when the float kernel NaNs. *)
+  (* The libm endpoint enclosures. Every exported exp/log/W result is the
+     meet of one of these with a certified kernel, and the differential
+     oracle (test_transcend) compares against them. They are sound but
+     lossy on their own: Lambert upper bounds escape to +inf when the float
+     kernel NaNs. *)
 
   let exp i =
     if Interval.is_empty i then Interval.empty
@@ -77,46 +64,6 @@ module Legacy = struct
       in
       Interval.of_bounds lo hi
     end
-
-  (* Beyond this magnitude the critical-point test below reconstructs
-     [k * two_pi] with an error (~ |x| ulps of two_pi, i.e. about one ulp
-     of x) that can exceed both its fixed 1e-9 slack and the distance of a
-     true extremum from the interval's edge, so an interior maximum can be
-     missed entirely. 2^20 leaves the reconstruction error (~ 6e-11)
-     comfortably under the slack. *)
-  let trig_arg_cutoff = 1048576.0 (* 2^20 *)
-
-  let trig f critical_shift i =
-    if Interval.is_empty i then Interval.empty
-    else if Interval.width i >= two_pi || Interval.mag i > trig_arg_cutoff
-    then Interval.make (-1.0) 1.0
-    else begin
-      let a = Interval.inf i and b = Interval.sup i in
-      let fa = f a and fb = f b in
-      let lo = ref (Interval.fmin fa fb) and hi = ref (Interval.fmax fa fb) in
-      let check_extremum phase value =
-        let k0 = Float.floor ((a -. phase) /. two_pi) in
-        let candidates = [ k0; k0 +. 1.0; k0 +. 2.0 ] in
-        if
-          List.exists
-            (fun k ->
-              let x = phase +. (k *. two_pi) in
-              x >= a -. 1e-9 && x <= b +. 1e-9)
-            candidates
-        then begin
-          lo := Interval.fmin !lo value;
-          hi := Interval.fmax !hi value
-        end
-      in
-      check_extremum critical_shift 1.0;
-      check_extremum (critical_shift +. (two_pi /. 2.0)) (-1.0);
-      Interval.of_bounds
-        (Interval.fmax (-1.0) (down2 !lo))
-        (Interval.fmin 1.0 (up2 !hi))
-    end
-
-  let sin i = trig Stdlib.sin (two_pi /. 4.0) i
-  let cos i = trig Stdlib.cos 0.0 i
 
   let certify_lo x =
     if x = Float.neg_infinity then Float.nan
@@ -184,14 +131,6 @@ let log i =
     base
   end
 
-let tanh i =
-  if Interval.is_empty i then Interval.empty
-  else begin
-    let lo = Interval.fmax (-1.0) (down2 (Stdlib.tanh (Interval.inf i))) in
-    let hi = Interval.fmin 1.0 (up2 (Stdlib.tanh (Interval.sup i))) in
-    Interval.of_bounds lo hi
-  end
-
 let atan i =
   if Interval.is_empty i then Interval.empty
   else begin
@@ -199,27 +138,6 @@ let atan i =
     let hi = Interval.fmin half_pi_hi (up2 (Stdlib.atan (Interval.sup i))) in
     Interval.of_bounds lo hi
   end
-
-(* ------------------------------------------------------------------ *)
-(* sin / cos: certified argument reduction (no magnitude cutoff)       *)
-(* ------------------------------------------------------------------ *)
-
-(* The certified path reduces both endpoints by the same k with the
-   two-term 2*pi (Certified.reduce_two_pi machinery), so quadrant
-   analysis works for any |x| up to 2^52 — the old 2^20 collapse to
-   [-1, 1] is gone. On the small-argument path (k = 0) the reduction is
-   exact and the result coincides with the libm analysis of {!Legacy}
-   except for the critical-point slack, which is a few ulps of the reduced
-   argument (2e-14) instead of an absolute 1e-9, so extrema slightly
-   outside the interval no longer get hulled in. *)
-
-(* Meeting with the libm analysis keeps the small-argument enclosure at
-   least as tight as it (the certified endpoint widening can exceed its
-   two value-ulps once a reduction actually happened) while the certified
-   side supplies the nontrivial enclosure beyond the 2^20 cutoff, where
-   the libm analysis is [-1, 1]. *)
-let sin i = Interval.meet (Legacy.sin i) (Certified.sin i)
-let cos i = Interval.meet (Legacy.cos i) (Certified.cos i)
 
 (* ------------------------------------------------------------------ *)
 (* Lambert W                                                           *)
@@ -336,33 +254,6 @@ let enclose_rat r =
 (* Inverses                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* atanh as an interval composition: 0.5 * log((1 + x)/(1 - x)) with
-   every operation outward-rounded, so the enclosure is sound for the
-   composite's *actual* operation count — the old blanket two-ulp
-   widening of the float formula under-covered its 3+ roundings near the
-   domain edges. Monotone increasing, so endpoints suffice. *)
-let atanh i =
-  let dom = Interval.make (-1.0) 1.0 in
-  let i = Interval.meet i dom in
-  if Interval.is_empty i then Interval.empty
-  else begin
-    let at x =
-      if x <= -1.0 then Interval.point Float.neg_infinity
-      else if x >= 1.0 then Interval.point Float.infinity
-      else begin
-        let px = Interval.point x in
-        let q =
-          Interval.div (Interval.add Interval.one px)
-            (Interval.sub Interval.one px)
-        in
-        Interval.mul (Interval.point 0.5) (log q)
-      end
-    in
-    Interval.of_bounds
-      (Interval.inf (at (Interval.inf i)))
-      (Interval.sup (at (Interval.sup i)))
-  end
-
 let tan_on_principal i =
   let dom = Interval.make (-.half_pi_hi) half_pi_hi in
   let i = Interval.meet i dom in
@@ -381,8 +272,10 @@ let tan_on_principal i =
   end
 
 (* w e^w, monotone increasing for w >= -1 (the range of W0), as an
-   interval composition for the same reason as atanh: the float formula's
-   two roundings plus libm's exp error exceeded the old two-ulp budget. *)
+   interval composition (every operation outward-rounded), so the
+   enclosure covers the composite's actual rounding budget: the float
+   formula's two roundings plus libm's exp error exceeded the old two-ulp
+   widening. Monotone, so endpoints suffice. *)
 let w_inverse i =
   let i = Interval.meet i (Interval.make (-1.0) Float.infinity) in
   if Interval.is_empty i then Interval.empty
@@ -395,17 +288,3 @@ let w_inverse i =
       (Interval.inf (at (Interval.inf i)))
       (Interval.sup (at (Interval.sup i)))
   end
-
-let asin_hull i =
-  let i = Interval.meet i (Interval.make (-1.0) 1.0) in
-  if Interval.is_empty i then Interval.empty
-  else mono_inc Stdlib.asin i
-
-let acos_hull i =
-  let i = Interval.meet i (Interval.make (-1.0) 1.0) in
-  if Interval.is_empty i then Interval.empty
-  else
-    (* acos is decreasing. *)
-    Interval.of_bounds
-      (down2 (Stdlib.acos (Interval.sup i)))
-      (up2 (Stdlib.acos (Interval.inf i)))

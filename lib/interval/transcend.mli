@@ -1,31 +1,26 @@
 (** Interval enclosures for the transcendental functions appearing in density
-    functional approximations (exp, log in SCAN and PBE; atan in VWN;
-    Lambert W in AM05), plus sin/cos/tanh for engine completeness.
+    functional approximations: exp and log in SCAN and PBE, atan in VWN and
+    Lambert W in AM05.
 
-    There is one enclosure path per function. exp, log, sin, cos and
-    Lambert W evaluate libm at the endpoints, widen by two ulps (libm is
-    faithfully rounded to within 1 ulp on every platform we target; the
-    second ulp is margin) and meet the result with a kernel of
-    {!Certified}, which carries a derived error bound instead of the
-    blanket margin. The monotone kernels (exp, log, rational pow) engage
-    on narrow inputs only; on wide inputs the libm enclosure alone is the
-    designed path, counted by the [transcend.*.fallback] meters. sin/cos
-    use quadrant analysis on a certified-reduced argument, valid up to
-    2^52. Every function follows the natural-domain semantics of
-    {!Interval}: inputs outside the real domain contribute no values. *)
+    There is one enclosure path per function. exp, log and Lambert W
+    evaluate libm at the endpoints, widen by two ulps (libm is faithfully
+    rounded to within 1 ulp on every platform we target; the second ulp is
+    margin) and meet the result with a kernel of {!Certified}, which
+    carries a derived error bound instead of the blanket margin. The
+    monotone kernels (exp, log, rational pow) engage on narrow inputs only;
+    on wide inputs the libm enclosure alone is the designed path, counted
+    by the [transcend.*.fallback] meters. Every function follows the
+    natural-domain semantics of {!Interval}: inputs outside the real
+    domain contribute no values. *)
 
 (** The libm endpoint enclosures: the libm half of every exported
-    exp/log/sin/cos/Lambert W enclosure, each of which is this result met
-    with a certified kernel. Sound but lossy on their own (sin/cos
-    collapse to [[-1, 1]] past [trig_arg_cutoff] = 2^20; a NaN from the
-    float W kernel escapes to [+inf]), and the reference side of the
-    never-wider differential oracle. *)
+    exp/log/Lambert W enclosure, each of which is this result met with a
+    certified kernel. Sound but lossy on their own (a NaN from the float W
+    kernel escapes to [+inf]), and the reference side of the never-wider
+    differential oracle. *)
 module Legacy : sig
   val exp : Interval.t -> Interval.t
   val log : Interval.t -> Interval.t
-  val sin : Interval.t -> Interval.t
-  val cos : Interval.t -> Interval.t
-  val trig_arg_cutoff : float
   val lambert_w : Interval.t -> Interval.t
 end
 
@@ -33,17 +28,7 @@ end
 
 val exp : Interval.t -> Interval.t
 val log : Interval.t -> Interval.t
-val sin : Interval.t -> Interval.t
-val cos : Interval.t -> Interval.t
-val tanh : Interval.t -> Interval.t
 val atan : Interval.t -> Interval.t
-
-(** Strictly-inside lower bounds on pi/2 and pi (two ulps below
-    round-to-nearest), for guards that must certify containment in a
-    principal monotone branch regardless of libm rounding direction. *)
-val half_pi_lo : float
-
-val pi_lo : float
 
 (** Principal branch [W0]; domain [[-1/e, inf)]. The numeric kernel
     {!Lambert.w0} is certified post-hoc: the returned bounds are widened
@@ -75,23 +60,14 @@ val enclose_rat : Rat.t -> Interval.t
 
 (** {1 Inverses for backward (HC4) propagation} *)
 
-(** [atanh i]: inverse of {!tanh}, domain [(-1, 1)]. Evaluated as an
-    interval composition (per-operation outward rounding), so the
-    enclosure covers the composite's true rounding budget, which a
-    two-ulp widening of the float formula under-covers. *)
-val atanh : Interval.t -> Interval.t
-
 (** [tan_on_principal i]: inverse of {!atan}; [i] is clipped to
     [(-pi/2, pi/2)]. *)
 val tan_on_principal : Interval.t -> Interval.t
 
 (** [w_inverse i] is [{ w e^w | w in i }], the inverse image map for
     Lambert W backward propagation (monotone on [w >= -1], which covers the
-    range of [W0]). Interval composition, like {!atanh}. *)
+    range of [W0]). Evaluated as an interval composition (per-operation
+    outward rounding), so the enclosure covers the composite's true
+    rounding budget, which a two-ulp widening of the float formula
+    under-covers. *)
 val w_inverse : Interval.t -> Interval.t
-
-(** [asin_hull i]: hull of the preimage of [i] under sin restricted to
-    [[-pi/2, pi/2]] — used only as a (sound, weak) backward contractor. *)
-val asin_hull : Interval.t -> Interval.t
-
-val acos_hull : Interval.t -> Interval.t

@@ -73,12 +73,9 @@ let crat_of rat =
 let unop_code : Expr.unop -> int = function
   | Expr.Exp -> 0
   | Expr.Log -> 1
-  | Expr.Sin -> 2
-  | Expr.Cos -> 3
-  | Expr.Tanh -> 4
-  | Expr.Atan -> 5
-  | Expr.Abs -> 6
-  | Expr.Lambert_w -> 7
+  | Expr.Atan -> 2
+  | Expr.Abs -> 3
+  | Expr.Lambert_w -> 4
 
 let rel_code : Expr.rel -> int = function Expr.Le -> 0 | Expr.Lt -> 1
 

@@ -340,21 +340,15 @@ static inline itv enclose_dd(dd v, double err)
 #define LN2_HI 0x1.62e42fefa39efp-1
 #define LN2_LO 0x1.abc9e3b39803fp-56
 #define INV_LN2 0x1.71547652b82fep+0
-#define TWO_PI_HI 0x1.921fb54442d18p+2
-#define TWO_PI_LO 0x1.1a62633145c07p-52
-#define TWO_PI_DEFECT 1e-31
-#define INV_TWO_PI 0x1.45f306dc9c883p-3
 #define EXP_REL_ERR 2e-17
 #define EXP_DOM_LO (-670.0)
 #define EXP_DOM_HI 709.0
 #define LOG_REL_ERR 5e-20
 #define LOG_ABS_ERR 1e-28
 #define SQRT_HALF 0.7071067811865476
-#define TRIG_REDUCE_MAX 0x1p52
-#define CRIT_SLACK 2e-14
 
 /* rt_init-computed globals (deterministic; same expressions as OCaml). */
-static double rt_half_pi_hi, rt_half_pi_lo, rt_pi_lo, rt_two_pi, rt_branch_point;
+static double rt_half_pi_hi, rt_branch_point;
 static dd rt_exp_coeffs[14];
 static dd rt_log_coeffs[12];
 static itv rt_e_one;
@@ -507,12 +501,9 @@ typedef struct {
 
 #define UN_EXP 0
 #define UN_LOG 1
-#define UN_SIN 2
-#define UN_COS 3
-#define UN_TANH 4
-#define UN_ATAN 5
-#define UN_ABS 6
-#define UN_LW 7
+#define UN_ATAN 2
+#define UN_ABS 3
+#define UN_LW 4
 
 #define G_FALSE 0
 #define G_TRUE 1
@@ -545,92 +536,6 @@ static itv legacy_log(itv i)
   return i_of_bounds(lo, hi);
 }
 
-#define LEGACY_TRIG_CUTOFF 1048576.0
-
-static itv legacy_trig(double (*f)(double), double critical_shift, itv i)
-{
-  double a, b, fa, fb, lo, hi;
-  int c;
-  if (i_is_empty(i)) return I_EMPTY;
-  if (i_width(i) >= rt_two_pi || i_mag(i) > LEGACY_TRIG_CUTOFF)
-    return mk_itv(-1.0, 1.0);
-  a = i.lo;
-  b = i.hi;
-  fa = f(a);
-  fb = f(b);
-  lo = o_min(fa, fb);
-  hi = o_max(fa, fb);
-  for (c = 0; c < 2; c++) {
-    double phase = c == 0 ? critical_shift : critical_shift + (rt_two_pi / 2.0);
-    double value = c == 0 ? 1.0 : -1.0;
-    double k0 = floor((a - phase) / rt_two_pi);
-    int j, hit = 0;
-    for (j = 0; j < 3 && !hit; j++) {
-      double x = phase + ((k0 + (double)j) * rt_two_pi);
-      if (x >= a - 1e-9 && x <= b + 1e-9) hit = 1;
-    }
-    if (hit) { lo = o_min(lo, value); hi = o_max(hi, value); }
-  }
-  return i_of_bounds(o_max(-1.0, down2(lo)), o_min(1.0, up2(hi)));
-}
-
-static itv legacy_sin(itv i) { return legacy_trig(sin, rt_two_pi / 4.0, i); }
-static itv legacy_cos(itv i) { return legacy_trig(cos, 0.0, i); }
-
-static void reduce_shifted(double k, double x, dd *out, double *err)
-{
-  double p, pe, q, qe, s, se;
-  if (k == 0.0) {
-    *out = mk_dd(x, 0.0);
-    *err = 0.0;
-    return;
-  }
-  two_prod(k, TWO_PI_HI, &p, &pe);
-  two_prod(k, TWO_PI_LO, &q, &qe);
-  two_sum(x, -p, &s, &se);
-  *out = dd_sub(dd_add(mk_dd(s, se), mk_dd(-pe, 0.0)), mk_dd(q, qe));
-  *err = fabs(k) * TWO_PI_DEFECT + 1e-30;
-}
-
-static itv cert_trig(double (*f)(double), double phase_of_max, itv i)
-{
-  double k, ea, eb, arg_a, arg_b, da, db, fa, fb, lo, hi, r_lo, r_hi;
-  dd ra, rb;
-  int c;
-  if (i_is_empty(i)) return I_EMPTY;
-  if (!i_is_bounded(i) || i_mag(i) > TRIG_REDUCE_MAX) return mk_itv(-1.0, 1.0);
-  if (i_width(i) >= TWO_PI_HI) return mk_itv(-1.0, 1.0);
-  k = round(i_midpoint(i) * INV_TWO_PI);
-  reduce_shifted(k, i.lo, &ra, &ea);
-  reduce_shifted(k, i.hi, &rb, &eb);
-  arg_a = ra.h + ra.l;
-  arg_b = rb.h + rb.l;
-  da = ea + (ra.l == 0.0 ? 0.0 : ulp_of(arg_a));
-  db = eb + (rb.l == 0.0 ? 0.0 : ulp_of(arg_b));
-  fa = f(arg_a);
-  fb = f(arg_b);
-  lo = o_min(fa - da, fb - db);
-  hi = o_max(fa + da, fb + db);
-  r_lo = arg_a - da;
-  r_hi = arg_b + db;
-  for (c = 0; c < 2; c++) {
-    double phase = c == 0 ? phase_of_max : phase_of_max + (TWO_PI_HI / 2.0);
-    double value = c == 0 ? 1.0 : -1.0;
-    double k0 = floor((r_lo - CRIT_SLACK - phase) / TWO_PI_HI);
-    int j, hit = 0;
-    for (j = 0; j < 4 && !hit; j++) {
-      double x = phase + ((k0 + (double)j) * TWO_PI_HI);
-      if (x >= r_lo - CRIT_SLACK && x <= r_hi + CRIT_SLACK) hit = 1;
-    }
-    if (hit) { lo = o_min(lo, value); hi = o_max(hi, value); }
-  }
-  return i_of_bounds(o_max(-1.0, lo_down(lo_down(lo))),
-                     o_min(1.0, hi_up(hi_up(hi))));
-}
-
-static itv cert_sin(itv i) { return cert_trig(sin, TWO_PI_HI / 4.0, i); }
-static itv cert_cos(itv i) { return cert_trig(cos, 0.0, i); }
-
 /* entry points: the libm enclosure met with the certified kernel */
 
 static itv t_exp(itv i)
@@ -647,19 +552,6 @@ static itv t_log(itv i)
   if (i_is_empty(base)) return base;
   if (rt_narrow(i)) return i_meet(base, cert_log(i));
   return base;
-}
-
-static itv t_sin(itv i) { return i_meet(legacy_sin(i), cert_sin(i)); }
-
-static itv t_cos(itv i) { return i_meet(legacy_cos(i), cert_cos(i)); }
-
-static itv t_tanh(itv i)
-{
-  double lo, hi;
-  if (i_is_empty(i)) return I_EMPTY;
-  lo = o_max(-1.0, down2(tanh(i.lo)));
-  hi = o_min(1.0, up2(tanh(i.hi)));
-  return i_of_bounds(lo, hi);
 }
 
 static itv t_atan(itv i)
@@ -888,22 +780,6 @@ static itv t_lambert_w(itv i)
   return i_meet(legacy_lambert_w(i), certified_w_bounds(lo, hi));
 }
 
-static itv t_atanh_at(double x)
-{
-  itv q;
-  if (x <= -1.0) return i_point(-INFINITY);
-  if (x >= 1.0) return i_point(INFINITY);
-  q = i_div(i_add(I_ONE, i_point(x)), i_sub(I_ONE, i_point(x)));
-  return i_mul(i_point(0.5), t_log(q));
-}
-
-static itv t_atanh(itv i)
-{
-  i = i_meet(i, mk_itv(-1.0, 1.0));
-  if (i_is_empty(i)) return I_EMPTY;
-  return i_of_bounds(t_atanh_at(i.lo).lo, t_atanh_at(i.hi).hi);
-}
-
 static itv t_w_inverse_at(double w)
 {
   if (w == INFINITY) return i_point(INFINITY);
@@ -925,20 +801,6 @@ static itv t_tan_on_principal(itv i)
   lo = (i.lo <= -rt_half_pi_hi) ? -INFINITY : down2(tan(i.lo));
   hi = (i.hi >= rt_half_pi_hi) ? INFINITY : up2(tan(i.hi));
   return i_of_bounds(lo, hi);
-}
-
-static itv t_asin_hull(itv i)
-{
-  i = i_meet(i, mk_itv(-1.0, 1.0));
-  if (i_is_empty(i)) return I_EMPTY;
-  return i_of_bounds(down2(asin(i.lo)), up2(asin(i.hi)));
-}
-
-static itv t_acos_hull(itv i)
-{
-  i = i_meet(i, mk_itv(-1.0, 1.0));
-  if (i_is_empty(i)) return I_EMPTY;
-  return i_of_bounds(down2(acos(i.hi)), up2(acos(i.lo)));
 }
 
 static itv cert_pow_rat(itv i, const crat *cr)
@@ -993,9 +855,6 @@ static itv apply_unop(int code, itv v)
   switch (code) {
   case UN_EXP: return t_exp(v);
   case UN_LOG: return t_log(v);
-  case UN_SIN: return t_sin(v);
-  case UN_COS: return t_cos(v);
-  case UN_TANH: return t_tanh(v);
   case UN_ATAN: return t_atan(v);
   case UN_ABS: return i_abs(v);
   default: return t_lambert_w(v);
@@ -1271,9 +1130,6 @@ static int prog_propagate(const jprog *pg, const itv *fwd, itv *req,
       case UN_LOG:
         req[in->a] = i_meet(req[in->a], t_exp(r));
         break;
-      case UN_TANH:
-        req[in->a] = i_meet(req[in->a], t_atanh(r));
-        break;
       case UN_ATAN:
         req[in->a] = i_meet(req[in->a], t_tan_on_principal(r));
         break;
@@ -1284,21 +1140,9 @@ static int prog_propagate(const jprog *pg, const itv *fwd, itv *req,
         tighten_branches(req, in->a, bs, k);
         break;
       }
-      case UN_LW:
+      default: /* UN_LW */
         req[in->a] = i_meet(req[in->a], t_w_inverse(r));
         break;
-      case UN_SIN: {
-        itv fa = fwd[in->a];
-        if (i_is_bounded(fa) && fa.lo >= -rt_half_pi_lo && fa.hi <= rt_half_pi_lo)
-          req[in->a] = i_meet(req[in->a], t_asin_hull(r));
-        break;
-      }
-      default: { /* UN_COS */
-        itv fa = fwd[in->a];
-        if (i_is_bounded(fa) && fa.lo >= 0.0 && fa.hi <= rt_pi_lo)
-          req[in->a] = i_meet(req[in->a], t_acos_hull(r));
-        break;
-      }
       }
       break;
     default: { /* OP_SELECT */
@@ -1374,9 +1218,6 @@ static itv d_unop(int code, itv fa, itv fi)
   switch (code) {
   case UN_EXP: return fi;
   case UN_LOG: return i_inv(fa);
-  case UN_SIN: return t_cos(fa);
-  case UN_COS: return i_neg(t_sin(fa));
-  case UN_TANH: return i_sub(I_ONE, i_pow_int(fi, 2));
   case UN_ATAN: return i_inv(i_add(I_ONE, i_pow_int(fa, 2)));
   case UN_ABS:
     if (i_certainly_ge(fa, 0.0)) return I_ONE;
@@ -1589,9 +1430,6 @@ static void rt_init(void)
   int j;
   double facts[14];
   rt_half_pi_hi = up2(2.0 * atan(1.0));
-  rt_half_pi_lo = down2(2.0 * atan(1.0));
-  rt_pi_lo = down2(4.0 * atan(1.0));
-  rt_two_pi = 8.0 * atan(1.0);
   rt_branch_point = -exp(-1.0);
   facts[0] = 1.0;
   for (j = 1; j <= 13; j++) facts[j] = facts[j - 1] * (double)j;

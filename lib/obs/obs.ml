@@ -35,7 +35,6 @@ module Metrics = struct
   type counter = int
   type histogram = int
   type gauge = int
-  type timer = int
 
   type phase = Encode | Contract | Solve | Split | Paint | Retry
 

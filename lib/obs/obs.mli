@@ -34,7 +34,6 @@ module Metrics : sig
   type counter
   type histogram
   type gauge
-  type timer
 
   (** Campaign phases, each backed by a pre-registered [Wall] timer
       ("phase.encode", ...). encode / contract / solve / split / paint are
@@ -45,13 +44,12 @@ module Metrics : sig
   (** Registration is idempotent by name and normally happens in top-level
       bindings of the instrumented modules, i.e. before any worker domain
       exists. Counters default to [Deterministic]; histograms are always
-      deterministic; gauges and timers are always [Wall]. *)
+      deterministic; gauges are always [Wall]. *)
 
   val counter : ?clas:clas -> string -> counter
 
   val histogram : string -> histogram
   val gauge : string -> gauge
-  val timer : string -> timer
 
   (** {2 Hot-path operations}
 
@@ -93,8 +91,6 @@ module Metrics : sig
   (** [install t] makes [t] the current instance and returns the previous
       one. *)
   val install : t -> t
-
-  val current : unit -> t
 
   (** {2 Snapshots}
 

@@ -13,13 +13,6 @@ type config = {
   progress_interval_ms : int;
 }
 
-let default_config =
-  {
-    engine = Engine.default_config;
-    socket_path = "xcv.sock";
-    progress_interval_ms = 500;
-  }
-
 type conn = { fd : Unix.file_descr; client : Engine.client }
 
 type state = {

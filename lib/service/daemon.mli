@@ -24,8 +24,6 @@ type config = {
       (** cadence of [Progress] frames for the running query (0 = off) *)
 }
 
-val default_config : config
-
 (** [run config] serves until SIGTERM/SIGINT (or [stop] returns true,
     polled once per select tick — the embedded/test entry point).
     @raise Failure when the socket path cannot be bound. *)

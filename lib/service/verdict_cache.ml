@@ -39,7 +39,6 @@ let open_dir ?io_faults dir =
   mkdir_p dir;
   { dir; io_faults; groups = Hashtbl.create 16; commits = 0 }
 
-let dir t = t.dir
 let commits t = t.commits
 let refresh t = Hashtbl.reset t.groups
 

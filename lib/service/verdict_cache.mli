@@ -39,8 +39,6 @@ type t
     [io_faults], when given, is consulted by every subsequent write. *)
 val open_dir : ?io_faults:Fault.io_plan -> string -> t
 
-val dir : t -> string
-
 (** The group file backing a key (whether or not it exists yet):
     [dir/group-<digest(config_hash : formula_hash)>.ckpt]. *)
 val group_file : t -> config_hash:string -> formula_hash:string -> string

@@ -128,10 +128,6 @@ let mem point b =
   in
   go 0
 
-let meet a b =
-  if a.names <> b.names then invalid_arg "Box.meet: variable order mismatch";
-  { names = a.names; ivs = Array.map2 Interval.meet a.ivs b.ivs }
-
 let volume b =
   Array.fold_left (fun acc iv -> acc *. Interval.width iv) 1.0 b.ivs
 

@@ -83,10 +83,6 @@ val midpoint_box : t -> t
     [point]). *)
 val mem : (string * float) list -> t -> bool
 
-(** [meet a b] intersects dimension-wise.
-    @raise Invalid_argument if variable orders differ. *)
-val meet : t -> t -> t
-
 (** [volume box] is the product of widths (infinite if unbounded). *)
 val volume : t -> float
 

@@ -754,26 +754,9 @@ let propagate s prog i =
       match op with
       | Exp -> tighten req a (Transcend.log r)
       | Log -> tighten req a (Transcend.exp r)
-      | Tanh -> tighten req a (Transcend.atanh r)
       | Atan -> tighten req a (Transcend.tan_on_principal r)
       | Abs -> tighten_branches req a (backward_abs r)
-      | Lambert_w -> tighten req a (Transcend.w_inverse r)
-      | Sin ->
-          (* Only invert within a range certainly strictly inside the
-             principal monotone branch (round-down pi/2). *)
-          let fa = R.get fwd a in
-          if
-            Interval.is_bounded fa
-            && Interval.inf fa >= -.Transcend.half_pi_lo
-            && Interval.sup fa <= Transcend.half_pi_lo
-          then tighten req a (Transcend.asin_hull r)
-      | Cos ->
-          let fa = R.get fwd a in
-          if
-            Interval.is_bounded fa
-            && Interval.inf fa >= 0.0
-            && Interval.sup fa <= Transcend.pi_lo
-          then tighten req a (Transcend.acos_hull r))
+      | Lambert_w -> tighten req a (Transcend.w_inverse r))
   | Iselect { branches; default } ->
       select_backward fwd req i branches default 0
 
@@ -865,9 +848,6 @@ let d_unop op fa fi =
   match op with
   | Exp -> fi
   | Log -> Interval.inv fa
-  | Sin -> Ieval.apply_unop Cos fa
-  | Cos -> Interval.neg (Ieval.apply_unop Sin fa)
-  | Tanh -> Interval.sub Interval.one (Interval.pow_int fi 2)
   | Atan -> Interval.inv (Interval.add Interval.one (Interval.pow_int fa 2))
   | Abs ->
       if Interval.certainly_ge fa 0.0 then Interval.one

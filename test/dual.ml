@@ -26,13 +26,6 @@ let pow a b =
   else
     { v; d = v *. ((b.d *. Stdlib.log a.v) +. (b.v *. a.d /. a.v)) }
 
-let sin a = { v = Stdlib.sin a.v; d = Stdlib.cos a.v *. a.d }
-let cos a = { v = Stdlib.cos a.v; d = -.Stdlib.sin a.v *. a.d }
-
-let tanh a =
-  let t = Stdlib.tanh a.v in
-  { v = t; d = (1.0 -. (t *. t)) *. a.d }
-
 let atan a = { v = Stdlib.atan a.v; d = a.d /. (1.0 +. (a.v *. a.v)) }
 
 let abs a =
@@ -62,9 +55,6 @@ let eval env ~wrt e =
             match op with
             | Expr.Exp -> exp da
             | Expr.Log -> log da
-            | Expr.Sin -> sin da
-            | Expr.Cos -> cos da
-            | Expr.Tanh -> tanh da
             | Expr.Atan -> atan da
             | Expr.Abs -> abs da
             | Expr.Lambert_w -> lambert_w da)

@@ -23,9 +23,6 @@ val div : t -> t -> t
 val pow : t -> t -> t
 val exp : t -> t
 val log : t -> t
-val sin : t -> t
-val cos : t -> t
-val tanh : t -> t
 val atan : t -> t
 val abs : t -> t
 val lambert_w : t -> t

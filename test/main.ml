@@ -9,7 +9,7 @@ let () =
       ("testutil", Test_testutil.suite);
       ("rat", Test_rat.suite);
       ("expr", Test_expr.suite);
-      ("eval-compile-parse", Test_eval.suite);
+      ("eval-compile-print", Test_eval.suite);
       ("deriv", Test_deriv.suite);
       ("simplify-subst", Test_simplify.suite);
       ("interval", Test_interval.suite);

@@ -87,14 +87,14 @@ let prop_adjoint_matches_symbolic_at_point =
           || not (Interval.is_empty (Interval.meet p ds)))
         [ (0, "x"); (1, "y") ])
 
-(* At x = 0 the [abs] arguments below, 2x - sin x and x + sin x, enclose
+(* At x = 0 the [abs] arguments below, 2x - atan x and x + atan x, enclose
    0, so the derivative of each [abs] is the kink hull K = [-1, 1]. The
    symbolic gradient is forward mode: each use of an [abs] weighs the
    derivative of its whole argument by K. The adjoint is reverse mode: it
    sums the weights of an [abs]'s uses first, then weighs each path into x
    separately. Neither contains the other in general. With one use of
-   2x - sin x, subdistributivity makes the adjoint wider: K 2 + K (-1) =
-   [-3, 3] against K (2 - 1) = [-1, 1]. With two uses of x + sin x whose
+   2x - atan x, subdistributivity makes the adjoint wider: K 2 + K (-1) =
+   [-3, 3] against K (2 - 1) = [-1, 1]. With two uses of x + atan x whose
    weights nearly cancel (y - 1 at y = 0.5), the symbolic one is wider:
    y K 2 - K 2 = [-3, 3] against (y - 1) K 1 + (y - 1) K 1 = [-1, 1]. *)
 let test_adjoint_abs_kink_at_point () =
@@ -103,11 +103,11 @@ let test_adjoint_abs_kink_at_point () =
   let around lo hi i =
     Interval.subset (iv lo hi) i && Interval.subset i (widen (iv lo hi))
   in
-  let one_use = add (const (-32.0)) (abs (sub (mul two x) (sin x))) in
+  let one_use = add (const (-32.0)) (abs (sub (mul two x) (atan x))) in
   let p = partial one_use and ds = symbolic_partial one_use "x" b in
   check_true "one use: symbolic [-1, 1] inside the adjoint [-3, 3]"
     (around (-1.0) 1.0 ds && around (-3.0) 3.0 p);
-  let g = add x (sin x) in
+  let g = add x (atan x) in
   let two_uses = sub (mul (abs g) y) (abs g) in
   let p = partial two_uses and ds = symbolic_partial two_uses "x" b in
   check_true "two uses: the adjoint [-1, 1] inside the symbolic [-3, 3]"

@@ -674,6 +674,23 @@ let test_shard_flags_refused_cli () =
           check_false (flag ^ ": no archive saved") (Sys.file_exists save))
         [ ("--shard", "0/2"); ("--shards", "2"); ("--merge", save) ]
 
+(* "-" names stdout only for the outputs that can be printed ([--metrics],
+   [--trace]); the archive and the checkpoint are files, so "-" is a usage
+   error for them, and no campaign runs and no file named "-" appears in
+   the working directory the CLI inherits. *)
+let test_stdout_refused_for_files_cli () =
+  match Sys.getenv_opt "XCV_CLI" with
+  | None -> ()
+  | Some cli ->
+      check_false "no file named - before" (Sys.file_exists "-");
+      List.iter
+        (fun flag ->
+          (* the message may wrap between any two words *)
+          expect_cli_exit ~cli ~code:124 ~says:[ flag; "(stdout)" ]
+            [ "campaign"; "--fuel"; "2"; "-t"; "0.9"; flag; "-" ];
+          check_false (flag ^ ": no file named -") (Sys.file_exists "-"))
+        [ "--save"; "--checkpoint" ]
+
 let suite =
   [
     case "config hash scope" test_config_hash_scope;
@@ -709,4 +726,6 @@ let suite =
       test_replay_reports_unreadable_cli;
     slow_case "removed shard flags are refused (CLI)"
       test_shard_flags_refused_cli;
+    slow_case "--save - and --checkpoint - are refused (CLI)"
+      test_stdout_refused_for_files_cli;
   ]

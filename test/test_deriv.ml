@@ -33,12 +33,12 @@ let test_quotients () =
 let test_transcendentals () =
   check_true "d exp = exp" (equal (d (exp x)) (exp x));
   check_true "d log = 1/x" (equal (d (log x)) (inv x));
-  check_true "d sin = cos" (equal (d (sin x)) (cos x));
-  check_true "d cos = -sin" (equal (d (cos x)) (neg (sin x)));
+  check_true "d atan = 1/(1 + x^2)"
+    (equal (d (atan x)) (inv (add one (sqr x))));
   List.iter
     (fun xv ->
       let env = [ ("x", xv); ("y", 0.5) ] in
-      check_against_dual "tanh" (tanh (mul x y)) env;
+      check_against_dual "abs" (abs (mul x y)) env;
       check_against_dual "atan" (atan (sqr x)) env;
       check_against_dual "exp chain" (exp (neg (sqr x))) env;
       check_against_dual "lambert" (lambert_w (add (sqr x) one)) env)
@@ -73,9 +73,9 @@ let test_second_derivative () =
   (* f = x^4 -> f'' = 12 x^2 *)
   let f2 = Deriv.diff_n ~wrt:"x" 2 (powi x 4) in
   check_true "x^4'' = 12x^2" (equal f2 (mul (int 12) (sqr x)));
-  (* f = sin x -> f'''' = sin x *)
-  let f4 = Deriv.diff_n ~wrt:"x" 4 (sin x) in
-  check_true "sin'''' = sin" (equal f4 (sin x))
+  (* f = exp x -> f'''' = exp x *)
+  let f4 = Deriv.diff_n ~wrt:"x" 4 (exp x) in
+  check_true "exp'''' = exp" (equal f4 (exp x))
 
 let functional_derivative_cases =
   (* The derivatives the paper actually needs: dF_c/drs for each DFA,

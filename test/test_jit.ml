@@ -390,14 +390,14 @@ let paint_config ~jit workers =
 
 let test_paint_log_identity () =
   if Jit.available () then begin
-    (* a unit circle warped by a sine so the kernel's transcendental path
-       is on the verdict-critical line *)
+    (* a unit circle warped by an arctangent so the kernel's
+       transcendental path is on the verdict-critical line *)
     let open Expr in
     let psi =
       Form.atom
         (sub
            (add (sqr (var "x")) (sqr (var "y")))
-           (add one (mul (const 0.25) (sin (mul (const 3.0) (var "x"))))))
+           (add one (mul (const 0.25) (atan (mul (const 3.0) (var "x"))))))
         Form.Ge0
     in
     let domain =

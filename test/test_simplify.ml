@@ -44,10 +44,10 @@ let test_with_nonneg () =
        (nn (sqrt (mul x (exp y))))
        (mul (sqrt x) (exp (mul (rat 1 2) y))))
 
-(* A rewrite keeps the real function, not its float rounding: exp and sin
-   can amplify the rounding of a rearranged argument far past any fixed
-   tolerance (sin(exp(3.47*x*(2 - 2*y))) against its expansion near
-   x = 0.74, y = -2.87). So where the float values differ beyond the
+(* A rewrite keeps the real function, not its float rounding: exp
+   multiplies the rounding of a rearranged argument by the argument's
+   size, far past any fixed tolerance (exp(3.47*x*(2 - 2*y)) against its
+   expansion near x = 0.74, y = -2.87). So where the float values differ beyond the
    tolerance, the claim checked is what equal real functions guarantee:
    the interval enclosures of both forms at the point intersect, since both
    contain the one real value. *)

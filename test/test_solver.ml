@@ -134,6 +134,8 @@ let certainly_satisfies_le point e =
 let test_hc4_soundness_random =
   (* Contraction must never discard a point satisfying the constraint. *)
   qcheck "hc4 never loses solutions"
+    ~print:(fun (e, px, py) ->
+      Printf.sprintf "%s <= 0 at x = %h, y = %h" (Printer.to_string e) px py)
     QCheck2.Gen.(tup3 expr_gen (float_range 0.0 1.0) (float_range 0.0 1.0))
     (fun (e, px, py) ->
       let atom = Form.le e in
@@ -180,8 +182,11 @@ let test_icp_conjunction () =
   | _ -> Alcotest.fail "expected (delta-)sat"
 
 let test_icp_timeout () =
-  (* Give the solver almost no fuel on an undecidable-at-this-width box. *)
-  let f = Form.ge (sub (sin (mul (const 20.0) x)) (const 0.9999999)) in
+  (* Give the solver almost no fuel on an undecidable-at-this-width box:
+     x (10.6 - x) >= 28.0899 holds only within 0.01 of x = 5.3, away from
+     the bisection midpoints, and the two occurrences of x keep
+     contraction from finding that out. *)
+  let f = Form.ge (sub (mul x (sub (const 10.6) x)) (const 28.0899)) in
   let tiny = { Icp.default_config with fuel = 2 } in
   let b = Box.make [ ("x", iv 0.0 10.0) ] in
   match Icp.solve tiny b [ f ] with

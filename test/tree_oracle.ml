@@ -151,26 +151,9 @@ let revise box atom =
             match op with
             | Exp -> tighten a (Transcend.log r)
             | Log -> tighten a (Transcend.exp r)
-            | Tanh -> tighten a (Transcend.atanh r)
             | Atan -> tighten a (Transcend.tan_on_principal r)
             | Abs -> tighten_branches a (Itape.backward_abs r)
-            | Lambert_w -> tighten a (Transcend.w_inverse r)
-            | Sin ->
-                (* Only invert within a range certainly strictly inside the
-                   principal monotone branch (round-down pi/2). *)
-                let fa = Hashtbl.find fwd a.id in
-                if
-                  Interval.is_bounded fa
-                  && Interval.inf fa >= -.Transcend.half_pi_lo
-                  && Interval.sup fa <= Transcend.half_pi_lo
-                then tighten a (Transcend.asin_hull r)
-            | Cos ->
-                let fa = Hashtbl.find fwd a.id in
-                if
-                  Interval.is_bounded fa
-                  && Interval.inf fa >= 0.0
-                  && Interval.sup fa <= Transcend.pi_lo
-                then tighten a (Transcend.acos_hull r))
+            | Lambert_w -> tighten a (Transcend.w_inverse r))
         | Piecewise (branches, default) ->
             (* Propagate into a branch only when it is certainly the one
                taken on the whole box. *)
@@ -508,9 +491,6 @@ module Adjoint = struct
     match op with
     | Exp -> fi
     | Log -> Interval.inv fa
-    | Sin -> Ieval.apply_unop Cos fa
-    | Cos -> Interval.neg (Ieval.apply_unop Sin fa)
-    | Tanh -> Interval.sub Interval.one (Interval.pow_int fi 2)
     | Atan -> Interval.inv (Interval.add Interval.one (Interval.pow_int fa 2))
     | Abs ->
         if Interval.certainly_ge fa 0.0 then Interval.one
