@@ -19,7 +19,10 @@ let narrow i =
 (* libm enclosures                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let half_pi_hi = up2 (2.0 *. Stdlib.atan 1.0)
+(* fl(pi/2), the float just below pi/2. tan of the next float up wraps
+   to about -6e15, so any bound beyond [half_pi] stands for the pole. *)
+let half_pi = 2.0 *. Stdlib.atan 1.0
+let half_pi_hi = up2 half_pi
 let branch_point = -.Stdlib.exp (-1.0)
 
 (* The NaN-robust bound policy for a failed certification, exposed for
@@ -261,11 +264,11 @@ let tan_on_principal i =
   else begin
     let f x = Stdlib.tan x in
     let lo =
-      if Interval.inf i <= -.half_pi_hi then Float.neg_infinity
+      if Interval.inf i < -.half_pi then Float.neg_infinity
       else down2 (f (Interval.inf i))
     in
     let hi =
-      if Interval.sup i >= half_pi_hi then Float.infinity
+      if Interval.sup i > half_pi then Float.infinity
       else up2 (f (Interval.sup i))
     in
     Interval.of_bounds lo hi

@@ -61,7 +61,8 @@ val enclose_rat : Rat.t -> Interval.t
 (** {1 Inverses for backward (HC4) propagation} *)
 
 (** [tan_on_principal i]: inverse of {!atan}; [i] is clipped to
-    [(-pi/2, pi/2)]. *)
+    [(-pi/2, pi/2)], and an end beyond the float nearest pi/2 maps to the
+    pole ([+-inf]). *)
 val tan_on_principal : Interval.t -> Interval.t
 
 (** [w_inverse i] is [{ w e^w | w in i }], the inverse image map for

@@ -348,7 +348,7 @@ static inline itv enclose_dd(dd v, double err)
 #define SQRT_HALF 0.7071067811865476
 
 /* rt_init-computed globals (deterministic; same expressions as OCaml). */
-static double rt_half_pi_hi, rt_branch_point;
+static double rt_half_pi, rt_half_pi_hi, rt_branch_point;
 static dd rt_exp_coeffs[14];
 static dd rt_log_coeffs[12];
 static itv rt_e_one;
@@ -798,8 +798,8 @@ static itv t_tan_on_principal(itv i)
   double lo, hi;
   i = i_meet(i, mk_itv(-rt_half_pi_hi, rt_half_pi_hi));
   if (i_is_empty(i)) return I_EMPTY;
-  lo = (i.lo <= -rt_half_pi_hi) ? -INFINITY : down2(tan(i.lo));
-  hi = (i.hi >= rt_half_pi_hi) ? INFINITY : up2(tan(i.hi));
+  lo = (i.lo < -rt_half_pi) ? -INFINITY : down2(tan(i.lo));
+  hi = (i.hi > rt_half_pi) ? INFINITY : up2(tan(i.hi));
   return i_of_bounds(lo, hi);
 }
 
@@ -1429,7 +1429,8 @@ static void rt_init(void)
 {
   int j;
   double facts[14];
-  rt_half_pi_hi = up2(2.0 * atan(1.0));
+  rt_half_pi = 2.0 * atan(1.0);
+  rt_half_pi_hi = up2(rt_half_pi);
   rt_branch_point = -exp(-1.0);
   facts[0] = 1.0;
   for (j = 1; j <= 13; j++) facts[j] = facts[j - 1] * (double)j;

@@ -99,35 +99,30 @@ let test_run_allocation_flat () =
     Alcotest.failf "%.0f words on %d registers, %.0f on %d" ws
       (Compile.length short) wl (Compile.length long)
 
-(* [encode -f infix] and the formula fingerprints print through these two
-   printers, so their output is pinned. Sum and product operands print in
-   creation order, so the cases use variables no other suite builds and
-   are built fresh, in this order, inside the test. *)
+(* [encode -f infix|python|c] and the formula fingerprints print through
+   these printers, so their output is pinned. Sum and product operands
+   print in creation order, so the cases use variables no other suite
+   builds and are all built fresh, in this order, by every test that reads
+   them, whichever of those tests runs first. *)
 let printer_cases () =
   let u = var "u" in
   let v = var "v" in
   [
-    (* negative coefficients fold into a binary minus *)
     sub u (mul (int 2) v);
     add (mul (const (-1.5)) u) (mul u v);
     sub (int 1) (div u v);
     add one (neg (sqr v));
-    (* negative exponents print as a division *)
     div u (sqr v);
     div one (mul u v);
     mul (powi u (-3)) (exp v);
-    (* unary minus against ^ *)
     neg (sqr v);
     pow (neg u) (int 3);
     pow u (neg v);
-    (* rational exponents *)
     powr (add u one) (Rat.make 2 3);
     mul (rat 1 3) (cbrt u);
     sqrt (add (sqr u) (sqr v));
-    (* nested apply *)
     exp (log (atan (abs u)));
     lambert_w (mul (const 0.25) (exp (neg u)));
-    (* piecewise, nested in its default *)
     if_lt u v ~then_:(int 1) ~else_:(exp u);
     piecewise
       [ (guard_le (sub u one), log v); (guard_lt v, abs (sub u v)) ]
@@ -135,37 +130,87 @@ let printer_cases () =
     add pi (const 2.5e-3);
   ]
 
-(* (infix, s-expression) of each case *)
+(* (group, infix, sexp, python) of each case, in the order above *)
 let printer_pins =
   [
-    ("u - 2*v", "(+ u (* -2 v))");
-    ("u*v - 1.5*u", "(+ (* u v) (* -0x1.8p+0 u))");
-    ("1 - u/v", "(+ 1 (* -1 u (^ v -1)))");
-    ("1 - v^2", "(+ 1 (* -1 (^ v 2)))");
-    ("u/v^2", "(* u (^ v -2))");
-    ("1/(u*v)", "(* (^ u -1) (^ v -1))");
-    ("exp(v)/u^3", "(* (exp v) (^ u -3))");
-    ("(-1)*v^2", "(* -1 (^ v 2))");
-    ("(-1)*u^3", "(* -1 (^ u 3))");
-    ("u^((-1)*v)", "(^ u (* -1 v))");
-    ("(1 + u)^(2/3)", "(^ (+ 1 u) (/ 2 3))");
-    ("(1/3)*u^(1/3)", "(* (/ 1 3) (^ u (/ 1 3)))");
-    ("(v^2 + u^2)^(1/2)", "(^ (+ (^ v 2) (^ u 2)) (/ 1 2))");
-    ("exp(log(atan(abs(u))))", "(exp (log (atan (abs u))))");
-    ("lambertw(0.25*exp((-1)*u))", "(lambertw (* 0x1p-2 (exp (* -1 u))))");
-    ("piecewise(u - v < 0 -> 1; else exp(u))",
-     "(piecewise (lt (+ u (* -1 v)) 1) (exp u))");
-    ("piecewise(-1 + u <= 0 -> log(v); v < 0 -> abs(u - v); else piecewise(u < 0 -> (-1)*u; else atan(v)))",
-     "(piecewise (le (+ -1 u) (log v)) (lt v (abs (+ u (* -1 v)))) (piecewise (lt u (* -1 u)) (atan v)))");
-    ("3.1440926535897931", "0x1.9271a0c96189dp+1");
+    ("negative coefficients fold into a binary minus", "u - 2*v",
+     "(+ u (* -2 v))", "(u + (-2 * v))");
+    ("negative coefficients fold into a binary minus", "u*v - 1.5*u",
+     "(+ (* u v) (* -0x1.8p+0 u))", "((u * v) + (-1.5 * u))");
+    ("negative coefficients fold into a binary minus", "1 - u/v",
+     "(+ 1 (* -1 u (^ v -1)))", "(1 + (-1 * u * (v ** -1)))");
+    ("negative coefficients fold into a binary minus", "1 - v^2",
+     "(+ 1 (* -1 (^ v 2)))", "(1 + (-1 * (v ** 2)))");
+    ("negative exponents print as a division", "u/v^2", "(* u (^ v -2))",
+     "(u * (v ** -2))");
+    ("negative exponents print as a division", "1/(u*v)",
+     "(* (^ u -1) (^ v -1))", "((u ** -1) * (v ** -1))");
+    ("negative exponents print as a division", "exp(v)/u^3",
+     "(* (exp v) (^ u -3))", "(np.exp(v) * (u ** -3))");
+    ("unary minus against ^", "(-1)*v^2", "(* -1 (^ v 2))",
+     "(-1 * (v ** 2))");
+    ("unary minus against ^", "(-1)*u^3", "(* -1 (^ u 3))",
+     "(-1 * (u ** 3))");
+    ("unary minus against ^", "u^((-1)*v)", "(^ u (* -1 v))",
+     "(u ** (-1 * v))");
+    ("rational exponents", "(1 + u)^(2/3)", "(^ (+ 1 u) (/ 2 3))",
+     "((1 + u) ** (2/3))");
+    ("rational exponents", "(1/3)*u^(1/3)", "(* (/ 1 3) (^ u (/ 1 3)))",
+     "((1/3) * (u ** (1/3)))");
+    ("rational exponents", "(v^2 + u^2)^(1/2)",
+     "(^ (+ (^ v 2) (^ u 2)) (/ 1 2))", "(((v ** 2) + (u ** 2)) ** (1/2))");
+    ("nested apply", "exp(log(atan(abs(u))))", "(exp (log (atan (abs u))))",
+     "np.exp(np.log(np.arctan(np.abs(u))))");
+    ("nested apply", "lambertw(0.25*exp((-1)*u))",
+     "(lambertw (* 0x1p-2 (exp (* -1 u))))",
+     "scipy.special.lambertw((0.25 * np.exp((-1 * u))))");
+    ("piecewise", "piecewise(u - v < 0 -> 1; else exp(u))",
+     "(piecewise (lt (+ u (* -1 v)) 1) (exp u))",
+     "np.where((u + (-1 * v)) < 0, 1, np.exp(u))");
+    ("piecewise",
+     "piecewise(-1 + u <= 0 -> log(v); v < 0 -> abs(u - v); else piecewise(u < 0 -> (-1)*u; else atan(v)))",
+     "(piecewise (le (+ -1 u) (log v)) (lt v (abs (+ u (* -1 v)))) (piecewise (lt u (* -1 u)) (atan v)))",
+     "np.where((-1 + u) <= 0, np.log(v), np.where(v < 0, np.abs((u + (-1 * v))), np.where(u < 0, (-1 * u), np.arctan(v))))");
+    ("constants", "3.1440926535897931", "0x1.9271a0c96189dp+1",
+     "3.1440926535897931");
   ]
 
-let test_printer_pins () =
-  List.iter2
-    (fun e (infix, sexp) ->
-      Alcotest.(check string) "infix" infix (Printer.to_string e);
-      Alcotest.(check string) "sexp" sexp (Printer.sexp_to_string e))
-    (printer_cases ()) printer_pins
+let printer_groups =
+  List.fold_left
+    (fun gs (g, _, _, _) -> if List.mem g gs then gs else gs @ [ g ])
+    [] printer_pins
+
+let test_printer_group group () =
+  let cases = printer_cases () in
+  check_true "one pin per case" (List.length cases = List.length printer_pins);
+  let n =
+    List.fold_left2
+      (fun n e (g, infix, sexp, python) ->
+        if g <> group then n
+        else begin
+          Alcotest.(check string) "infix" infix (Printer.to_string e);
+          Alcotest.(check string) "sexp" sexp (Printer.sexp_to_string e);
+          Alcotest.(check string) "python" python (Printer.python_to_string e);
+          n + 1
+        end)
+      0 cases printer_pins
+  in
+  check_true (group ^ " has cases") (n > 0)
+
+(* C function text of two cases: a plain sum and the nested piecewise *)
+let test_c_printer_pins () =
+  let cases = Array.of_list (printer_cases ()) in
+  List.iter
+    (fun (k, c) ->
+      Alcotest.(check string)
+        (Printf.sprintf "C of case %d" k)
+        c
+        (Printer.c_to_string ~name:"f" ~vars:[ "u"; "v" ] cases.(k)))
+    [
+      (3, "double f(double u, double v) {\n  return (1.0 + (-1.0 * (v * v)));\n}\n");
+      ( 16,
+        "double f(double u, double v) {\n  return (((-1.0 + u) <= 0.0) ? log(v) : ((v < 0.0) ? fabs((u + (-1.0 * v))) : ((u < 0.0) ? (-1.0 * u) : atan(v))));\n}\n" );
+    ]
 
 let suite =
   [
@@ -178,7 +223,12 @@ let suite =
     case "compile shares subterms" test_compile_sharing;
     case "run allocates independently of tape length"
       test_run_allocation_flat;
-    case "printer output is pinned" test_printer_pins;
+  ]
+  @ List.map
+      (fun g -> case ("printer pins: " ^ g) (test_printer_group g))
+      printer_groups
+  @ [
+    case "C printer output is pinned" test_c_printer_pins;
     qcheck "compile = eval on random expressions"
       QCheck2.Gen.(pair expr_gen env2_gen)
       (fun (e, env) ->

@@ -7,8 +7,8 @@ open Testutil
    the tree-walking HC4 revise of Tree_oracle operation for operation, so
    verdicts, boxes and paint logs are byte-identical to the tree walker's
    at every worker count. The regression
-   cases pin the zero-divisor, Lambert-W fallback and zero-progress split
-   fixes, each of which failed before this change. *)
+   cases pin the zero-divisor, Lambert-W fallback, huge-argument atan and
+   zero-progress split fixes, each of which failed before this change. *)
 
 (* ------------------------------------------------------------------ *)
 (* Generators *)
@@ -228,6 +228,52 @@ let test_lambert_kernel_nan_evidence () =
   let i = Transcend.lambert_w (Interval.make (-1.0) 0.0) in
   check_false "lambert_w enclosure nonempty" (Interval.is_empty i);
   check_true "contains w0(0) = 0" (Interval.mem 0.0 i)
+
+(* ------------------------------------------------------------------ *)
+(* Soundness regression: atan of huge arguments *)
+
+(* On x in [3e15, 5e15] the forward enclosure of atan x ends at the float
+   just past pi/2, where tan wraps to about -6e15. The backward pass took
+   that bound as the upper end of tan's image and declared atan x <= 2
+   Infeasible, although every x satisfies it. *)
+let test_atan_huge_argument_sound () =
+  let atom = Form.le (Expr.sub (Expr.atan (Expr.var "x")) (Expr.int 2)) in
+  let dom = Interval.make 3e15 5e15 in
+  let box = Box.make [ ("x", dom) ] in
+  check_true "forward enclosure ends past fl(pi/2)"
+    (Interval.sup (Transcend.atan dom) > Float.pi /. 2.0);
+  let check label = function
+    | Hc4.Infeasible -> Alcotest.failf "%s: atan x <= 2 declared Infeasible" label
+    | Hc4.Contracted b ->
+        check_true (label ^ ": x untouched")
+          (Interval.equal (Box.get b "x") dom)
+  in
+  check "tree" (Tree_oracle.revise box atom);
+  let tape = Itape.compile ~vars:(Box.vars box) atom in
+  check "tape" (Itape.revise tape box)
+
+(* The repair must not cost the backward pass its reach: atan x <= 1
+   narrows x to tan 1, and atan x >= 2 (beyond pi/2) has no model. *)
+let test_atan_backward_still_narrows () =
+  let x = Expr.var "x" in
+  let box = Box.make [ ("x", Interval.make 0.0 10.0) ] in
+  let narrowed = Form.le (Expr.sub (Expr.atan x) (Expr.int 1)) in
+  let check label = function
+    | Hc4.Infeasible -> Alcotest.failf "%s: atan x <= 1 declared Infeasible" label
+    | Hc4.Contracted b ->
+        let i = Box.get b "x" in
+        check_true (label ^ ": x keeps tan 1") (Interval.mem (Stdlib.tan 1.0) i);
+        check_true (label ^ ": x narrowed to tan 1")
+          (Interval.sup i < 1.5575)
+  in
+  check "tree" (Tree_oracle.revise box narrowed);
+  let tape = Itape.compile ~vars:(Box.vars box) narrowed in
+  check "tape" (Itape.revise tape box);
+  let beyond = Form.ge (Expr.sub (Expr.atan x) (Expr.int 2)) in
+  check_true "tree prunes atan x >= 2"
+    (Tree_oracle.revise box beyond = Hc4.Infeasible);
+  let tape = Itape.compile ~vars:(Box.vars box) beyond in
+  check_true "tape prunes atan x >= 2" (Itape.revise tape box = Hc4.Infeasible)
 
 (* ------------------------------------------------------------------ *)
 (* Regression: zero-progress splits *)
@@ -934,6 +980,8 @@ let suite =
     case "relational division" test_div_rel;
     case "lambert NaN certification fallback" test_lambert_nan_fallback;
     case "lambert kernel NaN evidence" test_lambert_kernel_nan_evidence;
+    case "atan of huge arguments is sound" test_atan_huge_argument_sound;
+    case "atan backward pass still narrows" test_atan_backward_still_narrows;
     case "split progress" test_split_progress;
     prop_split_progress;
     prop_status_eval_equiv;

@@ -275,6 +275,38 @@ let test_identity_zero_end_divisor () =
           [ -0x1p-1074; -0.0; 0.0 ]
   end
 
+(* The atan backward pass past fl(pi/2), in C as in OCaml: on x in
+   [3e15, 5e15] the forward enclosure of atan x ends at the float just past
+   pi/2, whose tan is about -6e15. Taking that for the upper end of the
+   inverse image pruned the box as infeasible for atan x <= 2, though every
+   x satisfies it. *)
+let test_identity_atan_past_half_pi () =
+  if Jit.available () then begin
+    let formula =
+      [ Form.atom (Expr.sub (Expr.atan (Expr.var "x")) (Expr.int 2)) Form.Le0 ]
+    in
+    let compiled = Hc4.compile ~vars:[ "x"; "y" ] formula in
+    match
+      Jit.plan ~cache_dir:(Lazy.force cache_dir) ~mvf:true ~rounds:3 compiled
+    with
+    | Error e -> Alcotest.failf "plan failed: %s" e
+    | Ok plan ->
+        let box =
+          Box.make
+            [ ("x", Interval.make 3e15 5e15); ("y", Interval.make 0.0 1.0) ]
+        in
+        let reference = interpreted ~mvf:true ~rounds:3 compiled box in
+        ignore
+          (check_outcome "x in [3e15, 5e15]"
+             (Jit.contract_batch plan [| box |]).(0)
+             reference);
+        let result, _, _, _ = reference in
+        (match result with
+        | Hc4.Infeasible -> Alcotest.fail "pruned a box whose every x is a model"
+        | Hc4.Contracted b ->
+            check_true "model x = 4e15 kept" (Interval.mem 4e15 (Box.get b "x")))
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Degradation: compiler failures are an [Error], counted, never fatal *)
 
@@ -537,6 +569,7 @@ let suite =
     case "identity on a fixed exp/pow/W case" test_identity_fixed_case;
     case "identity on a divisor with a zero end"
       test_identity_zero_end_divisor;
+    case "identity on atan past fl(pi/2)" test_identity_atan_past_half_pi;
     case "degrades to Error on a broken compiler" test_degrades_on_broken_cc;
     case "degrades to Error on a missing compiler" test_degrades_on_missing_cc;
     case "compile cache serves the second plan" test_cache_hit;

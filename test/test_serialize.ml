@@ -318,6 +318,42 @@ let test_atomic_write_faults () =
       check_true "a fresh header replaces the file"
         (ck.Serialize.cp_header = Some header && ck.Serialize.entries = []))
 
+(* ------------------------------------------------------------------ *)
+(* The s-expression reader every archive, checkpoint and frame uses    *)
+
+let sexp_text s =
+  let buf = Buffer.create 64 in
+  Parser.Sexp.print buf (Parser.Sexp.parse s);
+  Buffer.contents buf
+
+let test_sexp_round_trip () =
+  List.iter
+    (fun s -> Alcotest.(check string) s s (sexp_text s))
+    [
+      "a"; "()"; "(a)"; "(a b c)"; "((a) (b (c d)) ())";
+      "(entry (outcome 3 (dfa PBE) (stats 0x1.8p+0 -1)))"; "(label \"q\")";
+    ];
+  check_true "nested structure"
+    (Parser.Sexp.parse "(a (b) ())"
+    = Parser.Sexp.(List [ Atom "a"; List [ Atom "b" ]; List [] ]))
+
+let test_sexp_whitespace () =
+  List.iter
+    (fun (s, want) -> Alcotest.(check string) (String.escaped s) want (sexp_text s))
+    [
+      ("  (a\n\t b   (c) )\n", "(a b (c))");
+      ("\n( ( x ) )", "((x))");
+      ("\tatom\t", "atom");
+    ]
+
+let test_sexp_rejects_malformed () =
+  List.iter
+    (fun s ->
+      match Parser.Sexp.parse s with
+      | _ -> Alcotest.failf "%S parsed" s
+      | exception Parser.Parse_error _ -> ())
+    [ ""; "   "; "("; "(a"; "((a)"; ")"; "(a))"; "a b"; "(a) b" ]
+
 let suite =
   [
     case "round-trip LYP EC1" test_roundtrip_lyp;
@@ -334,4 +370,8 @@ let suite =
     case "entry line bytes" test_entry_line_bytes;
     case "torn entry hook" test_torn_entry;
     case "atomic write faults leave the file intact" test_atomic_write_faults;
+    case "s-expression reader round-trips canonical text" test_sexp_round_trip;
+    case "s-expression reader normalises whitespace" test_sexp_whitespace;
+    case "s-expression reader rejects malformed text"
+      test_sexp_rejects_malformed;
   ]

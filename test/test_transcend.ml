@@ -1,6 +1,6 @@
 (* Differential oracle for the certified transcendental kernels.
 
-   Three properties, per the DLMF-vs-CAS comparative-verification model:
+   Four properties, per the DLMF-vs-CAS comparative-verification model:
 
    - containment: independently computed reference values (libm point
      evaluations, correctly rounded sqrt/cbrt compositions, more-accurate
@@ -10,7 +10,10 @@
      (guaranteed by construction — each export meets both — but pinned
      here against regressions);
    - boundary tables at domain edges, the Lambert branch point, and
-     +-pi/2.
+     +-pi/2;
+   - round trips: each inverse the HC4 backward pass uses (log after
+     exp, tan_on_principal after atan, lambert_w after w_inverse) maps an
+     enclosure back over its input, up to the pole of tan.
 
    w_inverse and (non-integer) pow_rat are deliberately *excluded* from
    the subset property: their float formulas under-cover the
@@ -304,6 +307,177 @@ let pow_rat_containment_qcheck =
       Float.is_nan v || Interval.is_empty i || mem_approx v i)
 
 (* ------------------------------------------------------------------ *)
+(* atan and its HC4 inverse                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* fl(pi/2) lies just below pi/2, and the next float just above it *)
+let half_pi = Float.pi /. 2.0
+let past_half_pi = Float.succ half_pi
+
+let test_atan_boundaries () =
+  let z = Transcend.atan (point 0.0) in
+  check_true "atan 0 contains 0" (Interval.mem 0.0 z);
+  check_true "atan 0 tight" (Interval.width z < 1e-300);
+  List.iter
+    (fun x ->
+      let i = Transcend.atan (point x) in
+      check_true
+        (Printf.sprintf "atan %g contains libm" x)
+        (mem_approx (Stdlib.atan x) i);
+      check_true
+        (Printf.sprintf "atan %g inside the principal range" x)
+        (Interval.inf i >= -.Float.succ past_half_pi
+        && Interval.sup i <= Float.succ past_half_pi))
+    [
+      1.0; -1.0; 0.5; 1e-300; -1e-300; 1e8; 1e15; 3e15; -4e15; 1e16; 1e300;
+      Float.max_float; -.Float.max_float;
+    ];
+  let t = Transcend.atan Interval.top in
+  check_true "atan of top is bounded" (Interval.is_bounded t);
+  check_true "atan of top contains both ends of (-pi/2, pi/2)"
+    (Interval.mem past_half_pi t && Interval.mem (-.past_half_pi) t);
+  check_true "atan empty" (Interval.is_empty (Transcend.atan Interval.empty));
+  check_true "atan [1, 2] below atan [3, 4]"
+    (Interval.sup (Transcend.atan (iv 1.0 2.0))
+    < Interval.inf (Transcend.atan (iv 3.0 4.0)))
+
+let test_tan_on_principal_boundaries () =
+  let z = Transcend.tan_on_principal (point 0.0) in
+  check_true "tan 0 contains 0" (Interval.mem 0.0 z);
+  check_true "tan 0 tight" (Interval.width z < 1e-300);
+  check_true "beyond +pi/2 is empty"
+    (Interval.is_empty (Transcend.tan_on_principal (iv 2.0 3.0)));
+  check_true "beyond -pi/2 is empty"
+    (Interval.is_empty (Transcend.tan_on_principal (iv (-3.0) (-2.0))));
+  check_true "top maps to top"
+    (Interval.equal (Transcend.tan_on_principal Interval.top) Interval.top);
+  let i = Transcend.tan_on_principal (iv 1.0 2.0) in
+  check_true "[1, 2] keeps tan 1" (mem_approx (Stdlib.tan 1.0) i);
+  check_true "[1, 2] reaches the pole" (Interval.sup i = Float.infinity);
+  let p = Transcend.tan_on_principal (point half_pi) in
+  check_true "fl(pi/2) has a finite image" (Interval.is_bounded p);
+  check_true "fl(pi/2) image contains libm"
+    (mem_approx (Stdlib.tan half_pi) p);
+  (* tan of the float just past pi/2 is about -6e15; a bound there once
+     became the upper end and emptied an interval that holds the pole *)
+  List.iter
+    (fun (label, lo, hi, inside) ->
+      let i = Transcend.tan_on_principal (iv lo hi) in
+      check_false (label ^ " not empty") (Interval.is_empty i);
+      check_true (label ^ " keeps tan just inside pi/2") (Interval.mem inside i))
+    [
+      ( "[1, succ fl(pi/2)]", 1.0, past_half_pi,
+        Stdlib.tan (Float.pred half_pi) );
+      ( "[-succ fl(pi/2), -1]", -.past_half_pi, -1.0,
+        Stdlib.tan (-.Float.pred half_pi) );
+    ]
+
+(* HC4 narrows x from atan x through tan_on_principal, so every x must
+   survive the round trip, up to the pole *)
+let test_atan_round_trip_points () =
+  List.iter
+    (fun x ->
+      let back = Transcend.tan_on_principal (Transcend.atan (point x)) in
+      check_true
+        (Printf.sprintf "x = %g survives tan_on_principal (atan x)" x)
+        (Interval.mem x back))
+    [
+      0.0; 1.0; -1.0; 1e-300; 0.75; 1e10; 1e15; 3e15; 3.6e15; -4e15; 5e15;
+      8e15; 1e16; 1e300; Float.max_float; -.Float.max_float;
+    ]
+
+let test_log_exp_round_trip_points () =
+  List.iter
+    (fun x ->
+      let back = Transcend.log (Transcend.exp (point x)) in
+      check_true
+        (Printf.sprintf "x = %g survives log (exp x)" x)
+        (Interval.mem x back))
+    [ 0.0; 1.0; -1.0; 1e-300; 0.5; -37.2; 12.75; 300.0; -300.0; 708.0; -700.0 ]
+
+(* Sign of lo*q - p, exactly: fma rounds the exact difference once, and a
+   rounding never flips a sign. *)
+let below_rat x p q = Float.fma x q (-.p) <= 0.0
+let above_rat x p q = Float.fma x q (-.p) >= 0.0
+
+let encloses_rat i p q =
+  below_rat (Interval.inf i) p q
+  && above_rat (Interval.sup i) p q
+  && Interval.sup i <= Float.succ (Float.succ (Interval.inf i))
+
+(* one outward-rounded division: the exact quotient, at most two ulps wide *)
+let test_enclose_rat_table () =
+  List.iter
+    (fun r ->
+      check_true
+        (Printf.sprintf "enclose_rat %s" (Rat.to_string r))
+        (encloses_rat (Transcend.enclose_rat r)
+           (float_of_int (Rat.num r))
+           (float_of_int (Rat.den r))))
+    [
+      Rat.third; Rat.make (-2) 3; Rat.make 7 6; Rat.make (-7) 6;
+      Rat.make 1 1000003; Rat.make 1000003 3; Rat.half; Rat.of_int 7;
+      Rat.make (-3) 4; Rat.make 0 5;
+    ]
+
+let atan_range_qcheck =
+  qcheck "atan inside the principal range"
+    QCheck2.Gen.(
+      tup2
+        (oneof [ float_range (-10.0) 10.0; float_range (-1e300) 1e300 ])
+        (float_range 0.0 1e300))
+    (fun (a, w) ->
+      let i = Transcend.atan (iv a (a +. w)) in
+      Interval.inf i >= -.Float.succ past_half_pi
+      && Interval.sup i <= Float.succ past_half_pi)
+
+(* Magnitudes up to 1e17 cover the arguments whose atan rounds within a
+   few ulps of fl(pi/2). *)
+let atan_round_trip_qcheck =
+  qcheck "tan_on_principal (atan i) contains i"
+    QCheck2.Gen.(
+      tup3
+        (oneof
+           [
+             float_range (-10.0) 10.0;
+             float_range (-1e17) 1e17;
+             map (fun e -> Float.ldexp 1.0 e) (int_range (-1074) 1023);
+           ])
+        (float_range 0.0 1e-3) (float_range 0.0 1.0))
+    (fun (a, w, frac) ->
+      let b = a +. (Float.abs a *. w) in
+      let x = a +. ((b -. a) *. frac) in
+      let back = Transcend.tan_on_principal (Transcend.atan (iv a b)) in
+      x < a || x > b || Interval.mem x back)
+
+let log_exp_round_trip_qcheck =
+  qcheck "log (exp i) contains i"
+    QCheck2.Gen.(
+      tup3 (float_range (-700.0) 700.0) (float_range 0.0 5.0)
+        (float_range 0.0 1.0))
+    (fun (a, w, frac) ->
+      let x = a +. (frac *. w) in
+      Interval.mem x (Transcend.log (Transcend.exp (iv a (a +. w)))))
+
+let w_round_trip_qcheck =
+  qcheck "lambert_w (w_inverse i) contains i"
+    QCheck2.Gen.(
+      tup3 (float_range (-1.0) 50.0) (float_range 0.0 2.0)
+        (float_range 0.0 1.0))
+    (fun (a, w, frac) ->
+      let x = a +. (frac *. w) in
+      mem_approx x (Transcend.lambert_w (Transcend.w_inverse (iv a (a +. w)))))
+
+let enclose_rat_qcheck =
+  qcheck "enclose_rat contains the rational"
+    QCheck2.Gen.(tup2 (int_range (-1_000_000) 1_000_000) (int_range 1 1_000_000))
+    (fun (p, q) ->
+      let r = Rat.make p q in
+      encloses_rat (Transcend.enclose_rat r)
+        (float_of_int (Rat.num r))
+        (float_of_int (Rat.den r)))
+
+(* ------------------------------------------------------------------ *)
 (* Point evaluation                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -572,6 +746,11 @@ let suite =
     case "lambert NaN policy" test_w_nan_policy;
     case "solver at the escape point" test_solve_at_escape_points;
     case "w_inverse edge oracle" test_w_inverse_edges;
+    case "atan boundary table" test_atan_boundaries;
+    case "tan_on_principal boundary table" test_tan_on_principal_boundaries;
+    case "atan round trip at fixed points" test_atan_round_trip_points;
+    case "exp round trip at fixed points" test_log_exp_round_trip_points;
+    case "enclose_rat table" test_enclose_rat_table;
     case "pow_rat integer parity" test_pow_rat_integer_parity;
     case "pow_rat references" test_pow_rat_references;
     case "pow_rat edges" test_pow_rat_edges;
@@ -602,4 +781,9 @@ let suite =
     w_containment_qcheck;
     w_inverse_containment_qcheck;
     pow_rat_containment_qcheck;
+    atan_range_qcheck;
+    atan_round_trip_qcheck;
+    log_exp_round_trip_qcheck;
+    w_round_trip_qcheck;
+    enclose_rat_qcheck;
   ]
